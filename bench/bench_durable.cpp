@@ -83,7 +83,7 @@ exp::SweepPlan canonical_plan() {
                   exp::SystemSpec{net::leonardo_profile()}};
   for (exp::SystemSpec& spec : plan.systems) spec.private_cache = true;
   plan.colls = {sched::Collective::allreduce, sched::Collective::allgather};
-  plan.series = {exp::Series::best_bine(false), exp::Series::best_binomial(),
+  plan.series = {exp::Series::best_bine(false), exp::Series::binomial_baseline(),
                  exp::Series::best_sota()};
   plan.nodes.counts = {64, 128, 256};
   plan.sizes = harness::paper_vector_sizes(false);

@@ -49,7 +49,7 @@ exp::SweepPlan build_plan(bool cached) {
                 sched::Collective::reduce,         sched::Collective::allgather,
                 sched::Collective::reduce_scatter, sched::Collective::alltoall};
   plan.series = {exp::Series::best_bine(/*contiguous_only=*/true),
-                 exp::Series::best_binomial(), exp::Series::best_sota()};
+                 exp::Series::binomial_baseline(), exp::Series::best_sota()};
   plan.nodes.counts = {64};
   for (i64 size = 32; size <= (i64{1} << 30); size <<= 1) plan.sizes.push_back(size);
   plan.backend = exp::Backend::simulate;

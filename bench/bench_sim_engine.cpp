@@ -10,18 +10,19 @@
 // ride in the row's extra field. plan.threads = 1: timing cells never
 // contend. Emits BENCH_sim.json as before.
 //
-// A second section times the SIZE-BATCHED engine (net::simulate_sizes: one
-// structural pass per schedule across the whole size axis) against the
-// per-size compiled loop on the same cell set, asserting bit-identical
-// output -- on the torus (dense accumulators) AND on a Dragonfly large
-// enough to take the sparse touched-link path, so both accumulator regimes
-// sit in the perf snapshot.
+// A second section times size batching: net::simulate_candidates over a
+// pool of ONE schedule (one structural pass across the whole size axis)
+// against the per-size scalar compiled loop on the same cell set, asserting
+// bit-identical output -- on the torus (dense scalar accumulators) AND on a
+// Dragonfly large enough to take the scalar engine's sparse touched-link
+// path, so both regimes sit in the perf snapshot.
 //
-// A third section times the CANDIDATE-BATCHED engine
-// (net::simulate_candidates: the whole registry pool of one cell through a
-// shared union pair table and a warm PairRouteMemo) against the
-// per-candidate simulate_sizes loop it replaces, bit-identical, on the same
-// two topologies. Exit code gates the >= 1.5x amortization claim.
+// A third section times candidate batching: ONE net::simulate_candidates
+// call over the whole registry pool of a cell (shared union pair table,
+// warm PairRouteMemo) against calling it once per candidate with a pool of
+// one through the same memo, bit-identical to the per-size scalar oracle,
+// on the same two topologies. Exit code gates the >= 1.5x amortization
+// claim.
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -50,10 +51,31 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// The scalar oracle for one schedule across a size axis: resolve_into +
+/// simulate per size.
+std::vector<net::SimResult> per_size_oracle(
+    const std::shared_ptr<const sched::SizeFreeSchedule>& sf,
+    const std::vector<i64>& elem_counts, i64 elem_size, const net::RouteCache& rc,
+    const net::CostParams& cp) {
+  std::vector<net::SimResult> out;
+  sched::CompiledSchedule lowered;
+  for (const i64 n : elem_counts) {
+    sched::SizeFreeSchedule::resolve_into(sf, n, elem_size, lowered);
+    out.push_back(net::simulate(lowered, rc, cp));
+  }
+  return out;
+}
+
+bool bitwise_eq(const net::SimResult& a, const net::SimResult& b) {
+  return std::bit_cast<u64>(a.seconds) == std::bit_cast<u64>(b.seconds) &&
+         a.traffic.total() == b.traffic.total() &&
+         a.traffic.messages == b.traffic.messages;
+}
+
 /// Batched-vs-per-size comparison on one topology: every non-specialized
 /// allreduce schedule, the paper size axis, compiled per-size loop
-/// (resolve_into + simulate, the Runner hit path) vs ONE simulate_sizes
-/// call. Output must match bitwise; rates are per (schedule, size) cell.
+/// (resolve_into + simulate) vs ONE simulate_candidates call with a pool of
+/// one. Output must match bitwise; rates are per (schedule, size) cell.
 struct BatchedReport {
   size_t cells = 0;
   double compiled_rate = 0;  ///< per-size compiled engine, schedules/sec
@@ -86,14 +108,16 @@ BatchedReport bench_batched(const net::Topology& topo, const net::CostParams& cp
         sched::SizeFreeSchedule::from(entry.make(cfg)));
     if (!sf->size_independent) continue;
 
+    const sched::SizeFreeSchedule* const one[] = {sf.get()};
+    const auto batched_pass = [&] {
+      return net::simulate_candidates(one, elem_counts, cfg.elem_size, rc, cp).front();
+    };
+
     // Parity gate, bitwise: timing means nothing if the engines diverge.
-    const auto batched = net::simulate_sizes(*sf, elem_counts, cfg.elem_size, rc, cp);
+    const auto batched = batched_pass();
+    const auto oracle = per_size_oracle(sf, elem_counts, cfg.elem_size, rc, cp);
     for (size_t s = 0; s < elem_counts.size(); ++s) {
-      sched::SizeFreeSchedule::resolve_into(sf, elem_counts[s], cfg.elem_size, lowered);
-      const net::SimResult oracle = net::simulate(lowered, rc, cp);
-      if (std::bit_cast<u64>(batched[s].seconds) != std::bit_cast<u64>(oracle.seconds) ||
-          batched[s].traffic.total() != oracle.traffic.total() ||
-          batched[s].traffic.messages != oracle.traffic.messages) {
+      if (!bitwise_eq(batched[s], oracle[s])) {
         std::fprintf(stderr, "FAIL: batched engine diverges on %s/%s n=%lld\n",
                      topo.name().c_str(), entry.name.c_str(),
                      static_cast<long long>(elem_counts[s]));
@@ -122,10 +146,7 @@ BatchedReport bench_batched(const net::Topology& topo, const net::CostParams& cp
         checksum += net::simulate(lowered, rc, cp).seconds;
       }
     });
-    batched_total += time_engine([&] {
-      checksum +=
-          net::simulate_sizes(*sf, elem_counts, cfg.elem_size, rc, cp).back().seconds;
-    });
+    batched_total += time_engine([&] { checksum += batched_pass().back().seconds; });
     (void)checksum;
     rep.cells += elem_counts.size();
   }
@@ -136,14 +157,16 @@ BatchedReport bench_batched(const net::Topology& topo, const net::CostParams& cp
 }
 
 /// Candidate-batched comparison on one topology: the full size-independent
-/// allreduce pool of the cell, per-candidate simulate_sizes loop vs ONE
-/// simulate_candidates call through a warm PairRouteMemo (the production
-/// shape: the process memo persists across cells). Output must match
-/// bitwise; rates are per (candidate, size) cell.
+/// allreduce pool of the cell, simulate_candidates called once per candidate
+/// with a pool of one vs ONE call over the whole pool, both through the same
+/// warm PairRouteMemo (the production shape: the process memo persists
+/// across cells), so the ratio isolates the amortization across the pool.
+/// Output must match the per-size scalar oracle bitwise; rates are per
+/// (candidate, size) cell.
 struct CandidateReport {
   size_t pool = 0;
   size_t cells = 0;          ///< pool x size axis
-  double per_candidate_rate = 0;  ///< simulate_sizes loop, cells/sec
+  double per_candidate_rate = 0;  ///< pool-of-one loop, cells/sec
   double candidate_rate = 0;      ///< one simulate_candidates call, cells/sec
   double speedup = 0;
   bool bit_identical = true;
@@ -178,17 +201,22 @@ CandidateReport bench_candidates(const net::Topology& topo, const net::CostParam
   rep.pool = pool.size();
   rep.cells = pool.size() * elem_counts.size();
 
-  // Parity gate, bitwise, against the exact loop being replaced.
   net::PairRouteMemo memo;
+  const auto per_candidate = [&](size_t k) {
+    const sched::SizeFreeSchedule* const one[] = {pool[k]};
+    return net::simulate_candidates(one, elem_counts, cfg.elem_size, rc, cp, &memo)
+        .front();
+  };
+
+  // Parity gate, bitwise: the pooled call and the pool-of-one baseline both
+  // against the per-size scalar oracle.
   const auto batched =
       net::simulate_candidates(pool, elem_counts, cfg.elem_size, rc, cp, &memo);
   for (size_t k = 0; k < pool.size(); ++k) {
-    const auto oracle = net::simulate_sizes(*pool[k], elem_counts, cfg.elem_size, rc, cp);
+    const auto oracle = per_size_oracle(own[k], elem_counts, cfg.elem_size, rc, cp);
+    const auto single = per_candidate(k);
     for (size_t s = 0; s < elem_counts.size(); ++s)
-      if (std::bit_cast<u64>(batched[k][s].seconds) !=
-              std::bit_cast<u64>(oracle[s].seconds) ||
-          batched[k][s].traffic.total() != oracle[s].traffic.total() ||
-          batched[k][s].traffic.messages != oracle[s].traffic.messages) {
+      if (!bitwise_eq(batched[k][s], oracle[s]) || !bitwise_eq(single[s], oracle[s])) {
         std::fprintf(stderr, "FAIL: candidate engine diverges on %s cand=%zu n=%lld\n",
                      topo.name().c_str(), k, static_cast<long long>(elem_counts[s]));
         rep.bit_identical = false;
@@ -211,9 +239,7 @@ CandidateReport bench_candidates(const net::Topology& topo, const net::CostParam
     return best;
   };
   const double loop_total = time_engine([&] {
-    for (const auto* sf : pool)
-      checksum +=
-          net::simulate_sizes(*sf, elem_counts, cfg.elem_size, rc, cp).back().seconds;
+    for (size_t k = 0; k < pool.size(); ++k) checksum += per_candidate(k).back().seconds;
   });
   const double cand_total = time_engine([&] {
     checksum += net::simulate_candidates(pool, elem_counts, cfg.elem_size, rc, cp, &memo)
@@ -335,44 +361,44 @@ int main() {
               1e3 * compiled_total);
   std::printf("speedup:  %10.2fx   (parity rel err %.3g)\n", speedup, max_rel_err);
 
-  // Size-batched engine (one structural pass per schedule across the whole
-  // size axis) vs the per-size compiled loop, on the dense-accumulator torus
-  // and on a dragonfly large enough for the sparse touched-link path. The
-  // compiled baseline here is resolve_into + simulate -- the schedule-cache
-  // hit path, i.e. the strictest version of "the current compiled engine".
+  // Size batching (the batched engine over a pool of one schedule, one pass
+  // across the whole size axis) vs the per-size scalar loop, on the
+  // dense-accumulator torus and on a dragonfly large enough for the scalar
+  // engine's sparse touched-link path. The scalar baseline is resolve_into +
+  // simulate over the cached size-free entry -- the strictest per-size form.
   const BatchedReport torus_batched = bench_batched(topo, cp, plan.sizes, 0.01);
   // 384 ranks, 1320 links: past the scalar engine's 1024-link dense-scan
-  // threshold, so the sparse touched-link path is what gets compared. The
+  // threshold, so its sparse touched-link path is what gets compared. The
   // larger budget keeps several reps inside each round even for the ring
-  // schedule (~20 ms per batched pass at 384 ranks).
+  // schedule at 384 ranks.
   const net::Dragonfly dragonfly(24, 16, 1, 25e9, 25e9);
   const net::CostParams dragonfly_cp;  // default alphas: a real global tier
   const BatchedReport dragonfly_batched =
       bench_batched(dragonfly, dragonfly_cp, plan.sizes, 0.05);
   std::printf("batched (torus, %lld links):     %10.1f schedules/sec  "
-              "(%.2fx vs per-size compiled, %s)\n",
+              "(%.2fx vs per-size scalar, %s)\n",
               static_cast<long long>(torus_batched.num_links),
               torus_batched.batched_rate, torus_batched.speedup,
               torus_batched.bit_identical ? "bit-identical" : "DIVERGED");
   std::printf("batched (dragonfly, %lld links): %10.1f schedules/sec  "
-              "(%.2fx vs per-size compiled, %s)\n",
+              "(%.2fx vs per-size scalar, %s)\n",
               static_cast<long long>(dragonfly_batched.num_links),
               dragonfly_batched.batched_rate, dragonfly_batched.speedup,
               dragonfly_batched.bit_identical ? "bit-identical" : "DIVERGED");
   if (!torus_batched.bit_identical || !dragonfly_batched.bit_identical) return 1;
 
-  // Candidate-batched engine (the whole registry pool of one cell in one
-  // structural pass, routes through a warm PairRouteMemo) vs the
-  // per-candidate simulate_sizes loop, same two topologies.
+  // Candidate batching (the whole registry pool of one cell in one call,
+  // routes through a warm PairRouteMemo) vs one pool-of-one call per
+  // candidate through the same memo, same two topologies.
   const CandidateReport torus_cand = bench_candidates(topo, cp, plan.sizes, 0.05);
   const CandidateReport dragonfly_cand =
       bench_candidates(dragonfly, dragonfly_cp, plan.sizes, 0.25);
   std::printf("candidates (torus, pool %zu):     %10.1f cells/sec  "
-              "(%.2fx vs per-candidate simulate_sizes, %s)\n",
+              "(%.2fx vs one call per candidate, %s)\n",
               torus_cand.pool, torus_cand.candidate_rate, torus_cand.speedup,
               torus_cand.bit_identical ? "bit-identical" : "DIVERGED");
   std::printf("candidates (dragonfly, pool %zu): %10.1f cells/sec  "
-              "(%.2fx vs per-candidate simulate_sizes, %s)\n",
+              "(%.2fx vs one call per candidate, %s)\n",
               dragonfly_cand.pool, dragonfly_cand.candidate_rate,
               dragonfly_cand.speedup,
               dragonfly_cand.bit_identical ? "bit-identical" : "DIVERGED");

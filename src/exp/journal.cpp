@@ -57,8 +57,11 @@ std::string header_line(u64 fingerprint) {
 std::string record_frame(std::string_view key, std::string_view payload) {
   std::string out = "cell ";
   out += key;
-  out += " " + std::to_string(payload.size()) + " " + hex16(Journal::checksum(payload)) +
-         "\n";
+  out += ' ';
+  out += std::to_string(payload.size());
+  out += ' ';
+  out += hex16(Journal::checksum(payload));
+  out += '\n';
   out += payload;
   out += "\n";
   return out;

@@ -11,7 +11,7 @@ SweepPlan binomial_table(net::SystemProfile profile, std::vector<i64> node_count
   plan.name = "binomial_table_" + profile.name;
   plan.systems = {SystemSpec{std::move(profile)}};
   plan.colls = coll::all_collectives();
-  plan.series = {Series::best_bine(/*contiguous_only=*/true), Series::best_binomial()};
+  plan.series = {Series::best_bine(/*contiguous_only=*/true), Series::binomial_baseline()};
   plan.nodes.counts = std::move(node_counts);
   plan.nodes.extra_counts = std::move(large_counts_allreduce_ag);
   plan.nodes.extra_colls = {Collective::allreduce, Collective::allgather};

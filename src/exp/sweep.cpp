@@ -29,7 +29,7 @@ Series Series::best_bine(bool contiguous_only, std::string label) {
   return s;
 }
 
-Series Series::best_binomial(std::string label) {
+Series Series::binomial_baseline(std::string label) {
   Series s;
   s.label = std::move(label);
   s.pick = Pick::best;
@@ -279,8 +279,7 @@ void measure_cell(const SweepPlan& plan, const Axes& ax, const Item& item,
   // Simulation backends hand the cell's WHOLE candidate pool and size axis
   // to the batched engine in one call: Runner::run_candidates makes one
   // structural pass per cell (union pair table through the process route
-  // memo, shared lane tiles) -- bit-identical to looping run_sizes per
-  // candidate, which was itself bit-identical to the per-size path.
+  // memo, shared lane tiles) -- bit-identical to the per-size scalar oracle.
   // Verified execution stays per-size (real buffers scale with the vector).
   std::vector<std::vector<harness::RunResult>> eval_sizes;
   if (!verified) {
@@ -314,8 +313,8 @@ void measure_cell(const SweepPlan& plan, const Axes& ax, const Item& item,
       Metrics m;
       switch (s.pick) {
         case Series::Pick::best: {
-          // The exact selection (and tie-break) Runner::best_of performs:
-          // strict <, candidates in the series' own order.
+          // Argmin with a strict < over the series' own candidate order:
+          // ties keep the earliest candidate.
           double best = std::numeric_limits<double>::infinity();
           size_t best_n = names.size();
           for (const size_t n : cands[k])

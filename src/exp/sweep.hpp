@@ -78,7 +78,7 @@ struct Series {
   std::vector<std::string> algorithms;  ///< Family::list candidates
 
   [[nodiscard]] static Series best_bine(bool contiguous_only, std::string label = "bine");
-  [[nodiscard]] static Series best_binomial(std::string label = "binomial");
+  [[nodiscard]] static Series binomial_baseline(std::string label = "binomial");
   [[nodiscard]] static Series best_sota(std::string label = "sota");
   [[nodiscard]] static Series best_of(std::string label, std::vector<std::string> names);
   [[nodiscard]] static Series single(std::string algorithm);

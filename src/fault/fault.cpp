@@ -300,8 +300,10 @@ std::string spec_to_string(const FaultSpec& spec) {
   };
   const auto put_list = [&put](std::string_view key, const auto& items) {
     std::string value;
-    for (size_t i = 0; i < items.size(); ++i)
-      value += (i ? ":" : "") + std::to_string(items[i]);
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (i) value += ':';
+      value += std::to_string(items[i]);
+    }
     put(key, value);
   };
   if (spec.seed != 0) put("seed", std::to_string(spec.seed));

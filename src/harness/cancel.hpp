@@ -26,7 +26,7 @@
 namespace bine::harness {
 
 /// Shared cancellation flag, thread-safe, monotonic (no un-cancel): thread
-/// one token through SweepPlan::cancel / Runner::sweep / parallel_for and
+/// one token through SweepPlan::cancel / parallel_for and
 /// fire it from any thread (a signal-driven watchdog, a service RPC).
 class CancelToken {
  public:

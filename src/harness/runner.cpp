@@ -1,11 +1,9 @@
 #include "harness/runner.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <stdexcept>
-#include <tuple>
 #include <type_traits>
 
 #include "core/fnv.hpp"
@@ -13,7 +11,6 @@
 #include "net/simulate.hpp"
 #include "runtime/compiled_executor.hpp"
 #include "runtime/verify.hpp"
-#include "sched/compiled.hpp"
 
 namespace bine::harness {
 
@@ -44,14 +41,6 @@ bool schedule_cache_default() {
     if (v == "0" || v == "false" || v == "off" || v == "no") return false;
   }
   return true;
-}
-
-/// One resident SoA scratch per worker thread, shared by the cached and
-/// uncached paths (the arrays are deliberately kept large to stay above the
-/// mmap threshold; two copies per thread would double that for nothing).
-sched::CompiledSchedule& thread_lowered_scratch() {
-  static thread_local sched::CompiledSchedule lowered;
-  return lowered;
 }
 
 }  // namespace
@@ -172,11 +161,6 @@ RunResult to_run_result(const net::SimResult& sim) {
 
 }  // namespace
 
-RunResult Runner::simulate_lowered(const sched::CompiledSchedule& lowered,
-                                   Sized& sized) const {
-  return to_run_result(net::simulate(lowered, *sized.routes, profile_.cost));
-}
-
 std::shared_ptr<const sched::SizeFreeSchedule> Runner::cached_entry(
     Collective coll, const coll::AlgorithmEntry& algo, const coll::Config& cfg) {
   if (!use_schedule_cache_) return nullptr;
@@ -197,95 +181,104 @@ std::shared_ptr<const sched::SizeFreeSchedule> Runner::cached_entry(
   return entry;
 }
 
-RunResult Runner::run(Collective coll, const coll::AlgorithmEntry& algo_in, i64 nodes,
-                      i64 size_bytes) {
-  const coll::Config cfg = cell_config(nodes, size_bytes);
-  const coll::AlgorithmEntry& algo = resolve_algorithm(coll, algo_in, cfg.p, size_bytes);
-  if (auto entry = cached_entry(coll, algo, cfg)) {
-    Sized& sized = sized_for(nodes);
-    // Per-worker scratch: resolving into resident arrays avoids re-mmapping
-    // the bytes column for every cell of a sweep.
-    sched::CompiledSchedule& lowered = thread_lowered_scratch();
-    sched::SizeFreeSchedule::resolve_into(std::move(entry), cfg.elem_count,
-                                          cfg.elem_size, lowered);
-    return simulate_lowered(lowered, sized);
-  }
-  return run_uncached(coll, algo, nodes, size_bytes);
-}
-
-std::vector<RunResult> Runner::run_sizes(Collective coll,
-                                         const coll::AlgorithmEntry& algo_in, i64 nodes,
-                                         std::span<const i64> sizes_bytes) {
-  std::vector<RunResult> out(sizes_bytes.size());
-  if (sizes_bytes.empty()) return out;
-  // The batched engine needs ONE schedule across the axis: fault demotion is
-  // size-dependent (the heuristic recommendation keys on size), so batch only
-  // when every size resolves to the same algorithm entry.
-  const coll::Config cfg = cell_config(nodes, sizes_bytes[0]);
-  const coll::AlgorithmEntry& resolved =
-      resolve_algorithm(coll, algo_in, cfg.p, sizes_bytes[0]);
-  bool uniform = true;
-  for (size_t s = 1; s < sizes_bytes.size() && uniform; ++s)
-    uniform = &resolve_algorithm(coll, algo_in, cfg.p, sizes_bytes[s]) == &resolved;
-  if (uniform) {
-    if (auto entry = cached_entry(coll, resolved, cfg)) {
-      Sized& sized = sized_for(nodes);
-      std::vector<i64> elem_counts(sizes_bytes.size());
-      for (size_t s = 0; s < sizes_bytes.size(); ++s)
-        elem_counts[s] = cell_config(nodes, sizes_bytes[s]).elem_count;
-      const std::vector<net::SimResult> sims = net::simulate_sizes(
-          *entry, elem_counts, cfg.elem_size, *sized.routes, profile_.cost);
-      for (size_t s = 0; s < sims.size(); ++s) out[s] = to_run_result(sims[s]);
-      return out;
-    }
-  }
-  for (size_t s = 0; s < sizes_bytes.size(); ++s)
-    out[s] = run(coll, algo_in, nodes, sizes_bytes[s]);
-  return out;
-}
-
 std::vector<std::vector<RunResult>> Runner::run_candidates(
     Collective coll, std::span<const coll::AlgorithmEntry* const> algos, i64 nodes,
     std::span<const i64> sizes_bytes) {
+  const size_t S = sizes_bytes.size();
   std::vector<std::vector<RunResult>> out(algos.size());
-  if (sizes_bytes.empty()) return out;
+  if (S == 0) return out;
   const coll::Config cfg = cell_config(nodes, sizes_bytes[0]);
+  std::vector<i64> elem_counts(S);
+  for (size_t s = 0; s < S; ++s)
+    elem_counts[s] = cell_config(nodes, sizes_bytes[s]).elem_count;
 
-  // Partition the pool: candidates with a usable size-free entry (and
-  // size-uniform fault resolution, the run_sizes batching precondition) join
-  // the single batched pass; the rest fall back per candidate. The entry
-  // handles outlive the batched call.
-  std::vector<std::shared_ptr<const sched::SizeFreeSchedule>> entries(algos.size());
-  std::vector<const sched::SizeFreeSchedule*> batch(algos.size(), nullptr);
-  bool any_batched = false;
+  // Fault demotion keys on size (the heuristic recommendation depends on
+  // it), so rewrite the pool as the distinct algorithms its slots resolve
+  // to, first-use order: pick[k * S + s] indexes `resolved`. On the healthy
+  // machine this is the pool itself, minus its null slots.
+  std::vector<const coll::AlgorithmEntry*> resolved;
+  std::vector<size_t> pick(algos.size() * S);
   for (size_t k = 0; k < algos.size(); ++k) {
     if (algos[k] == nullptr) continue;
-    const coll::AlgorithmEntry& resolved =
-        resolve_algorithm(coll, *algos[k], cfg.p, sizes_bytes[0]);
-    bool uniform = true;
-    for (size_t s = 1; s < sizes_bytes.size() && uniform; ++s)
-      uniform = &resolve_algorithm(coll, *algos[k], cfg.p, sizes_bytes[s]) == &resolved;
-    if (uniform) entries[k] = cached_entry(coll, resolved, cfg);
-    if (entries[k]) {
-      batch[k] = entries[k].get();
-      any_batched = true;
-    } else {
-      out[k] = run_sizes(coll, *algos[k], nodes, sizes_bytes);
+    for (size_t s = 0; s < S; ++s) {
+      const coll::AlgorithmEntry* r =
+          &resolve_algorithm(coll, *algos[k], cfg.p, sizes_bytes[s]);
+      const auto pos = std::find(resolved.begin(), resolved.end(), r);
+      pick[k * S + s] = static_cast<size_t>(pos - resolved.begin());
+      if (pos == resolved.end()) resolved.push_back(r);
     }
   }
-  if (!any_batched) return out;
+  if (resolved.empty()) return out;
 
   Sized& sized = sized_for(nodes);
-  std::vector<i64> elem_counts(sizes_bytes.size());
-  for (size_t s = 0; s < sizes_bytes.size(); ++s)
-    elem_counts[s] = cell_config(nodes, sizes_bytes[s]).elem_count;
-  const std::vector<std::vector<net::SimResult>> sims = net::simulate_candidates(
-      batch, elem_counts, cfg.elem_size, *sized.routes, profile_.cost,
-      &net::process_route_memo());
+  const auto simulate = [&](std::span<const sched::SizeFreeSchedule* const> batch,
+                            std::span<const i64> counts) {
+    return net::simulate_candidates(batch, counts, cfg.elem_size, *sized.routes,
+                                    profile_.cost, &net::process_route_memo());
+  };
+
+  // One batched call over every resolved algorithm with a usable cached
+  // entry, across the whole axis. Lanes never mix, so a size a resolved
+  // algorithm doesn't answer costs a lane and changes nothing else. The
+  // entry handles outlive the call.
+  std::vector<std::shared_ptr<const sched::SizeFreeSchedule>> entries(resolved.size());
+  std::vector<const sched::SizeFreeSchedule*> batch(resolved.size(), nullptr);
+  bool all_cached = true;
+  for (size_t j = 0; j < resolved.size(); ++j) {
+    entries[j] = cached_entry(coll, *resolved[j], cfg);
+    batch[j] = entries[j].get();
+    all_cached = all_cached && batch[j] != nullptr;
+  }
+  std::vector<std::vector<net::SimResult>> sims = simulate(batch, elem_counts);
+
+  // The rest (cache off, or demoted by the cache's verification) compile a
+  // fresh size-free schedule per size and run one batched call per size on a
+  // one-size axis: at the size it was generated for, a schedule's bytes
+  // resolve from its blocks exactly, so the result is the scalar engine's.
+  // Sizes that clamp to the same element count (small vectors at large p)
+  // generate the same schedule, so they share the first one's result.
+  std::vector<std::uint8_t> fresh_done(resolved.size() * S, 0);
+  for (size_t s = 0; s < S && !all_cached; ++s) {
+    const size_t first = static_cast<size_t>(
+        std::find(elem_counts.begin(), elem_counts.end(), elem_counts[s]) -
+        elem_counts.begin());
+    std::vector<std::unique_ptr<const sched::SizeFreeSchedule>> fresh(resolved.size());
+    std::vector<const sched::SizeFreeSchedule*> fresh_batch(resolved.size(), nullptr);
+    bool any = false;
+    for (size_t k = 0; k < algos.size(); ++k) {
+      if (algos[k] == nullptr) continue;
+      const size_t j = pick[k * S + s];
+      if (batch[j] != nullptr || fresh[j] || fresh_done[j * S + s]) continue;
+      if (fresh_done[j * S + first]) {
+        sims[j][s] = sims[j][first];
+        fresh_done[j * S + s] = 1;
+        continue;
+      }
+      const coll::Config size_cfg = cell_config(nodes, sizes_bytes[s]);
+      fresh[j] = std::make_unique<const sched::SizeFreeSchedule>(
+          sched::SizeFreeSchedule::from(resolved[j]->make(size_cfg)));
+      if (!fresh[j]->size_independent)
+        throw std::runtime_error("simulator requires a detail-mode schedule: " +
+                                 (to_string(coll) + ("/" + resolved[j]->name)) +
+                                 " carries bytes its blocks do not derive");
+      fresh_batch[j] = fresh[j].get();
+      any = true;
+    }
+    if (!any) continue;
+    const i64 count[] = {elem_counts[s]};
+    const auto one = simulate(fresh_batch, count);
+    for (size_t j = 0; j < resolved.size(); ++j) {
+      if (fresh_batch[j] == nullptr) continue;
+      sims[j].resize(S);
+      sims[j][s] = one[j][0];
+      fresh_done[j * S + s] = 1;
+    }
+  }
+
   for (size_t k = 0; k < algos.size(); ++k) {
-    if (batch[k] == nullptr) continue;
-    out[k].resize(sims[k].size());
-    for (size_t s = 0; s < sims[k].size(); ++s) out[k][s] = to_run_result(sims[k][s]);
+    if (algos[k] == nullptr) continue;
+    out[k].resize(S);
+    for (size_t s = 0; s < S; ++s) out[k][s] = to_run_result(sims[pick[k * S + s]][s]);
   }
   return out;
 }
@@ -432,32 +425,6 @@ void Runner::use_private_schedule_cache() {
   sched_cache_ = private_cache_.get();
 }
 
-RunResult Runner::run_uncached(Collective coll, const coll::AlgorithmEntry& algo_in,
-                               i64 nodes, i64 size_bytes) {
-  const coll::Config cfg = cell_config(nodes, size_bytes);
-  const coll::AlgorithmEntry& algo = resolve_algorithm(coll, algo_in, cfg.p, size_bytes);
-  const sched::Schedule sch = algo.make(cfg);
-  Sized& sized = sized_for(nodes);
-  sched::CompiledSchedule& lowered = thread_lowered_scratch();
-  sched::CompiledSchedule::lower_into(sch, lowered);
-  return simulate_lowered(lowered, sized);
-}
-
-std::pair<std::string, RunResult> Runner::best_of(Collective coll,
-                                                  const std::vector<std::string>& names,
-                                                  i64 nodes, i64 size_bytes) {
-  std::pair<std::string, RunResult> best{"", {}};
-  best.second.seconds = std::numeric_limits<double>::infinity();
-  for (const std::string& name : names) {
-    const auto& entry = coll::find_algorithm(coll, name);
-    if (!applicable(entry, nodes)) continue;
-    const RunResult r = run(coll, entry, nodes, size_bytes);
-    if (r.seconds < best.second.seconds) best = {name, r};
-  }
-  if (best.first.empty()) throw std::runtime_error("no applicable algorithm");
-  return best;
-}
-
 std::vector<std::string> Runner::bine_names(Collective coll, bool contiguous_only) const {
   std::vector<std::string> names;
   for (const auto& entry : coll::algorithms_for(coll)) {
@@ -480,113 +447,6 @@ std::vector<std::string> Runner::binomial_names(Collective coll) const {
     case Collective::alltoall: return {"bruck"};
   }
   throw std::logic_error("unknown collective");
-}
-
-std::pair<std::string, RunResult> Runner::best_bine(Collective coll, i64 nodes,
-                                                    i64 size_bytes, bool contiguous_only) {
-  return best_of(coll, bine_names(coll, contiguous_only), nodes, size_bytes);
-}
-
-std::pair<std::string, RunResult> Runner::best_binomial(Collective coll, i64 nodes,
-                                                        i64 size_bytes) {
-  return best_of(coll, binomial_names(coll), nodes, size_bytes);
-}
-
-std::vector<std::pair<std::string, RunResult>> Runner::sweep(
-    const std::vector<SweepQuery>& queries, i64 threads, const CancelToken* cancel) {
-  // Warm the per-node machine caches serially so workers only compete for
-  // cells, not for building the same topology/route table under the lock.
-  for (const SweepQuery& q : queries) (void)sized_for(q.nodes);
-
-  const auto names_for = [&](const SweepQuery& q) {
-    switch (q.kind) {
-      case SweepQuery::Kind::bine: return bine_names(q.coll, q.contiguous_only);
-      case SweepQuery::Kind::binomial: return binomial_names(q.coll);
-      case SweepQuery::Kind::sota: return sota_names(q.coll);
-    }
-    throw std::logic_error("unknown sweep kind");
-  };
-
-  // Batch all queries of one (collective, nodes) cell -- every size row of
-  // one table column, across the bine/binomial/sota kinds -- into a single
-  // work item evaluating the union of their candidate algorithms exactly
-  // once, each across the cell's whole size axis via run_sizes (ONE
-  // structural pass per candidate instead of one per size). This kills the
-  // generation duplication between best_bine/best_binomial (their baseline
-  // families overlap with the sota set) and gives the schedule cache a
-  // deterministic access pattern regardless of thread count.
-  struct Cell {
-    Collective coll{};
-    i64 nodes = 0;
-    std::vector<i64> sizes;          ///< size axis, first-use order
-    std::vector<size_t> query_indices;
-    std::vector<size_t> query_size;  ///< per query: index into `sizes`
-    std::vector<std::string> names;  ///< union of candidates, first-use order
-    /// Per query (parallel to query_indices): its candidates as indices into
-    /// `names`, in the query's own selection order -- resolved once here so
-    /// workers neither rescan the registry nor search names by string.
-    std::vector<std::vector<size_t>> query_candidates;
-  };
-  std::vector<Cell> cells;
-  std::map<std::pair<int, i64>, size_t> cell_index;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const SweepQuery& q = queries[i];
-    const auto key = std::make_pair(static_cast<int>(q.coll), q.nodes);
-    auto [it, inserted] = cell_index.emplace(key, cells.size());
-    if (inserted) cells.push_back(Cell{q.coll, q.nodes, {}, {}, {}, {}, {}});
-    Cell& cell = cells[it->second];
-    cell.query_indices.push_back(i);
-    auto spos = std::find(cell.sizes.begin(), cell.sizes.end(), q.size_bytes);
-    if (spos == cell.sizes.end()) {
-      cell.sizes.push_back(q.size_bytes);
-      spos = cell.sizes.end() - 1;
-    }
-    cell.query_size.push_back(static_cast<size_t>(spos - cell.sizes.begin()));
-    std::vector<size_t> candidates;
-    for (std::string& name : names_for(q)) {
-      auto pos = std::find(cell.names.begin(), cell.names.end(), name);
-      if (pos == cell.names.end()) {
-        cell.names.push_back(std::move(name));
-        pos = cell.names.end() - 1;
-      }
-      candidates.push_back(static_cast<size_t>(pos - cell.names.begin()));
-    }
-    cell.query_candidates.push_back(std::move(candidates));
-  }
-
-  std::vector<std::pair<std::string, RunResult>> results(queries.size());
-  parallel_for(
-      static_cast<i64>(cells.size()),
-      [&](i64 ci) {
-        const Cell& cell = cells[static_cast<size_t>(ci)];
-        // ONE structural pass for the whole candidate pool across the size
-        // axis (run_candidates: union pair table through the process route
-        // memo, shared lane tiles); empty result = skipped (rank-count gate,
-        // passed as a null pool slot).
-        std::vector<const coll::AlgorithmEntry*> algos(cell.names.size(), nullptr);
-        for (size_t k = 0; k < cell.names.size(); ++k) {
-          const auto& entry = coll::find_algorithm(cell.coll, cell.names[k]);
-          if (applicable(entry, cell.nodes)) algos[k] = &entry;
-        }
-        const std::vector<std::vector<RunResult>> evaluated =
-            run_candidates(cell.coll, algos, cell.nodes, cell.sizes);
-        // Answer each query by minimizing over its own candidate list in its
-        // own order -- the exact selection (and tie-breaking) best_of runs.
-        for (size_t v = 0; v < cell.query_indices.size(); ++v) {
-          const size_t s = cell.query_size[v];
-          std::pair<std::string, RunResult> best{"", {}};
-          best.second.seconds = std::numeric_limits<double>::infinity();
-          for (const size_t k : cell.query_candidates[v]) {
-            const auto& r = evaluated[k];
-            if (!r.empty() && r[s].seconds < best.second.seconds)
-              best = {cell.names[k], r[s]};
-          }
-          if (best.first.empty()) throw std::runtime_error("no applicable algorithm");
-          results[cell.query_indices[v]] = std::move(best);
-        }
-      },
-      threads, cancel);
-  return results;
 }
 
 std::vector<std::string> Runner::sota_names(Collective coll) const {

@@ -3,16 +3,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "alloc/allocation.hpp"
 #include "coll/registry.hpp"
 #include "fault/fault.hpp"
-#include "harness/cancel.hpp"
 #include "net/profiles.hpp"
 #include "net/route_cache.hpp"
 #include "runtime/exec_plan.hpp"
@@ -22,13 +19,14 @@
 /// Evaluation driver (the stand-in for the paper's PICO framework): runs a
 /// (system, collective, algorithm, nodes, vector size) combination through
 /// the simulator, caching topologies, placements, compiled route tables AND
-/// size-free compiled schedules across the sweep. Each cell is a pure
-/// function of its inputs, so `sweep` fans independent cells out over a
-/// thread pool with deterministic, index-addressed results.
+/// size-free compiled schedules across a sweep. Each cell is a pure function
+/// of its inputs and a Runner is thread-safe, so the sweep engine (exp::run)
+/// fans independent cells out over a thread pool with deterministic,
+/// index-addressed results.
 ///
 /// The schedule cache is the process-wide sched::process_schedule_cache() by
 /// default: every Runner (one per SystemProfile in the table benches) shares
-/// entries, and both the simulation path (`run`) and the execution path
+/// entries, and both the simulation path (`run_candidates`) and the execution path
 /// (`exec_plan`/`run_verified`) resolve from the same cached size-free IR.
 namespace bine::harness {
 
@@ -78,21 +76,6 @@ struct VerifiedQuery {
 /// Human-readable size ("32 B", "2 KiB", "512 MiB").
 [[nodiscard]] std::string size_label(i64 bytes);
 
-/// One cell of a best-variant sweep: which family to minimize over for a
-/// (collective, nodes, size) configuration.
-struct SweepQuery {
-  enum class Kind {
-    bine,      ///< best registered Bine variant (honours contiguous_only)
-    binomial,  ///< the paper's binomial-family baseline
-    sota,      ///< best non-Bine algorithm
-  };
-  sched::Collective coll{};
-  i64 nodes = 0;
-  i64 size_bytes = 0;
-  Kind kind = Kind::bine;
-  bool contiguous_only = false;  ///< only meaningful for Kind::bine
-};
-
 class Runner {
  public:
   /// `spread_placement`: allocate nodes through the synthetic fragmented
@@ -115,8 +98,8 @@ class Runner {
   [[nodiscard]] i64 effective_ranks(i64 nodes) const;
 
   /// Rank-count admission for one algorithm at `nodes` allocated nodes,
-  /// evaluated against the *effective* communicator size. The gate the
-  /// best-of selectors and sweeps use to skip inapplicable candidates.
+  /// evaluated against the *effective* communicator size. The gate sweeps
+  /// use to mark inapplicable candidates as null pool slots.
   [[nodiscard]] bool applicable(const coll::AlgorithmEntry& algo, i64 nodes) const {
     return !algo.pow2_only || is_pow2(effective_ranks(nodes));
   }
@@ -127,39 +110,32 @@ class Runner {
   /// report instead of a crash" contract. Empty on the healthy machine.
   [[nodiscard]] std::vector<std::string> degrade_notes() const;
 
-  /// Simulate one algorithm; `size_bytes` is the collective's vector size.
-  /// Uses the schedule cache (below) unless disabled.
-  [[nodiscard]] RunResult run(sched::Collective coll, const coll::AlgorithmEntry& algo,
-                              i64 nodes, i64 size_bytes);
-
-  /// The always-fresh path: generate, lower, simulate -- no schedule cache.
-  /// Retained as the parity oracle; must agree bit-exactly with `run`.
-  [[nodiscard]] RunResult run_uncached(sched::Collective coll,
-                                       const coll::AlgorithmEntry& algo, i64 nodes,
-                                       i64 size_bytes);
-
-  /// Simulate one algorithm across a whole size axis in a single structural
-  /// pass (net::simulate_sizes): results[s] is bit-identical to
-  /// run(coll, algo, nodes, sizes_bytes[s]). Falls back to per-size run()
-  /// when the cell has no usable size-free entry (cache off or demoted) or
-  /// when fault demotion resolves different algorithms at different sizes.
-  [[nodiscard]] std::vector<RunResult> run_sizes(sched::Collective coll,
-                                                 const coll::AlgorithmEntry& algo,
-                                                 i64 nodes,
-                                                 std::span<const i64> sizes_bytes);
-
-  /// Simulate a whole candidate pool of one cell across the size axis in ONE
-  /// structural pass (net::simulate_candidates through the process-wide
-  /// net::process_route_memo()): the union of the pool's send pairs is
-  /// materialized once and every candidate streams through shared lane
-  /// tiles. results[k][s] is bit-identical to
-  /// run(coll, *algos[k], nodes, sizes_bytes[s]); algos[k] == nullptr marks
-  /// an inapplicable pool slot and yields an empty results[k]. Candidates
-  /// without a usable size-free entry (cache off, demoted, or size-dependent
-  /// fault demotion) fall back per candidate exactly like run_sizes.
+  /// Simulate a whole candidate pool of one cell across the size axis: the
+  /// Runner's one simulation entry. results[k][s] answers *algos[k] at
+  /// sizes_bytes[s]; algos[k] == nullptr marks an inapplicable pool slot and
+  /// yields an empty results[k]. Every result is bit-identical to the scalar
+  /// oracle net::simulate over the cell's freshly generated schedule.
+  ///
+  /// Cached size-free entries go through ONE net::simulate_candidates call
+  /// (via the process-wide net::process_route_memo()). Fault demotion keys on
+  /// size, so the pool is first rewritten as the distinct algorithms its
+  /// slots resolve to across the axis; each is simulated once and every
+  /// (slot, size) reads its resolved algorithm's lane. Algorithms without a
+  /// usable entry (cache off, or demoted by the cache's verification) run
+  /// one batched call per size over a fresh uncached size-free compile; a
+  /// schedule whose bytes cannot be derived from its blocks throws.
   [[nodiscard]] std::vector<std::vector<RunResult>> run_candidates(
       sched::Collective coll, std::span<const coll::AlgorithmEntry* const> algos,
       i64 nodes, std::span<const i64> sizes_bytes);
+
+  /// Simulate one algorithm at one size: run_candidates with a pool of one
+  /// and an axis of one. `size_bytes` is the collective's vector size.
+  [[nodiscard]] RunResult run(sched::Collective coll, const coll::AlgorithmEntry& algo,
+                              i64 nodes, i64 size_bytes) {
+    const coll::AlgorithmEntry* const pool[] = {&algo};
+    const i64 sizes[] = {size_bytes};
+    return run_candidates(coll, pool, nodes, sizes)[0][0];
+  }
 
   /// Compiled execution plan for one cell, pulled from the schedule cache
   /// when possible (so verify-heavy runs skip generation on a hit, exactly
@@ -185,9 +161,10 @@ class Runner {
                                          runtime::ReduceOp op = runtime::ReduceOp::sum);
 
   /// Verified execution as a sweep mode: evaluate every query, fanning cells
-  /// out over at most `threads` workers like `sweep`, each cell executed
-  /// with `exec_threads` executor threads. Results are index-addressed and
-  /// byte-identical -- digests included -- for any worker count.
+  /// out over at most `threads` workers (<= 0 = default_thread_count()),
+  /// each cell executed with `exec_threads` executor threads. Results are
+  /// index-addressed and byte-identical -- digests included -- for any
+  /// worker count.
   [[nodiscard]] std::vector<VerifiedRun> sweep_verified(
       const std::vector<VerifiedQuery>& queries, i64 threads = 0,
       i64 exec_threads = 0);
@@ -213,51 +190,18 @@ class Runner {
   /// out, so workers only compete for cells, never for the build lock.
   void prewarm(i64 nodes) { (void)sized_for(nodes); }
 
-  /// Best (min simulated time) over a set of algorithm names; returns the
-  /// winning name alongside. Skips algorithms that reject the rank count.
-  [[nodiscard]] std::pair<std::string, RunResult> best_of(
-      sched::Collective coll, const std::vector<std::string>& names, i64 nodes,
-      i64 size_bytes);
-
-  /// Best over all registered Bine variants of the collective. When
-  /// `contiguous_only`, restricts to the strategies that send contiguous
-  /// data, matching the fair-comparison setup of Sec. 5.1.1.
-  [[nodiscard]] std::pair<std::string, RunResult> best_bine(sched::Collective coll,
-                                                            i64 nodes, i64 size_bytes,
-                                                            bool contiguous_only);
-
-  /// The binomial-family baseline for a collective, as the paper frames it
-  /// ("Comparison with Binomial Trees"): trees for rooted collectives,
-  /// recursive doubling/halving butterflies for the rootless ones, Bruck for
-  /// alltoall.
-  [[nodiscard]] std::pair<std::string, RunResult> best_binomial(sched::Collective coll,
-                                                                i64 nodes, i64 size_bytes);
-
-  /// Algorithm name lists behind the best_* selectors, exposed so the
-  /// batched sweep evaluates exactly the same candidates in the same order.
+  /// Candidate name lists of the sweep engine's bine / binomial / sota
+  /// series families, in selection order. bine_names honours
+  /// `contiguous_only`: only the strategies that send contiguous data, the
+  /// fair-comparison setup of Sec. 5.1.1. binomial_names is the paper's
+  /// baseline ("Comparison with Binomial Trees"): trees for rooted
+  /// collectives, recursive doubling/halving butterflies for the rootless
+  /// ones, Bruck for alltoall.
   [[nodiscard]] std::vector<std::string> bine_names(sched::Collective coll,
                                                     bool contiguous_only) const;
   [[nodiscard]] std::vector<std::string> binomial_names(sched::Collective coll) const;
   /// All non-Bine algorithms registered for the collective.
   [[nodiscard]] std::vector<std::string> sota_names(sched::Collective coll) const;
-
-  /// Evaluate every query, fanning independent *cells* out over at most
-  /// `threads` workers (<= 0 = harness::default_thread_count()). All queries
-  /// sharing one (collective, nodes, size) cell -- e.g. the bine / binomial /
-  /// sota rows of one table column -- are batched into a single work item
-  /// that evaluates each candidate algorithm exactly once, instead of once
-  /// per query kind. Results are index-addressed (results[i] answers
-  /// queries[i]) and every cell is a pure function of its query, so the
-  /// returned vector -- and anything printed from it in order -- is
-  /// byte-identical for any thread count, with or without the schedule
-  /// cache.
-  ///
-  /// `cancel`, when given, stops new cells from starting once fired
-  /// (parallel_for's drain semantics); queries whose cell never ran come
-  /// back default-constructed -- an empty algorithm name marks them.
-  [[nodiscard]] std::vector<std::pair<std::string, RunResult>> sweep(
-      const std::vector<SweepQuery>& queries, i64 threads = 0,
-      const CancelToken* cancel = nullptr);
 
  private:
   struct Sized {
@@ -279,11 +223,9 @@ class Runner {
                                               const coll::AlgorithmEntry& algo,
                                               i64 nodes, i64 size_bytes, i64 threads,
                                               runtime::ReduceOp op);
-  [[nodiscard]] RunResult simulate_lowered(const sched::CompiledSchedule& lowered,
-                                           Sized& sized) const;
 
   /// Size-free entry for one cell, or nullptr when the cache is off or the
-  /// entry was demoted (callers fall back to fresh generation).
+  /// entry was demoted (run_candidates falls back to fresh generation).
   [[nodiscard]] std::shared_ptr<const sched::SizeFreeSchedule> cached_entry(
       sched::Collective coll, const coll::AlgorithmEntry& algo, const coll::Config& cfg);
 

@@ -14,10 +14,9 @@
 /// Profile-scoped memoization of compiled per-(rank, peer) route rows: the
 /// candidate-batched simulator's cross-cell structure cache.
 ///
-/// `net::simulate_sizes` already memoizes routes per ordered pair *within*
-/// one call, but every candidate of a cell -- and every cell of a sweep --
-/// rebuilds that table from scratch, walking `RouteCache::path` and
-/// reassigning compact link slots per candidate. The candidates of one
+/// Without it, every cell of a sweep rebuilds its per-pair route table from
+/// scratch, walking `RouteCache::path` and reassigning compact link slots
+/// for pairs the previous cell already walked. The candidates of one
 /// collective overwhelmingly reuse the same pairs (every butterfly shares
 /// the ring's neighbor pairs and the trees' ancestor pairs), so the memo
 /// lifts the pair walk to process scope the way
@@ -37,7 +36,7 @@
 /// first-touch order, append-only) and per-pair rows: the pair's path as
 /// scope-slot ids (CSR), its per-class hop counts, and whether it crosses a
 /// global link. Callers copy rows out under a shared lock into call-local
-/// scratch (`Rows`) and remap scope slots to their own sorted compact table;
+/// scratch (`Rows`) and remap scope slots to their own dense per-candidate tables;
 /// nothing retains pointers into the scope, so scopes never dangle and rows
 /// survive the RouteCache that seeded them. Slot *numbering* depends on
 /// insertion order and is therefore thread-schedule-dependent -- harmless,

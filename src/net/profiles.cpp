@@ -73,8 +73,10 @@ SystemProfile fugaku_profile(std::vector<i64> dims) {
   p.name = "fugaku";
   p.dims = dims;
   std::string d;
-  for (size_t i = 0; i < dims.size(); ++i)
-    d += (i ? "x" : "") + std::to_string(dims[i]);
+  for (size_t i = 0; i < dims.size(); ++i) {
+    if (i) d += 'x';
+    d += std::to_string(dims[i]);
+  }
   p.description = "Tofu-D torus " + d + ", 6.8 GB/s per directed link, one NIC "
                   "per direction";
   p.cost = CostParams{};

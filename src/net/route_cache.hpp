@@ -109,10 +109,6 @@ class RouteCache {
     return inv_bandwidth_;
   }
 
-  [[nodiscard]] std::span<const LinkClass> link_class() const noexcept {
-    return link_class_;
-  }
-
   /// Apply a fault spec to the compiled inverse-bandwidth column: each link's
   /// class degradation factor divides its bandwidth, and dead links (listed
   /// or seeded-sampled) drop to the spec's residual dead_link_bandwidth --

@@ -220,424 +220,17 @@ SimResult simulate(const sched::CompiledSchedule& cs, const RouteCache& rc,
   return result;
 }
 
-// --- size-batched compiled engine ----------------------------------------------
-
-namespace {
-
-/// Per-thread scratch arena for simulate_sizes. Sweeps call the batched engine
-/// once per (cell, candidate) from long-lived pool threads, so reusing the
-/// vectors turns ~15 heap round-trips per call into plain resizes. trim()
-/// mirrors the scalar engine's cap so one huge schedule doesn't pin memory.
-struct BatchScratch {
-  std::vector<i64> full_bytes, base, rem;          // per-size geometry, padded
-  std::vector<i64> bytes;                          // bytes[i*P + s], op-major
-  std::vector<std::uint32_t> slot_of_link;         // link id -> compact slot
-  std::vector<i64> table_links;                    // first-touch link ids
-  std::vector<std::uint32_t> order, perm;          // provisional -> sorted slot
-  std::vector<double> slot_inv_bw;
-  std::vector<std::uint32_t> pair_index;           // rank*p + peer -> pair id
-  std::vector<size_t> pair_keys;                   // entries to reset after use
-  std::vector<std::uint32_t> pair_route_off, pair_route_len;
-  std::vector<RouteCache::ClassHops> pair_hops;
-  std::vector<double> pair_alpha;
-  std::vector<std::uint32_t> route_off, route_len, route_links;
-  std::vector<double> op_const;
-  std::vector<RouteCache::ClassHops> hops;
-  std::vector<i64> acc;                            // W-wide accumulator tiles
-  std::vector<std::uint32_t> touch_epoch, touched;
-  std::vector<double> seconds;
-  std::vector<i64> local_b, global_b, intra_b;
-
-  void trim() {
-    // Release capacity pinned by an earlier outsized schedule once a small
-    // call shows the arena no longer needs it. A call that used the space it
-    // holds keeps it -- freeing hot scratch would re-fault it next call.
-    constexpr size_t kCapBytes = size_t{1} << 23;
-    const auto shrink = [](auto& v) {
-      if (v.capacity() * sizeof(v[0]) > kCapBytes && v.size() * sizeof(v[0]) <= kCapBytes / 2)
-        std::decay_t<decltype(v)>().swap(v);
-    };
-    shrink(bytes);
-    shrink(acc);
-    shrink(route_links);
-    shrink(slot_of_link);
-    shrink(pair_index);
-  }
-};
-
-/// Everything the streaming pass reads, hoisted so the fixed-width template
-/// below stays a pure loop nest.
-struct StreamCtx {
-  const sched::SizeFreeSchedule* sf;
-  const i64* bytes;  ///< op-major rows, stride `stride`, zero in pad lanes
-  size_t stride;
-  const std::uint32_t* route_off;  ///< per-op segment into route_links
-  const std::uint32_t* route_len;
-  const std::uint32_t* route_links;
-  const double* op_const;
-  const RouteCache::ClassHops* hops;
-  const double* slot_inv_bw;
-  double inv_reduce_bw = 0;
-  double inv_mem_bw = 0;
-  i64* acc;                   ///< num_slots tiles of W, zeroed by the caller
-  std::uint32_t* touch_epoch;  ///< num_slots, reset to kNoSlot by the caller
-  /// Epoch of step t is epoch_base + t. simulate_sizes resets touch_epoch
-  /// per chunk and leaves this 0; the candidate-batched engine keeps one
-  /// running base across every (candidate, chunk) of a cell so the O(slots)
-  /// reset happens once per cell, not once per candidate.
-  std::uint32_t epoch_base = 0;
-  std::vector<std::uint32_t>* touched;
-  double* seconds;  ///< outputs, written at [off, off+W)
-  i64* local_b;
-  i64* global_b;
-  i64* intra_b;
-};
-
-/// One pass over the op stream for lanes [off, off+W) of the padded size
-/// axis. W is a compile-time width so every inner loop is a fixed-size tile
-/// the autovectorizer turns into straight vector code; the accumulators live
-/// on the stack. Lanes never mix -- each size's FP adds and maxes run in
-/// exactly the scalar engine's order, so results stay bitwise identical; the
-/// zero pad lanes compute harmless finite garbage that is never read.
-template <size_t W>
-void stream_ops(const StreamCtx& cx, size_t off) {
-  const sched::SizeFreeSchedule& sf = *cx.sf;
-  const sched::OpKind* kind = sf.kind.data();
-  const std::int32_t* rank = sf.rank.data();
-  double sec[W] = {};
-  i64 lb[W] = {}, gb[W] = {}, ib2[W] = {};
-  for (size_t t = 0; t < sf.steps; ++t) {
-    double ov[W] = {}, max_ov[W] = {}, max_link[W] = {};
-    cx.touched->clear();
-    std::int32_t cur_rank = -1;
-    for (std::uint32_t i = sf.step_begin[t]; i < sf.step_begin[t + 1]; ++i) {
-      if (rank[i] != cur_rank) {  // ops are rank-grouped within a step
-        for (size_t s = 0; s < W; ++s) max_ov[s] = std::max(max_ov[s], ov[s]);
-        for (size_t s = 0; s < W; ++s) ov[s] = 0.0;
-        cur_rank = rank[i];
-      }
-      const i64* b = cx.bytes + static_cast<size_t>(i) * cx.stride + off;
-      switch (kind[i]) {
-        case sched::OpKind::send: {
-          const RouteCache::ClassHops& h = cx.hops[i];
-          // Skipping a zero-hop class skips i64 adds of zero: exact.
-          if (h.local) {
-            const i64 m = h.local;
-            for (size_t s = 0; s < W; ++s) lb[s] += m * b[s];
-          }
-          if (h.global) {
-            const i64 m = h.global;
-            for (size_t s = 0; s < W; ++s) gb[s] += m * b[s];
-          }
-          if (h.intra_node) {
-            const i64 m = h.intra_node;
-            for (size_t s = 0; s < W; ++s) ib2[s] += m * b[s];
-          }
-          const std::uint32_t ru0 = cx.route_off[i];
-          const std::uint32_t epoch = cx.epoch_base + static_cast<std::uint32_t>(t);
-          for (std::uint32_t u = ru0; u < ru0 + cx.route_len[i]; ++u) {
-            const std::uint32_t slot = cx.route_links[u];
-            if (cx.touch_epoch[slot] != epoch) {
-              cx.touch_epoch[slot] = epoch;
-              cx.touched->push_back(slot);
-            }
-            i64* a = cx.acc + static_cast<size_t>(slot) * W;
-            for (size_t s = 0; s < W; ++s) a[s] += b[s];
-          }
-          const double c = cx.op_const[i];
-          for (size_t s = 0; s < W; ++s) ov[s] += c;
-          break;
-        }
-        case sched::OpKind::recv:
-          break;  // latency accounted on the sender side
-        case sched::OpKind::recv_reduce:
-          for (size_t s = 0; s < W; ++s)
-            ov[s] += static_cast<double>(b[s]) * cx.inv_reduce_bw;
-          break;
-        case sched::OpKind::local_perm: {
-          const double c = cx.op_const[i];
-          for (size_t s = 0; s < W; ++s)
-            ov[s] += static_cast<double>(b[s]) * cx.inv_mem_bw + c;
-          break;
-        }
-      }
-    }
-    for (size_t s = 0; s < W; ++s) max_ov[s] = std::max(max_ov[s], ov[s]);
-
-    // Strided max-reduce: each touched slot's tile is contiguous in s, so the
-    // scan is W-wide vector max ops. Loads are non-negative finite, so any
-    // reduction order yields the scalar engine's max bitwise.
-    for (const std::uint32_t slot : *cx.touched) {
-      const double ib = cx.slot_inv_bw[slot];
-      i64* a = cx.acc + static_cast<size_t>(slot) * W;
-      for (size_t s = 0; s < W; ++s)
-        max_link[s] = std::max(max_link[s], static_cast<double>(a[s]) * ib);
-      for (size_t s = 0; s < W; ++s) a[s] = 0;
-    }
-    for (size_t s = 0; s < W; ++s) sec[s] += max_link[s] + max_ov[s];
-  }
-  for (size_t s = 0; s < W; ++s) cx.seconds[off + s] = sec[s];
-  for (size_t s = 0; s < W; ++s) cx.local_b[off + s] = lb[s];
-  for (size_t s = 0; s < W; ++s) cx.global_b[off + s] = gb[s];
-  for (size_t s = 0; s < W; ++s) cx.intra_b[off + s] = ib2[s];
-}
-
-/// Wire-byte rows bytes[i*P + s], materialized once per cell.
-/// ranges_elem_count(rs, n, B) decomposes exactly as C*(n/B) + R(n%B): C is
-/// the total covered block count and R(rem) sums, over the *unwrapped*
-/// sub-runs [lo, hi) each range splits into, the ids below rem:
-/// max(0, min(hi, rem) - lo). All-i64, so each row holds precisely what
-/// resolve_into would bake per size; pad lanes (base = rem = 0) come out 0.
-/// One walk over the ranges builds the row in place in W-wide tiles -- the
-/// sub-runs are never materialized.
-template <size_t W>
-void build_byte_rows(const sched::SizeFreeSchedule& sf, i64 elem_size,
-                     const i64* full_bytes, const i64* base, const i64* rem, size_t P,
-                     i64* bytes) {
-  const i64 B = sf.nblocks;
-  const size_t nops = sf.num_ops();
-  const sched::OpKind* kind = sf.kind.data();
-  for (size_t i = 0; i < nops; ++i) {
-    // Plain recvs never read their row (latency is the sender's): skip the
-    // materialization and leave whatever is there -- it is dead scratch.
-    if (kind[i] == sched::OpKind::recv) continue;
-    i64* row = bytes + i * P;
-    if (sf.full_vector[i]) {
-      std::copy(full_bytes, full_bytes + P, row);
-      continue;
-    }
-    i64 c = 0;
-    for (std::uint32_t r = sf.block_begin[i]; r < sf.block_begin[i + 1]; ++r)
-      c += sf.ranges[r].count;
-    for (size_t k = 0; k < P; k += W) {
-      i64* rw = row + k;
-      const i64* rm = rem + k;
-      for (size_t s = 0; s < W; ++s) rw[s] = c * base[k + s];
-      for (std::uint32_t r = sf.block_begin[i]; r < sf.block_begin[i + 1]; ++r) {
-        const sched::BlockRange& br = sf.ranges[r];
-        const i64 head = std::min(br.count, B - br.begin);
-        const i64 lo = br.begin, hi = br.begin + head;
-        for (size_t s = 0; s < W; ++s)
-          rw[s] += std::max<i64>(0, std::min(hi, rm[s]) - lo);
-        const i64 tail = br.count - head;  // wrapped part, restarting at block 0
-        if (tail > 0)
-          for (size_t s = 0; s < W; ++s) rw[s] += std::min(tail, rm[s]);
-      }
-      for (size_t s = 0; s < W; ++s) rw[s] *= elem_size;
-    }
-  }
-}
-
-}  // namespace
-
-std::vector<SimResult> simulate_sizes(const sched::SizeFreeSchedule& sf,
-                                      std::span<const i64> elem_counts, i64 elem_size,
-                                      const RouteCache& rc, const CostParams& cp) {
-  assert(sf.size_independent && "demoted entries must fall back to fresh generation");
-  assert(sf.p == rc.num_ranks());
-  const size_t S = elem_counts.size();
-  std::vector<SimResult> results(S);
-  if (S == 0) return results;
-
-  const size_t nops = sf.num_ops();
-  const i64 B = sf.nblocks;
-  const sched::OpKind* kind = sf.kind.data();
-  const std::int32_t* rank = sf.rank.data();
-  const std::int32_t* peer = sf.peer.data();
-  const std::int32_t* extra_segs = sf.extra_segments.data();
-
-  static thread_local BatchScratch sc;
-
-  // Pad the size axis to a fixed lane width so every inner loop below is a
-  // compile-time-size tile. Pad lanes carry zero geometry: their bytes rows
-  // are zero and their outputs are discarded.
-  const size_t W = S <= 2 ? 2 : S <= 4 ? 4 : 8;
-  const size_t P = (S + W - 1) / W * W;
-
-  // Per-size vector geometry (the arithmetic resolve_into runs per entry).
-  sc.full_bytes.assign(P, 0);
-  sc.base.assign(P, 0);
-  sc.rem.assign(P, 0);
-  for (size_t s = 0; s < S; ++s) {
-    const i64 n = sf.space == sched::BlockSpace::pairwise ? elem_counts[s] * sf.p
-                                                          : elem_counts[s];
-    sc.full_bytes[s] = n * elem_size;
-    sc.base[s] = n / B;
-    sc.rem[s] = n % B;
-  }
-
-  sc.bytes.resize(nops * P);
-  switch (W) {
-    case 2:
-      build_byte_rows<2>(sf, elem_size, sc.full_bytes.data(), sc.base.data(),
-                         sc.rem.data(), P, sc.bytes.data());
-      break;
-    case 4:
-      build_byte_rows<4>(sf, elem_size, sc.full_bytes.data(), sc.base.data(),
-                         sc.rem.data(), P, sc.bytes.data());
-      break;
-    default:
-      build_byte_rows<8>(sf, elem_size, sc.full_bytes.data(), sc.base.data(),
-                         sc.rem.data(), P, sc.bytes.data());
-      break;
-  }
-
-  // --- compact link table + flattened per-send route CSR --------------------
-  // Routes are memoized per ordered (rank, peer) pair: a schedule touches
-  // O(p log p) pairs but repeats each across many steps (ring repeats its p
-  // neighbor pairs p-1 times), so the path walk, compact-slot assignment, and
-  // hop/alpha lookups run once per pair. Each send then just references its
-  // pair's slot segment -- the shared segments also keep the streaming pass's
-  // route reads small and cache-hot. Slots are assigned in first-touch order
-  // and re-sorted below. The overhead constants reproduce the scalar engine's
-  // expressions term for term so the FP accumulation matches it bitwise.
-  constexpr std::uint32_t kNoSlot = 0xffffffffu;
-  sc.slot_of_link.assign(static_cast<size_t>(rc.num_links()), kNoSlot);
-  sc.table_links.clear();
-  // pair_index is kept all-kNoSlot between calls (touched entries are reset
-  // after the pass below), so reuse skips the O(p^2) clear.
-  const size_t np = static_cast<size_t>(sf.p);
-  if (sc.pair_index.size() < np * np) sc.pair_index.assign(np * np, kNoSlot);
-  sc.pair_keys.clear();
-  sc.pair_route_off.clear();
-  sc.pair_route_len.clear();
-  sc.pair_hops.clear();
-  sc.pair_alpha.clear();
-  sc.route_off.resize(nops);   // only sends are read; stale elsewhere is fine
-  sc.route_len.resize(nops);
-  sc.route_links.clear();
-  sc.op_const.resize(nops);    // send alpha+segments / perm segments
-  sc.hops.resize(nops);
-  i64 messages = 0;  // = send count: size-independent, so counted here once
-  for (size_t i = 0; i < nops; ++i) {
-    switch (kind[i]) {
-      case sched::OpKind::send: {
-        ++messages;
-        const size_t key = static_cast<size_t>(rank[i]) * np + static_cast<size_t>(peer[i]);
-        std::uint32_t& pid = sc.pair_index[key];
-        if (pid == kNoSlot) {
-          pid = static_cast<std::uint32_t>(sc.pair_route_off.size());
-          sc.pair_keys.push_back(key);
-          const std::span<const i64> path = rc.path(rank[i], peer[i]);
-          sc.pair_route_off.push_back(static_cast<std::uint32_t>(sc.route_links.size()));
-          sc.pair_route_len.push_back(static_cast<std::uint32_t>(path.size()));
-          for (const i64 link : path) {
-            std::uint32_t& slot = sc.slot_of_link[static_cast<size_t>(link)];
-            if (slot == kNoSlot) {
-              slot = static_cast<std::uint32_t>(sc.table_links.size());
-              sc.table_links.push_back(link);
-            }
-            sc.route_links.push_back(slot);
-          }
-          const RouteCache::ClassHops& h = rc.hops(rank[i], peer[i]);
-          sc.pair_hops.push_back(h);
-          sc.pair_alpha.push_back(h.global > 0 ? cp.alpha_global : cp.alpha_local);
-        }
-        sc.route_off[i] = sc.pair_route_off[pid];
-        sc.route_len[i] = sc.pair_route_len[pid];
-        sc.hops[i] = sc.pair_hops[pid];
-        sc.op_const[i] = sc.pair_alpha[pid] +
-                         static_cast<double>(extra_segs[i]) * cp.seg_overhead;
-        break;
-      }
-      case sched::OpKind::local_perm:
-        sc.op_const[i] = static_cast<double>(extra_segs[i]) * cp.seg_overhead;
-        break;
-      default:
-        break;
-    }
-  }
-  // Restore the all-kNoSlot invariant for the next call on this thread.
-  for (const size_t key : sc.pair_keys) sc.pair_index[key] = kNoSlot;
-
-  // Re-sort the slots by (LinkClass, id): the class partition keeps
-  // fault-degradation rescaling a contiguous column multiply per class (rc's
-  // inverse bandwidths already carry the degradation -- harness::Runner
-  // degrades the route cache exactly once at build). Only the CSR entries
-  // need remapping, one contiguous pass.
-  const size_t num_slots = sc.table_links.size();
-  const std::span<const LinkClass> link_class = rc.link_class();
-  sc.order.resize(num_slots);
-  for (size_t slot = 0; slot < num_slots; ++slot)
-    sc.order[slot] = static_cast<std::uint32_t>(slot);
-  std::sort(sc.order.begin(), sc.order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const i64 la = sc.table_links[a], lb = sc.table_links[b];
-    const LinkClass ca = link_class[static_cast<size_t>(la)];
-    const LinkClass cb = link_class[static_cast<size_t>(lb)];
-    if (ca != cb) return ca < cb;
-    return la < lb;
-  });
-  sc.perm.resize(num_slots);
-  sc.slot_inv_bw.resize(num_slots);
-  for (size_t slot = 0; slot < num_slots; ++slot) {
-    sc.perm[sc.order[slot]] = static_cast<std::uint32_t>(slot);
-    sc.slot_inv_bw[slot] =
-        rc.inv_bandwidth()[static_cast<size_t>(sc.table_links[sc.order[slot]])];
-  }
-  for (std::uint32_t& slot : sc.route_links) slot = sc.perm[slot];
-
-  // --- op-stream passes, size axis innermost in W-wide lanes ----------------
-  sc.touched.clear();
-  sc.touched.reserve(num_slots);
-  sc.seconds.resize(P);
-  sc.local_b.resize(P);
-  sc.global_b.resize(P);
-  sc.intra_b.resize(P);
-  StreamCtx cx;
-  cx.sf = &sf;
-  cx.bytes = sc.bytes.data();
-  cx.stride = P;
-  cx.route_off = sc.route_off.data();
-  cx.route_len = sc.route_len.data();
-  cx.route_links = sc.route_links.data();
-  cx.op_const = sc.op_const.data();
-  cx.hops = sc.hops.data();
-  cx.slot_inv_bw = sc.slot_inv_bw.data();
-  cx.inv_reduce_bw = 1.0 / cp.reduce_bandwidth;
-  cx.inv_mem_bw = 1.0 / cp.mem_bandwidth;
-  cx.touched = &sc.touched;
-  cx.seconds = sc.seconds.data();
-  cx.local_b = sc.local_b.data();
-  cx.global_b = sc.global_b.data();
-  cx.intra_b = sc.intra_b.data();
-  const auto run_chunks = [&](auto width) {
-    constexpr size_t kW = decltype(width)::value;
-    for (size_t off = 0; off < P; off += kW) {
-      sc.acc.assign(num_slots * kW, 0);  // accumulator tiles, one per slot
-      sc.touch_epoch.assign(num_slots, kNoSlot);
-      cx.acc = sc.acc.data();
-      cx.touch_epoch = sc.touch_epoch.data();
-      stream_ops<kW>(cx, off);
-    }
-  };
-  switch (W) {
-    case 2: run_chunks(std::integral_constant<size_t, 2>{}); break;
-    case 4: run_chunks(std::integral_constant<size_t, 4>{}); break;
-    default: run_chunks(std::integral_constant<size_t, 8>{}); break;
-  }
-
-  for (size_t s = 0; s < S; ++s) {
-    results[s].seconds = sc.seconds[s];
-    results[s].steps = sf.steps;
-    results[s].traffic = {sc.local_b[s], sc.global_b[s], sc.intra_b[s], messages};
-  }
-  sc.trim();
-  return results;
-}
-
 // --- candidate-batched compiled engine ------------------------------------------
 
 namespace {
 
-/// Per-thread scratch for simulate_candidates, separate from BatchScratch so
-/// the candidate path never evicts the per-schedule path's warm arenas (the
-/// fallback mixes both in one sweep). Same capacity-cap discipline.
-/// One pre-decoded op of the fused candidate stream, emitted by the union
-/// pass. recv ops are dropped at emission (they carry no cost -- a rank
-/// group of only recvs folds a harmless max(max_ov, 0)), the rank-group
-/// boundary is a precomputed flag, and kind/full-vector/range-span/extra
-/// live in one sequential array, so the stream loads one struct instead of
-/// six scattered per-op columns and never branches on recvs.
+/// One pre-decoded op of the fused candidate stream, emitted once per
+/// schedule by compiled_for. recv ops are dropped at emission (they carry
+/// no cost -- a rank group of only recvs folds a harmless max(max_ov, 0)),
+/// the rank-group boundary is a precomputed flag, and
+/// kind/full-vector/range-span/extra live in one sequential array, so the
+/// stream loads one struct instead of six scattered per-op columns and never
+/// branches on recvs.
 struct COp {
   std::uint32_t flags;         // kind (2 bits) | boundary
   std::uint32_t aux;           // send: candidate-local pair id
@@ -660,6 +253,9 @@ constexpr std::uint32_t kRowFull = 0;    // full-vector row
 constexpr std::uint32_t kRowSingle = 1;  // one range, inlined (32-bit fields)
 constexpr std::uint32_t kRowSpan = 2;    // walk sf.ranges[rbegin, rend)
 
+/// Per-thread scratch arena for simulate_candidates. Sweeps call the engine
+/// once per cell from long-lived pool threads, so reusing the vectors turns
+/// dozens of heap round-trips per call into plain resizes.
 struct CandScratch {
   std::vector<i64> full_bytes, base, rem;  // per-size geometry, padded
   std::vector<std::uint32_t> pair_index;   // rank*p + peer -> union pair id
@@ -667,16 +263,8 @@ struct CandScratch {
   std::vector<i64> rowvals;                // evaluated rows, current candidate
   PairRouteMemo::Rows rows;                // resolved rows, scope-slot ids
   std::vector<std::uint32_t> slot_of_link; // memo-less direct resolution only
-  std::vector<std::uint32_t> slot_map;     // scope slot -> provisional local slot
-  std::vector<std::uint32_t> scope_used;   // distinct scope slots, first-touch
-  std::vector<i64> table_links;            // per provisional local slot
-  std::vector<std::uint32_t> order, perm;  // provisional -> class-sorted slot
-  std::vector<double> slot_inv_bw;
-  std::vector<std::uint32_t> pair_slots;   // union-pair CSR in sorted local slots
-  std::vector<double> pair_alpha;
-  std::vector<RouteCache::ClassHops> pair_hops;
   std::vector<std::uint32_t> cand_pids;    // per candidate: its union pids, flat
-  std::vector<std::uint32_t> cslot_of;     // union local slot -> candidate slot
+  std::vector<std::uint32_t> cslot_of;     // scope slot -> candidate slot
   std::vector<std::uint32_t> cslot_ids;    // candidate slots, first-touch order
   std::vector<std::uint32_t> cpair_route_off, cpair_route_len;
   std::vector<double> cpair_alpha;
@@ -688,6 +276,9 @@ struct CandScratch {
   std::vector<i64> local_b, global_b, intra_b;
 
   void trim() {
+    // Release capacity pinned by an earlier outsized cell once a small call
+    // shows the arena no longer needs it. A call that used the space it
+    // holds keeps it -- freeing hot scratch would re-fault it next call.
     constexpr size_t kCapBytes = size_t{1} << 23;
     const auto shrink = [](auto& v) {
       if (v.capacity() * sizeof(v[0]) > kCapBytes && v.size() * sizeof(v[0]) <= kCapBytes / 2)
@@ -695,11 +286,10 @@ struct CandScratch {
     };
     shrink(rowvals);
     shrink(acc);
-    shrink(pair_slots);
     shrink(croute_slots);
     shrink(cand_pids);
     shrink(pair_index);
-    shrink(slot_map);
+    shrink(cslot_of);
     shrink(slot_of_link);
     shrink(rows.route_slots);
     shrink(rows.slot_link);
@@ -711,20 +301,18 @@ struct CandScratch {
            cap(pair_keys) + cap(rowvals) + cap(rows.route_off) +
            cap(rows.route_len) + cap(rows.route_slots) + cap(rows.hops) +
            cap(rows.crosses_global) + cap(rows.slot_link) + cap(slot_of_link) +
-           cap(slot_map) + cap(scope_used) + cap(table_links) + cap(order) +
-           cap(perm) + cap(slot_inv_bw) + cap(pair_slots) + cap(pair_alpha) +
-           cap(pair_hops) + cap(cand_pids) + cap(cslot_of) +
-           cap(cslot_ids) + cap(cpair_route_off) + cap(cpair_route_len) +
-           cap(cpair_alpha) + cap(cpair_hops) + cap(croute_slots) + cap(ib_c) +
-           cap(acc) + cap(seconds) + cap(local_b) + cap(global_b) + cap(intra_b);
+           cap(cand_pids) + cap(cslot_of) + cap(cslot_ids) + cap(cpair_route_off) +
+           cap(cpair_route_len) + cap(cpair_alpha) + cap(cpair_hops) +
+           cap(croute_slots) + cap(ib_c) + cap(acc) + cap(seconds) + cap(local_b) +
+           cap(global_b) + cap(intra_b);
   }
 };
 
 /// Inputs of the fused candidate stream: pair-level route/latency tables
-/// shared by the whole pool, plus the per-candidate byte geometry. Unlike
-/// StreamCtx there is no op-major bytes array and no per-op route table --
-/// ops reach the pair rows through pid_of_op and resolve their wire bytes
-/// from the block ranges as they stream.
+/// shared by the whole pool, plus the per-candidate byte geometry. There is
+/// no op-major bytes array and no per-op route table -- ops reach the pair
+/// rows through their pair id and read their wire bytes from the
+/// candidate's distinct byte rows as they stream.
 struct CandStreamCtx {
   const sched::SizeFreeSchedule* sf;
   const COp* cops;                     ///< this candidate's compacted ops
@@ -757,18 +345,15 @@ struct CandStreamCtx {
 /// one walk over the op stream does byte resolution, latency constants, link
 /// accumulation and the per-step reductions together, with every per-lane
 /// accumulator in a fixed-size stack tile the autovectorizer turns into
-/// straight vector code. Versus materialize-then-stream this removes the
-/// op-major bytes array round-trip (written and re-read once per candidate
-/// -- pure memory traffic that dominates large schedules) and the per-op
-/// route/const tables; and because W covers the whole practical size axis
-/// (up to 32 lanes per window, vs 8 in stream_ops), the op arrays, block
-/// ranges, route CSR and epoch bookkeeping are touched once per op where
-/// the per-candidate loop re-walks them chunk after chunk. The arithmetic
-/// itself is unchanged: byte rows are the exact i64 expressions
-/// build_byte_rows evaluates (same per-lane sequence), the op constant is
-/// the same double expression the table pass precomputed, and each lane's
-/// FP accumulation order is exactly stream_ops' order -- lanes never mix --
-/// so results stay bitwise identical to simulate_sizes.
+/// straight vector code. W covers the whole practical size axis (up to 32
+/// lanes per window), so the op arrays, byte rows and route CSR are touched
+/// once per op per cell. Lane s runs exactly the arithmetic the scalar
+/// engine runs on the schedule resolved at size s: byte rows are the i64
+/// closed form of ranges_elem_count, the op constants are the scalar
+/// engine's double expressions term for term, and each lane's FP
+/// accumulation order is the scalar engine's (ops outer, flushed at rank
+/// boundaries) -- lanes never mix -- so results are bitwise identical to
+/// simulate(resolve(sf, n_s), rc, cp).
 template <size_t W>
 void stream_candidate(const CandStreamCtx& cx, size_t off) {
   const sched::SizeFreeSchedule& sf = *cx.sf;
@@ -794,8 +379,12 @@ void stream_candidate(const CandStreamCtx& cx, size_t off) {
   const double inv_reduce_bw = cx.inv_reduce_bw;
   const double inv_mem_bw = cx.inv_mem_bw;
   i64* const acc = cx.acc;
-  // Wire bytes of a compacted op for this window, in build_byte_rows' exact
-  // i64 sequence: C*(n/B) plus the unwrapped sub-run clamps, then *elem_size.
+  // Wire bytes of a compacted op for this window. ranges_elem_count(rs, n, B)
+  // decomposes exactly as C*(n/B) + R(n%B): C is the total covered block
+  // count and R(rem) sums, over the *unwrapped* sub-runs [lo, hi) each range
+  // splits into, the ids below rem: max(0, min(hi, rem) - lo). All-i64, so
+  // each row holds precisely what resolve_into bakes per size; pad lanes
+  // (base = rem = 0) come out 0.
   const auto eval_row = [&](const RowSpec& o, i64* b) {
     if (o.kind == kRowFull) {
       for (size_t s = 0; s < W; ++s) b[s] = full_bytes[s];
@@ -813,9 +402,8 @@ void stream_candidate(const CandStreamCtx& cx, size_t off) {
       for (size_t s = 0; s < W; ++s) b[s] *= elem_size;
       return;
     }
-    // Range span: one fused walk accumulates the count total and the clamp
-    // terms together (i64 addition reassociates exactly, so folding
-    // build_byte_rows' two passes into one cannot change the row).
+    // Range span: one walk accumulates the count total and the clamp terms
+    // together (i64 addition reassociates exactly).
     i64 c = 0;
     i64 cl[W] = {};
     for (std::uint32_t r = o.rbegin; r < o.rend; ++r) {
@@ -882,7 +470,7 @@ void stream_candidate(const CandStreamCtx& cx, size_t off) {
             ov[s] += static_cast<double>(b[s]) * inv_reduce_bw;
           break;
         default: {  // local_perm
-const double c = static_cast<double>(o.extra) * seg_overhead;
+          const double c = static_cast<double>(o.extra) * seg_overhead;
           for (size_t s = 0; s < W; ++s)
             ov[s] += static_cast<double>(b[s]) * inv_mem_bw + c;
           break;
@@ -1137,7 +725,7 @@ std::vector<std::vector<SimResult>> simulate_candidates(
   // wide, so this loop only unions the pair keys: candidate-local pid k maps
   // to union pid cand_pids[cp_off[c] + k]. pair_index entries stay assigned
   // until the end of the call (all-kNoSlot invariant restored at the bottom,
-  // as in simulate_sizes); resizing down keeps the invariant (the dropped
+  // so reuse skips the O(p^2) clear); resizing down keeps the invariant (the dropped
   // tail is all-kNoSlot) while letting trim() release a huge cell's p^2
   // table once small cells follow.
   if (sc.pair_index.size() < np * np)
@@ -1169,59 +757,12 @@ std::vector<std::vector<SimResult>> simulate_candidates(
   else
     resolve_pairs_direct(rc, sc.pair_keys, sc.slot_of_link, sc.rows);
 
-  // --- call-local compact slot table over the union, sorted by class --------
-  // Scope slots are sparse for this call (and numbered by global insertion
-  // order); remap to a dense table sorted by (LinkClass, link id) -- the same
-  // layout simulate_sizes builds, deterministic for any memo state because
-  // the sort keys are link ids, not slot numbers.
-  if (sc.slot_map.size() < sc.rows.num_scope_slots())
-    sc.slot_map.resize(sc.rows.num_scope_slots(), kNoSlot);
-  sc.scope_used.clear();
-  sc.table_links.clear();
-  for (const std::uint32_t v : sc.rows.route_slots) {
-    if (sc.slot_map[v] == kNoSlot) {
-      sc.slot_map[v] = static_cast<std::uint32_t>(sc.scope_used.size());
-      sc.scope_used.push_back(v);
-      sc.table_links.push_back(sc.rows.slot_link[v]);
-    }
-  }
-  const size_t num_slots = sc.scope_used.size();
-  const std::span<const LinkClass> link_class = rc.link_class();
-  sc.order.resize(num_slots);
-  for (size_t slot = 0; slot < num_slots; ++slot)
-    sc.order[slot] = static_cast<std::uint32_t>(slot);
-  std::sort(sc.order.begin(), sc.order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const i64 la = sc.table_links[a], lb = sc.table_links[b];
-    const LinkClass ca = link_class[static_cast<size_t>(la)];
-    const LinkClass cb = link_class[static_cast<size_t>(lb)];
-    if (ca != cb) return ca < cb;
-    return la < lb;
-  });
-  sc.perm.resize(num_slots);
-  sc.slot_inv_bw.resize(num_slots);
-  for (size_t slot = 0; slot < num_slots; ++slot) {
-    sc.perm[sc.order[slot]] = static_cast<std::uint32_t>(slot);
-    sc.slot_inv_bw[slot] =
-        rc.inv_bandwidth()[static_cast<size_t>(sc.table_links[sc.order[slot]])];
-  }
-  // Union-pair CSR in sorted local slots, shared by every candidate's ops.
-  sc.pair_slots.resize(sc.rows.route_slots.size());
-  for (size_t u = 0; u < sc.rows.route_slots.size(); ++u)
-    sc.pair_slots[u] = sc.perm[sc.slot_map[sc.rows.route_slots[u]]];
-  // Restore slot_map's all-kNoSlot invariant for the next call.
-  for (const std::uint32_t v : sc.scope_used) sc.slot_map[v] = kNoSlot;
-
-  sc.pair_alpha.resize(sc.pair_keys.size());
-  sc.pair_hops.resize(sc.pair_keys.size());
-  for (size_t pid = 0; pid < sc.pair_keys.size(); ++pid) {
-    sc.pair_alpha[pid] = sc.rows.crosses_global[pid] ? cp.alpha_global : cp.alpha_local;
-    sc.pair_hops[pid] = sc.rows.hops[pid];
-  }
-
-  // Candidate-slot remap table over the union's local slots; all-kNoSlot
-  // between candidates (reset through cslot_ids below). Growing with resize
+  // Candidate-slot remap table over the scope's slots; all-kNoSlot between
+  // candidates (reset through cslot_ids below). Growing with resize
   // preserves the invariant for entries carried over from earlier calls.
-  if (sc.cslot_of.size() < num_slots) sc.cslot_of.resize(num_slots, kNoSlot);
+  if (sc.cslot_of.size() < sc.rows.num_scope_slots())
+    sc.cslot_of.resize(sc.rows.num_scope_slots(), kNoSlot);
+  const std::span<const double> inv_bandwidth = rc.inv_bandwidth();
 
   CandStreamCtx cx;
   cx.elem_size = elem_size;
@@ -1235,7 +776,7 @@ std::vector<std::vector<SimResult>> simulate_candidates(
     const i64 B = sf.nblocks;
 
     // Per-size geometry: inherently per candidate (block space and nblocks
-    // shape it), same expressions as simulate_sizes. Everything else the
+    // shape it), the arithmetic resolve_into runs per size. Everything else the
     // fused stream needs -- byte rows, route rows, latency constants -- is
     // resolved from the shared union tables as it streams.
     sc.full_bytes.assign(P, 0);
@@ -1250,11 +791,14 @@ std::vector<std::vector<SimResult>> simulate_candidates(
     }
 
     // Candidate-local pair/slot tables: copy this candidate's rows out of the
-    // shared union, renumbering pairs and slots into dense [0, n) ranges.
-    // Cost is O(pairs x route length) -- pair counts are orders of magnitude
-    // below op counts -- and it buys the stream a branch-free inner loop:
-    // no touch bookkeeping per route visit, and a sequential max-reduce over
-    // exactly the slots this candidate can touch.
+    // shared union, renumbering pairs and slots into dense [0, n) ranges in
+    // first-touch order. Slot order is free: the per-step link reduction is
+    // a max over non-negative finite terms (order-independent bitwise) and
+    // byte accumulation is exact i64. Cost is O(pairs x route length) --
+    // pair counts are orders of magnitude below op counts -- and it buys the
+    // stream a branch-free inner loop: no touch bookkeeping per route visit,
+    // and a sequential max-reduce over exactly the slots this candidate can
+    // touch.
     const size_t npairs_c = cp_off[c + 1] - cp_off[c];
     sc.cpair_route_off.resize(npairs_c);
     sc.cpair_route_len.resize(npairs_c);
@@ -1267,23 +811,23 @@ std::vector<std::vector<SimResult>> simulate_candidates(
       const std::uint32_t pid = sc.cand_pids[cp_off[c] + k];
       sc.cpair_route_off[k] = static_cast<std::uint32_t>(sc.croute_slots.size());
       sc.cpair_route_len[k] = sc.rows.route_len[pid];
-      sc.cpair_alpha[k] = sc.pair_alpha[pid];
-      sc.cpair_hops[k] = sc.pair_hops[pid];
+      sc.cpair_alpha[k] = sc.rows.crosses_global[pid] ? cp.alpha_global : cp.alpha_local;
+      sc.cpair_hops[k] = sc.rows.hops[pid];
       const std::uint32_t u0 = sc.rows.route_off[pid];
       for (std::uint32_t u = u0; u < u0 + sc.rows.route_len[pid]; ++u) {
-        const std::uint32_t us = sc.pair_slots[u];
-        std::uint32_t& cslot = sc.cslot_of[us];
+        const std::uint32_t v = sc.rows.route_slots[u];
+        std::uint32_t& cslot = sc.cslot_of[v];
         if (cslot == kNoSlot) {
           cslot = static_cast<std::uint32_t>(sc.cslot_ids.size());
-          sc.cslot_ids.push_back(us);
-          sc.ib_c.push_back(sc.slot_inv_bw[us]);
+          sc.cslot_ids.push_back(v);
+          sc.ib_c.push_back(inv_bandwidth[static_cast<size_t>(sc.rows.slot_link[v])]);
         }
         sc.croute_slots.push_back(cslot);
       }
     }
     const size_t n_c = sc.cslot_ids.size();
     // Restore cslot_of's all-kNoSlot invariant for the next candidate.
-    for (const std::uint32_t us : sc.cslot_ids) sc.cslot_of[us] = kNoSlot;
+    for (const std::uint32_t v : sc.cslot_ids) sc.cslot_of[v] = kNoSlot;
     sc.acc.assign(n_c * W, 0);  // accumulator tiles; each step clears its own
 
     sc.seconds.resize(P);

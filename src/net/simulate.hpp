@@ -17,27 +17,22 @@
 /// Traffic is exact; time is modeled -- see DESIGN.md's substitutions table
 /// for why this preserves the paper's qualitative results.
 ///
-/// Two engines implement the model:
+/// One production engine and two oracles implement the model:
 ///
-///   * The *compiled* engine -- the default and the one the evaluation
-///     harness uses -- consumes a `sched::CompiledSchedule` (flat SoA op
-///     stream, sched/compiled.hpp) plus a `RouteCache` (CSR link paths per
-///     rank pair, net/route_cache.hpp). It computes traffic and time in a
-///     single pass with dense per-link byte accumulators and a touched-link
-///     list, never calling the virtual `Topology::route()`.
-///   * The *reference* engine (`*_reference`) is the retained naive
-///     implementation: per-op virtual routing and a per-step hash map. It is
-///     the oracle the parity tests and `bench_sim_engine` compare against;
-///     don't use it in sweeps.
+///   * `simulate_candidates` -- the engine harness::Runner (and through it
+///     every sweep, tuner and service job) runs: a cell's whole candidate
+///     pool across the size axis in one pass over cached size-free IR.
+///   * The scalar compiled `simulate`/`measure_traffic` over a
+///     `sched::CompiledSchedule` plus a `RouteCache` -- the *bitwise* oracle
+///     of the batched engine, and (via the `Schedule` overloads, which lower
+///     and build a scoped route table per call) the one-off convenience the
+///     examples use.
+///   * The *reference* engine (`*_reference`): per-op virtual routing and a
+///     per-step hash map -- the *semantic* oracle the scalar engine is
+///     checked against within 1e-12; don't use it in sweeps.
 ///
-/// The `Schedule`-taking overloads lower + build a cache per call, which is
-/// convenient for one-off measurements; sweeps should build the
-/// `RouteCache` once per (Topology, Placement) and lower each schedule once
-/// (see harness::Runner). `CompiledSchedule`'s columns are spans that may
-/// alias a shared ScheduleCache entry (only the bytes column is
-/// materialized per size) -- the engines below are agnostic to which
-/// backing they read. DESIGN.md describes the full three-layer pipeline,
-/// including the runtime executor's sibling IR (runtime::ExecPlan).
+/// DESIGN.md describes the full three-layer pipeline, including the runtime
+/// executor's sibling IR (runtime::ExecPlan).
 namespace bine::net {
 
 struct TrafficStats {
@@ -88,45 +83,23 @@ struct SimResult {
 [[nodiscard]] SimResult simulate(const sched::CompiledSchedule& cs, const RouteCache& rc,
                                  const CostParams& cp);
 
-/// Size-batched compiled engine: one structural pass per cell across the
-/// whole size axis. Walks the cached size-free op stream ONCE, materializing
-/// per-op wire-byte *coefficients* (the closed form of `ranges_elem_count`:
-/// bytes_i(n) = C_i * (n / nblocks) + R_i(n % nblocks), all-i64) and a
-/// flattened per-send route CSR over a compact link table (unique touched
-/// links, gathered inverse bandwidths, partitioned by LinkClass), then
-/// streams every element count through size-major accumulator tiles -- the
-/// per-link scan and max-reduce amortize across the axis and vectorize.
+/// Candidate-batched compiled engine -- the one production simulator: one
+/// structural pass per *cell* across a whole candidate pool AND the size
+/// axis. The union of every candidate's send pairs is resolved once
+/// (through `memo` when given: pair walks then amortize across cells,
+/// Runners, and tuner rounds; self-contained when null). Each candidate then
+/// streams its cached compiled form (compact ops + distinct byte rows,
+/// memoized on the entry) through W-wide size-lane tiles.
 ///
-/// Result [s] is bit-identical to
-///   simulate(resolve(sf, elem_counts[s], elem_size), rc, cp)
-/// -- the per-size oracle the parity suite loops: byte resolution runs the
-/// same integer arithmetic, per-rank overheads accumulate in the same FP
-/// order (ops outer, sizes inner, flushed at rank boundaries), and per-step
-/// maxima reduce over non-negative finite terms, where max is
-/// order-independent bitwise. `sf` must be size_independent.
-[[nodiscard]] std::vector<SimResult> simulate_sizes(const sched::SizeFreeSchedule& sf,
-                                                    std::span<const i64> elem_counts,
-                                                    i64 elem_size, const RouteCache& rc,
-                                                    const CostParams& cp);
-
-/// Candidate-batched compiled engine: one structural pass per *cell* across
-/// a whole candidate pool AND the size axis -- the (cell x candidates x
-/// sizes) lift of simulate_sizes' (schedule x sizes) design. The union of
-/// every candidate's send pairs is materialized once (through `memo` when
-/// given: pair walks then amortize across cells, Runners, and tuner rounds;
-/// self-contained when null), one compact link table sorted by LinkClass
-/// serves all candidates, and the per-step accumulator tiles are zeroed once
-/// per cell -- a running touch epoch replaces the per-candidate reset. Each
-/// candidate then streams through the same lane-tile inner loops as
-/// simulate_sizes.
-///
-/// result[c][s] is bit-identical to simulate_sizes(*candidates[c], ...)[s]
-/// (the parity suite loops exactly that): per-candidate byte resolution and
-/// FP accumulation order are untouched, and the shared slot table only
-/// renumbers accumulator indices -- the per-step link reduction is a max
-/// over non-negative finite terms, order-independent bitwise. Null entries
-/// in `candidates` (inapplicable pool slots) yield empty result vectors.
-/// Every non-null candidate must be size_independent with p matching `rc`.
+/// result[c][s] is bit-identical to the scalar oracle
+///   simulate(resolve(*candidates[c], elem_counts[s], elem_size), rc, cp)
+/// -- the per-size loop the parity suite runs: byte resolution runs the same
+/// integer arithmetic, per-rank overheads accumulate in the same FP order
+/// (ops outer, flushed at rank boundaries), and per-step maxima reduce over
+/// non-negative finite terms, where max is order-independent bitwise. Null
+/// entries in `candidates` (inapplicable pool slots) yield empty result
+/// vectors. Every non-null candidate must be size_independent with p
+/// matching `rc`.
 [[nodiscard]] std::vector<std::vector<SimResult>> simulate_candidates(
     std::span<const sched::SizeFreeSchedule* const> candidates,
     std::span<const i64> elem_counts, i64 elem_size, const RouteCache& rc,

@@ -53,6 +53,19 @@ inline constexpr i64 kExecAutoThreadBytes = i64{1} << 20;
   return vector_bytes >= kExecAutoThreadBytes ? harness::default_thread_count() : 1;
 }
 
+/// Elements a step must move before a `threads > 1` run fans its phases out:
+/// parallel_for spawns and joins real threads per call, so smaller steps
+/// run every phase inline.
+inline constexpr i64 kParallelGrainElems = i64{1} << 15;
+
+/// True when a `threads > 1` run executes step `t` of `pl` through
+/// parallel_for (each phase with more than one work item fans out).
+[[nodiscard]] inline bool step_fans_out(const ExecPlan& pl, size_t t) {
+  const std::uint32_t ob = pl.step_begin[t], oe = pl.step_begin[t + 1];
+  return pl.elem_prefix[pl.block_begin[oe]] - pl.elem_prefix[pl.block_begin[ob]] >=
+         kParallelGrainElems;
+}
+
 /// Flip the low bit of one element's byte representation (the executor's
 /// corruption injection): a single-bit payload error, type-agnostic, that the
 /// postcondition verifier is guaranteed to see as a data mismatch.
@@ -144,11 +157,7 @@ class CompiledExecutor {
     std::vector<u64> stage_contrib(
         static_cast<size_t>(pl.max_step_blocks * pl.words));
 
-    // parallel_for spawns and joins real threads per call, so fanning a
-    // phase out only pays off when the step moves enough elements to
-    // amortize the spawn cost; below the grain every phase runs inline.
-    constexpr i64 kParallelGrainElems = i64{1} << 15;
-    bool step_parallel = false;
+    bool step_parallel = false;  // see step_fans_out
     const auto for_range = [&](std::uint32_t n, auto&& fn) {
       if (step_parallel && n > 1) {
         harness::parallel_for(static_cast<i64>(n), fn, threads);
@@ -160,10 +169,7 @@ class CompiledExecutor {
     for (size_t t = 0; t < pl.steps; ++t) {
       const std::uint32_t ob = pl.step_begin[t], oe = pl.step_begin[t + 1];
       if (ob == oe) continue;
-      step_parallel =
-          threads > 1 && pl.elem_prefix[pl.block_begin[oe]] -
-                                 pl.elem_prefix[pl.block_begin[ob]] >=
-                             kParallelGrainElems;
+      step_parallel = threads > 1 && step_fans_out(pl, t);
 
       // Phase 1: stage the payloads of non-direct deliveries' overlapping
       // tiles from pre-step state (direct deliveries -- and the in-place

@@ -29,9 +29,9 @@
 ///   * the *compiled* engine (runtime/compiled_executor.hpp) streams the flat
 ///     runtime::ExecPlan IR over dense per-rank buffers and flat contributor
 ///     bitset words -- the default, and the one harness::Runner drives;
-///   * the nested-walking implementations in this header and
-///     threaded_executor.hpp are retained as `*_reference` oracles the parity
-///     suite compares against.
+///   * the nested-walking `execute_reference` in this header is retained as
+///     the sequential oracle the parity suites compare the compiled engine
+///     against -- its threaded path (`threads > 1`) included.
 namespace bine::runtime {
 
 /// Dynamic bitset over ranks, used for contributor tracking.

@@ -66,7 +66,7 @@ exp::SweepPlan small_plan(const std::string& journal = "") {
   plan.name = "durable_small";
   plan.systems = {exp::SystemSpec{net::lumi_profile()}};
   plan.colls = {Collective::allreduce};
-  plan.series = {exp::Series::best_binomial()};
+  plan.series = {exp::Series::binomial_baseline()};
   plan.nodes.counts = {8, 16, 32};
   plan.sizes = {1024, 65536};
   plan.threads = 1;

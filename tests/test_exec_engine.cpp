@@ -18,7 +18,6 @@
 #include "runtime/compiled_executor.hpp"
 #include "runtime/exec_plan.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/threaded_executor.hpp"
 #include "runtime/verify.hpp"
 #include "sched/schedule_cache.hpp"
 
@@ -165,25 +164,29 @@ TEST(ExecEngine, PlanFromSizeFreeMatchesDirectLowering) {
 }
 
 // The data-dependent correctness hazard (Appendix C): a schedule that folds
-// the same contributor twice must throw in the compiled engine exactly as it
-// does in both nested references -- sequentially and threaded.
+// the same contributor twice must throw in the compiled engine -- sequential
+// and threaded -- exactly as it does in the nested reference.
 TEST(ExecEngine, DuplicateContributionDetectionParity) {
+  // Step 1 folds rank 1's contribution into rank 0 a second time, next to a
+  // valid 2 -> 1 delivery: two receiver runs of kParallelGrainElems elements
+  // each, so the threads=4 run detects it inside parallel_for.
   coll::Config cfg;
   cfg.p = 4;
-  cfg.elem_count = 8;
+  cfg.elem_count = runtime::kParallelGrainElems;
   sched::Schedule sch = coll::make_base(sched::Collective::reduce, cfg, "broken",
                                         sched::BlockSpace::per_vector);
   sch.add_exchange(0, 1, 0, sched::BlockSet::all(4), true);
-  sch.add_exchange(1, 1, 0, sched::BlockSet::all(4), true);
   sch.add_exchange(0, 3, 2, sched::BlockSet::all(4), true);
+  sch.add_exchange(1, 1, 0, sched::BlockSet::all(4), true);
+  sch.add_exchange(1, 2, 1, sched::BlockSet::all(4), true);
   sch.normalize_steps();
-  const auto in = make_inputs(4, 8);
+  const auto in = make_inputs(cfg.p, cfg.elem_count);
   EXPECT_THROW(runtime::execute_reference<u64>(sch, runtime::ReduceOp::sum, in),
                std::runtime_error);
-  EXPECT_THROW(runtime::execute_threaded_reference<u64>(sch, runtime::ReduceOp::sum, in),
-               std::runtime_error);
   const runtime::ExecPlan plan = runtime::ExecPlan::lower(sch);
-  EXPECT_THROW((void)runtime::execute<u64>(plan, runtime::ReduceOp::sum, in),
+  ASSERT_TRUE(runtime::step_fans_out(plan, 1));
+  ASSERT_EQ(plan.step_run_begin[2] - plan.step_run_begin[1], 2u);
+  EXPECT_THROW((void)runtime::execute<u64>(plan, runtime::ReduceOp::sum, in, 1),
                std::runtime_error);
   EXPECT_THROW((void)runtime::execute<u64>(plan, runtime::ReduceOp::sum, in, 4),
                std::runtime_error);
@@ -211,8 +214,9 @@ TEST(ExecEngine, LoweringRejectsInvalidSchedules) {
   EXPECT_THROW((void)runtime::ExecPlan::lower(coarse), std::runtime_error);
 }
 
-// Threaded phase fan-out must be bit-identical to the sequential pass for
-// the BINE_THREADS values CI pins (1 and 4).
+// Threaded phase fan-out must be bit-identical to the sequential nested
+// reference (the one executor oracle) and to the sequential compiled pass,
+// for the BINE_THREADS values CI pins (1 and 4).
 TEST(ExecEngine, ThreadedExecutionIsDeterministic) {
   const std::vector<std::pair<sched::Collective, const char*>> cases = {
       {sched::Collective::allreduce, "bine_two_trans"},
@@ -237,6 +241,9 @@ TEST(ExecEngine, ThreadedExecutionIsDeterministic) {
       const auto inputs = make_inputs(cfg.p, cfg.elem_count);
       const auto seq = runtime::execute<u64>(plan, runtime::ReduceOp::sum, inputs, 1);
       const auto thr = runtime::execute<u64>(plan, runtime::ReduceOp::sum, inputs, 4);
+      expect_matches_reference(
+          runtime::execute_reference<u64>(sch, runtime::ReduceOp::sum, inputs), thr, cfg.p,
+          plan.nblocks, std::string(name) + " threads=4");
       EXPECT_EQ(seq.data, thr.data);
       EXPECT_EQ(seq.contrib, thr.contrib);
       EXPECT_EQ(seq.valid, thr.valid);

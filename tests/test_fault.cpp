@@ -245,22 +245,22 @@ TEST(FaultParity, ZeroFaultSpecIsBitIdenticalAcrossRegistry) {
       }
     ASSERT_FALSE(names.empty());
 
-    // Threaded sweep over the same cells: byte-identical too.
-    std::vector<harness::SweepQuery> qs;
-    for (const Collective coll : {Collective::allreduce, Collective::bcast}) {
-      harness::SweepQuery q;
-      q.coll = coll;
-      q.nodes = 16;
-      q.size_bytes = 65536;
-      qs.push_back(q);
-    }
+    // Threaded sweep over the same cells, healthy and zero-spec systems side
+    // by side: byte-identical too.
+    exp::SweepPlan plan;
+    plan.systems = {exp::SystemSpec{net::lumi_profile()},
+                    exp::SystemSpec{profile_with(make_spec())}};
+    for (exp::SystemSpec& sys : plan.systems) sys.schedule_cache = cache;
+    plan.colls = {Collective::allreduce, Collective::bcast};
+    plan.series = {exp::Series::best_bine(false)};
+    plan.nodes.counts = {16};
+    plan.sizes = {65536};
     for (const i64 threads : {1LL, 4LL}) {
-      const auto ra = healthy.sweep(qs, threads);
-      const auto rb = zero.sweep(qs, threads);
-      ASSERT_EQ(ra.size(), rb.size());
-      for (size_t i = 0; i < ra.size(); ++i) {
-        EXPECT_EQ(ra[i].first, rb[i].first);
-        EXPECT_EQ(ra[i].second.seconds, rb[i].second.seconds);
+      plan.threads = threads;
+      const exp::SweepResult r = exp::run(plan);
+      for (size_t ci = 0; ci < plan.colls.size(); ++ci) {
+        EXPECT_EQ(r.at(0, ci, 0, 0, 0).algorithm, r.at(1, ci, 0, 0, 0).algorithm);
+        EXPECT_EQ(r.at(0, ci, 0, 0, 0).seconds, r.at(1, ci, 0, 0, 0).seconds);
       }
     }
     EXPECT_TRUE(healthy.degrade_notes().empty());
@@ -577,7 +577,7 @@ TEST(FaultSweep, CleanIsolateRunMatchesPropagateByteForByte) {
   plan.name = "clean";
   plan.systems.emplace_back(net::lumi_profile());
   plan.colls = {Collective::allreduce};
-  plan.series.push_back(exp::Series::best_binomial());
+  plan.series.push_back(exp::Series::binomial_baseline());
   plan.nodes.counts = {8, 16};
   plan.sizes = {1024, 65536};
   plan.threads = 1;

@@ -212,13 +212,18 @@ TEST(Allocation, TreeAllreduceReductionRespects33PercentBound) {
   }
 }
 
-TEST(Harness, BestBineSkipsSpecializedAlgorithms) {
+TEST(Harness, BineFamilySkipsSpecializedAlgorithms) {
   harness::Runner runner(net::lumi_profile());
-  const auto [name, result] =
-      runner.best_bine(sched::Collective::allreduce, 64, 1 << 16, false);
-  EXPECT_EQ(name.find("torus"), std::string::npos);
-  EXPECT_EQ(name.find("hierarchical"), std::string::npos);
-  EXPECT_GT(result.seconds, 0);
+  const std::vector<std::string> names =
+      runner.bine_names(sched::Collective::allreduce, false);
+  ASSERT_FALSE(names.empty());
+  for (const std::string& name : names) {
+    EXPECT_EQ(name.find("torus"), std::string::npos);
+    EXPECT_EQ(name.find("hierarchical"), std::string::npos);
+    const auto& entry = coll::find_algorithm(sched::Collective::allreduce, name);
+    EXPECT_TRUE(entry.is_bine);
+    EXPECT_FALSE(entry.specialized);
+  }
 }
 
 TEST(Harness, SizesAndLabels) {

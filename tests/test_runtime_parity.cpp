@@ -1,11 +1,17 @@
-// Threaded-vs-sequential reference-executor equivalence (the nested oracles
-// the compiled engine is checked against; see test_exec_engine.cpp), and the
-// closed-form gather buffer ranges of paper Sec. 4.1/4.2.
+// Threaded compiled execution vs the sequential nested reference executor
+// (the one executor oracle; test_exec_engine.cpp checks the sequential
+// compiled path against it registry-wide), and the closed-form gather buffer
+// ranges of paper Sec. 4.1/4.2.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "coll/registry.hpp"
 #include "core/tree.hpp"
-#include "runtime/threaded_executor.hpp"
+#include "runtime/compiled_executor.hpp"
+#include "runtime/exec_plan.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/verify.hpp"
 
 using namespace bine;
@@ -26,8 +32,9 @@ std::vector<std::vector<u64>> make_inputs(i64 p, i64 elems) {
 }  // namespace
 
 TEST(ThreadedExecutor, MatchesSequentialAcrossAlgorithms) {
-  // A representative algorithm per collective, run both ways; the resulting
-  // buffers (and contributor sets) must be identical.
+  // A representative algorithm per collective, run by the compiled executor
+  // with 4 threads and by the sequential reference; the resulting buffers,
+  // contributor sets and message accounting must be identical.
   const std::vector<std::pair<sched::Collective, const char*>> cases = {
       {sched::Collective::bcast, "bine"},
       {sched::Collective::reduce, "bine_rs_gather"},
@@ -39,44 +46,72 @@ TEST(ThreadedExecutor, MatchesSequentialAcrossAlgorithms) {
       {sched::Collective::alltoall, "bine"},
   };
   for (const auto& [coll, algo] : cases) {
-    coll::Config cfg;
-    cfg.p = 16;
-    cfg.elem_count = 53;
-    cfg.elem_size = 8;
-    const sched::Schedule sch = coll::find_algorithm(coll, algo).make(cfg);
-    const auto inputs = make_inputs(cfg.p, cfg.elem_count);
-    const auto seq = runtime::execute_reference<u64>(sch, runtime::ReduceOp::sum, inputs);
-    const auto thr = runtime::execute_threaded_reference<u64>(sch, runtime::ReduceOp::sum, inputs);
-    ASSERT_EQ(seq.ranks.size(), thr.ranks.size()) << algo;
-    EXPECT_EQ(seq.messages, thr.messages);
-    EXPECT_EQ(seq.wire_bytes, thr.wire_bytes);
-    for (size_t r = 0; r < seq.ranks.size(); ++r)
-      for (size_t b = 0; b < seq.ranks[r].slots.size(); ++b) {
-        const auto& a = seq.ranks[r].slots[b];
-        const auto& c = thr.ranks[r].slots[b];
-        ASSERT_EQ(a.valid, c.valid) << algo << " rank " << r << " block " << b;
-        if (a.valid) {
-          EXPECT_EQ(a.data, c.data) << algo << " rank " << r << " block " << b;
-          EXPECT_TRUE(a.contributors == c.contributors);
+    // 53 elements stays below the executor's parallel grain (sequential
+    // fallback); 8192 crosses it, so the phase fan-out genuinely runs.
+    for (const i64 elems : {i64{53}, i64{8192}}) {
+      const std::string what = std::string(algo) + " elems=" + std::to_string(elems);
+      coll::Config cfg;
+      cfg.p = 16;
+      cfg.elem_count = elems;
+      cfg.elem_size = 8;
+      const sched::Schedule sch = coll::find_algorithm(coll, algo).make(cfg);
+      const auto inputs = make_inputs(cfg.p, cfg.elem_count);
+      const auto seq = runtime::execute_reference<u64>(sch, runtime::ReduceOp::sum, inputs);
+      const runtime::ExecPlan plan = runtime::ExecPlan::lower(sch);
+      const auto thr = runtime::execute<u64>(plan, runtime::ReduceOp::sum, inputs, 4);
+      EXPECT_EQ(seq.messages, thr.messages) << what;
+      EXPECT_EQ(seq.wire_bytes, thr.wire_bytes) << what;
+      for (Rank r = 0; r < cfg.p; ++r)
+        for (i64 b = 0; b < plan.nblocks; ++b) {
+          const auto& slot =
+              seq.ranks[static_cast<size_t>(r)].slots[static_cast<size_t>(b)];
+          ASSERT_EQ(thr.is_valid(r, b), slot.valid)
+              << what << " rank " << r << " block " << b;
+          if (!slot.valid) continue;
+          const auto data = thr.block(r, b);
+          EXPECT_EQ(std::vector<u64>(data.begin(), data.end()), slot.data)
+              << what << " rank " << r << " block " << b;
+          EXPECT_TRUE(thr.contributors(r, b) == slot.contributors)
+              << what << " rank " << r << " block " << b;
         }
-      }
-    EXPECT_EQ(runtime::verify<u64>(sch, runtime::ReduceOp::sum, inputs, thr), "") << algo;
+      EXPECT_EQ(runtime::verify<u64>(plan, runtime::ReduceOp::sum, inputs, thr), "")
+          << what;
+    }
   }
 }
 
 TEST(ThreadedExecutor, DetectsDuplicateContribution) {
+  // Step 1 holds two receiver runs moving kParallelGrainElems elements each,
+  // so a threads=4 run applies it through parallel_for. The broken variant
+  // folds rank 1's contribution into rank 0 a second time there; the valid
+  // one sends 0 -> 3 instead and must match the sequential run.
   coll::Config cfg;
   cfg.p = 4;
-  cfg.elem_count = 8;
-  sched::Schedule sch = coll::make_base(sched::Collective::reduce, cfg, "broken",
-                                        sched::BlockSpace::per_vector);
-  sch.add_exchange(0, 1, 0, sched::BlockSet::all(4), true);
-  sch.add_exchange(1, 1, 0, sched::BlockSet::all(4), true);
-  sch.add_exchange(0, 3, 2, sched::BlockSet::all(4), true);
-  sch.normalize_steps();
-  const auto in = make_inputs(4, 8);
-  EXPECT_THROW(runtime::execute_threaded_reference<u64>(sch, runtime::ReduceOp::sum, in),
-               std::runtime_error);
+  cfg.elem_count = runtime::kParallelGrainElems;
+  const auto in = make_inputs(cfg.p, cfg.elem_count);
+  for (const bool broken : {false, true}) {
+    SCOPED_TRACE(broken ? "broken" : "valid");
+    sched::Schedule sch = coll::make_base(sched::Collective::reduce, cfg, "broken",
+                                          sched::BlockSpace::per_vector);
+    sch.add_exchange(0, 1, 0, sched::BlockSet::all(4), true);
+    sch.add_exchange(0, 3, 2, sched::BlockSet::all(4), true);
+    sch.add_exchange(1, broken ? 1 : 0, broken ? 0 : 3, sched::BlockSet::all(4), true);
+    sch.add_exchange(1, 2, 1, sched::BlockSet::all(4), true);
+    sch.normalize_steps();
+    const runtime::ExecPlan plan = runtime::ExecPlan::lower(sch);
+    ASSERT_TRUE(runtime::step_fans_out(plan, 1));
+    ASSERT_EQ(plan.step_run_begin[2] - plan.step_run_begin[1], 2u);
+    if (broken) {
+      EXPECT_THROW((void)runtime::execute<u64>(plan, runtime::ReduceOp::sum, in, 4),
+                   std::runtime_error);
+      continue;
+    }
+    const auto one = runtime::execute<u64>(plan, runtime::ReduceOp::sum, in, 1);
+    const auto thr = runtime::execute<u64>(plan, runtime::ReduceOp::sum, in, 4);
+    EXPECT_EQ(one.data, thr.data);
+    EXPECT_EQ(one.contrib, thr.contrib);
+    EXPECT_EQ(one.valid, thr.valid);
+  }
 }
 
 // --- Sec. 4.1/4.2 closed-form gather ranges -----------------------------------

@@ -1,9 +1,9 @@
 // Schedule-generation fast path tests: SizeFreeSchedule resolution parity
 // against fresh lowering at every vector size, Runner cached-vs-uncached
-// bit-exactness across all four topology families, batched-sweep
-// equivalence with the per-query selectors, thread-count/cache determinism
-// of sweep output, demotion of size-dependent schedules, and scoped
-// RouteCache equality with the eager build.
+// bit-exactness across all four topology families, demotion of
+// size-dependent schedules, and scoped RouteCache equality with the eager
+// build. Sweep determinism across threads and cache modes lives in
+// test_sim_engine.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -206,68 +206,6 @@ TEST(ScheduleCache, CachedRunsMatchUncachedAcrossTopologyFamilies) {
     // The whole point: one entry per (algorithm, p), hit for every extra size.
     const auto stats = cached.schedule_cache_stats();
     EXPECT_GT(stats.hits, stats.misses) << profile.name;
-  }
-}
-
-namespace {
-
-std::vector<harness::SweepQuery> determinism_queries() {
-  std::vector<harness::SweepQuery> queries;
-  for (const sched::Collective coll :
-       {sched::Collective::allreduce, sched::Collective::bcast,
-        sched::Collective::alltoall})
-    for (const i64 size : {256, 16384, 1048576}) {
-      queries.push_back({coll, 64, size, harness::SweepQuery::Kind::bine, true});
-      queries.push_back({coll, 64, size, harness::SweepQuery::Kind::binomial, false});
-      queries.push_back({coll, 64, size, harness::SweepQuery::Kind::sota, false});
-    }
-  return queries;
-}
-
-}  // namespace
-
-// Batched sweep output must be identical to the per-query selectors
-// (best_bine/best_binomial/best_of-over-sota), cached or not, for
-// single-thread and BINE_THREADS=4-style multi-thread runs.
-TEST(ScheduleCache, SweepIsByteIdenticalAcrossThreadsAndCacheModes) {
-  const auto queries = determinism_queries();
-
-  // Reference: per-query selectors on an uncached runner (the pre-batching,
-  // pre-caching code path).
-  harness::Runner oracle(net::fugaku_profile({4, 4, 4}));
-  oracle.set_schedule_cache(false);
-  std::vector<std::pair<std::string, harness::RunResult>> expect;
-  for (const auto& q : queries) {
-    switch (q.kind) {
-      case harness::SweepQuery::Kind::bine:
-        expect.push_back(oracle.best_bine(q.coll, q.nodes, q.size_bytes, q.contiguous_only));
-        break;
-      case harness::SweepQuery::Kind::binomial:
-        expect.push_back(oracle.best_binomial(q.coll, q.nodes, q.size_bytes));
-        break;
-      case harness::SweepQuery::Kind::sota:
-        expect.push_back(
-            oracle.best_of(q.coll, oracle.sota_names(q.coll), q.nodes, q.size_bytes));
-        break;
-    }
-  }
-
-  for (const bool use_cache : {false, true}) {
-    for (const i64 threads : {1, 4}) {
-      harness::Runner runner(net::fugaku_profile({4, 4, 4}));
-      runner.set_schedule_cache(use_cache);
-      const auto got = runner.sweep(queries, threads);
-      ASSERT_EQ(got.size(), expect.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        SCOPED_TRACE("query " + std::to_string(i) + " cache=" +
-                     std::to_string(use_cache) + " threads=" + std::to_string(threads));
-        EXPECT_EQ(got[i].first, expect[i].first);
-        EXPECT_EQ(got[i].second.seconds, expect[i].second.seconds);
-        EXPECT_EQ(got[i].second.global_bytes, expect[i].second.global_bytes);
-        EXPECT_EQ(got[i].second.total_bytes, expect[i].second.total_bytes);
-        EXPECT_EQ(got[i].second.steps, expect[i].second.steps);
-      }
-    }
   }
 }
 

@@ -1,185 +1,165 @@
-// Size-batched simulation parity: net::simulate_sizes must be bit-identical
-// to the per-size compiled oracle (resolve_into + simulate) across the full
-// algorithm registry, all four topology families, ragged/non-pow2 rank
-// counts, and -- at the Runner level -- schedule cache on/off and sweep
-// worker counts {1, 4}. "Bit-identical" is literal: seconds compare by bit
-// pattern, not tolerance.
+// Size-axis batching at the Runner level: Runner::run_candidates (and its
+// one-cell delegate run) must be bit-identical to the per-size scalar oracle
+// (the freshly generated schedule lowered and run through net::simulate on
+// the Runner's own machine instance) with the schedule cache on and off,
+// including pools whose fault demotion resolves different algorithms at
+// different sizes; schedules whose bytes the blocks do not derive are
+// rejected. "Bit-identical" is literal: seconds compare by bit pattern, not
+// tolerance.
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "coll/registry.hpp"
+#include "fault/fault.hpp"
 #include "harness/runner.hpp"
 #include "net/profiles.hpp"
-#include "net/route_cache.hpp"
 #include "net/simulate.hpp"
-#include "net/topology.hpp"
 #include "sched/compiled.hpp"
 #include "sched/schedule_cache.hpp"
+#include "sim_oracle.hpp"
 
 using namespace bine;
+using namespace bine::test_util;
 
-namespace {
-
-std::vector<std::unique_ptr<net::Topology>> four_families() {
-  std::vector<std::unique_ptr<net::Topology>> topos;
-  topos.push_back(std::make_unique<net::FatTree>(4, 8, 2, 25e9));
-  topos.push_back(std::make_unique<net::Dragonfly>(4, 8, 2, 25e9, 25e9));
-  topos.push_back(std::make_unique<net::Torus>(std::vector<i64>{4, 4, 2}, 6.8e9));
-  topos.push_back(std::make_unique<net::MultiGpu>(8, 4, 150e9, 25e9));
-  return topos;  // all 32 endpoints
-}
-
-/// Scrambles ranks over nodes so rank pair != node pair (multi-link routes).
-net::Placement scrambled_placement(i64 p, i64 nodes) {
-  net::Placement pl;
-  pl.node_of_rank.resize(static_cast<size_t>(p));
-  for (i64 r = 0; r < p; ++r)
-    pl.node_of_rank[static_cast<size_t>(r)] = (r * 13 + 5) % nodes;  // 13 coprime
-  return pl;
-}
-
-void expect_bitwise_eq(const net::SimResult& batched, const net::SimResult& oracle,
-                       const std::string& what) {
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.seconds),
-            std::bit_cast<std::uint64_t>(oracle.seconds))
-      << what << " seconds " << batched.seconds << " vs " << oracle.seconds;
-  EXPECT_EQ(batched.traffic.local_bytes, oracle.traffic.local_bytes) << what;
-  EXPECT_EQ(batched.traffic.global_bytes, oracle.traffic.global_bytes) << what;
-  EXPECT_EQ(batched.traffic.intra_node_bytes, oracle.traffic.intra_node_bytes) << what;
-  EXPECT_EQ(batched.traffic.messages, oracle.traffic.messages) << what;
-  EXPECT_EQ(batched.steps, oracle.steps) << what;
-}
-
-}  // namespace
-
-// Full registry x 4 topology families x {ragged non-pow2, pow2} rank counts,
-// on a ragged size axis (non-pow2 counts included): one simulate_sizes call
-// vs the per-size resolve_into + simulate loop the Runner's scalar path runs.
-TEST(SimBatched, BitIdenticalToPerSizeOracleAcrossRegistry) {
-  const net::CostParams cp;  // defaults: distinct alpha/seg/bw knobs
-  const std::vector<i64> elem_counts = {8, 27, 64, 100, 512, 4096, 12345, 262144};
-  size_t checked = 0;
-  for (const auto& topo : four_families()) {
-    for (const i64 p : {i64{27}, i64{32}}) {  // ragged non-pow2 + pow2
-      const net::Placement pl = scrambled_placement(p, topo->num_nodes());
-      const net::RouteCache rc(*topo, pl);
-      for (const sched::Collective coll : coll::all_collectives()) {
-        for (const auto& algo : coll::algorithms_for(coll)) {
-          if (algo.pow2_only && !is_pow2(p)) continue;
-          coll::Config cfg;
-          cfg.p = p;
-          cfg.elem_size = 4;
-          cfg.elem_count = 4096;  // structure probe size; sizes vary below
-          auto sf = std::make_shared<const sched::SizeFreeSchedule>(
-              sched::SizeFreeSchedule::from(algo.make(cfg)));
-          if (!sf->size_independent) continue;  // demoted: no batched path
-          const auto batched = net::simulate_sizes(*sf, elem_counts, cfg.elem_size,
-                                                   rc, cp);
-          ASSERT_EQ(batched.size(), elem_counts.size());
-          sched::CompiledSchedule lowered;
-          for (size_t s = 0; s < elem_counts.size(); ++s) {
-            // Per-size oracle: the exact path Runner::run takes on a hit.
-            sched::SizeFreeSchedule::resolve_into(sf, elem_counts[s], cfg.elem_size,
-                                                  lowered);
-            const net::SimResult oracle = net::simulate(lowered, rc, cp);
-            expect_bitwise_eq(batched[s], oracle,
-                              topo->name() + "/" + to_string(coll) + "/" + algo.name +
-                                  " p=" + std::to_string(p) +
-                                  " n=" + std::to_string(elem_counts[s]));
-          }
-          ++checked;
-        }
-      }
-    }
-  }
-  EXPECT_GT(checked, 100u);  // the registry sweep actually ran
-}
-
-// Runner-level parity: run_sizes vs a run() loop, cache on and off (off
-// exercises the per-size fallback), over a torus profile at a ragged node
-// count that includes every registered algorithm.
-TEST(SimBatched, RunnerRunSizesMatchesRunLoop) {
-  const std::vector<i64> sizes = {64, 1024, 12345, 65536, 1 << 20};
-  for (const bool cache_on : {true, false}) {
-    harness::Runner runner(net::lumi_profile());
-    runner.use_private_schedule_cache();
-    runner.set_schedule_cache(cache_on);
-    for (const sched::Collective coll : coll::all_collectives()) {
-      for (const auto& algo : coll::algorithms_for(coll)) {
-        if (algo.specialized) continue;
-        if (!runner.applicable(algo, 24)) continue;
-        const auto batched = runner.run_sizes(coll, algo, 24, sizes);
-        ASSERT_EQ(batched.size(), sizes.size());
-        for (size_t s = 0; s < sizes.size(); ++s) {
-          const harness::RunResult oracle = runner.run(coll, algo, 24, sizes[s]);
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(batched[s].seconds),
-                    std::bit_cast<std::uint64_t>(oracle.seconds))
-              << to_string(coll) << "/" << algo.name << " size=" << sizes[s]
-              << " cache=" << cache_on;
-          EXPECT_EQ(batched[s].global_bytes, oracle.global_bytes);
-          EXPECT_EQ(batched[s].total_bytes, oracle.total_bytes);
-          EXPECT_EQ(batched[s].messages, oracle.messages);
-          EXPECT_EQ(batched[s].steps, oracle.steps);
-        }
-      }
-    }
-  }
-}
-
-// The batched sweep grouping (one (coll, nodes) cell spanning the size axis)
-// must stay byte-identical across worker counts {1, 4} x cache on/off, and
-// agree with the per-query best_of selection it replaces.
-TEST(SimBatched, SweepDeterministicAcrossThreadsAndCache) {
-  std::vector<harness::SweepQuery> queries;
-  for (const sched::Collective coll :
-       {sched::Collective::allreduce, sched::Collective::bcast,
-        sched::Collective::allgather})
-    for (const i64 nodes : {i64{18}, i64{27}})
-      for (const i64 size : {i64{256}, i64{4096}, i64{65536}})
-        for (const auto kind : {harness::SweepQuery::Kind::bine,
-                                harness::SweepQuery::Kind::binomial,
-                                harness::SweepQuery::Kind::sota})
-          queries.push_back({coll, nodes, size, kind, false});
-
-  std::vector<std::vector<std::pair<std::string, harness::RunResult>>> all;
-  for (const bool cache_on : {true, false})
-    for (const i64 threads : {i64{1}, i64{4}}) {
-      harness::Runner runner(net::lumi_profile());
+// Runner level: run_candidates (and its one-cell delegate run) vs the scalar
+// oracle over freshly generated schedules, schedule cache on and off (off
+// exercises the fresh per-size path), null slots marking inapplicable
+// candidates. Two machines: LUMI at 24 nodes (non-power-of-two, generic
+// algorithms) and a Fugaku 4x4x4 sub-torus at 64 nodes, where the
+// torus-specialized generators join the pool with the Runner's torus_dims.
+TEST(SimCandidates, RunnerMatchesPerSizeScalarOracle) {
+  struct Machine {
+    net::SystemProfile profile;
+    i64 nodes;
+    std::vector<i64> torus_dims;
+  };
+  const std::vector<Machine> machines = {
+      {net::lumi_profile(), 24, {}},
+      {net::fugaku_profile({4, 4, 4}), 64, {4, 4, 4}},
+  };
+  // 32 B and 64 B both clamp to p elements: with the cache off they share
+  // one fresh schedule.
+  const std::vector<i64> sizes = {32, 64, 1024, 12345, 65536, 1 << 20};
+  for (const Machine& m : machines) {
+    const bool with_specialized = !m.torus_dims.empty();
+    for (const bool cache_on : {true, false}) {
+      harness::Runner runner(m.profile, /*spread_placement=*/false);
+      runner.torus_dims = m.torus_dims;
       runner.use_private_schedule_cache();
       runner.set_schedule_cache(cache_on);
-      all.push_back(runner.sweep(queries, threads));
-    }
-  // Reference: per-query best_of on a fresh runner (the scalar per-size path).
-  harness::Runner ref(net::lumi_profile());
-  ref.use_private_schedule_cache();
-  std::vector<std::pair<std::string, harness::RunResult>> expect;
-  for (const auto& q : queries) {
-    switch (q.kind) {
-      case harness::SweepQuery::Kind::bine:
-        expect.push_back(ref.best_bine(q.coll, q.nodes, q.size_bytes, false));
-        break;
-      case harness::SweepQuery::Kind::binomial:
-        expect.push_back(ref.best_binomial(q.coll, q.nodes, q.size_bytes));
-        break;
-      case harness::SweepQuery::Kind::sota:
-        expect.push_back(
-            ref.best_of(q.coll, ref.sota_names(q.coll), q.nodes, q.size_bytes));
-        break;
+      const ScalarCell oracle(runner, m.nodes);
+      for (const sched::Collective coll : coll::all_collectives()) {
+        std::vector<const coll::AlgorithmEntry*> algos;
+        for (const auto& algo : coll::algorithms_for(coll)) {
+          if (algo.specialized && !with_specialized) continue;
+          algos.push_back(runner.applicable(algo, m.nodes) ? &algo : nullptr);
+        }
+        const auto batched = runner.run_candidates(coll, algos, m.nodes, sizes);
+        ASSERT_EQ(batched.size(), algos.size());
+        for (size_t k = 0; k < algos.size(); ++k) {
+          if (algos[k] == nullptr) {
+            EXPECT_TRUE(batched[k].empty());
+            continue;
+          }
+          ASSERT_EQ(batched[k].size(), sizes.size());
+          for (size_t s = 0; s < sizes.size(); ++s) {
+            const std::string what = m.profile.name + " " + to_string(coll) + "/" +
+                                     algos[k]->name + " size=" + std::to_string(sizes[s]) +
+                                     " cache=" + std::to_string(cache_on);
+            const harness::RunResult expect = oracle.run(*algos[k], sizes[s]);
+            expect_bitwise_eq(batched[k][s], expect, what);
+            expect_bitwise_eq(runner.run(coll, *algos[k], m.nodes, sizes[s]), expect,
+                              what + " [run]");
+          }
+        }
+      }
     }
   }
-  for (const auto& got : all) {
-    ASSERT_EQ(got.size(), expect.size());
-    for (size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(got[i].first, expect[i].first) << "query " << i;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].second.seconds),
-                std::bit_cast<std::uint64_t>(expect[i].second.seconds))
-          << "query " << i;
-      EXPECT_EQ(got[i].second.messages, expect[i].second.messages) << "query " << i;
-      EXPECT_EQ(got[i].second.total_bytes, expect[i].second.total_bytes) << "query " << i;
+}
+
+// Fault demotion keys on size: 16 nodes with one failed rank leave 15
+// survivors, so a pow2-only allreduce is demoted to the heuristic
+// recommendation -- which switches algorithm at 64 KiB. An axis straddling
+// the switch must resolve per size, match the scalar oracle on the degraded
+// machine bitwise, and record each distinct demotion note exactly once.
+TEST(SimCandidates, SizeDependentFaultResolutionMatchesScalarOracle) {
+  const coll::AlgorithmEntry* pow2_algo = nullptr;
+  for (const auto& entry : coll::algorithms_for(sched::Collective::allreduce))
+    if (entry.pow2_only && !entry.specialized) {
+      pow2_algo = &entry;
+      break;
+    }
+  ASSERT_NE(pow2_algo, nullptr);
+  const std::vector<i64> sizes = {4096, 1 << 20};
+  using sched::Collective;
+  const auto& small = coll::recommended_algorithm(Collective::allreduce, 15, sizes[0]);
+  const auto& large = coll::recommended_algorithm(Collective::allreduce, 15, sizes[1]);
+  ASSERT_NE(&small, &large) << "axis no longer straddles the heuristic's switch";
+  ASSERT_FALSE(large.pow2_only);
+
+  auto spec = std::make_shared<fault::FaultSpec>();
+  spec->failed_ranks = {0};
+  net::SystemProfile profile = net::lumi_profile();
+  profile.faults = spec;
+  for (const bool cache_on : {true, false}) {
+    harness::Runner runner(profile, /*spread_placement=*/false);
+    runner.use_private_schedule_cache();
+    runner.set_schedule_cache(cache_on);
+    ASSERT_EQ(runner.effective_ranks(16), 15);
+    const ScalarCell oracle(runner, 16);
+    // The demoted slot, a dead slot, and the large-size fallback itself
+    // (which the demoted slot shares at 1 MiB).
+    const std::vector<const coll::AlgorithmEntry*> pool = {pow2_algo, nullptr, &large};
+    for (int round = 0; round < 2; ++round) {
+      const auto got = runner.run_candidates(sched::Collective::allreduce, pool, 16, sizes);
+      ASSERT_EQ(got.size(), pool.size());
+      EXPECT_TRUE(got[1].empty());
+      ASSERT_EQ(got[0].size(), sizes.size());
+      ASSERT_EQ(got[2].size(), sizes.size());
+      const std::string what = "cache=" + std::to_string(cache_on);
+      expect_bitwise_eq(got[0][0], oracle.run(small, sizes[0]), what + " demoted@4KiB");
+      expect_bitwise_eq(got[0][1], oracle.run(large, sizes[1]), what + " demoted@1MiB");
+      for (size_t s = 0; s < sizes.size(); ++s)
+        expect_bitwise_eq(got[2][s], oracle.run(large, sizes[s]), what + " fallback");
+      // One note per distinct demotion, never repeated across sizes or calls.
+      const std::vector<std::string> notes = runner.degrade_notes();
+      ASSERT_EQ(notes.size(), 2u) << what;
+      EXPECT_NE(notes[0].find(small.name), std::string::npos) << notes[0];
+      EXPECT_NE(notes[1].find(large.name), std::string::npos) << notes[1];
+    }
+  }
+}
+
+// A schedule whose bytes its blocks do not derive cannot be simulated: the
+// cache demotes it and the fresh path refuses it with a clear error instead
+// of silently simulating wrong bytes.
+TEST(SimCandidates, NonDerivableBytesAreRejected) {
+  coll::AlgorithmEntry coarse{sched::Collective::bcast, "coarse_probe",
+                              [](const coll::Config& cfg) {
+                                sched::Schedule sch = coll::make_base(
+                                    sched::Collective::bcast, cfg, "coarse_probe",
+                                    sched::BlockSpace::per_vector);
+                                sch.add_exchange(0, 0, 1, sched::BlockSet::all(cfg.p),
+                                                 false);
+                                sch.normalize_steps();
+                                for (auto& rank_steps : sch.steps)
+                                  for (auto& step : rank_steps)
+                                    for (auto& op : step.ops) op.bytes += 1;
+                                return sch;
+                              }};
+  for (const bool cache_on : {true, false}) {
+    harness::Runner runner(net::lumi_profile(), /*spread_placement=*/false);
+    runner.use_private_schedule_cache();
+    runner.set_schedule_cache(cache_on);
+    try {
+      (void)runner.run(sched::Collective::bcast, coarse, 4, 4096);
+      ADD_FAILURE() << "non-derivable bytes were simulated, cache=" << cache_on;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("coarse_probe"), std::string::npos) << e.what();
     }
   }
 }

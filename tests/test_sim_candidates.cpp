@@ -1,23 +1,23 @@
-// Candidate-batched simulation parity: net::simulate_candidates must be
-// bit-identical to looping net::simulate_sizes over the candidate pool --
-// with or without a PairRouteMemo, cold or warm -- across the full algorithm
-// registry, all four topology families, and ragged/non-pow2 rank counts.
-// Runner-level, run_candidates must match run_sizes per candidate with the
-// schedule cache on and off, stay bit-identical when concurrent Runners
-// share the process-wide route memo, and fault-epoch memo scoping must never
-// leak degraded rows into healthy runs. "Bit-identical" is literal: seconds
-// compare by bit pattern, not tolerance.
+// Candidate-batched simulation parity: net::simulate_candidates over a whole
+// candidate pool must be bit-identical to the per-size scalar compiled
+// engine (net::simulate over the resolved schedule) -- with or without a
+// PairRouteMemo, cold or warm -- across the full algorithm registry, all
+// four topology families, ragged/non-pow2 rank counts and fault epochs.
+// Concurrent Runners sharing the process-wide route memo must stay
+// bit-identical, fault-epoch memo scoping must never leak degraded rows into
+// healthy runs, and an outsized cell's scratch must be released.
+// "Bit-identical" is literal: seconds compare by bit pattern, not tolerance.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
-#include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "coll/registry.hpp"
+#include "fault/fault.hpp"
 #include "harness/runner.hpp"
 #include "net/pair_route_memo.hpp"
 #include "net/profiles.hpp"
@@ -25,170 +25,83 @@
 #include "net/simulate.hpp"
 #include "net/topology.hpp"
 #include "sched/schedule_cache.hpp"
+#include "sim_oracle.hpp"
 
 using namespace bine;
-
-namespace {
-
-std::vector<std::unique_ptr<net::Topology>> four_families() {
-  std::vector<std::unique_ptr<net::Topology>> topos;
-  topos.push_back(std::make_unique<net::FatTree>(4, 8, 2, 25e9));
-  topos.push_back(std::make_unique<net::Dragonfly>(4, 8, 2, 25e9, 25e9));
-  topos.push_back(std::make_unique<net::Torus>(std::vector<i64>{4, 4, 2}, 6.8e9));
-  topos.push_back(std::make_unique<net::MultiGpu>(8, 4, 150e9, 25e9));
-  return topos;  // all 32 endpoints
-}
-
-/// Scrambles ranks over nodes so rank pair != node pair (multi-link routes).
-net::Placement scrambled_placement(i64 p, i64 nodes) {
-  net::Placement pl;
-  pl.node_of_rank.resize(static_cast<size_t>(p));
-  for (i64 r = 0; r < p; ++r)
-    pl.node_of_rank[static_cast<size_t>(r)] = (r * 13 + 5) % nodes;  // 13 coprime
-  return pl;
-}
-
-void expect_bitwise_eq(const net::SimResult& batched, const net::SimResult& oracle,
-                       const std::string& what) {
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.seconds),
-            std::bit_cast<std::uint64_t>(oracle.seconds))
-      << what << " seconds " << batched.seconds << " vs " << oracle.seconds;
-  EXPECT_EQ(batched.traffic.local_bytes, oracle.traffic.local_bytes) << what;
-  EXPECT_EQ(batched.traffic.global_bytes, oracle.traffic.global_bytes) << what;
-  EXPECT_EQ(batched.traffic.intra_node_bytes, oracle.traffic.intra_node_bytes) << what;
-  EXPECT_EQ(batched.traffic.messages, oracle.traffic.messages) << what;
-  EXPECT_EQ(batched.steps, oracle.steps) << what;
-}
-
-/// Every size-independent size-free schedule of the collective's registry at
-/// rank count p -- the pool a tuner/sweep cell batches. `own` keeps the
-/// shared entries alive behind the raw candidate span.
-struct Pool {
-  std::vector<std::shared_ptr<const sched::SizeFreeSchedule>> own;
-  std::vector<const sched::SizeFreeSchedule*> ptrs;
-};
-
-Pool registry_pool(sched::Collective coll, i64 p) {
-  Pool pool;
-  for (const auto& algo : coll::algorithms_for(coll)) {
-    if (algo.pow2_only && !is_pow2(p)) continue;
-    coll::Config cfg;
-    cfg.p = p;
-    cfg.elem_size = 4;
-    cfg.elem_count = 4096;  // structure probe size; sizes vary per test
-    auto sf = std::make_shared<const sched::SizeFreeSchedule>(
-        sched::SizeFreeSchedule::from(algo.make(cfg)));
-    if (!sf->size_independent) continue;  // demoted: no batched path
-    pool.own.push_back(std::move(sf));
-    pool.ptrs.push_back(pool.own.back().get());
-  }
-  return pool;
-}
-
-}  // namespace
+using namespace bine::test_util;
 
 // Full registry x 4 topology families x {ragged non-pow2, pow2} rank counts
-// on a ragged size axis: one simulate_candidates call over the whole pool vs
-// the per-candidate simulate_sizes loop it replaces -- three ways (no memo,
-// cold memo, warm memo), all bit-identical. A null pool slot must yield an
-// empty result row without disturbing its neighbours.
-TEST(SimCandidates, BitIdenticalToPerCandidateSimulateSizes) {
+// x {healthy, degraded} fault epochs on a ragged size axis: one
+// simulate_candidates call over the whole pool -- three ways (no memo, cold
+// memo, warm memo) -- vs the per-size scalar oracle on the resolved
+// schedule, all bit-identical. A null pool slot must yield an empty result
+// row without disturbing its neighbours.
+TEST(SimCandidates, BitIdenticalToPerSizeScalarOracle) {
   const net::CostParams cp;  // defaults: distinct alpha/seg/bw knobs
   const std::vector<i64> elem_counts = {8, 27, 64, 100, 512, 4096, 12345, 262144};
+  fault::FaultSpec degraded;
+  degraded.degrade_global = 0.5;
+  degraded.degrade_local = 0.9;
+  degraded.degrade_intra_node = 0.95;
   net::PairRouteMemo memo;  // one instance across every topology: scope keying
   size_t checked = 0;
   for (const auto& topo : four_families()) {
     for (const i64 p : {i64{27}, i64{32}}) {  // ragged non-pow2 + pow2
       const net::Placement pl = scrambled_placement(p, topo->num_nodes());
-      const net::RouteCache rc(*topo, pl);
-      for (const sched::Collective coll : coll::all_collectives()) {
-        Pool pool = registry_pool(coll, p);
-        if (pool.ptrs.empty()) continue;
-        // A dead slot mid-pool (an inapplicable candidate).
-        pool.ptrs.insert(pool.ptrs.begin() + static_cast<std::ptrdiff_t>(pool.ptrs.size() / 2),
-                         nullptr);
-        const auto no_memo =
-            net::simulate_candidates(pool.ptrs, elem_counts, 4, rc, cp, nullptr);
-        const auto cold =
-            net::simulate_candidates(pool.ptrs, elem_counts, 4, rc, cp, &memo);
-        const auto warm =
-            net::simulate_candidates(pool.ptrs, elem_counts, 4, rc, cp, &memo);
-        ASSERT_EQ(no_memo.size(), pool.ptrs.size());
-        ASSERT_EQ(cold.size(), pool.ptrs.size());
-        ASSERT_EQ(warm.size(), pool.ptrs.size());
-        for (size_t k = 0; k < pool.ptrs.size(); ++k) {
-          if (pool.ptrs[k] == nullptr) {
-            EXPECT_TRUE(no_memo[k].empty());
-            EXPECT_TRUE(cold[k].empty());
-            EXPECT_TRUE(warm[k].empty());
-            continue;
+      for (const bool degrade : {false, true}) {
+        net::RouteCache rc(*topo, pl);
+        if (degrade) rc.degrade(degraded);
+        for (const sched::Collective coll : coll::all_collectives()) {
+          Pool pool = registry_pool(coll, p);
+          if (pool.ptrs.empty()) continue;
+          // A dead slot mid-pool (an inapplicable candidate).
+          const auto mid = static_cast<std::ptrdiff_t>(pool.ptrs.size() / 2);
+          pool.ptrs.insert(pool.ptrs.begin() + mid, nullptr);
+          const auto run = [&](net::PairRouteMemo* m) {
+            return net::simulate_candidates(pool.ptrs, elem_counts, 4, rc, cp, m);
+          };
+          const auto no_memo = run(nullptr);
+          const auto cold = run(&memo);
+          const auto warm = run(&memo);
+          ASSERT_EQ(no_memo.size(), pool.ptrs.size());
+          ASSERT_EQ(cold.size(), pool.ptrs.size());
+          ASSERT_EQ(warm.size(), pool.ptrs.size());
+          size_t own = 0;
+          for (size_t k = 0; k < pool.ptrs.size(); ++k) {
+            if (pool.ptrs[k] == nullptr) {
+              EXPECT_TRUE(no_memo[k].empty());
+              EXPECT_TRUE(cold[k].empty());
+              EXPECT_TRUE(warm[k].empty());
+              continue;
+            }
+            const auto& sf = pool.own[own++];
+            ASSERT_EQ(no_memo[k].size(), elem_counts.size());
+            const std::string what = topo->name() + "/" + to_string(coll) +
+                                     " cand=" + std::to_string(k) + " p=" +
+                                     std::to_string(p) + (degrade ? " degraded" : "");
+            sched::CompiledSchedule lowered;
+            for (size_t s = 0; s < elem_counts.size(); ++s) {
+              sched::SizeFreeSchedule::resolve_into(sf, elem_counts[s], 4, lowered);
+              const net::SimResult oracle = net::simulate(lowered, rc, cp);
+              const std::string at = what + " n=" + std::to_string(elem_counts[s]);
+              expect_bitwise_eq(no_memo[k][s], oracle, at + " [no memo]");
+              expect_bitwise_eq(cold[k][s], oracle, at + " [cold]");
+              expect_bitwise_eq(warm[k][s], oracle, at + " [warm]");
+            }
+            ++checked;
           }
-          const auto oracle =
-              net::simulate_sizes(*pool.ptrs[k], elem_counts, 4, rc, cp);
-          ASSERT_EQ(oracle.size(), elem_counts.size());
-          const std::string what = topo->name() + "/" + to_string(coll) +
-                                   " cand=" + std::to_string(k) +
-                                   " p=" + std::to_string(p);
-          for (size_t s = 0; s < elem_counts.size(); ++s) {
-            expect_bitwise_eq(no_memo[k][s], oracle[s],
-                              what + " n=" + std::to_string(elem_counts[s]) + " [no memo]");
-            expect_bitwise_eq(cold[k][s], oracle[s],
-                              what + " n=" + std::to_string(elem_counts[s]) + " [cold]");
-            expect_bitwise_eq(warm[k][s], oracle[s],
-                              what + " n=" + std::to_string(elem_counts[s]) + " [warm]");
-          }
-          ++checked;
         }
       }
     }
   }
-  EXPECT_GT(checked, 100u);  // the registry sweep actually ran
-  // One scope per (topology, placement): 4 families x 2 rank counts. The
-  // warm pass must have been served from the memo.
+  EXPECT_GT(checked, 200u);  // the registry sweep actually ran
+  // Degradation changes the route cache's signature, so each epoch gets its
+  // own scope; the warm passes must have been served from the memo.
   const auto stats = memo.stats();
-  EXPECT_EQ(stats.scopes, 8u);
+  EXPECT_EQ(stats.scopes, 16u);
   EXPECT_GT(stats.misses, 0u);
   EXPECT_GT(stats.hits, stats.misses);  // warm pass re-reads every cold miss
   EXPECT_GT(stats.bytes, 0u);
-}
-
-// Runner-level parity: run_candidates vs a run_sizes loop over the same
-// pool, schedule cache on and off (off exercises the per-candidate
-// fallback), nullptr slots marking inapplicable candidates.
-TEST(SimCandidates, RunnerRunCandidatesMatchesRunSizes) {
-  const std::vector<i64> sizes = {64, 1024, 12345, 65536, 1 << 20};
-  for (const bool cache_on : {true, false}) {
-    harness::Runner runner(net::lumi_profile());
-    runner.use_private_schedule_cache();
-    runner.set_schedule_cache(cache_on);
-    for (const sched::Collective coll : coll::all_collectives()) {
-      std::vector<const coll::AlgorithmEntry*> algos;
-      for (const auto& algo : coll::algorithms_for(coll)) {
-        if (algo.specialized) continue;
-        algos.push_back(runner.applicable(algo, 24) ? &algo : nullptr);
-      }
-      const auto batched = runner.run_candidates(coll, algos, 24, sizes);
-      ASSERT_EQ(batched.size(), algos.size());
-      for (size_t k = 0; k < algos.size(); ++k) {
-        if (algos[k] == nullptr) {
-          EXPECT_TRUE(batched[k].empty());
-          continue;
-        }
-        const auto oracle = runner.run_sizes(coll, *algos[k], 24, sizes);
-        ASSERT_EQ(batched[k].size(), oracle.size());
-        for (size_t s = 0; s < sizes.size(); ++s) {
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(batched[k][s].seconds),
-                    std::bit_cast<std::uint64_t>(oracle[s].seconds))
-              << to_string(coll) << "/" << algos[k]->name << " size=" << sizes[s]
-              << " cache=" << cache_on;
-          EXPECT_EQ(batched[k][s].global_bytes, oracle[s].global_bytes);
-          EXPECT_EQ(batched[k][s].total_bytes, oracle[s].total_bytes);
-          EXPECT_EQ(batched[k][s].messages, oracle[s].messages);
-          EXPECT_EQ(batched[k][s].steps, oracle[s].steps);
-        }
-      }
-    }
-  }
 }
 
 // Concurrent Runners hammering the SAME process-wide route memo -- worker

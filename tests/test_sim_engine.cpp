@@ -1,14 +1,21 @@
 // Compiled simulation engine tests: route-cache vs virtual route()
 // equivalence, flat-IR lowering invariants, compiled-vs-reference parity of
 // TrafficStats/SimResult across all four topology families, ragged-schedule
-// safety, and thread-count determinism of the parallel sweep runner.
+// safety, and sweep determinism across thread counts and cache modes
+// against a direct argmin over Runner::run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "argmin_oracle.hpp"
 #include "coll/registry.hpp"
+#include "exp/sweep.hpp"
 #include "harness/parallel.hpp"
 #include "harness/runner.hpp"
 #include "net/profiles.hpp"
@@ -16,36 +23,17 @@
 #include "net/simulate.hpp"
 #include "net/topology.hpp"
 #include "sched/compiled.hpp"
+#include "sim_oracle.hpp"
 
 using namespace bine;
-
-namespace {
-
-std::vector<std::unique_ptr<net::Topology>> small_topologies() {
-  std::vector<std::unique_ptr<net::Topology>> topos;
-  topos.push_back(std::make_unique<net::FatTree>(4, 8, 2, 25e9));
-  topos.push_back(std::make_unique<net::Dragonfly>(4, 8, 2, 25e9, 25e9));
-  topos.push_back(std::make_unique<net::Torus>(std::vector<i64>{4, 4, 2}, 6.8e9));
-  topos.push_back(std::make_unique<net::MultiGpu>(8, 4, 150e9, 25e9));
-  return topos;  // all 32 endpoints
-}
-
-/// A placement that scrambles ranks over the nodes so rank pair != node pair.
-net::Placement scrambled_placement(i64 p) {
-  net::Placement pl;
-  pl.node_of_rank.resize(static_cast<size_t>(p));
-  for (i64 r = 0; r < p; ++r)
-    pl.node_of_rank[static_cast<size_t>(r)] = (r * 13 + 5) % p;  // 13 coprime to 32
-  return pl;
-}
-
-}  // namespace
+using namespace bine::test_util;
 
 TEST(RouteCache, MatchesVirtualRouteForAllPairs) {
-  for (const auto& topo : small_topologies()) {
+  for (const auto& topo : four_families()) {
     for (const bool scramble : {false, true}) {
-      const net::Placement pl = scramble ? scrambled_placement(topo->num_nodes())
-                                         : net::Placement::identity(topo->num_nodes());
+      const i64 n = topo->num_nodes();
+      const net::Placement pl =
+          scramble ? scrambled_placement(n, n) : net::Placement::identity(n);
       const net::RouteCache rc(*topo, pl);
       ASSERT_EQ(rc.num_ranks(), topo->num_nodes());
       ASSERT_EQ(rc.num_links(), static_cast<i64>(topo->links().size()));
@@ -73,10 +61,8 @@ TEST(RouteCache, MatchesVirtualRouteForAllPairs) {
           EXPECT_EQ(h.intra_node, expect.intra_node);
           EXPECT_EQ(rc.crosses_global(s, d), crosses);
         }
-      for (size_t l = 0; l < topo->links().size(); ++l) {
-        EXPECT_EQ(rc.link_class()[l], topo->links()[l].cls);
+      for (size_t l = 0; l < topo->links().size(); ++l)
         EXPECT_DOUBLE_EQ(rc.inv_bandwidth()[l], 1.0 / topo->links()[l].bandwidth);
-      }
     }
   }
 }
@@ -174,10 +160,11 @@ TEST(SimEngine, CompiledMatchesReferenceAcrossTopologies) {
       {sched::Collective::alltoall, "pairwise"},
   };
   net::CostParams cp;
-  for (const auto& topo : small_topologies()) {
+  for (const auto& topo : four_families()) {
     for (const bool scramble : {false, true}) {
-      const net::Placement pl = scramble ? scrambled_placement(topo->num_nodes())
-                                         : net::Placement::identity(topo->num_nodes());
+      const i64 n = topo->num_nodes();
+      const net::Placement pl =
+          scramble ? scrambled_placement(n, n) : net::Placement::identity(n);
       const net::RouteCache rc(*topo, pl);
       for (const auto& c : cases) {
         coll::Config cfg;
@@ -240,33 +227,90 @@ TEST(SimEngine, RaggedScheduleIsNotUnderSimulated) {
   EXPECT_EQ(fast.traffic.messages, 2);
   EXPECT_EQ(fast.steps, 2u);
   EXPECT_NEAR(fast.seconds, ref.seconds, std::abs(ref.seconds) * 1e-12);
+
+  // The batched engine walks the same ragged steps.
+  const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
+  ASSERT_TRUE(sf.size_independent);
+  const sched::SizeFreeSchedule* const pool[] = {&sf};
+  const i64 counts[] = {sch.elem_count};
+  const auto batched =
+      net::simulate_candidates(pool, counts, sch.elem_size, net::RouteCache(topo, pl), cp);
+  expect_bitwise_eq(batched[0][0], fast, "ragged");
 }
 
+// Sweeps through the batched engine must be byte-identical across worker
+// counts and cache modes, and agree with a direct argmin over Runner::run in
+// each series' own order -- on a pow2 torus cell and on ragged non-pow2
+// dragonfly cells (where the rank-count gate drops pool slots).
 TEST(SweepRunner, ResultsAreBitIdenticalAcrossThreadCounts) {
-  std::vector<harness::SweepQuery> queries;
-  for (const sched::Collective coll :
-       {sched::Collective::allreduce, sched::Collective::bcast, sched::Collective::alltoall})
-    for (const i64 size : {256, 16384, 1048576}) {
-      queries.push_back({coll, 64, size, harness::SweepQuery::Kind::bine, true});
-      queries.push_back({coll, 64, size, harness::SweepQuery::Kind::binomial, false});
-      queries.push_back({coll, 64, size, harness::SweepQuery::Kind::sota, false});
+  struct Case {
+    net::SystemProfile profile;
+    std::vector<i64> nodes;
+    std::vector<sched::Collective> colls;
+  };
+  const std::vector<Case> cases = {
+      {net::fugaku_profile({4, 4, 4}),
+       {64},
+       {sched::Collective::allreduce, sched::Collective::bcast,
+        sched::Collective::alltoall}},
+      {net::lumi_profile(),
+       {18, 27},
+       {sched::Collective::allreduce, sched::Collective::bcast,
+        sched::Collective::allgather}},
+  };
+  const std::vector<i64> sizes = {256, 16384, 1048576};
+  for (const Case& c : cases) {
+    // Golden rows in result order (coll, nodes, size, series), computed once.
+    harness::Runner golden_runner(c.profile);
+    golden_runner.set_schedule_cache(false);
+    std::vector<std::pair<std::string, harness::RunResult>> golden;
+    for (const sched::Collective coll : c.colls) {
+      const std::vector<std::vector<std::string>> families = {
+          golden_runner.bine_names(coll, true), golden_runner.binomial_names(coll),
+          golden_runner.sota_names(coll)};
+      for (const i64 nodes : c.nodes)
+        for (const i64 size : sizes)
+          for (const auto& names : families)
+            golden.push_back(
+                test_util::argmin_run(golden_runner, coll, names, nodes, size));
     }
-
-  std::vector<std::vector<std::pair<std::string, harness::RunResult>>> all;
-  for (const i64 threads : {1, 2, 5}) {
-    harness::Runner runner(net::fugaku_profile({4, 4, 4}));
-    all.push_back(runner.sweep(queries, threads));
-  }
-  for (size_t v = 1; v < all.size(); ++v) {
-    ASSERT_EQ(all[v].size(), all[0].size());
-    for (size_t i = 0; i < all[0].size(); ++i) {
-      EXPECT_EQ(all[v][i].first, all[0][i].first) << "query " << i;
-      // Bitwise-equal doubles: same cells must run the same arithmetic
-      // regardless of which worker executes them.
-      EXPECT_EQ(all[v][i].second.seconds, all[0][i].second.seconds) << "query " << i;
-      EXPECT_EQ(all[v][i].second.global_bytes, all[0][i].second.global_bytes);
-      EXPECT_EQ(all[v][i].second.total_bytes, all[0][i].second.total_bytes);
-      EXPECT_EQ(all[v][i].second.steps, all[0][i].second.steps);
+    for (const bool cache : {true, false}) {
+      for (const i64 threads : {1, 2, 5}) {
+        exp::SweepPlan plan;
+        plan.name = "sweep_determinism";
+        plan.systems = {exp::SystemSpec{c.profile}};
+        plan.systems[0].schedule_cache = cache;
+        plan.systems[0].private_cache = true;
+        plan.colls = c.colls;
+        plan.series = {exp::Series::best_bine(/*contiguous_only=*/true),
+                       exp::Series::binomial_baseline(), exp::Series::best_sota()};
+        plan.nodes.counts = c.nodes;
+        plan.sizes = sizes;
+        plan.threads = threads;
+        const exp::SweepResult result = exp::run(plan);
+        size_t g = 0;
+        for (size_t ci = 0; ci < c.colls.size(); ++ci)
+          for (size_t ni = 0; ni < c.nodes.size(); ++ni)
+            for (size_t si = 0; si < sizes.size(); ++si)
+              for (size_t k = 0; k < plan.series.size(); ++k) {
+                const auto& [name, expect] = golden[g++];
+                const exp::Metrics& m = result.at(0, ci, ni, si, k);
+                const std::string what =
+                    c.profile.name + "/" + to_string(c.colls[ci]) +
+                    " p=" + std::to_string(c.nodes[ni]) +
+                    " size=" + std::to_string(sizes[si]) + " series=" + std::to_string(k) +
+                    " cache=" + std::to_string(cache) + " threads=" + std::to_string(threads);
+                EXPECT_EQ(m.algorithm, name) << what;
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(m.seconds),
+                          std::bit_cast<std::uint64_t>(expect.seconds))
+                    << what;
+                EXPECT_EQ(m.global_bytes, expect.global_bytes) << what;
+                EXPECT_EQ(m.total_bytes, expect.total_bytes) << what;
+                EXPECT_EQ(m.messages, expect.messages) << what;
+                EXPECT_EQ(m.steps, expect.steps) << what;
+              }
+        EXPECT_EQ(g, golden.size());
+      }
     }
   }
 }

@@ -1,6 +1,6 @@
 // Sweep-engine tests: golden parity between the declarative plans the ported
-// bench drivers run and the pre-refactor driver loops (Runner::sweep query
-// lists, direct best_of/run calls, select()+run dispatch), asserted
+// bench drivers run and direct per-cell references (an argmin over
+// Runner::run in each series' own order, select()+run dispatch), asserted
 // bit-identically across shard widths {1, 4} and schedule cache on/off; the
 // planner's cell dedup; canonical row ordering and JSON stability; the
 // custom-backend placeholder axes; NodeAxis per-collective extension; and
@@ -18,9 +18,11 @@
 #include "harness/runner.hpp"
 #include "net/profiles.hpp"
 #include "tune/tuner.hpp"
+#include "argmin_oracle.hpp"
 
 using namespace bine;
 using sched::Collective;
+using test_util::argmin_run;
 
 namespace {
 
@@ -44,78 +46,59 @@ void expect_metrics_eq(const exp::Metrics& m, const std::string& name,
 
 }  // namespace
 
-// The pre-refactor binomial-table loop (bench_common.hpp's query list fed to
-// Runner::sweep) vs the ported plan: bit-identical metrics for every cell,
-// across shard widths and cache modes.
+// The binomial table (paired bine/binomial series) vs a direct argmin over
+// Runner::run per cell: bit-identical metrics for every cell, across shard
+// widths and cache modes.
 TEST(SweepEngine, GoldenParityBinomialTable) {
   for (const bool cache : {true, false}) {
+    harness::Runner runner(net::lumi_profile());
+    runner.set_schedule_cache(cache);
     for (const i64 threads : {i64{1}, i64{4}}) {
       exp::SweepPlan plan =
           exp::paper::binomial_table(net::lumi_profile(), kNodes, kSizes);
       plan.systems[0].schedule_cache = cache;
       plan.threads = threads;
       const exp::SweepResult result = exp::run(plan);
-
-      // The pre-refactor loop, verbatim: paired bine/binomial queries in
-      // collective-major order through Runner::sweep.
-      harness::Runner runner(net::lumi_profile());
-      runner.set_schedule_cache(cache);
-      std::vector<harness::SweepQuery> queries;
-      for (const Collective coll : coll::all_collectives())
-        for (const i64 nodes : kNodes)
-          for (const i64 size : kSizes) {
-            queries.push_back({coll, nodes, size, harness::SweepQuery::Kind::bine,
-                               /*contiguous_only=*/true});
-            queries.push_back(
-                {coll, nodes, size, harness::SweepQuery::Kind::binomial, false});
-          }
-      const auto golden = runner.sweep(queries);
-
-      size_t q = 0;
-      for (size_t ci = 0; ci < result.colls.size(); ++ci)
+      ASSERT_EQ(result.colls.size(), coll::all_collectives().size());
+      for (size_t ci = 0; ci < result.colls.size(); ++ci) {
+        const Collective coll = result.colls[ci];
         for (size_t ni = 0; ni < kNodes.size(); ++ni)
           for (size_t si = 0; si < kSizes.size(); ++si) {
-            expect_metrics_eq(result.at(0, ci, ni, si, 0), golden[q].first,
-                              golden[q].second);
-            expect_metrics_eq(result.at(0, ci, ni, si, 1), golden[q + 1].first,
-                              golden[q + 1].second);
-            q += 2;
+            const auto bine = argmin_run(runner, coll, runner.bine_names(coll, true),
+                                         kNodes[ni], kSizes[si]);
+            const auto binomial = argmin_run(runner, coll, runner.binomial_names(coll),
+                                             kNodes[ni], kSizes[si]);
+            expect_metrics_eq(result.at(0, ci, ni, si, 0), bine.first, bine.second);
+            expect_metrics_eq(result.at(0, ci, ni, si, 1), binomial.first,
+                              binomial.second);
           }
-      EXPECT_EQ(q, golden.size());
+      }
     }
   }
 }
 
-// The heatmap/boxplot series (bine vs sota) vs the pre-refactor query list.
+// The heatmap/boxplot series (bine vs sota) vs a direct argmin per cell.
 TEST(SweepEngine, GoldenParitySotaSeries) {
   exp::SweepPlan plan =
       exp::paper::sota_boxplots(net::lumi_profile(), kNodes, kSizes, kColls);
   const exp::SweepResult result = exp::run(plan);
 
   harness::Runner runner(net::lumi_profile());
-  std::vector<harness::SweepQuery> queries;
-  for (const Collective coll : kColls)
-    for (const i64 nodes : kNodes)
-      for (const i64 size : kSizes) {
-        queries.push_back({coll, nodes, size, harness::SweepQuery::Kind::bine, false});
-        queries.push_back({coll, nodes, size, harness::SweepQuery::Kind::sota, false});
-      }
-  const auto golden = runner.sweep(queries);
-
-  size_t q = 0;
   for (size_t ci = 0; ci < kColls.size(); ++ci)
     for (size_t ni = 0; ni < kNodes.size(); ++ni)
       for (size_t si = 0; si < kSizes.size(); ++si) {
-        expect_metrics_eq(result.at(0, ci, ni, si, 0), golden[q].first,
-                          golden[q].second);
-        expect_metrics_eq(result.at(0, ci, ni, si, 1), golden[q + 1].first,
-                          golden[q + 1].second);
-        q += 2;
+        const Collective coll = kColls[ci];
+        const auto bine = argmin_run(runner, coll, runner.bine_names(coll, false),
+                                     kNodes[ni], kSizes[si]);
+        const auto sota = argmin_run(runner, coll, runner.sota_names(coll), kNodes[ni],
+                                     kSizes[si]);
+        expect_metrics_eq(result.at(0, ci, ni, si, 0), bine.first, bine.second);
+        expect_metrics_eq(result.at(0, ci, ni, si, 1), sota.first, sota.second);
       }
 }
 
 // Explicit-list series (the fig11b/fig14/sec6 shape: singles + best-of) vs
-// direct Runner::run / best_of calls, including the pow2 skip.
+// direct Runner::run calls and an argmin over them, including the pow2 skip.
 TEST(SweepEngine, GoldenParityExplicitSeries) {
   exp::SweepPlan plan;
   plan.name = "golden_explicit";
@@ -142,8 +125,8 @@ TEST(SweepEngine, GoldenParityExplicitSeries) {
       } else {
         EXPECT_TRUE(result.at(0, 0, ni, si, 1).skipped);
       }
-      const auto best = runner.best_of(Collective::allgather,
-                                       {"recursive_doubling", "ring"}, p, size);
+      const auto best =
+          argmin_run(runner, Collective::allgather, {"recursive_doubling", "ring"}, p, size);
       expect_metrics_eq(result.at(0, 0, ni, si, 2), best.first, best.second);
     }
   }
