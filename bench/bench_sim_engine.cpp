@@ -10,19 +10,14 @@
 // ride in the row's extra field. plan.threads = 1: timing cells never
 // contend. Emits BENCH_sim.json as before.
 //
-// A second section times size batching: net::simulate_candidates over a
-// pool of ONE schedule (one structural pass across the whole size axis)
-// against the per-size scalar compiled loop on the same cell set, asserting
-// bit-identical output -- on the torus (dense scalar accumulators) AND on a
-// Dragonfly large enough to take the scalar engine's sparse touched-link
-// path, so both regimes sit in the perf snapshot.
-//
-// A third section times candidate batching: ONE net::simulate_candidates
-// call over the whole registry pool of a cell (shared union pair table,
-// warm PairRouteMemo) against calling it once per candidate with a pool of
-// one through the same memo, bit-identical to the per-size scalar oracle,
-// on the same two topologies. Exit code gates the >= 1.5x amortization
-// claim.
+// A second section times size batching: the size-free net::simulate
+// overload (one structural pass across the whole size axis, routes through
+// a warm PairRouteMemo) against the per-size scalar compiled loop on the
+// same cell set, asserting bit-identical output -- on the torus (dense
+// scalar accumulators) AND on a Dragonfly large enough to take the scalar
+// engine's sparse touched-link path, so both regimes sit in the perf
+// snapshot. Exit code gates bitwise parity and >= 2.0x size batching on
+// both topologies.
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -74,8 +69,9 @@ bool bitwise_eq(const net::SimResult& a, const net::SimResult& b) {
 
 /// Batched-vs-per-size comparison on one topology: every non-specialized
 /// allreduce schedule, the paper size axis, compiled per-size loop
-/// (resolve_into + simulate) vs ONE simulate_candidates call with a pool of
-/// one. Output must match bitwise; rates are per (schedule, size) cell.
+/// (resolve_into + simulate) vs ONE size-batched simulate call through a
+/// warm route memo (the production shape: the process memo persists across
+/// cells). Output must match bitwise; rates are per (schedule, size) cell.
 struct BatchedReport {
   size_t cells = 0;
   double compiled_rate = 0;  ///< per-size compiled engine, schedules/sec
@@ -100,6 +96,7 @@ BatchedReport bench_batched(const net::Topology& topo, const net::CostParams& cp
 
   double compiled_total = 0, batched_total = 0;
   sched::CompiledSchedule lowered;
+  net::PairRouteMemo memo;
   for (const auto& entry : coll::algorithms_for(sched::Collective::allreduce)) {
     if (entry.specialized) continue;
     if (entry.pow2_only && !is_pow2(cfg.p)) continue;
@@ -108,9 +105,8 @@ BatchedReport bench_batched(const net::Topology& topo, const net::CostParams& cp
         sched::SizeFreeSchedule::from(entry.make(cfg)));
     if (!sf->size_independent) continue;
 
-    const sched::SizeFreeSchedule* const one[] = {sf.get()};
     const auto batched_pass = [&] {
-      return net::simulate_candidates(one, elem_counts, cfg.elem_size, rc, cp).front();
+      return net::simulate(*sf, elem_counts, cfg.elem_size, rc, cp, memo);
     };
 
     // Parity gate, bitwise: timing means nothing if the engines diverge.
@@ -153,104 +149,6 @@ BatchedReport bench_batched(const net::Topology& topo, const net::CostParams& cp
   rep.compiled_rate = static_cast<double>(rep.cells) / compiled_total;
   rep.batched_rate = static_cast<double>(rep.cells) / batched_total;
   rep.speedup = rep.batched_rate / rep.compiled_rate;
-  return rep;
-}
-
-/// Candidate-batched comparison on one topology: the full size-independent
-/// allreduce pool of the cell, simulate_candidates called once per candidate
-/// with a pool of one vs ONE call over the whole pool, both through the same
-/// warm PairRouteMemo (the production shape: the process memo persists
-/// across cells), so the ratio isolates the amortization across the pool.
-/// Output must match the per-size scalar oracle bitwise; rates are per
-/// (candidate, size) cell.
-struct CandidateReport {
-  size_t pool = 0;
-  size_t cells = 0;          ///< pool x size axis
-  double per_candidate_rate = 0;  ///< pool-of-one loop, cells/sec
-  double candidate_rate = 0;      ///< one simulate_candidates call, cells/sec
-  double speedup = 0;
-  bool bit_identical = true;
-  i64 num_links = 0;
-};
-
-CandidateReport bench_candidates(const net::Topology& topo, const net::CostParams& cp,
-                                 const std::vector<i64>& sizes, double pool_budget) {
-  const net::Placement pl = net::Placement::identity(topo.num_nodes());
-  const net::RouteCache rc(topo, pl);
-  CandidateReport rep;
-  rep.num_links = rc.num_links();
-
-  coll::Config cfg;
-  cfg.p = topo.num_nodes();
-  std::vector<i64> elem_counts(sizes.size());
-  for (size_t s = 0; s < sizes.size(); ++s)
-    elem_counts[s] = std::max<i64>(cfg.p, sizes[s] / cfg.elem_size);
-
-  std::vector<std::shared_ptr<const sched::SizeFreeSchedule>> own;
-  std::vector<const sched::SizeFreeSchedule*> pool;
-  for (const auto& entry : coll::algorithms_for(sched::Collective::allreduce)) {
-    if (entry.specialized) continue;
-    if (entry.pow2_only && !is_pow2(cfg.p)) continue;
-    cfg.elem_count = elem_counts.back();
-    auto sf = std::make_shared<const sched::SizeFreeSchedule>(
-        sched::SizeFreeSchedule::from(entry.make(cfg)));
-    if (!sf->size_independent) continue;
-    own.push_back(std::move(sf));
-    pool.push_back(own.back().get());
-  }
-  rep.pool = pool.size();
-  rep.cells = pool.size() * elem_counts.size();
-
-  net::PairRouteMemo memo;
-  const auto per_candidate = [&](size_t k) {
-    const sched::SizeFreeSchedule* const one[] = {pool[k]};
-    return net::simulate_candidates(one, elem_counts, cfg.elem_size, rc, cp, &memo)
-        .front();
-  };
-
-  // Parity gate, bitwise: the pooled call and the pool-of-one baseline both
-  // against the per-size scalar oracle.
-  const auto batched =
-      net::simulate_candidates(pool, elem_counts, cfg.elem_size, rc, cp, &memo);
-  for (size_t k = 0; k < pool.size(); ++k) {
-    const auto oracle = per_size_oracle(own[k], elem_counts, cfg.elem_size, rc, cp);
-    const auto single = per_candidate(k);
-    for (size_t s = 0; s < elem_counts.size(); ++s)
-      if (!bitwise_eq(batched[k][s], oracle[s]) || !bitwise_eq(single[s], oracle[s])) {
-        std::fprintf(stderr, "FAIL: candidate engine diverges on %s cand=%zu n=%lld\n",
-                     topo.name().c_str(), k, static_cast<long long>(elem_counts[s]));
-        rep.bit_identical = false;
-      }
-  }
-
-  // Best of three rounds per engine; the budget covers the whole pool pass.
-  double checksum = 0;
-  auto time_engine = [&](auto&& body) {
-    double best = std::numeric_limits<double>::infinity();
-    for (int round = 0; round < 3; ++round) {
-      i64 n = 0;
-      const auto t0 = Clock::now();
-      while (seconds_since(t0) < pool_budget) {
-        body();
-        ++n;
-      }
-      best = std::min(best, seconds_since(t0) / static_cast<double>(n));
-    }
-    return best;
-  };
-  const double loop_total = time_engine([&] {
-    for (size_t k = 0; k < pool.size(); ++k) checksum += per_candidate(k).back().seconds;
-  });
-  const double cand_total = time_engine([&] {
-    checksum += net::simulate_candidates(pool, elem_counts, cfg.elem_size, rc, cp, &memo)
-                    .back()
-                    .back()
-                    .seconds;
-  });
-  (void)checksum;
-  rep.per_candidate_rate = static_cast<double>(rep.cells) / loop_total;
-  rep.candidate_rate = static_cast<double>(rep.cells) / cand_total;
-  rep.speedup = rep.candidate_rate / rep.per_candidate_rate;
   return rep;
 }
 
@@ -361,8 +259,8 @@ int main() {
               1e3 * compiled_total);
   std::printf("speedup:  %10.2fx   (parity rel err %.3g)\n", speedup, max_rel_err);
 
-  // Size batching (the batched engine over a pool of one schedule, one pass
-  // across the whole size axis) vs the per-size scalar loop, on the
+  // Size batching (the batched engine over one schedule, one pass across
+  // the whole size axis) vs the per-size scalar loop, on the
   // dense-accumulator torus and on a dragonfly large enough for the scalar
   // engine's sparse touched-link path. The scalar baseline is resolve_into +
   // simulate over the cached size-free entry -- the strictest per-size form.
@@ -387,27 +285,12 @@ int main() {
               dragonfly_batched.bit_identical ? "bit-identical" : "DIVERGED");
   if (!torus_batched.bit_identical || !dragonfly_batched.bit_identical) return 1;
 
-  // Candidate batching (the whole registry pool of one cell in one call,
-  // routes through a warm PairRouteMemo) vs one pool-of-one call per
-  // candidate through the same memo, same two topologies.
-  const CandidateReport torus_cand = bench_candidates(topo, cp, plan.sizes, 0.05);
-  const CandidateReport dragonfly_cand =
-      bench_candidates(dragonfly, dragonfly_cp, plan.sizes, 0.25);
-  std::printf("candidates (torus, pool %zu):     %10.1f cells/sec  "
-              "(%.2fx vs one call per candidate, %s)\n",
-              torus_cand.pool, torus_cand.candidate_rate, torus_cand.speedup,
-              torus_cand.bit_identical ? "bit-identical" : "DIVERGED");
-  std::printf("candidates (dragonfly, pool %zu): %10.1f cells/sec  "
-              "(%.2fx vs one call per candidate, %s)\n",
-              dragonfly_cand.pool, dragonfly_cand.candidate_rate,
-              dragonfly_cand.speedup,
-              dragonfly_cand.bit_identical ? "bit-identical" : "DIVERGED");
-  const bool candidate_gate = torus_cand.bit_identical && dragonfly_cand.bit_identical &&
-                              torus_cand.speedup >= 1.5 && dragonfly_cand.speedup >= 1.5;
-  if (!candidate_gate)
-    std::fprintf(stderr, "FAIL: candidate-batched gate (>= 1.5x, bit-identical) "
-                         "not met: torus %.2fx, dragonfly %.2fx\n",
-                 torus_cand.speedup, dragonfly_cand.speedup);
+  const bool batched_gate = torus_batched.speedup >= 2.0 &&
+                            dragonfly_batched.speedup >= 2.0;
+  if (!batched_gate)
+    std::fprintf(stderr, "FAIL: size-batched gate (>= 2.0x vs per-size scalar) not "
+                         "met: torus %.2fx, dragonfly %.2fx\n",
+                 torus_batched.speedup, dragonfly_batched.speedup);
 
   if (fault::AtomicFile out("BENCH_sim.json"); std::FILE* f = out.handle()) {
     std::fprintf(f,
@@ -428,16 +311,7 @@ int main() {
                  "  \"dragonfly_per_size_compiled_schedules_per_sec\": %.1f,\n"
                  "  \"dragonfly_per_schedule_rate_batched\": %.1f,\n"
                  "  \"dragonfly_batched_speedup\": %.2f,\n"
-                 "  \"dragonfly_batched_bit_identical\": %s,\n"
-                 "  \"candidate_pool\": %zu,\n"
-                 "  \"candidate_loop_cells_per_sec\": %.1f,\n"
-                 "  \"candidate_batched_cells_per_sec\": %.1f,\n"
-                 "  \"candidate_batched_speedup\": %.2f,\n"
-                 "  \"dragonfly_candidate_pool\": %zu,\n"
-                 "  \"dragonfly_candidate_loop_cells_per_sec\": %.1f,\n"
-                 "  \"dragonfly_candidate_batched_cells_per_sec\": %.1f,\n"
-                 "  \"dragonfly_candidate_batched_speedup\": %.2f,\n"
-                 "  \"candidate_batched_bit_identical\": %s\n"
+                 "  \"dragonfly_batched_bit_identical\": %s\n"
                  "}\n",
                  cells, naive_rate, compiled_rate, speedup, max_rel_err,
                  torus_batched.compiled_rate, torus_batched.batched_rate,
@@ -445,14 +319,8 @@ int main() {
                  static_cast<long long>(dragonfly_batched.num_links),
                  dragonfly_batched.compiled_rate, dragonfly_batched.batched_rate,
                  dragonfly_batched.speedup,
-                 dragonfly_batched.bit_identical ? "true" : "false",
-                 torus_cand.pool, torus_cand.per_candidate_rate,
-                 torus_cand.candidate_rate, torus_cand.speedup,
-                 dragonfly_cand.pool, dragonfly_cand.per_candidate_rate,
-                 dragonfly_cand.candidate_rate, dragonfly_cand.speedup,
-                 torus_cand.bit_identical && dragonfly_cand.bit_identical ? "true"
-                                                                          : "false");
+                 dragonfly_batched.bit_identical ? "true" : "false");
     if (out.commit()) std::printf("wrote BENCH_sim.json\n");
   }
-  return candidate_gate ? 0 : 1;
+  return batched_gate ? 0 : 1;
 }

@@ -194,84 +194,66 @@ std::vector<std::vector<RunResult>> Runner::run_candidates(
 
   // Fault demotion keys on size (the heuristic recommendation depends on
   // it), so rewrite the pool as the distinct algorithms its slots resolve
-  // to, first-use order: pick[k * S + s] indexes `resolved`. On the healthy
+  // to, first-use order: pick[k * S + s] indexes `resolved`, and
+  // needed[j * S + s] marks the sizes resolved[j] answers. On the healthy
   // machine this is the pool itself, minus its null slots.
   std::vector<const coll::AlgorithmEntry*> resolved;
   std::vector<size_t> pick(algos.size() * S);
+  std::vector<std::uint8_t> needed;
   for (size_t k = 0; k < algos.size(); ++k) {
     if (algos[k] == nullptr) continue;
     for (size_t s = 0; s < S; ++s) {
       const coll::AlgorithmEntry* r =
           &resolve_algorithm(coll, *algos[k], cfg.p, sizes_bytes[s]);
       const auto pos = std::find(resolved.begin(), resolved.end(), r);
-      pick[k * S + s] = static_cast<size_t>(pos - resolved.begin());
-      if (pos == resolved.end()) resolved.push_back(r);
+      const size_t j = static_cast<size_t>(pos - resolved.begin());
+      if (pos == resolved.end()) {
+        resolved.push_back(r);
+        needed.resize(resolved.size() * S, 0);
+      }
+      pick[k * S + s] = j;
+      needed[j * S + s] = 1;
     }
   }
   if (resolved.empty()) return out;
 
   Sized& sized = sized_for(nodes);
-  const auto simulate = [&](std::span<const sched::SizeFreeSchedule* const> batch,
+  const auto simulate = [&](const sched::SizeFreeSchedule& sf,
                             std::span<const i64> counts) {
-    return net::simulate_candidates(batch, counts, cfg.elem_size, *sized.routes,
-                                    profile_.cost, &net::process_route_memo());
+    return net::simulate(sf, counts, cfg.elem_size, *sized.routes, profile_.cost,
+                         net::process_route_memo());
   };
-
-  // One batched call over every resolved algorithm with a usable cached
-  // entry, across the whole axis. Lanes never mix, so a size a resolved
-  // algorithm doesn't answer costs a lane and changes nothing else. The
-  // entry handles outlive the call.
-  std::vector<std::shared_ptr<const sched::SizeFreeSchedule>> entries(resolved.size());
-  std::vector<const sched::SizeFreeSchedule*> batch(resolved.size(), nullptr);
-  bool all_cached = true;
+  std::vector<std::vector<net::SimResult>> sims(resolved.size());
   for (size_t j = 0; j < resolved.size(); ++j) {
-    entries[j] = cached_entry(coll, *resolved[j], cfg);
-    batch[j] = entries[j].get();
-    all_cached = all_cached && batch[j] != nullptr;
-  }
-  std::vector<std::vector<net::SimResult>> sims = simulate(batch, elem_counts);
-
-  // The rest (cache off, or demoted by the cache's verification) compile a
-  // fresh size-free schedule per size and run one batched call per size on a
-  // one-size axis: at the size it was generated for, a schedule's bytes
-  // resolve from its blocks exactly, so the result is the scalar engine's.
-  // Sizes that clamp to the same element count (small vectors at large p)
-  // generate the same schedule, so they share the first one's result.
-  std::vector<std::uint8_t> fresh_done(resolved.size() * S, 0);
-  for (size_t s = 0; s < S && !all_cached; ++s) {
-    const size_t first = static_cast<size_t>(
-        std::find(elem_counts.begin(), elem_counts.end(), elem_counts[s]) -
-        elem_counts.begin());
-    std::vector<std::unique_ptr<const sched::SizeFreeSchedule>> fresh(resolved.size());
-    std::vector<const sched::SizeFreeSchedule*> fresh_batch(resolved.size(), nullptr);
-    bool any = false;
-    for (size_t k = 0; k < algos.size(); ++k) {
-      if (algos[k] == nullptr) continue;
-      const size_t j = pick[k * S + s];
-      if (batch[j] != nullptr || fresh[j] || fresh_done[j * S + s]) continue;
-      if (fresh_done[j * S + first]) {
+    // A usable cached entry answers the whole axis in one call. Lanes never
+    // mix, so a size the algorithm doesn't answer costs a lane and changes
+    // nothing else.
+    if (const auto entry = cached_entry(coll, *resolved[j], cfg)) {
+      sims[j] = simulate(*entry, elem_counts);
+      continue;
+    }
+    // No usable entry (cache off, or demoted by the cache's verification):
+    // compile a fresh size-free schedule per size and run it on a one-size
+    // axis -- at the size it was generated for, a schedule's bytes resolve
+    // from its blocks exactly, so the result is the scalar engine's. Sizes
+    // that clamp to the same element count (small vectors at large p)
+    // generate the same schedule, so they share the first one's result.
+    sims[j].resize(S);
+    for (size_t s = 0; s < S; ++s) {
+      if (!needed[j * S + s]) continue;
+      size_t first = 0;
+      while (!needed[j * S + first] || elem_counts[first] != elem_counts[s]) ++first;
+      if (first < s) {
         sims[j][s] = sims[j][first];
-        fresh_done[j * S + s] = 1;
         continue;
       }
-      const coll::Config size_cfg = cell_config(nodes, sizes_bytes[s]);
-      fresh[j] = std::make_unique<const sched::SizeFreeSchedule>(
-          sched::SizeFreeSchedule::from(resolved[j]->make(size_cfg)));
-      if (!fresh[j]->size_independent)
+      const auto fresh = sched::SizeFreeSchedule::from(
+          resolved[j]->make(cell_config(nodes, sizes_bytes[s])));
+      if (!fresh.size_independent)
         throw std::runtime_error("simulator requires a detail-mode schedule: " +
                                  (to_string(coll) + ("/" + resolved[j]->name)) +
                                  " carries bytes its blocks do not derive");
-      fresh_batch[j] = fresh[j].get();
-      any = true;
-    }
-    if (!any) continue;
-    const i64 count[] = {elem_counts[s]};
-    const auto one = simulate(fresh_batch, count);
-    for (size_t j = 0; j < resolved.size(); ++j) {
-      if (fresh_batch[j] == nullptr) continue;
-      sims[j].resize(S);
-      sims[j][s] = one[j][0];
-      fresh_done[j * S + s] = 1;
+      sims[j][s] = simulate(fresh, std::span(&elem_counts[s], 1)).front();
     }
   }
 

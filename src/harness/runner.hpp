@@ -116,14 +116,15 @@ class Runner {
   /// yields an empty results[k]. Every result is bit-identical to the scalar
   /// oracle net::simulate over the cell's freshly generated schedule.
   ///
-  /// Cached size-free entries go through ONE net::simulate_candidates call
-  /// (via the process-wide net::process_route_memo()). Fault demotion keys on
-  /// size, so the pool is first rewritten as the distinct algorithms its
-  /// slots resolve to across the axis; each is simulated once and every
-  /// (slot, size) reads its resolved algorithm's lane. Algorithms without a
-  /// usable entry (cache off, or demoted by the cache's verification) run
-  /// one batched call per size over a fresh uncached size-free compile; a
-  /// schedule whose bytes cannot be derived from its blocks throws.
+  /// Fault demotion keys on size, so the pool is first rewritten as the
+  /// distinct algorithms its slots resolve to across the axis; every
+  /// (slot, size) reads its resolved algorithm's lane. Each algorithm with a
+  /// cached size-free entry goes through one size-batched net::simulate call
+  /// across the whole axis (via the process-wide net::process_route_memo()).
+  /// Algorithms without a usable entry (cache off, or demoted by the cache's
+  /// verification) run one single-size call per distinct element count over
+  /// a fresh uncached size-free compile; a schedule whose bytes cannot be
+  /// derived from its blocks throws.
   [[nodiscard]] std::vector<std::vector<RunResult>> run_candidates(
       sched::Collective coll, std::span<const coll::AlgorithmEntry* const> algos,
       i64 nodes, std::span<const i64> sizes_bytes);

@@ -12,11 +12,11 @@
 #include "net/route_cache.hpp"
 
 /// Profile-scoped memoization of compiled per-(rank, peer) route rows: the
-/// candidate-batched simulator's cross-cell structure cache.
+/// size-batched simulator's cross-schedule structure cache.
 ///
-/// Without it, every cell of a sweep rebuilds its per-pair route table from
-/// scratch, walking `RouteCache::path` and reassigning compact link slots
-/// for pairs the previous cell already walked. The candidates of one
+/// The simulator resolves each schedule's own send pairs through the memo,
+/// so a pair is walked (`RouteCache::path`, compact link-slot assignment)
+/// once per scope, not once per schedule or cell. The candidates of one
 /// collective overwhelmingly reuse the same pairs (every butterfly shares
 /// the ring's neighbor pairs and the trees' ancestor pairs), so the memo
 /// lifts the pair walk to process scope the way
@@ -36,7 +36,7 @@
 /// first-touch order, append-only) and per-pair rows: the pair's path as
 /// scope-slot ids (CSR), its per-class hop counts, and whether it crosses a
 /// global link. Callers copy rows out under a shared lock into call-local
-/// scratch (`Rows`) and remap scope slots to their own dense per-candidate tables;
+/// scratch (`Rows`) and remap scope slots to their own dense per-schedule tables;
 /// nothing retains pointers into the scope, so scopes never dangle and rows
 /// survive the RouteCache that seeded them. Slot *numbering* depends on
 /// insertion order and is therefore thread-schedule-dependent -- harmless,
@@ -90,8 +90,8 @@ class PairRouteMemo {
 
 /// The process-wide memo instance. Rows are pure functions of the scope key,
 /// so every Runner shares one table -- sweeps, tuner builds, and the service
-/// daemon's tune-on-miss all warm each other. `harness::Runner`'s batched
-/// candidate path uses this instance; `PairRouteMemo` itself stays
+/// daemon's tune-on-miss all warm each other. `harness::Runner`'s
+/// simulation path uses this instance; `PairRouteMemo` itself stays
 /// instantiable for isolation in tests.
 [[nodiscard]] PairRouteMemo& process_route_memo();
 

@@ -220,7 +220,7 @@ SimResult simulate(const sched::CompiledSchedule& cs, const RouteCache& rc,
   return result;
 }
 
-// --- candidate-batched compiled engine ------------------------------------------
+// --- size-batched compiled engine ----------------------------------------------
 
 namespace {
 
@@ -253,66 +253,54 @@ constexpr std::uint32_t kRowFull = 0;    // full-vector row
 constexpr std::uint32_t kRowSingle = 1;  // one range, inlined (32-bit fields)
 constexpr std::uint32_t kRowSpan = 2;    // walk sf.ranges[rbegin, rend)
 
-/// Per-thread scratch arena for simulate_candidates. Sweeps call the engine
-/// once per cell from long-lived pool threads, so reusing the vectors turns
-/// dozens of heap round-trips per call into plain resizes.
-struct CandScratch {
+/// Per-thread scratch arena for the size-batched engine. Sweeps call it
+/// once per schedule from long-lived pool threads, so reusing the vectors
+/// turns dozens of heap round-trips per call into plain resizes.
+struct SimScratch {
   std::vector<i64> full_bytes, base, rem;  // per-size geometry, padded
-  std::vector<std::uint32_t> pair_index;   // rank*p + peer -> union pair id
-  std::vector<size_t> pair_keys;           // union pairs, first-touch order
-  std::vector<i64> rowvals;                // evaluated rows, current candidate
-  PairRouteMemo::Rows rows;                // resolved rows, scope-slot ids
-  std::vector<std::uint32_t> slot_of_link; // memo-less direct resolution only
-  std::vector<std::uint32_t> cand_pids;    // per candidate: its union pids, flat
-  std::vector<std::uint32_t> cslot_of;     // scope slot -> candidate slot
-  std::vector<std::uint32_t> cslot_ids;    // candidate slots, first-touch order
-  std::vector<std::uint32_t> cpair_route_off, cpair_route_len;
-  std::vector<double> cpair_alpha;
-  std::vector<RouteCache::ClassHops> cpair_hops;
-  std::vector<std::uint32_t> croute_slots; // candidate pair CSR, candidate slots
-  std::vector<double> ib_c;                // per candidate slot, 1/bandwidth
+  std::vector<i64> rowvals;                // evaluated byte rows
+  PairRouteMemo::Rows rows;                // resolved rows; route CSR remapped
+  std::vector<double> pair_alpha;          // per schedule-local pair
+  std::vector<std::uint32_t> cslot_of;     // scope slot -> schedule slot
+  std::vector<std::uint32_t> cslot_ids;    // schedule slots, first-touch order
+  std::vector<double> ib_c;                // per schedule slot, 1/bandwidth
   std::vector<i64> acc;
   std::vector<double> seconds;
   std::vector<i64> local_b, global_b, intra_b;
 
-  void trim() {
-    // Release capacity pinned by an earlier outsized cell once a small call
-    // shows the arena no longer needs it. A call that used the space it
-    // holds keeps it -- freeing hot scratch would re-fault it next call.
-    constexpr size_t kCapBytes = size_t{1} << 23;
-    const auto shrink = [](auto& v) {
-      if (v.capacity() * sizeof(v[0]) > kCapBytes && v.size() * sizeof(v[0]) <= kCapBytes / 2)
-        std::decay_t<decltype(v)>().swap(v);
-    };
-    shrink(rowvals);
-    shrink(acc);
-    shrink(croute_slots);
-    shrink(cand_pids);
-    shrink(pair_index);
-    shrink(cslot_of);
-    shrink(slot_of_link);
-    shrink(rows.route_slots);
-    shrink(rows.slot_link);
+  template <typename F>
+  void each(F&& f) {
+    f(full_bytes); f(base); f(rem); f(rowvals); f(rows.route_off); f(rows.route_len);
+    f(rows.route_slots); f(rows.hops); f(rows.crosses_global); f(rows.slot_link);
+    f(pair_alpha); f(cslot_of); f(cslot_ids); f(ib_c); f(acc); f(seconds);
+    f(local_b); f(global_b); f(intra_b);
   }
 
-  [[nodiscard]] size_t resident_bytes() const {
-    const auto cap = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
-    return cap(full_bytes) + cap(base) + cap(rem) + cap(pair_index) +
-           cap(pair_keys) + cap(rowvals) + cap(rows.route_off) +
-           cap(rows.route_len) + cap(rows.route_slots) + cap(rows.hops) +
-           cap(rows.crosses_global) + cap(rows.slot_link) + cap(slot_of_link) +
-           cap(cand_pids) + cap(cslot_of) + cap(cslot_ids) + cap(cpair_route_off) +
-           cap(cpair_route_len) + cap(cpair_alpha) + cap(cpair_hops) +
-           cap(croute_slots) + cap(ib_c) + cap(acc) + cap(seconds) + cap(local_b) +
-           cap(global_b) + cap(intra_b);
+  [[nodiscard]] size_t resident_bytes() {
+    size_t bytes = 0;
+    each([&](const auto& v) { bytes += v.capacity() * sizeof(v[0]); });
+    return bytes;
+  }
+
+  void trim() {
+    // Release capacity pinned by an earlier outsized schedule once a small
+    // call shows the arena no longer needs it. A call that used the space it
+    // holds keeps it -- freeing hot scratch would re-fault it next call.
+    // Every buffer is refilled per call (cslot_of regrows all-kNoSlot), so
+    // releasing them all is safe.
+    constexpr size_t kCapBytes = size_t{1} << 23;
+    size_t used = 0;
+    each([&](const auto& v) { used += v.size() * sizeof(v[0]); });
+    if (used > kCapBytes / 2 || resident_bytes() <= kCapBytes) return;
+    each([](auto& v) { std::decay_t<decltype(v)>().swap(v); });
   }
 };
 
-/// Inputs of the fused candidate stream: pair-level route/latency tables
-/// shared by the whole pool, plus the per-candidate byte geometry. There is
-/// no op-major bytes array and no per-op route table -- ops reach the pair
-/// rows through their pair id and read their wire bytes from the
-/// candidate's distinct byte rows as they stream.
+/// Inputs of the fused schedule stream: pair-level route/latency tables
+/// plus the per-size byte geometry. There is no op-major bytes array and no
+/// per-op route table -- ops reach the pair rows through their pair id and
+/// read their wire bytes from the schedule's distinct byte rows as they
+/// stream.
 struct CandStreamCtx {
   const sched::SizeFreeSchedule* sf;
   const COp* cops;                     ///< this candidate's compacted ops
@@ -322,11 +310,11 @@ struct CandStreamCtx {
   i64* rows;                           ///< evaluated rows, nrows tiles of W
   const std::uint32_t* pair_route_off; ///< per local pair, into route_slots
   const std::uint32_t* pair_route_len;
-  const std::uint32_t* route_slots;    ///< candidate pair CSR, candidate slots
-  const double* pair_alpha;            ///< per candidate-local pair
+  const std::uint32_t* route_slots;    ///< pair CSR over schedule slots
+  const double* pair_alpha;            ///< per schedule-local pair
   const RouteCache::ClassHops* pair_hops;
-  size_t num_slots = 0;                ///< candidate slots (ever touched)
-  const double* slot_inv_bw;           ///< per candidate slot
+  size_t num_slots = 0;                ///< schedule slots (ever touched)
+  const double* slot_inv_bw;           ///< per schedule slot
   const i64* full_bytes;  ///< per-size geometry, padded to the window grid
   const i64* base;
   const i64* rem;
@@ -502,58 +490,21 @@ void stream_candidate(const CandStreamCtx& cx, size_t off) {
   for (size_t s = 0; s < W; ++s) cx.intra_b[off + s] = ib2[s];
 }
 
-CandScratch& thread_cand_scratch() {
-  static thread_local CandScratch sc;
+SimScratch& thread_sim_scratch() {
+  static thread_local SimScratch sc;
   return sc;
-}
-
-/// Memo-less Rows construction: the exact layout PairRouteMemo::resolve
-/// copies out, built directly from `rc` with a private first-touch slot
-/// table. Keeps simulate_candidates self-contained when no memo is given
-/// (and gives the parity suite a memo-independent batched engine).
-void resolve_pairs_direct(const RouteCache& rc, std::span<const size_t> pair_keys,
-                          std::vector<std::uint32_t>& slot_of_link,
-                          PairRouteMemo::Rows& out) {
-  constexpr std::uint32_t kNoSlot = 0xffffffffu;
-  const size_t np = static_cast<size_t>(rc.num_ranks());
-  const size_t n = pair_keys.size();
-  out.route_off.resize(n);
-  out.route_len.resize(n);
-  out.hops.resize(n);
-  out.crosses_global.resize(n);
-  out.route_slots.clear();
-  out.slot_link.clear();
-  slot_of_link.assign(static_cast<size_t>(rc.num_links()), kNoSlot);
-  for (size_t i = 0; i < n; ++i) {
-    const Rank src = static_cast<Rank>(pair_keys[i] / np);
-    const Rank dst = static_cast<Rank>(pair_keys[i] % np);
-    const std::span<const i64> path = rc.path(src, dst);
-    out.route_off[i] = static_cast<std::uint32_t>(out.route_slots.size());
-    out.route_len[i] = static_cast<std::uint32_t>(path.size());
-    for (const i64 link : path) {
-      std::uint32_t& slot = slot_of_link[static_cast<size_t>(link)];
-      if (slot == kNoSlot) {
-        slot = static_cast<std::uint32_t>(out.slot_link.size());
-        out.slot_link.push_back(link);
-      }
-      out.route_slots.push_back(slot);
-    }
-    const RouteCache::ClassHops& h = rc.hops(src, dst);
-    out.hops[i] = h;
-    out.crosses_global[i] = h.global > 0 ? 1 : 0;
-  }
 }
 
 /// Size- and profile-independent compile of one schedule for the candidate
 /// stream: the compact op arena, the interned distinct byte rows, and a
 /// dense schedule-local pair numbering (pair_keys maps local pid back to
-/// rank*p + peer for the caller's union/route resolution). Everything here
+/// rank*p + peer for route resolution through the memo). Everything here
 /// is a pure function of the schedule structure -- no topology, placement,
 /// size or cost parameter enters -- so it is built once per cached schedule
 /// and memoized on the entry's derived slot (the simulator analogue of
 /// runtime::ExecSkeleton::of). Without this, the per-op walk with content
-/// hashing re-runs on every simulate_candidates call and dominates pools
-/// whose size axis fits one window.
+/// hashing re-runs on every simulate call and dominates schedules whose
+/// size axis fits one window.
 struct CandCompiled {
   std::vector<COp> cops;
   std::vector<std::uint32_t> cstep;  ///< steps+1 op offsets
@@ -691,205 +642,132 @@ std::shared_ptr<const CandCompiled> compiled_for(const sched::SizeFreeSchedule& 
 
 }  // namespace
 
-std::vector<std::vector<SimResult>> simulate_candidates(
-    std::span<const sched::SizeFreeSchedule* const> candidates,
-    std::span<const i64> elem_counts, i64 elem_size, const RouteCache& rc,
-    const CostParams& cp, PairRouteMemo* memo) {
-  const size_t C = candidates.size();
+std::vector<SimResult> simulate(const sched::SizeFreeSchedule& sf,
+                                std::span<const i64> elem_counts, i64 elem_size,
+                                const RouteCache& rc, const CostParams& cp,
+                                PairRouteMemo& memo) {
+  assert(sf.size_independent && "demoted entries must fall back to fresh generation");
+  assert(sf.p == rc.num_ranks());
   const size_t S = elem_counts.size();
-  std::vector<std::vector<SimResult>> results(C);
-  size_t live = 0;
-  for (const sched::SizeFreeSchedule* sf : candidates) {
-    if (sf == nullptr) continue;
-    assert(sf->size_independent && "demoted entries must fall back to fresh generation");
-    assert(sf->p == rc.num_ranks());
-    ++live;
-  }
-  if (S == 0 || live == 0) return results;
+  if (S == 0) return {};
 
   constexpr std::uint32_t kNoSlot = 0xffffffffu;
-  CandScratch& sc = thread_cand_scratch();
-  const size_t np = static_cast<size_t>(rc.num_ranks());
+  SimScratch& sc = thread_sim_scratch();
+  const std::shared_ptr<const CandCompiled> comp = compiled_for(sf);
 
   // Window width: one register-tiled window covers the whole size axis for
   // every practical grid (tuner grids and sweep plans are <= 32 sizes), so
-  // the op stream is walked once per candidate; longer axes fall back to
+  // the op stream is walked once per schedule; longer axes fall back to
   // 32-lane windows.
   const size_t W = S <= 2 ? 2 : S <= 4 ? 4 : S <= 8 ? 8 : S <= 16 ? 16 : 32;
   const size_t P = (S + W - 1) / W * W;
 
-  // --- per-schedule compiled forms + union of the pool's send pairs ---------
-  // Each candidate's compact op stream (recvs dropped, rank-group boundaries
-  // folded into flags, byte rows dedup'd, pairs densely numbered) comes from
-  // the schedule's cached CandCompiled -- built once per schedule process-
-  // wide, so this loop only unions the pair keys: candidate-local pid k maps
-  // to union pid cand_pids[cp_off[c] + k]. pair_index entries stay assigned
-  // until the end of the call (all-kNoSlot invariant restored at the bottom,
-  // so reuse skips the O(p^2) clear); resizing down keeps the invariant (the dropped
-  // tail is all-kNoSlot) while letting trim() release a huge cell's p^2
-  // table once small cells follow.
-  if (sc.pair_index.size() < np * np)
-    sc.pair_index.assign(np * np, kNoSlot);
-  else
-    sc.pair_index.resize(np * np);
-  std::vector<std::shared_ptr<const CandCompiled>> comp(C);
-  std::vector<size_t> cp_off(C + 1, 0);  // cand_pids segment per candidate
-  sc.pair_keys.clear();
-  sc.cand_pids.clear();
-  for (size_t c = 0; c < C; ++c) {
-    cp_off[c] = sc.cand_pids.size();
-    if (candidates[c] == nullptr) continue;
-    comp[c] = compiled_for(*candidates[c]);
-    for (const size_t key : comp[c]->pair_keys) {
-      std::uint32_t& pid = sc.pair_index[key];
-      if (pid == kNoSlot) {
-        pid = static_cast<std::uint32_t>(sc.pair_keys.size());
-        sc.pair_keys.push_back(key);
-      }
-      sc.cand_pids.push_back(pid);
-    }
-  }
-  cp_off[C] = sc.cand_pids.size();
+  // Route rows for the schedule's own pairs, in its local pair order (the
+  // memo copies rows out in key order), so pair ids index them directly.
+  memo.resolve(rc, comp->pair_keys, sc.rows);
 
-  // --- route rows: through the memo (cross-cell reuse) or walked directly ---
-  if (memo != nullptr)
-    memo->resolve(rc, sc.pair_keys, sc.rows);
-  else
-    resolve_pairs_direct(rc, sc.pair_keys, sc.slot_of_link, sc.rows);
-
-  // Candidate-slot remap table over the scope's slots; all-kNoSlot between
-  // candidates (reset through cslot_ids below). Growing with resize
-  // preserves the invariant for entries carried over from earlier calls.
+  // Remap the route CSR in place from scope slots to dense schedule slots in
+  // first-touch order. Slot order is free: the per-step link reduction is a
+  // max over non-negative finite terms (order-independent bitwise) and byte
+  // accumulation is exact i64. Cost is O(pairs x route length) -- pair
+  // counts are orders of magnitude below op counts -- and it buys the stream
+  // a branch-free inner loop: no touch bookkeeping per route visit, and a
+  // sequential max-reduce over exactly the slots this schedule can touch.
+  // cslot_of is all-kNoSlot between calls (reset through cslot_ids below);
+  // growing with resize preserves that for entries carried over.
   if (sc.cslot_of.size() < sc.rows.num_scope_slots())
     sc.cslot_of.resize(sc.rows.num_scope_slots(), kNoSlot);
   const std::span<const double> inv_bandwidth = rc.inv_bandwidth();
+  sc.cslot_ids.clear();
+  sc.ib_c.clear();
+  for (std::uint32_t& v : sc.rows.route_slots) {
+    std::uint32_t& cslot = sc.cslot_of[v];
+    if (cslot == kNoSlot) {
+      cslot = static_cast<std::uint32_t>(sc.cslot_ids.size());
+      sc.cslot_ids.push_back(v);
+      sc.ib_c.push_back(inv_bandwidth[static_cast<size_t>(sc.rows.slot_link[v])]);
+    }
+    v = cslot;
+  }
+  for (const std::uint32_t v : sc.cslot_ids) sc.cslot_of[v] = kNoSlot;
+  const size_t npairs = comp->pair_keys.size();
+  sc.pair_alpha.resize(npairs);
+  for (size_t k = 0; k < npairs; ++k)
+    sc.pair_alpha[k] = sc.rows.crosses_global[k] ? cp.alpha_global : cp.alpha_local;
+  const size_t num_slots = sc.cslot_ids.size();
+  sc.acc.assign(num_slots * W, 0);  // accumulator tiles; each step clears its own
 
+  // Per-size geometry: block space and nblocks shape it, the arithmetic
+  // resolve_into runs per size.
+  const i64 B = sf.nblocks;
+  sc.full_bytes.assign(P, 0);
+  sc.base.assign(P, 0);
+  sc.rem.assign(P, 0);
+  for (size_t s = 0; s < S; ++s) {
+    const i64 n = sf.space == sched::BlockSpace::pairwise ? elem_counts[s] * sf.p
+                                                          : elem_counts[s];
+    sc.full_bytes[s] = n * elem_size;
+    sc.base[s] = n / B;
+    sc.rem[s] = n % B;
+  }
+
+  sc.seconds.resize(P);
+  sc.local_b.resize(P);
+  sc.global_b.resize(P);
+  sc.intra_b.resize(P);
+  sc.rowvals.resize(comp->rowspec.size() * W);
   CandStreamCtx cx;
+  cx.sf = &sf;
+  cx.cops = comp->cops.data();
+  cx.cstep = comp->cstep.data();
+  cx.rowspec = comp->rowspec.data();
+  cx.nrows = static_cast<std::uint32_t>(comp->rowspec.size());
+  cx.rows = sc.rowvals.data();
+  cx.pair_route_off = sc.rows.route_off.data();
+  cx.pair_route_len = sc.rows.route_len.data();
+  cx.route_slots = sc.rows.route_slots.data();
+  cx.pair_alpha = sc.pair_alpha.data();
+  cx.pair_hops = sc.rows.hops.data();
+  cx.num_slots = num_slots;
+  cx.slot_inv_bw = sc.ib_c.data();
+  cx.full_bytes = sc.full_bytes.data();
+  cx.base = sc.base.data();
+  cx.rem = sc.rem.data();
   cx.elem_size = elem_size;
   cx.seg_overhead = cp.seg_overhead;
   cx.inv_reduce_bw = 1.0 / cp.reduce_bandwidth;
   cx.inv_mem_bw = 1.0 / cp.mem_bandwidth;
-
-  for (size_t c = 0; c < C; ++c) {
-    if (candidates[c] == nullptr) continue;
-    const sched::SizeFreeSchedule& sf = *candidates[c];
-    const i64 B = sf.nblocks;
-
-    // Per-size geometry: inherently per candidate (block space and nblocks
-    // shape it), the arithmetic resolve_into runs per size. Everything else the
-    // fused stream needs -- byte rows, route rows, latency constants -- is
-    // resolved from the shared union tables as it streams.
-    sc.full_bytes.assign(P, 0);
-    sc.base.assign(P, 0);
-    sc.rem.assign(P, 0);
-    for (size_t s = 0; s < S; ++s) {
-      const i64 n = sf.space == sched::BlockSpace::pairwise ? elem_counts[s] * sf.p
-                                                            : elem_counts[s];
-      sc.full_bytes[s] = n * elem_size;
-      sc.base[s] = n / B;
-      sc.rem[s] = n % B;
-    }
-
-    // Candidate-local pair/slot tables: copy this candidate's rows out of the
-    // shared union, renumbering pairs and slots into dense [0, n) ranges in
-    // first-touch order. Slot order is free: the per-step link reduction is
-    // a max over non-negative finite terms (order-independent bitwise) and
-    // byte accumulation is exact i64. Cost is O(pairs x route length) --
-    // pair counts are orders of magnitude below op counts -- and it buys the
-    // stream a branch-free inner loop: no touch bookkeeping per route visit,
-    // and a sequential max-reduce over exactly the slots this candidate can
-    // touch.
-    const size_t npairs_c = cp_off[c + 1] - cp_off[c];
-    sc.cpair_route_off.resize(npairs_c);
-    sc.cpair_route_len.resize(npairs_c);
-    sc.cpair_alpha.resize(npairs_c);
-    sc.cpair_hops.resize(npairs_c);
-    sc.croute_slots.clear();
-    sc.cslot_ids.clear();
-    sc.ib_c.clear();
-    for (size_t k = 0; k < npairs_c; ++k) {
-      const std::uint32_t pid = sc.cand_pids[cp_off[c] + k];
-      sc.cpair_route_off[k] = static_cast<std::uint32_t>(sc.croute_slots.size());
-      sc.cpair_route_len[k] = sc.rows.route_len[pid];
-      sc.cpair_alpha[k] = sc.rows.crosses_global[pid] ? cp.alpha_global : cp.alpha_local;
-      sc.cpair_hops[k] = sc.rows.hops[pid];
-      const std::uint32_t u0 = sc.rows.route_off[pid];
-      for (std::uint32_t u = u0; u < u0 + sc.rows.route_len[pid]; ++u) {
-        const std::uint32_t v = sc.rows.route_slots[u];
-        std::uint32_t& cslot = sc.cslot_of[v];
-        if (cslot == kNoSlot) {
-          cslot = static_cast<std::uint32_t>(sc.cslot_ids.size());
-          sc.cslot_ids.push_back(v);
-          sc.ib_c.push_back(inv_bandwidth[static_cast<size_t>(sc.rows.slot_link[v])]);
-        }
-        sc.croute_slots.push_back(cslot);
-      }
-    }
-    const size_t n_c = sc.cslot_ids.size();
-    // Restore cslot_of's all-kNoSlot invariant for the next candidate.
-    for (const std::uint32_t v : sc.cslot_ids) sc.cslot_of[v] = kNoSlot;
-    sc.acc.assign(n_c * W, 0);  // accumulator tiles; each step clears its own
-
-    sc.seconds.resize(P);
-    sc.local_b.resize(P);
-    sc.global_b.resize(P);
-    sc.intra_b.resize(P);
-    const size_t nrows_c = comp[c]->rowspec.size();
-    sc.rowvals.resize(nrows_c * W);
-    cx.sf = &sf;
-    cx.cops = comp[c]->cops.data();
-    cx.cstep = comp[c]->cstep.data();
-    cx.rowspec = comp[c]->rowspec.data();
-    cx.nrows = static_cast<std::uint32_t>(nrows_c);
-    cx.rows = sc.rowvals.data();
-    cx.pair_route_off = sc.cpair_route_off.data();
-    cx.pair_route_len = sc.cpair_route_len.data();
-    cx.route_slots = sc.croute_slots.data();
-    cx.pair_alpha = sc.cpair_alpha.data();
-    cx.pair_hops = sc.cpair_hops.data();
-    cx.num_slots = n_c;
-    cx.slot_inv_bw = sc.ib_c.data();
-    cx.acc = sc.acc.data();
-    cx.full_bytes = sc.full_bytes.data();
-    cx.base = sc.base.data();
-    cx.rem = sc.rem.data();
-    cx.seconds = sc.seconds.data();
-    cx.local_b = sc.local_b.data();
-    cx.global_b = sc.global_b.data();
-    cx.intra_b = sc.intra_b.data();
-    const auto run_windows = [&](auto width) {
-      constexpr size_t kW = decltype(width)::value;
-      for (size_t off = 0; off < P; off += kW) stream_candidate<kW>(cx, off);
-    };
-    switch (W) {
-      case 2: run_windows(std::integral_constant<size_t, 2>{}); break;
-      case 4: run_windows(std::integral_constant<size_t, 4>{}); break;
-      case 8: run_windows(std::integral_constant<size_t, 8>{}); break;
-      case 16: run_windows(std::integral_constant<size_t, 16>{}); break;
-      default: run_windows(std::integral_constant<size_t, 32>{}); break;
-    }
-
-    results[c].resize(S);
-    for (size_t s = 0; s < S; ++s) {
-      results[c][s].seconds = sc.seconds[s];
-      results[c][s].steps = sf.steps;
-      results[c][s].traffic = {sc.local_b[s], sc.global_b[s], sc.intra_b[s],
-                               comp[c]->messages};
-    }
+  cx.acc = sc.acc.data();
+  cx.seconds = sc.seconds.data();
+  cx.local_b = sc.local_b.data();
+  cx.global_b = sc.global_b.data();
+  cx.intra_b = sc.intra_b.data();
+  const auto run_windows = [&](auto width) {
+    constexpr size_t kW = decltype(width)::value;
+    for (size_t off = 0; off < P; off += kW) stream_candidate<kW>(cx, off);
+  };
+  switch (W) {
+    case 2: run_windows(std::integral_constant<size_t, 2>{}); break;
+    case 4: run_windows(std::integral_constant<size_t, 4>{}); break;
+    case 8: run_windows(std::integral_constant<size_t, 8>{}); break;
+    case 16: run_windows(std::integral_constant<size_t, 16>{}); break;
+    default: run_windows(std::integral_constant<size_t, 32>{}); break;
   }
 
-  // Restore pair_index's all-kNoSlot invariant for the next call.
-  for (const size_t key : sc.pair_keys) sc.pair_index[key] = kNoSlot;
+  std::vector<SimResult> results(S);
+  for (size_t s = 0; s < S; ++s) {
+    results[s].seconds = sc.seconds[s];
+    results[s].steps = sf.steps;
+    results[s].traffic = {sc.local_b[s], sc.global_b[s], sc.intra_b[s], comp->messages};
+  }
   sc.trim();
   return results;
 }
 
-/// Testing hook (satellite: scratch-arena hygiene): resident capacity of this
-/// thread's candidate-batched scratch, so the trim regression test can
-/// observe that a huge cell's spike is released once small cells follow.
-size_t candidate_scratch_resident_bytes() {
-  return thread_cand_scratch().resident_bytes();
-}
+/// Testing hook (scratch-arena hygiene): resident capacity of this thread's
+/// size-batched scratch, so the trim regression test can observe that a
+/// huge schedule's spike is released once small ones follow.
+size_t sim_scratch_resident_bytes() { return thread_sim_scratch().resident_bytes(); }
 
 // --- Schedule-level conveniences -----------------------------------------------
 

@@ -19,9 +19,9 @@
 ///
 /// One production engine and two oracles implement the model:
 ///
-///   * `simulate_candidates` -- the engine harness::Runner (and through it
-///     every sweep, tuner and service job) runs: a cell's whole candidate
-///     pool across the size axis in one pass over cached size-free IR.
+///   * The size-free `simulate` overload -- the engine harness::Runner (and
+///     through it every sweep, tuner and service job) runs: one schedule
+///     across the whole size axis in one pass over cached size-free IR.
 ///   * The scalar compiled `simulate`/`measure_traffic` over a
 ///     `sched::CompiledSchedule` plus a `RouteCache` -- the *bitwise* oracle
 ///     of the batched engine, and (via the `Schedule` overloads, which lower
@@ -83,32 +83,30 @@ struct SimResult {
 [[nodiscard]] SimResult simulate(const sched::CompiledSchedule& cs, const RouteCache& rc,
                                  const CostParams& cp);
 
-/// Candidate-batched compiled engine -- the one production simulator: one
-/// structural pass per *cell* across a whole candidate pool AND the size
-/// axis. The union of every candidate's send pairs is resolved once
-/// (through `memo` when given: pair walks then amortize across cells,
-/// Runners, and tuner rounds; self-contained when null). Each candidate then
-/// streams its cached compiled form (compact ops + distinct byte rows,
-/// memoized on the entry) through W-wide size-lane tiles.
+/// Size-batched compiled engine -- the one production simulator: one
+/// structural pass per schedule across the whole size axis. The schedule's
+/// send pairs resolve through `memo`, so pair walks amortize across
+/// schedules, cells, Runners, and tuner rounds (tests pass a private memo
+/// for isolation). The schedule's cached compiled form (compact ops +
+/// distinct byte rows, memoized on the entry) then streams through W-wide
+/// size-lane tiles.
 ///
-/// result[c][s] is bit-identical to the scalar oracle
-///   simulate(resolve(*candidates[c], elem_counts[s], elem_size), rc, cp)
+/// result[s] is bit-identical to the scalar oracle
+///   simulate(resolve(sf, elem_counts[s], elem_size), rc, cp)
 /// -- the per-size loop the parity suite runs: byte resolution runs the same
 /// integer arithmetic, per-rank overheads accumulate in the same FP order
 /// (ops outer, flushed at rank boundaries), and per-step maxima reduce over
-/// non-negative finite terms, where max is order-independent bitwise. Null
-/// entries in `candidates` (inapplicable pool slots) yield empty result
-/// vectors. Every non-null candidate must be size_independent with p
-/// matching `rc`.
-[[nodiscard]] std::vector<std::vector<SimResult>> simulate_candidates(
-    std::span<const sched::SizeFreeSchedule* const> candidates,
-    std::span<const i64> elem_counts, i64 elem_size, const RouteCache& rc,
-    const CostParams& cp, PairRouteMemo* memo = nullptr);
+/// non-negative finite terms, where max is order-independent bitwise. `sf`
+/// must be size_independent with p matching `rc`.
+[[nodiscard]] std::vector<SimResult> simulate(const sched::SizeFreeSchedule& sf,
+                                              std::span<const i64> elem_counts,
+                                              i64 elem_size, const RouteCache& rc,
+                                              const CostParams& cp, PairRouteMemo& memo);
 
-/// Resident capacity (bytes) of the calling thread's candidate-batched
-/// scratch arena. Testing hook for the capacity-cap trim: a huge cell
-/// followed by small cells must release the spike.
-[[nodiscard]] size_t candidate_scratch_resident_bytes();
+/// Resident capacity (bytes) of the calling thread's size-batched scratch
+/// arena. Testing hook for the capacity-cap trim: a huge schedule followed
+/// by small ones must release the spike.
+[[nodiscard]] size_t sim_scratch_resident_bytes();
 
 /// Naive oracles (virtual routing per op, hash-map accumulators), retained
 /// verbatim for the parity suite and the before/after benchmark.

@@ -60,7 +60,7 @@ Dragonfly::Dragonfly(i64 num_groups, i64 nodes_per_group, i64 links_per_pair,
       global_[static_cast<size_t>(pr)].push_back(add_link(LinkClass::global, global_bw));
 }
 
-i64 Dragonfly::pair_index(i64 ga, i64 gb) const {
+i64 Dragonfly::bundle_of(i64 ga, i64 gb) const {
   assert(ga != gb);
   const i64 a = std::min(ga, gb), b = std::max(ga, gb);
   const i64 undirected = a * num_groups_ - a * (a + 1) / 2 + (b - a - 1);
@@ -72,7 +72,7 @@ void Dragonfly::route(i64 src, i64 dst, std::vector<i64>& out) const {
   out.push_back(inject_[static_cast<size_t>(src)]);
   const i64 gs = group_of(src), gd = group_of(dst);
   if (gs != gd) {
-    const auto& bundle = global_[static_cast<size_t>(pair_index(gs, gd))];
+    const auto& bundle = global_[static_cast<size_t>(bundle_of(gs, gd))];
     out.push_back(bundle[static_cast<size_t>((src * 31 + dst) % links_per_pair_)]);
   }
   out.push_back(eject_[static_cast<size_t>(dst)]);

@@ -86,7 +86,7 @@ class Dragonfly final : public Topology {
   [[nodiscard]] i64 group_of(i64 node) const override { return node / nodes_per_group_; }
 
  private:
-  [[nodiscard]] i64 pair_index(i64 ga, i64 gb) const;
+  [[nodiscard]] i64 bundle_of(i64 ga, i64 gb) const;
   i64 num_groups_, nodes_per_group_, links_per_pair_;
   std::string flavour_;
   std::vector<i64> inject_, eject_;             // per-node access links (local)

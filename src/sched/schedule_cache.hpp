@@ -113,8 +113,8 @@ struct SizeFreeSchedule {
     std::shared_ptr<const void> value;
   };
   mutable std::unique_ptr<DerivedSlot> derived = std::make_unique<DerivedSlot>();
-  /// Second derived slot, used by the simulator's candidate-batched engine
-  /// for its compiled op/byte-row form (net::simulate_candidates). Separate
+  /// Second derived slot, used by the simulator's size-batched engine for
+  /// its compiled op/byte-row form (the size-free net::simulate). Separate
   /// from `derived` so the runtime skeleton and the simulation compile can
   /// both live on one entry without evicting each other.
   mutable std::unique_ptr<DerivedSlot> sim_derived = std::make_unique<DerivedSlot>();

@@ -44,7 +44,7 @@ const coll::AlgorithmEntry* Tuner::winner_at(
     harness::Runner& runner, Collective coll, i64 p, i64 size,
     const std::vector<const coll::AlgorithmEntry*>& cands,
     const harness::CellGuard* guard) const {
-  // One candidate-batched pass for the whole pool at this size (bisection
+  // One run_candidates call for the whole pool at this size (bisection
   // midpoints land here; the initial grid batches sizes too, in tune_cell).
   if (guard != nullptr) guard->checkpoint("candidate ranking");
   const std::vector<std::vector<harness::RunResult>> evaluated =
@@ -100,10 +100,10 @@ std::vector<SizeInterval> Tuner::tune_cell(harness::Runner& runner, Collective c
                              to_string(coll) + " p=" + std::to_string(p));
 
   std::vector<i64> grid = grid_;
-  // The initial grid is the tuner's bulk work: ONE candidate-batched pass
-  // evaluates the whole (candidates x grid) matrix -- the union pair table
-  // and compact slot sort amortize over the pool -- then each grid size is
-  // ranked from its matrix column. Bit-identical seconds, identical winners.
+  // The initial grid is the tuner's bulk work: ONE run_candidates call
+  // evaluates the whole (candidates x grid) matrix -- each candidate in one
+  // size-batched pass across the grid -- then each grid size is ranked from
+  // its matrix column. Bit-identical seconds, identical winners.
   if (guard != nullptr) guard->checkpoint("candidate ranking");
   const std::vector<std::vector<harness::RunResult>> evaluated =
       runner.run_candidates(coll, cands, p, grid);

@@ -136,8 +136,7 @@ class Tuner {
  private:
   /// Rank every candidate at one size and return the winner (simulated
   /// argmin, refined through verified execution when configured). The whole
-  /// pool is evaluated in one candidate-batched pass
-  /// (harness::Runner::run_candidates).
+  /// pool is evaluated in one harness::Runner::run_candidates call.
   [[nodiscard]] const coll::AlgorithmEntry* winner_at(
       harness::Runner& runner, sched::Collective coll, i64 p, i64 size,
       const std::vector<const coll::AlgorithmEntry*>& cands,

@@ -1,11 +1,12 @@
-// Candidate-batched simulation parity: net::simulate_candidates over a whole
-// candidate pool must be bit-identical to the per-size scalar compiled
-// engine (net::simulate over the resolved schedule) -- with or without a
-// PairRouteMemo, cold or warm -- across the full algorithm registry, all
-// four topology families, ragged/non-pow2 rank counts and fault epochs.
-// Concurrent Runners sharing the process-wide route memo must stay
-// bit-identical, fault-epoch memo scoping must never leak degraded rows into
-// healthy runs, and an outsized cell's scratch must be released.
+// Size-batched simulation parity: the size-free net::simulate overload,
+// looped over every schedule of a candidate pool, must be bit-identical to
+// the per-size scalar compiled engine (net::simulate over the resolved
+// schedule) -- through a fresh private PairRouteMemo, a cold one and a warm
+// one -- across the full algorithm registry, all four topology families,
+// ragged/non-pow2 rank counts and fault epochs. Concurrent Runners sharing
+// the process-wide route memo must stay bit-identical, fault-epoch memo
+// scoping must never leak degraded rows into healthy runs, and an outsized
+// schedule's scratch must be released.
 // "Bit-identical" is literal: seconds compare by bit pattern, not tolerance.
 #include <gtest/gtest.h>
 
@@ -31,11 +32,11 @@ using namespace bine;
 using namespace bine::test_util;
 
 // Full registry x 4 topology families x {ragged non-pow2, pow2} rank counts
-// x {healthy, degraded} fault epochs on a ragged size axis: one
-// simulate_candidates call over the whole pool -- three ways (no memo, cold
-// memo, warm memo) -- vs the per-size scalar oracle on the resolved
-// schedule, all bit-identical. A null pool slot must yield an empty result
-// row without disturbing its neighbours.
+// x {healthy, degraded} fault epochs on a ragged size axis: each schedule of
+// the pool simulated across the whole axis in one call -- three ways (a
+// fresh private memo, so every pair is walked from the RouteCache; the
+// shared memo cold; and warm) -- vs the per-size scalar oracle on the
+// resolved schedule, all bit-identical.
 TEST(SimCandidates, BitIdenticalToPerSizeScalarOracle) {
   const net::CostParams cp;  // defaults: distinct alpha/seg/bw knobs
   const std::vector<i64> elem_counts = {8, 27, 64, 100, 512, 4096, 12345, 262144};
@@ -52,30 +53,17 @@ TEST(SimCandidates, BitIdenticalToPerSizeScalarOracle) {
         net::RouteCache rc(*topo, pl);
         if (degrade) rc.degrade(degraded);
         for (const sched::Collective coll : coll::all_collectives()) {
-          Pool pool = registry_pool(coll, p);
-          if (pool.ptrs.empty()) continue;
-          // A dead slot mid-pool (an inapplicable candidate).
-          const auto mid = static_cast<std::ptrdiff_t>(pool.ptrs.size() / 2);
-          pool.ptrs.insert(pool.ptrs.begin() + mid, nullptr);
-          const auto run = [&](net::PairRouteMemo* m) {
-            return net::simulate_candidates(pool.ptrs, elem_counts, 4, rc, cp, m);
-          };
-          const auto no_memo = run(nullptr);
-          const auto cold = run(&memo);
-          const auto warm = run(&memo);
-          ASSERT_EQ(no_memo.size(), pool.ptrs.size());
-          ASSERT_EQ(cold.size(), pool.ptrs.size());
-          ASSERT_EQ(warm.size(), pool.ptrs.size());
-          size_t own = 0;
-          for (size_t k = 0; k < pool.ptrs.size(); ++k) {
-            if (pool.ptrs[k] == nullptr) {
-              EXPECT_TRUE(no_memo[k].empty());
-              EXPECT_TRUE(cold[k].empty());
-              EXPECT_TRUE(warm[k].empty());
-              continue;
-            }
-            const auto& sf = pool.own[own++];
-            ASSERT_EQ(no_memo[k].size(), elem_counts.size());
+          const Pool pool = registry_pool(coll, p);
+          for (size_t k = 0; k < pool.own.size(); ++k) {
+            const auto& sf = pool.own[k];
+            net::PairRouteMemo fresh;
+            const auto walked = net::simulate(*sf, elem_counts, 4, rc, cp, fresh);
+            const auto cold = net::simulate(*sf, elem_counts, 4, rc, cp, memo);
+            const auto warm = net::simulate(*sf, elem_counts, 4, rc, cp, memo);
+            ASSERT_EQ(walked.size(), elem_counts.size());
+            ASSERT_EQ(cold.size(), elem_counts.size());
+            ASSERT_EQ(warm.size(), elem_counts.size());
+            EXPECT_EQ(fresh.stats().hits, 0u);  // every pair walked, none reused
             const std::string what = topo->name() + "/" + to_string(coll) +
                                      " cand=" + std::to_string(k) + " p=" +
                                      std::to_string(p) + (degrade ? " degraded" : "");
@@ -84,9 +72,9 @@ TEST(SimCandidates, BitIdenticalToPerSizeScalarOracle) {
               sched::SizeFreeSchedule::resolve_into(sf, elem_counts[s], 4, lowered);
               const net::SimResult oracle = net::simulate(lowered, rc, cp);
               const std::string at = what + " n=" + std::to_string(elem_counts[s]);
-              expect_bitwise_eq(no_memo[k][s], oracle, at + " [no memo]");
-              expect_bitwise_eq(cold[k][s], oracle, at + " [cold]");
-              expect_bitwise_eq(warm[k][s], oracle, at + " [warm]");
+              expect_bitwise_eq(walked[s], oracle, at + " [fresh memo]");
+              expect_bitwise_eq(cold[s], oracle, at + " [cold]");
+              expect_bitwise_eq(warm[s], oracle, at + " [warm]");
             }
             ++checked;
           }
@@ -229,52 +217,53 @@ TEST(SimCandidates, FaultEpochScopingNeverContaminatesHealthyRuns) {
   }
 }
 
-// Capacity-cap trim: one outsized cell (allgather/bruck at p=2048, whose
-// p^2 pair-index table alone exceeds the 8 MiB arena cap) may pin its scratch
-// while hot, but the next small cell on the same thread must release the
-// spike. The big cell routes through a scoped RouteCache over exactly the
-// schedule's send pairs, so the test never pays an eager 2048^2 route build.
+// Capacity-cap trim: one outsized schedule (alltoall/pairwise at p=768,
+// where every rank pair sends, so its route CSR alone exceeds the 8 MiB
+// arena cap) may pin its scratch while hot, but the next small schedule on
+// the same thread must release the spike.
 TEST(SimCandidates, ScratchTrimReleasesOutsizedCell) {
-  constexpr size_t kCapBytes = size_t{1} << 23;  // mirrors CandScratch::trim
+  constexpr size_t kCapBytes = size_t{1} << 23;  // mirrors SimScratch::trim
   const net::CostParams cp;
   const std::vector<i64> elem_counts = {8, 27, 64, 100, 512, 4096, 12345, 262144};
   net::PairRouteMemo memo;
 
-  net::Torus big_topo(std::vector<i64>{16, 16, 8}, 6.8e9);  // 2048 nodes
+  net::Torus big_topo(std::vector<i64>{12, 8, 8}, 6.8e9);  // 768 nodes
   const i64 p = big_topo.num_nodes();
-  // The spike premise: the rank-pair interning table (p^2 x 4 B) overflows
-  // the cap. If the cap ever grows, pick a bigger p.
-  ASSERT_GT(static_cast<size_t>(p) * static_cast<size_t>(p) * sizeof(std::uint32_t),
-            kCapBytes);
   const net::Placement big_pl = scrambled_placement(p, p);
-  const auto& bruck = coll::find_algorithm(sched::Collective::allgather, "bruck");
+  const auto& pairwise = coll::find_algorithm(sched::Collective::alltoall, "pairwise");
   coll::Config cfg;
   cfg.p = p;
   cfg.elem_size = 4;
   cfg.elem_count = 4096;
   const auto big_sf = std::make_shared<const sched::SizeFreeSchedule>(
-      sched::SizeFreeSchedule::from(bruck.make(cfg)));
+      sched::SizeFreeSchedule::from(pairwise.make(cfg)));
   ASSERT_TRUE(big_sf->size_independent);
-  std::vector<std::pair<Rank, Rank>> send_pairs;
-  for (size_t i = 0; i < big_sf->num_ops(); ++i)
-    if (big_sf->kind[i] == sched::OpKind::send)
-      send_pairs.emplace_back(big_sf->rank[i], big_sf->peer[i]);
-  const net::RouteCache big_rc(big_topo, big_pl, send_pairs);
-  const sched::SizeFreeSchedule* big_pool[] = {big_sf.get()};
-  const auto big_res =
-      net::simulate_candidates(big_pool, elem_counts, 4, big_rc, cp, &memo);
-  ASSERT_EQ(big_res.size(), 1u);
-  ASSERT_EQ(big_res[0].size(), elem_counts.size());
-  const size_t after_huge = net::candidate_scratch_resident_bytes();
+  const net::RouteCache big_rc(big_topo, big_pl);
+  // The spike premise: the schedule's route CSR (one 4 B slot id per link
+  // of every distinct send pair's path) overflows the cap. If the cap ever
+  // grows, pick a bigger p.
+  std::vector<std::uint8_t> seen(static_cast<size_t>(p * p), 0);
+  size_t csr_slots = 0;
+  for (size_t i = 0; i < big_sf->num_ops(); ++i) {
+    if (big_sf->kind[i] != sched::OpKind::send) continue;
+    std::uint8_t& s = seen[static_cast<size_t>(big_sf->rank[i] * p + big_sf->peer[i])];
+    if (s == 0) csr_slots += big_rc.path(big_sf->rank[i], big_sf->peer[i]).size();
+    s = 1;
+  }
+  ASSERT_GT(csr_slots * sizeof(std::uint32_t), kCapBytes);
+  const auto big_res = net::simulate(*big_sf, elem_counts, 4, big_rc, cp, memo);
+  ASSERT_EQ(big_res.size(), elem_counts.size());
+  const size_t after_huge = net::sim_scratch_resident_bytes();
   EXPECT_GT(after_huge, kCapBytes);  // hot scratch is kept while in use
 
   net::Torus small_topo(std::vector<i64>{4, 4, 2}, 6.8e9);
   const net::Placement small_pl = scrambled_placement(27, small_topo.num_nodes());
   const net::RouteCache small_rc(small_topo, small_pl);
-  Pool small_pool = registry_pool(sched::Collective::allreduce, 27);
+  const Pool small_pool = registry_pool(sched::Collective::allreduce, 27);
   ASSERT_FALSE(small_pool.ptrs.empty());
-  (void)net::simulate_candidates(small_pool.ptrs, elem_counts, 4, small_rc, cp, &memo);
-  const size_t after_small = net::candidate_scratch_resident_bytes();
+  for (const sched::SizeFreeSchedule* sf : small_pool.ptrs)
+    (void)net::simulate(*sf, elem_counts, 4, small_rc, cp, memo);
+  const size_t after_small = net::sim_scratch_resident_bytes();
   EXPECT_LT(after_small, kCapBytes);  // the outsized arenas were released
   EXPECT_LT(after_small, after_huge);
 }

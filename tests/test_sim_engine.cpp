@@ -231,11 +231,11 @@ TEST(SimEngine, RaggedScheduleIsNotUnderSimulated) {
   // The batched engine walks the same ragged steps.
   const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
   ASSERT_TRUE(sf.size_independent);
-  const sched::SizeFreeSchedule* const pool[] = {&sf};
   const i64 counts[] = {sch.elem_count};
+  net::PairRouteMemo memo;
   const auto batched =
-      net::simulate_candidates(pool, counts, sch.elem_size, net::RouteCache(topo, pl), cp);
-  expect_bitwise_eq(batched[0][0], fast, "ragged");
+      net::simulate(sf, counts, sch.elem_size, net::RouteCache(topo, pl), cp, memo);
+  expect_bitwise_eq(batched[0], fast, "ragged");
 }
 
 // Sweeps through the batched engine must be byte-identical across worker

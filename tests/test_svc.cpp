@@ -301,7 +301,7 @@ TEST(Svc, SweepJobMatchesLocalRunAndCaches) {
   EXPECT_EQ(stats.plan_cache_misses, 1u);
   EXPECT_EQ(stats.plan_cache_hits, 1u);
   EXPECT_EQ(stats.journal_executed, 2);
-  // The executed job ran its cells candidate-batched through the process-wide
+  // The executed job ran its cells through the process-wide
   // route memo; the local exp::run above already warmed the scope, so the
   // job's pair resolutions were hits.
   EXPECT_GT(stats.route_memo_hits, 0u);
