@@ -1,5 +1,5 @@
 // Tuned-dispatch quickstart: build a decision table for two systems, persist
-// it, reload it, and dispatch allreduce through harness::TunedRunner.
+// it, reload it, and dispatch allreduce through tune::select + Runner::run.
 //
 //   build/tuned_allreduce
 //
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "harness/runner.hpp"
-#include "harness/tuned_runner.hpp"
 #include "net/profiles.hpp"
 #include "tune/decision_table.hpp"
 #include "tune/tuner.hpp"
@@ -40,21 +39,26 @@ int main() {
 
   // 3. Dispatch: table hits in O(log intervals), heuristic default on miss.
   for (const auto& profile : profiles) {
-    harness::TunedRunner runner(profile, table);
+    harness::Runner runner(profile, opts.spread_placement, opts.seed);
+    unsigned long long hits = 0, misses = 0;
+    const auto dispatch = [&](i64 nodes, i64 bytes) -> const coll::AlgorithmEntry& {
+      const tune::Selection sel =
+          tune::select(table, profile, Collective::allreduce, nodes, bytes);
+      ++(sel.from_table ? hits : misses);
+      return *sel.entry;
+    };
     std::printf("%s:\n", profile.name.c_str());
     for (const i64 bytes : {i64{1024}, i64{262144}, i64{33554432}}) {
-      const auto& algo = runner.select(Collective::allreduce, 64, bytes);
-      const harness::RunResult r = runner.run(Collective::allreduce, 64, bytes);
+      const coll::AlgorithmEntry& algo = dispatch(64, bytes);
+      const harness::RunResult r = runner.run(Collective::allreduce, algo, 64, bytes);
       std::printf("  allreduce %9lld B on 64 nodes -> %-18s %.3f ms simulated\n",
                   static_cast<long long>(bytes), algo.name.c_str(), 1e3 * r.seconds);
     }
-    // p=20 was never tuned: the miss policy serves the paper's heuristic.
-    const auto& fallback = runner.select(Collective::allreduce, 20, 65536);
+    // p=20 was never tuned: select serves the paper's heuristic.
+    const coll::AlgorithmEntry& fallback = dispatch(20, 65536);
     std::printf("  allreduce untuned p=20          -> %-18s (heuristic fallback; "
                 "%llu hits, %llu misses)\n\n",
-                fallback.name.c_str(),
-                static_cast<unsigned long long>(runner.table_hits()),
-                static_cast<unsigned long long>(runner.table_misses()));
+                fallback.name.c_str(), hits, misses);
   }
   return 0;
 }

@@ -58,7 +58,6 @@ const char* to_string(tune::MissPolicy p) {
   switch (p) {
     case tune::MissPolicy::heuristic_default: return "heuristic_default";
     case tune::MissPolicy::error: return "error";
-    case tune::MissPolicy::tune_on_miss: return "tune_on_miss";
   }
   return "?";
 }
@@ -66,7 +65,6 @@ const char* to_string(tune::MissPolicy p) {
 tune::MissPolicy miss_policy_from_string(std::string_view s) {
   if (s == "heuristic_default") return tune::MissPolicy::heuristic_default;
   if (s == "error") return tune::MissPolicy::error;
-  if (s == "tune_on_miss") return tune::MissPolicy::tune_on_miss;
   throw std::invalid_argument("plan: unknown miss_policy \"" + std::string(s) + "\"");
 }
 

@@ -7,7 +7,6 @@
 #include <type_traits>
 
 #include "core/fnv.hpp"
-#include "harness/parallel.hpp"
 #include "net/simulate.hpp"
 #include "runtime/compiled_executor.hpp"
 #include "runtime/verify.hpp"
@@ -378,28 +377,6 @@ VerifiedRun Runner::run_verified(Collective coll, const coll::AlgorithmEntry& al
       return run_verified_impl<double>(coll, algo, nodes, size_bytes, threads, op);
   }
   throw std::logic_error("unknown element type");
-}
-
-std::vector<VerifiedRun> Runner::sweep_verified(const std::vector<VerifiedQuery>& queries,
-                                                i64 threads, i64 exec_threads) {
-  // Cells already fan out across the sweep workers; letting every worker's
-  // executor also auto-thread (exec_threads == 0 at >= 1 MiB vectors) would
-  // nest thread pools and oversubscribe. Only an effectively serial sweep
-  // (one worker, or a single query) passes the auto default through.
-  i64 workers = threads <= 0 ? default_thread_count() : threads;
-  workers = std::min<i64>(workers, static_cast<i64>(queries.size()));
-  if (exec_threads == 0 && workers > 1) exec_threads = 1;
-  std::vector<VerifiedRun> results(queries.size());
-  parallel_for(
-      static_cast<i64>(queries.size()),
-      [&](i64 i) {
-        const VerifiedQuery& q = queries[static_cast<size_t>(i)];
-        const auto& entry = coll::find_algorithm(q.coll, q.algorithm);
-        results[static_cast<size_t>(i)] = run_verified(
-            q.coll, entry, q.nodes, q.size_bytes, exec_threads, q.elem, q.op);
-      },
-      threads);
-  return results;
 }
 
 void Runner::use_private_schedule_cache() {

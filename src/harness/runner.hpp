@@ -28,6 +28,9 @@
 /// default: every Runner (one per SystemProfile in the table benches) shares
 /// entries, and both the simulation path (`run_candidates`) and the execution path
 /// (`exec_plan`/`run_verified`) resolve from the same cached size-free IR.
+/// Batches of verified cells run as exp::run plans with
+/// Backend::execute_verified, which fans cells out and keeps executor
+/// thread pools from nesting.
 namespace bine::harness {
 
 struct RunResult {
@@ -56,17 +59,6 @@ struct VerifiedRun {
   /// fresh plan paths; 0 until the run verified ok. Sweep outputs carry it so
   /// tuning/refinement stages can trust (and cross-check) verified cells.
   u64 digest = 0;
-};
-
-/// One cell of a verified-execution sweep: execute `algorithm` over real
-/// buffers with the given element type and reduce op, verify, and digest.
-struct VerifiedQuery {
-  sched::Collective coll{};
-  std::string algorithm;
-  i64 nodes = 0;
-  i64 size_bytes = 0;
-  runtime::ElemType elem = runtime::ElemType::u32;
-  runtime::ReduceOp op = runtime::ReduceOp::sum;
 };
 
 /// Vector sizes used throughout Sec. 5 (bytes): 32 B ... 512 MiB. The bench
@@ -140,7 +132,11 @@ class Runner {
 
   /// Compiled execution plan for one cell, pulled from the schedule cache
   /// when possible (so verify-heavy runs skip generation on a hit, exactly
-  /// like the simulation path). Callers hand the plan to runtime::execute.
+  /// like the simulation path). Without a usable entry the cell's fresh
+  /// schedule goes through ExecPlan::lower -- the same size-free compile
+  /// run_candidates' fresh branch uses -- so a schedule whose blocks do not
+  /// derive its bytes throws here as it does there. Callers hand the plan
+  /// to runtime::execute.
   [[nodiscard]] runtime::ExecPlan exec_plan(sched::Collective coll,
                                             const coll::AlgorithmEntry& algo, i64 nodes,
                                             i64 size_bytes, bool* used_cache = nullptr,
@@ -160,15 +156,6 @@ class Runner {
                                          i64 size_bytes, i64 threads = 0,
                                          runtime::ElemType elem = runtime::ElemType::u32,
                                          runtime::ReduceOp op = runtime::ReduceOp::sum);
-
-  /// Verified execution as a sweep mode: evaluate every query, fanning cells
-  /// out over at most `threads` workers (<= 0 = default_thread_count()),
-  /// each cell executed with `exec_threads` executor threads. Results are
-  /// index-addressed and byte-identical -- digests included -- for any
-  /// worker count.
-  [[nodiscard]] std::vector<VerifiedRun> sweep_verified(
-      const std::vector<VerifiedQuery>& queries, i64 threads = 0,
-      i64 exec_threads = 0);
 
   /// Toggle the size-independent schedule cache (default: on, unless the
   /// BINE_SCHED_CACHE environment variable is set to 0). The cached and

@@ -7,26 +7,35 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sched/compiled.hpp"
-
 namespace bine::runtime {
 
 namespace {
 
-/// The per-step dataflow analysis over one delivery stream: receiver runs,
-/// zero-copy direct marks, fused symmetric pairs, and per-step staging block
-/// offsets. Pure structure -- nothing here touches element counts -- which is
-/// what makes the result cacheable per schedule entry. `block_begin`/`ids`
-/// are moved into the returned skeleton.
-ExecSkeleton analyze_structure(size_t steps, std::span<const std::uint32_t> step_begin,
-                               std::span<const std::int32_t> to,
-                               std::span<const std::int32_t> from,
-                               std::span<const std::uint8_t> reduce, i64 p, i64 nblocks,
-                               std::vector<std::uint32_t>&& block_begin,
-                               std::vector<i64>&& ids) {
+/// The per-step dataflow analysis over one entry's delivery stream: receiver
+/// runs, zero-copy direct marks, fused symmetric pairs, and per-step staging
+/// block offsets. Pure structure -- nothing here touches element counts --
+/// which is what makes the result cacheable per schedule entry.
+ExecSkeleton analyze_structure(const sched::SizeFreeSchedule& sf) {
+  const size_t steps = sf.steps;
+  const std::span<const std::uint32_t> step_begin = sf.recv_step_begin;
+  const std::span<const std::int32_t> to = sf.recv_rank;
+  const std::span<const std::int32_t> from = sf.recv_peer;
+  const std::span<const std::uint8_t> reduce = sf.recv_reduce;
+  const i64 p = sf.p;
+  const i64 nblocks = sf.nblocks;
+
   ExecSkeleton sk;
-  sk.block_begin = std::move(block_begin);
-  sk.ids = std::move(ids);
+  // Expand the overlay's block ranges once; every later hit reuses them.
+  sk.block_begin.reserve(to.size() + 1);
+  sk.block_begin.push_back(0);
+  for (size_t i = 0; i < to.size(); ++i) {
+    const std::span<const sched::BlockRange> rs{
+        sf.recv_ranges.data() + sf.recv_block_begin[i],
+        sf.recv_ranges.data() + sf.recv_block_begin[i + 1]};
+    for (const sched::BlockRange& br : rs)
+      for (i64 k = 0; k < br.count; ++k) sk.ids.push_back(pmod(br.begin + k, nblocks));
+    sk.block_begin.push_back(static_cast<std::uint32_t>(sk.ids.size()));
+  }
 
   const size_t nops = to.size();
   sk.run_begin.clear();
@@ -135,28 +144,8 @@ ExecSkeleton analyze_structure(size_t steps, std::span<const std::uint32_t> step
 std::shared_ptr<const ExecSkeleton> ExecSkeleton::of(const sched::SizeFreeSchedule& sf) {
   sched::SizeFreeSchedule::DerivedSlot& slot = *sf.derived;
   const std::scoped_lock lock(slot.mutex);
-  if (slot.value)
-    return std::static_pointer_cast<const ExecSkeleton>(slot.value);
-
-  // Expand the overlay's block ranges once; every later hit reuses them.
-  const size_t ops = sf.num_recv_ops();
-  std::vector<std::uint32_t> block_begin;
-  std::vector<i64> ids;
-  block_begin.reserve(ops + 1);
-  block_begin.push_back(0);
-  for (size_t i = 0; i < ops; ++i) {
-    const std::span<const sched::BlockRange> rs{
-        sf.recv_ranges.data() + sf.recv_block_begin[i],
-        sf.recv_ranges.data() + sf.recv_block_begin[i + 1]};
-    for (const sched::BlockRange& br : rs)
-      for (i64 k = 0; k < br.count; ++k) ids.push_back(pmod(br.begin + k, sf.nblocks));
-    block_begin.push_back(static_cast<std::uint32_t>(ids.size()));
-  }
-  auto built = std::make_shared<const ExecSkeleton>(analyze_structure(
-      sf.steps, sf.recv_step_begin, sf.recv_rank, sf.recv_peer, sf.recv_reduce, sf.p,
-      sf.nblocks, std::move(block_begin), std::move(ids)));
-  slot.value = built;
-  return built;
+  if (!slot.value) slot.value = std::make_shared<const ExecSkeleton>(analyze_structure(sf));
+  return std::static_pointer_cast<const ExecSkeleton>(slot.value);
 }
 
 void ExecPlan::finalize_sizes() {
@@ -217,48 +206,10 @@ ExecPlan ExecPlan::lower(const sched::Schedule& s) {
     throw std::runtime_error("executor requires a detail-mode schedule");
   if (const std::string err = s.validate(); !err.empty())
     throw std::runtime_error("invalid schedule: " + err);
-
-  ExecPlan plan;
-  plan.coll = s.coll;
-  plan.space = s.space;
-  plan.p = s.p;
-  plan.nblocks = s.nblocks;
-  plan.elem_count = s.elem_count;
-  plan.elem_size = s.elem_size;
-  plan.root = s.root;
-  plan.steps = s.num_steps();
-  plan.own.step_begin.reserve(plan.steps + 1);
-  plan.own.step_begin.push_back(0);
-
-  std::vector<std::uint32_t> block_begin;
-  std::vector<i64> ids;
-  block_begin.push_back(0);
-  sched::for_each_op_step_major(
-      s, plan.steps,
-      [&](Rank r, const sched::Op& op) {
-        if (op.kind != sched::OpKind::recv && op.kind != sched::OpKind::recv_reduce)
-          return;
-        plan.own.to.push_back(static_cast<std::int32_t>(r));
-        plan.own.from.push_back(static_cast<std::int32_t>(op.peer));
-        plan.own.reduce.push_back(op.kind == sched::OpKind::recv_reduce ? 1 : 0);
-        plan.op_bytes.push_back(op.bytes);
-        for (const sched::BlockRange& br : op.blocks.ranges())
-          for (i64 k = 0; k < br.count; ++k)
-            ids.push_back(pmod(br.begin + k, s.nblocks));
-        block_begin.push_back(static_cast<std::uint32_t>(ids.size()));
-      },
-      [&](size_t) {
-        plan.own.step_begin.push_back(static_cast<std::uint32_t>(plan.own.to.size()));
-      });
-  plan.step_begin = plan.own.step_begin;
-  plan.to = plan.own.to;
-  plan.from = plan.own.from;
-  plan.reduce = plan.own.reduce;
-  plan.skeleton = std::make_shared<const ExecSkeleton>(
-      analyze_structure(plan.steps, plan.step_begin, plan.to, plan.from, plan.reduce,
-                        plan.p, plan.nblocks, std::move(block_begin), std::move(ids)));
-  plan.finalize_sizes();
-  return plan;
+  auto sf = std::make_shared<const sched::SizeFreeSchedule>(sched::SizeFreeSchedule::from(s));
+  if (!sf->size_independent)
+    throw std::runtime_error("executor requires a schedule whose blocks derive its bytes");
+  return from_size_free(std::move(sf), s.coll, s.root, s.elem_count, s.elem_size);
 }
 
 ExecPlan ExecPlan::from_size_free(std::shared_ptr<const sched::SizeFreeSchedule> sf,
@@ -293,7 +244,7 @@ ExecPlan ExecPlan::from_size_free(std::shared_ptr<const sched::SizeFreeSchedule>
         sf->recv_ranges.data() + sf->recv_block_begin[i],
         sf->recv_ranges.data() + sf->recv_block_begin[i + 1]};
     // The same arithmetic the generator's add_exchange baked the bytes with:
-    // from() verified they agree, so the cached plan is bit-exact with lower().
+    // from() verified they agree, so the plan's bytes are the schedule's.
     plan.op_bytes[i] = sched::ranges_elem_count(rs, n, sf->nblocks) * elem_size;
   }
   plan.keepalive = std::move(sf);

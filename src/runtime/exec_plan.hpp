@@ -25,29 +25,27 @@
 ///     state is ONE flat buffer instead of per-slot vectors, and contributor
 ///     sets are fixed-width bitset word runs in one flat array;
 ///   * per step: op and receiver-run CSR ranges, plus staging prefix sums
-///     (`elem_prefix`) sized once at lowering time, so execution performs no
+///     (`elem_prefix`) sized once at plan build time, so execution performs no
 ///     per-step allocation at all.
 ///
 /// Columns split along the size axis exactly like CompiledSchedule's:
 /// everything except byte/element arithmetic is a pure function of schedule
-/// *structure*, so those columns are exposed as read-only spans. On the
-/// `lower` path they point at the plan's own storage; on the
-/// `from_size_free` path the delivery stream aliases the cache entry's
-/// execution overlay directly and the derived structural columns alias an
-/// `ExecSkeleton` -- the finalized, size-free dataflow analysis (receiver
-/// runs, zero-copy direct marks, fused symmetric pairs, staging block
-/// offsets) built ONCE per entry and cached on it, so a cache hit pays only
-/// for the size-dependent columns (`op_bytes`, `block_off`, `elem_prefix`,
-/// `stage_elem_off`). Because spans may alias `own`, an ExecPlan is movable
-/// but not copyable.
+/// *structure*, so those columns are exposed as read-only spans. The delivery
+/// stream aliases a sched::SizeFreeSchedule's execution overlay directly and
+/// the derived structural columns alias an `ExecSkeleton` -- the finalized,
+/// size-free dataflow analysis (receiver runs, zero-copy direct marks, fused
+/// symmetric pairs, staging block offsets) built ONCE per entry and cached on
+/// it, so a cache hit pays only for the size-dependent columns (`op_bytes`,
+/// `block_off`, `elem_prefix`, `stage_elem_off`). The plan owns no delivery
+/// storage: `keepalive` and `skeleton` hold what the spans point into.
 ///
-/// Built two ways, bit-identically (the parity tests assert it):
-///   * `lower(Schedule)` -- validate + flatten the nested representation
-///     (the uncached oracle-side path);
-///   * `from_size_free(entry, ...)` -- re-materialize from the execution
-///     overlay of a cached sched::SizeFreeSchedule, which is how
-///     harness::Runner's verify path skips generation entirely on a
-///     schedule-cache hit.
+/// One construction path, `from_size_free(entry, ...)`, which is how
+/// harness::Runner's verify path skips generation entirely on a
+/// schedule-cache hit. `lower(Schedule)` is the uncached front end: it
+/// rejects coarse-mode and invalid schedules, compiles
+/// SizeFreeSchedule::from(s) -- rejecting a schedule whose blocks do not
+/// derive its bytes, as the simulator does -- and hands the fresh entry to
+/// `from_size_free`.
 namespace bine::runtime {
 
 /// The size-invariant finalized structure of one delivery stream: expanded
@@ -89,7 +87,7 @@ struct ExecPlan {
 
   // One record per delivery (recv or recv_reduce), step-major,
   // receiver-grouped, receiver op order preserved. Size-invariant: spans
-  // into `own` (lower) or the cache entry / its skeleton (from_size_free).
+  // into the size-free entry or its skeleton.
   std::span<const std::uint32_t> step_begin;    ///< steps+1 CSR over deliveries
   std::span<const std::int32_t> to;             ///< receiving rank
   std::span<const std::int32_t> from;           ///< sending rank
@@ -145,20 +143,15 @@ struct ExecPlan {
   /// every delivery lands direct, fused, or through in-place tiles.
   i64 stage_bytes = 0;
 
-  ExecPlan() = default;
-  ExecPlan(ExecPlan&&) noexcept = default;
-  ExecPlan& operator=(ExecPlan&&) noexcept = default;
-  ExecPlan(const ExecPlan&) = delete;
-  ExecPlan& operator=(const ExecPlan&) = delete;
-
   [[nodiscard]] size_t num_ops() const noexcept { return to.size(); }
   [[nodiscard]] i64 block_len(i64 id) const noexcept {
     return block_off[static_cast<size_t>(id) + 1] - block_off[static_cast<size_t>(id)];
   }
 
-  /// Validate `s` and flatten it. Throws std::runtime_error on coarse-mode
-  /// or structurally invalid schedules (the same contract execute_reference
-  /// enforces at run time).
+  /// Validate `s`, compile it size-free and re-materialize it at its own
+  /// size. Throws std::runtime_error on coarse-mode or structurally invalid
+  /// schedules (the same contract execute_reference enforces at run time)
+  /// and on schedules whose blocks do not derive their bytes.
   [[nodiscard]] static ExecPlan lower(const sched::Schedule& s);
 
   /// Re-materialize from a cached entry's execution overlay for a concrete
@@ -170,16 +163,7 @@ struct ExecPlan {
       std::shared_ptr<const sched::SizeFreeSchedule> sf, sched::Collective coll,
       Rank root, i64 elem_count, i64 elem_size);
 
-  /// Owned backing storage for the `lower` path's delivery stream
-  /// (`from_size_free` aliases the cache entry instead).
-  struct Storage {
-    std::vector<std::uint32_t> step_begin;
-    std::vector<std::int32_t> to;
-    std::vector<std::int32_t> from;
-    std::vector<std::uint8_t> reduce;
-  } own;
-  /// Structural columns' owner: `lower` builds a private skeleton,
-  /// `from_size_free` shares the entry's cached one.
+  /// Structural columns' owner: the entry's cached skeleton.
   std::shared_ptr<const ExecSkeleton> skeleton;
   /// Keeps the cache entry alive while delivery spans alias it.
   std::shared_ptr<const void> keepalive;

@@ -101,7 +101,7 @@ struct CompiledSchedule {
 /// contributing nothing past their last step. Calls `op(rank, o)` per op and
 /// `step_end(t)` after each step. This is the one definition of IR order,
 /// shared by the simulation lowering below and the execution-overlay build in
-/// SizeFreeSchedule::from / runtime::ExecPlan::lower.
+/// SizeFreeSchedule::from (which runtime::ExecPlan::lower goes through).
 template <class OpFn, class StepEndFn>
 void for_each_op_step_major(const Schedule& s, size_t steps, OpFn&& op,
                             StepEndFn&& step_end) {

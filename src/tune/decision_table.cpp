@@ -276,14 +276,13 @@ Selection select(const DecisionTable& table, const net::SystemProfile& profile,
           "' (fingerprint " + hex_u64(it->second) + " != " + hex_u64(expect) +
           "); the machine model changed -- re-tune");
   }
+  bytes = std::max<i64>(bytes, 0);  // cells cover [0, inf); no negative probes
   if (const std::string* name = table.lookup(profile.name, coll, p, bytes))
     return {&coll::find_algorithm(coll, *name), true};
   if (policy == MissPolicy::error)
     throw std::runtime_error(std::string("decision table: no cell for ") +
                              to_string(coll) + " p=" + std::to_string(p) + " on '" +
                              profile.name + "'");
-  // heuristic_default -- and tune_on_miss without a Tuner at hand
-  // (harness::TunedRunner implements the tuning variant).
   return {&coll::recommended_algorithm(coll, p, std::max<i64>(bytes, 1)), false};
 }
 

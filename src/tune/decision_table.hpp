@@ -14,8 +14,9 @@
 /// piecewise decomposition of the message-size axis into intervals with one
 /// winning algorithm each (the crossover structure every collective-tuning
 /// system from Barchet-Estefanel & Mounié onward persists). tune::Tuner
-/// builds tables from sharded candidate sweeps; tune::select() and
-/// harness::TunedRunner dispatch through them in O(log intervals).
+/// builds tables from sharded candidate sweeps; tune::select() (in process)
+/// and svc::Server (over a socket) dispatch through them in O(log
+/// intervals).
 ///
 /// Artifact format: versioned JSON (`kTableFormat`/`kTableVersion`), one
 /// fingerprint per profile so a table can never silently serve winners tuned
@@ -28,7 +29,7 @@
 ///   * algorithms that no longer exist in coll::registry are *demoted* to
 ///     the heuristic default for their cell -- reported via LoadReport, so
 ///     callers can warn -- instead of failing dispatch at runtime;
-///   * consumers (select / TunedRunner) verify the profile fingerprint
+///   * consumers (select / svc::Server) verify the profile fingerprint
 ///     before serving a single decision.
 namespace bine::tune {
 
@@ -134,13 +135,13 @@ class DecisionTable {
   std::map<CellKey, std::vector<SizeInterval>> cells_;
 };
 
-/// What a dispatcher does when the table has no cell for a query.
+/// What select() does when the table has no cell for a query. Tuning a
+/// missed cell is svc::Server's job (single-flight, persisted), not a
+/// select() policy. The integer values are hashed into plan fingerprints,
+/// journal keys and svc result-cache keys, so they never change.
 enum class MissPolicy {
-  heuristic_default,  ///< serve coll::recommended_algorithm (the paper's rules)
-  error,              ///< throw std::runtime_error
-  tune_on_miss,       ///< harness::TunedRunner tunes the cell, then serves it;
-                      ///< plain select() (no Tuner at hand) falls back to the
-                      ///< heuristic default
+  heuristic_default = 0,  ///< serve coll::recommended_algorithm (the paper's rules)
+  error = 1,              ///< throw std::runtime_error
 };
 
 struct Selection {
@@ -149,6 +150,7 @@ struct Selection {
 };
 
 /// Tuned dispatch: the winning algorithm for (coll, p, bytes) on `profile`.
+/// Negative `bytes` clamp to 0, so a tuned cell serves its first interval.
 /// Throws std::runtime_error when the table names `profile` with a different
 /// fingerprint (a stale table must never silently serve), and on a miss
 /// under MissPolicy::error.

@@ -54,7 +54,7 @@ struct TunerOptions {
   /// Shard width for build(); <= 0 = harness::default_thread_count().
   i64 threads = 0;
   /// Runner knobs (must match the consumer's Runner for the table to be
-  /// faithful; TunedRunner uses the same defaults).
+  /// faithful; svc::Server builds its tune-on-miss Runners from them).
   bool spread_placement = true;
   u64 seed = 42;
   /// Self-healing builds: a cell whose work item still throws after retries

@@ -70,7 +70,7 @@ exp::SweepPlan full_plan() {
   plan.elem = runtime::ElemType::f64;
   plan.op = runtime::ReduceOp::max;
   plan.exec_threads = 2;
-  plan.miss_policy = tune::MissPolicy::tune_on_miss;
+  plan.miss_policy = tune::MissPolicy::error;
   plan.threads = 3;
   plan.on_error = exp::SweepPlan::OnError::isolate;
   plan.transient_retries = 2;
@@ -124,9 +124,20 @@ TEST(PlanCodec, FullRoundTripIsByteStable) {
   EXPECT_EQ(back.backend, exp::Backend::execute_verified);
   EXPECT_EQ(back.elem, runtime::ElemType::f64);
   EXPECT_EQ(back.op, runtime::ReduceOp::max);
-  EXPECT_EQ(back.miss_policy, tune::MissPolicy::tune_on_miss);
+  EXPECT_EQ(back.miss_policy, tune::MissPolicy::error);
   EXPECT_EQ(back.journal_salt, 0xdeadbeefcafe1234ull);
   EXPECT_EQ(back.cell_deadline_ms, 60000);
+}
+
+// Tuning a missed cell is the service's job, not a plan policy: the retired
+// "tune_on_miss" name is rejected like any unknown one.
+TEST(PlanCodec, TuneOnMissPolicyIsRejected) {
+  std::string doc = exp::plan_to_json(minimal_plan());
+  const std::string from = "\"heuristic_default\"";
+  const size_t at = doc.find(from);
+  ASSERT_NE(at, std::string::npos);
+  doc.replace(at, from.size(), "\"tune_on_miss\"");
+  EXPECT_THROW((void)exp::plan_from_json(doc), std::invalid_argument);
 }
 
 TEST(PlanCodec, FingerprintSurvivesRoundTrip) {

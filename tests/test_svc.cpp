@@ -3,8 +3,9 @@
 // tune::select against the same table; the staleness handshake (fingerprint
 // mismatch -> structured error, wrong profile -> structured error); explicit
 // pipelining; single-flight tune-on-miss under concurrent clients (exactly
-// one Tuner build per distinct missed cell) with responses deterministic
-// across client thread counts {1, 4}; sweep jobs matching a local exp::run
+// one Tuner build per distinct missed cell, each filled cell equal to tuning
+// it directly) with responses deterministic across client thread counts
+// {1, 4}; sweep jobs matching a local exp::run
 // byte-for-byte, with the plan-level cache turning resubmission into an
 // identical replay; table persistence across server restarts; startup
 // stale-temp hygiene; the stats document; and protocol robustness (garbage
@@ -24,11 +25,13 @@
 #include "coll/registry.hpp"
 #include "exp/plan_codec.hpp"
 #include "exp/sweep.hpp"
+#include "harness/runner.hpp"
 #include "net/profiles.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
 #include "tune/decision_table.hpp"
 #include "tune/json.hpp"
+#include "tune/tuner.hpp"
 
 using namespace bine;
 using sched::Collective;
@@ -218,6 +221,7 @@ std::pair<std::map<std::string, std::string>, u64> run_mixed_queries(
   opts.table_path = table_path;
   opts.tune_on_miss = true;
   opts.tuner.size_grid = {1024, 1 << 16};  // small grid: tests tune live
+  const tune::TunerOptions tuner_opts = opts.tuner;
   TestServer ts(tag, std::move(opts));
   ts.server->start();
 
@@ -251,7 +255,23 @@ std::pair<std::map<std::string, std::string>, u64> run_mixed_queries(
   // Every thread observed the same winner for every query.
   for (const auto& m : per_thread) EXPECT_EQ(m, per_thread[0]);
 
+  // Each merged cell equals tuning that cell directly, on a Runner built
+  // from the same tuner knobs the server builds its miss Runners from.
+  const auto live = ts.server->table();
+  for (const auto& [key, intervals] : live->cells()) {
+    if (key.coll == Collective::allgather) continue;  // the seeded cell
+    harness::Runner fresh(lumi, tuner_opts.spread_placement, tuner_opts.seed);
+    EXPECT_EQ(intervals, tune::Tuner(tuner_opts).tune_cell(fresh, key.coll, key.p))
+        << sched::to_string(key.coll) << " p=" << key.p;
+  }
+  EXPECT_EQ(live->cells().size(), 3u);
+
+  // Another size of a filled cell is a table hit and funds no build.
   const u64 builds = ts.server->stats_snapshot().tune_builds;
+  const svc::SelectReply other =
+      ts.connect().select(make_request(lumi, Collective::allreduce, 8, 1 << 20));
+  EXPECT_TRUE(other.from_table);
+  EXPECT_EQ(ts.server->stats_snapshot().tune_builds, builds);
   std::remove(table_path.c_str());
   return {per_thread[0], builds};
 }

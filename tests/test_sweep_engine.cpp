@@ -4,10 +4,13 @@
 // bit-identically across shard widths {1, 4} and schedule cache on/off; the
 // planner's cell dedup; canonical row ordering and JSON stability; the
 // custom-backend placeholder axes; NodeAxis per-collective extension; and
-// the verified-execution backend's digest parity with Runner::run_verified.
+// the verified-execution backend's digest parity with Runner::run_verified
+// across element types, reduce ops, shard widths and cache modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -164,35 +167,72 @@ TEST(SweepEngine, GoldenParityTunedDispatch) {
     }
 }
 
-// Verified-execution backend vs Runner::run_verified -- digests included.
+// Verified-execution backend vs Runner::run_verified -- digests included --
+// for every element type x {sum, min, max}, bit-identical across shard
+// widths {1, 4} and schedule cache on/off. ring and recursive_doubling
+// compute the same allreduce, so each (p, size) has one digest per
+// (elem, op).
 TEST(SweepEngine, GoldenParityExecuteVerified) {
-  exp::SweepPlan plan;
-  plan.name = "golden_verified";
-  plan.systems = {exp::SystemSpec{net::lumi_profile()}};
-  plan.colls = {Collective::allreduce};
-  plan.series = {exp::Series::single("recursive_doubling"),
-                 exp::Series::single("ring")};
-  plan.nodes.counts = {16};
-  plan.sizes = {1024, 8192};
-  plan.backend = exp::Backend::execute_verified;
-  plan.elem = runtime::ElemType::u64;
-  const exp::SweepResult result = exp::run(plan);
-
+  const std::vector<i64> nodes = {8, 16};  // two cells, so shard width 4 fans out
+  const std::vector<i64> sizes = {1024, 8192};
   harness::Runner runner(net::lumi_profile());
-  for (size_t k = 0; k < plan.series.size(); ++k)
-    for (size_t si = 0; si < plan.sizes.size(); ++si) {
-      const harness::VerifiedRun v = runner.run_verified(
-          Collective::allreduce,
-          coll::find_algorithm(Collective::allreduce, plan.series[k].algorithms[0]),
-          16, plan.sizes[si], /*threads=*/0, runtime::ElemType::u64,
-          runtime::ReduceOp::sum);
-      const exp::Metrics& m = result.at(0, 0, 0, si, k);
-      EXPECT_TRUE(m.ok);
-      EXPECT_EQ(m.ok, v.ok);
-      EXPECT_EQ(m.digest, v.digest);
-      EXPECT_EQ(m.messages, v.messages);
-      EXPECT_EQ(m.wire_bytes, v.wire_bytes);
+  std::vector<std::set<u64>> digests(nodes.size() * sizes.size());
+  for (const runtime::ElemType elem :
+       {runtime::ElemType::u32, runtime::ElemType::u64, runtime::ElemType::f32,
+        runtime::ElemType::f64})
+    for (const runtime::ReduceOp op :
+         {runtime::ReduceOp::sum, runtime::ReduceOp::min, runtime::ReduceOp::max}) {
+      std::optional<exp::SweepResult> first;
+      for (const bool cache : {true, false})
+        for (const i64 threads : {i64{1}, i64{4}}) {
+          SCOPED_TRACE(std::string(runtime::to_string(elem)) + "/" +
+                       runtime::to_string(op) + " cache=" + std::to_string(cache) +
+                       " threads=" + std::to_string(threads));
+          exp::SweepPlan plan;
+          plan.name = "golden_verified";
+          plan.systems = {exp::SystemSpec{net::lumi_profile()}};
+          plan.systems[0].schedule_cache = cache;
+          plan.colls = {Collective::allreduce};
+          plan.series = {exp::Series::single("recursive_doubling"),
+                         exp::Series::single("ring")};
+          plan.nodes.counts = nodes;
+          plan.sizes = sizes;
+          plan.backend = exp::Backend::execute_verified;
+          plan.elem = elem;
+          plan.op = op;
+          plan.threads = threads;
+          exp::SweepResult result = exp::run(plan);
+          for (size_t ni = 0; ni < nodes.size(); ++ni)
+            for (size_t k = 0; k < plan.series.size(); ++k)
+              for (size_t si = 0; si < sizes.size(); ++si) {
+                const exp::Metrics& m = result.at(0, 0, ni, si, k);
+                EXPECT_TRUE(m.ok) << m.error;
+                EXPECT_NE(m.digest, 0u);
+                if (!cache) {
+                  EXPECT_FALSE(m.used_cache);
+                }
+                if (first) {
+                  const exp::Metrics& f = first->at(0, 0, ni, si, k);
+                  EXPECT_EQ(m.digest, f.digest);
+                  EXPECT_EQ(m.messages, f.messages);
+                  EXPECT_EQ(m.wire_bytes, f.wire_bytes);
+                  continue;
+                }
+                const harness::VerifiedRun v = runner.run_verified(
+                    Collective::allreduce,
+                    coll::find_algorithm(Collective::allreduce,
+                                         plan.series[k].algorithms[0]),
+                    nodes[ni], sizes[si], /*threads=*/0, elem, op);
+                EXPECT_EQ(m.ok, v.ok);
+                EXPECT_EQ(m.digest, v.digest);
+                EXPECT_EQ(m.messages, v.messages);
+                EXPECT_EQ(m.wire_bytes, v.wire_bytes);
+                digests[ni * sizes.size() + si].insert(m.digest);
+              }
+          if (!first) first = std::move(result);
+        }
     }
+  for (const std::set<u64>& per_cell : digests) EXPECT_EQ(per_cell.size(), 12u);
 }
 
 // Rows -- and the serialized JSON -- are byte-identical for any shard width,

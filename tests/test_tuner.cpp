@@ -2,20 +2,17 @@
 // (bit-identical reload), interval compression covering the full size axis
 // with no gaps/overlaps, sharded-vs-serial tuning determinism, tuned
 // select() parity with an exhaustive argmin over the same sweep data,
-// version/fingerprint mismatch rejection, unknown-algorithm demotion, the
-// TunedRunner miss policies, and the typed/op-parameterized verified sweep
-// mode the refinement stage rides on.
+// version/fingerprint mismatch rejection, unknown-algorithm demotion, and
+// select()'s miss policies and negative-size clamp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "coll/registry.hpp"
 #include "harness/runner.hpp"
-#include "harness/tuned_runner.hpp"
 #include "net/profiles.hpp"
 #include "tune/decision_table.hpp"
 #include "tune/json.hpp"
@@ -146,13 +143,12 @@ TEST(DecisionTable, UnknownFormatIsRejected) {
                std::runtime_error);
 }
 
-TEST(DecisionTable, FingerprintMismatchIsRejectedAtSelectAndConstruction) {
+TEST(DecisionTable, FingerprintMismatchIsRejectedAtSelect) {
   const net::SystemProfile profile = net::lumi_profile();
   tune::DecisionTable stale = small_table();
   stale.set_profile(profile.name, 0xdeadbeefu);  // wrong machine model
   EXPECT_THROW((void)tune::select(stale, profile, Collective::allreduce, 16, 1024),
                std::runtime_error);
-  EXPECT_THROW(harness::TunedRunner(profile, stale), std::runtime_error);
 
   // An untouched table serves the same query fine.
   const tune::DecisionTable fresh = small_table();
@@ -203,94 +199,43 @@ TEST(DecisionTable, StructuralDamageIsRejected) {
                std::invalid_argument);
 }
 
-TEST(TunedRunner, MissPoliciesAndCounters) {
+TEST(TunedSelect, MissPoliciesAndCounters) {
   const net::SystemProfile profile = net::lumi_profile();
   const tune::DecisionTable table =
       tune::Tuner(small_options()).build({profile}, kColls, {16});
 
   {  // heuristic_default: untuned p falls back to the paper's rules.
-    harness::TunedRunner tr(profile, table);
-    const auto& hit = tr.select(Collective::allreduce, 16, 8192);
-    EXPECT_TRUE(coll::has_algorithm(Collective::allreduce, hit.name));
-    const auto& miss = tr.select(Collective::allreduce, 20, 8192);
-    EXPECT_EQ(miss.name, coll::recommended_algorithm(Collective::allreduce, 20, 8192).name);
-    EXPECT_EQ(tr.table_hits(), 1u);
-    EXPECT_EQ(tr.table_misses(), 1u);
-    const harness::RunResult r = tr.run(Collective::allreduce, 16, 8192);
+    u64 hits = 0, misses = 0;
+    const auto dispatch = [&](i64 p, i64 bytes) {
+      const tune::Selection sel =
+          tune::select(table, profile, Collective::allreduce, p, bytes);
+      ++(sel.from_table ? hits : misses);
+      return sel.entry;
+    };
+    const coll::AlgorithmEntry* hit = dispatch(16, 8192);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_TRUE(coll::has_algorithm(Collective::allreduce, hit->name));
+    const coll::AlgorithmEntry* miss = dispatch(20, 8192);
+    ASSERT_NE(miss, nullptr);
+    EXPECT_EQ(miss->name,
+              coll::recommended_algorithm(Collective::allreduce, 20, 8192).name);
+    EXPECT_EQ(hits, 1u);
+    EXPECT_EQ(misses, 1u);
+    // The selection executes through the Runner's own paths.
+    harness::Runner runner(profile);
+    const harness::RunResult r = runner.run(Collective::allreduce, *hit, 16, 8192);
     EXPECT_GT(r.seconds, 0.0);
-    const harness::VerifiedRun v = tr.run_verified(Collective::allreduce, 16, 8192);
+    const harness::VerifiedRun v = runner.run_verified(Collective::allreduce, *hit, 16, 8192);
     EXPECT_TRUE(v.ok) << v.error;
     EXPECT_NE(v.digest, 0u);
   }
   {  // error: a miss throws, a hit does not.
-    harness::TunedRunner tr(profile, table, tune::MissPolicy::error);
-    EXPECT_NO_THROW((void)tr.select(Collective::allreduce, 16, 8192));
-    EXPECT_THROW((void)tr.select(Collective::allreduce, 20, 8192), std::runtime_error);
-  }
-  {  // tune_on_miss: the miss tunes the cell once; later queries hit.
-    harness::TunedRunner tr(profile, table, tune::MissPolicy::tune_on_miss,
-                            small_options());
-    const auto& filled = tr.select(Collective::allreduce, 20, 8192);
-    EXPECT_TRUE(coll::has_algorithm(Collective::allreduce, filled.name));
-    EXPECT_EQ(tr.table_misses(), 1u);
-    (void)tr.select(Collective::allreduce, 20, 1 << 20);  // other size, same cell
-    EXPECT_EQ(tr.table_misses(), 1u);
-    EXPECT_EQ(tr.table_hits(), 1u);
-    EXPECT_NE(tr.table().cell(profile.name, Collective::allreduce, 20), nullptr);
-    // The filled cell agrees with tuning that cell directly.
-    harness::Runner fresh(profile);
-    EXPECT_EQ(*tr.table().cell(profile.name, Collective::allreduce, 20),
-              tune::Tuner(small_options()).tune_cell(fresh, Collective::allreduce, 20));
-  }
-}
-
-// The verified path as a first-class sweep mode: element types x reduce ops,
-// digests folded into the outputs, cached and fresh plans agreeing bit-for-
-// bit, and worker-count independence of the whole batch.
-TEST(Runner, VerifiedSweepAcrossElementTypesAndOps) {
-  const net::SystemProfile profile = net::fugaku_profile({4, 4, 4});
-
-  std::vector<harness::VerifiedQuery> queries;
-  for (const runtime::ElemType elem :
-       {runtime::ElemType::u32, runtime::ElemType::u64, runtime::ElemType::f32,
-        runtime::ElemType::f64})
-    for (const runtime::ReduceOp op :
-         {runtime::ReduceOp::sum, runtime::ReduceOp::min, runtime::ReduceOp::max})
-      for (const char* algo : {"bine_two_trans", "recursive_doubling"})
-        queries.push_back({Collective::allreduce, algo, 16, 4096, elem, op});
-
-  harness::Runner cached(profile);
-  cached.use_private_schedule_cache();
-  const std::vector<harness::VerifiedRun> serial = cached.sweep_verified(queries, 1);
-  ASSERT_EQ(serial.size(), queries.size());
-  std::set<u64> digests;
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(serial[i].ok) << serial[i].error << " query " << i;
-    EXPECT_NE(serial[i].digest, 0u);
-    digests.insert(serial[i].digest);
-  }
-  // Different (elem, op) pairs produce different final states: the digest
-  // actually discriminates. recursive_doubling and bine_two_trans compute
-  // the same collective, so expect one digest per (elem, op) pair.
-  EXPECT_EQ(digests.size(), 12u);
-
-  // Worker-count independence, digests included.
-  const std::vector<harness::VerifiedRun> sharded = cached.sweep_verified(queries, 4);
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(sharded[i].ok, serial[i].ok);
-    EXPECT_EQ(sharded[i].digest, serial[i].digest) << "query " << i;
-    EXPECT_EQ(sharded[i].messages, serial[i].messages);
-    EXPECT_EQ(sharded[i].wire_bytes, serial[i].wire_bytes);
-  }
-
-  // Cache-off parity: the fresh-generation path reproduces every digest.
-  harness::Runner uncached(profile);
-  uncached.set_schedule_cache(false);
-  const std::vector<harness::VerifiedRun> fresh = uncached.sweep_verified(queries, 1);
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(fresh[i].ok) << fresh[i].error;
-    EXPECT_FALSE(fresh[i].used_cache);
-    EXPECT_EQ(fresh[i].digest, serial[i].digest) << "query " << i;
+    const auto policy = tune::MissPolicy::error;
+    EXPECT_NO_THROW(
+        (void)tune::select(table, profile, Collective::allreduce, 16, 8192, policy));
+    EXPECT_THROW(
+        (void)tune::select(table, profile, Collective::allreduce, 20, 8192, policy),
+        std::runtime_error);
   }
 }
 
@@ -357,19 +302,27 @@ TEST(DecisionTable, CellWithoutFingerprintedProfileIsRejected) {
       std::runtime_error);
 }
 
-// Negative byte counts must clamp to the first interval, not crash the
-// tune-on-miss path.
-TEST(TunedRunner, NegativeBytesClampToFirstInterval) {
+// Negative byte counts clamp to 0: a tuned cell serves its first interval
+// (under either policy), an untuned one the heuristic default.
+TEST(TunedSelect, NegativeBytesClampToFirstInterval) {
   const net::SystemProfile profile = net::lumi_profile();
   const tune::DecisionTable table =
       tune::Tuner(small_options()).build({profile}, {Collective::allreduce}, {16});
-  harness::TunedRunner tr(profile, table, tune::MissPolicy::tune_on_miss,
-                          small_options());
-  const auto& hit = tr.select(Collective::allreduce, 16, -5);
-  EXPECT_EQ(hit.name,
-            table.cell(profile.name, Collective::allreduce, 16)->front().algorithm);
-  const auto& filled = tr.select(Collective::allreduce, 20, -5);  // miss + tune
-  EXPECT_TRUE(coll::has_algorithm(Collective::allreduce, filled.name));
+  const std::string& first =
+      table.cell(profile.name, Collective::allreduce, 16)->front().algorithm;
+  for (const tune::MissPolicy policy :
+       {tune::MissPolicy::heuristic_default, tune::MissPolicy::error}) {
+    const tune::Selection hit =
+        tune::select(table, profile, Collective::allreduce, 16, -5, policy);
+    EXPECT_TRUE(hit.from_table);
+    ASSERT_NE(hit.entry, nullptr);
+    EXPECT_EQ(hit.entry->name, first);
+  }
+  const tune::Selection miss = tune::select(table, profile, Collective::allreduce, 20, -5);
+  EXPECT_FALSE(miss.from_table);
+  ASSERT_NE(miss.entry, nullptr);
+  EXPECT_EQ(miss.entry->name,
+            coll::recommended_algorithm(Collective::allreduce, 20, 1).name);
 }
 
 TEST(TuneJson, ParserRejectsMalformedDocuments) {
