@@ -1,9 +1,10 @@
-// Before/after benchmark of the schedule-generation fast path: every cell
-// regenerating its BlockSet-heavy schedule from scratch (the pre-cache
-// behaviour; generation dominates sweep wall time now that simulation is
-// compiled -- see BENCH_sim.json) vs the size-independent ScheduleCache +
-// arena-backed BlockSets, where one cached structure serves a whole
-// message-size sweep and each cell only resolves bytes and simulates.
+// Benchmark of the schedule-generation fast path: the cache off, where every
+// cell generates its BlockSet-heavy schedule from scratch once per algorithm
+// and simulates it across the cell's size axis, vs the size-independent
+// ScheduleCache + arena-backed BlockSets, where one cached structure serves
+// every cell and Runner of the process. Both generate once per (algorithm,
+// cell) on this plan, so they run at about the same speed; the gate is
+// parity.
 //
 // Plan: the bine/binomial/sota best-variant series of one evaluation-table
 // column family -- six collectives x every power-of-two vector size from

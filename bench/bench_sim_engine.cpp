@@ -103,7 +103,6 @@ BatchedReport bench_batched(const net::Topology& topo, const net::CostParams& cp
     cfg.elem_count = elem_counts.back();
     auto sf = std::make_shared<const sched::SizeFreeSchedule>(
         sched::SizeFreeSchedule::from(entry.make(cfg)));
-    if (!sf->size_independent) continue;
 
     const auto batched_pass = [&] {
       return net::simulate(*sf, elem_counts, cfg.elem_size, rc, cp, memo);

@@ -165,8 +165,6 @@ size_t emit_ag_steps(Schedule& sch, const Config& cfg, const Layout& lo,
   return step0 + static_cast<size_t>(lo.s);
 }
 
-i64 full_vector_bytes(const Config& cfg) { return cfg.elem_count * cfg.elem_size; }
-
 }  // namespace
 
 Schedule reduce_scatter_bine(const Config& cfg, NoncontigStrategy st) {
@@ -181,7 +179,7 @@ Schedule reduce_scatter_bine(const Config& cfg, NoncontigStrategy st) {
     sch.add_exchange(step, lo.P + i, i, BlockSet::all(cfg.p), true);
   if (lo.extra > 0) ++step;
   if (st == NoncontigStrategy::permute) {
-    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, full_vector_bytes(cfg), lo.P);
+    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, lo.P);
     ++step;
   }
   step = emit_rs_steps(sch, cfg, lo, st, step);
@@ -222,7 +220,7 @@ Schedule allgather_bine(const Config& cfg, NoncontigStrategy st) {
   }
   step = emit_ag_steps(sch, cfg, lo, st, step);
   if (st == NoncontigStrategy::permute) {
-    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, full_vector_bytes(cfg), lo.P);
+    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, lo.P);
     ++step;
   }
   for (i64 i = 0; i < lo.extra; ++i)
@@ -243,7 +241,7 @@ Schedule allreduce_bine_large(const Config& cfg, NoncontigStrategy st) {
     sch.add_exchange(step, lo.P + i, i, BlockSet::all(cfg.p), true);
   if (lo.extra > 0) ++step;
   if (st == NoncontigStrategy::permute) {
-    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, full_vector_bytes(cfg), lo.P);
+    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, lo.P);
     ++step;
   }
   // Reduce-scatter phase, then allgather phase. The Send strategy's aliasing
@@ -253,7 +251,7 @@ Schedule allreduce_bine_large(const Config& cfg, NoncontigStrategy st) {
   step = emit_rs_steps(sch, cfg, lo, st, step);
   step = emit_ag_steps(sch, cfg, lo, st, step);
   if (st == NoncontigStrategy::permute) {
-    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, full_vector_bytes(cfg), lo.P);
+    for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, lo.P);
     ++step;
   }
   for (i64 i = 0; i < lo.extra; ++i)

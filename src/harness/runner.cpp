@@ -169,15 +169,11 @@ std::shared_ptr<const sched::SizeFreeSchedule> Runner::cached_entry(
   // never be served entries cached under another machine state.
   const sched::ScheduleKeyView key(coll, algo.name, cfg.p, cfg.root, cfg.torus_dims,
                                    fault_ ? fault_->fingerprint() : 0);
-  auto entry = sched_cache_->get(key, [&](i64 canonical_elems) {
-    // Called at the cache's two canonical verification sizes on a miss.
+  return sched_cache_->get(key, [&](i64 canonical_elems) {
     coll::Config build_cfg = cfg;
     build_cfg.elem_count = canonical_elems;
     return algo.make(build_cfg);
   });
-  // Verification demoted this algorithm: callers use fresh generation.
-  if (!entry->size_independent) return nullptr;
-  return entry;
 }
 
 std::vector<std::vector<RunResult>> Runner::run_candidates(
@@ -193,67 +189,37 @@ std::vector<std::vector<RunResult>> Runner::run_candidates(
 
   // Fault demotion keys on size (the heuristic recommendation depends on
   // it), so rewrite the pool as the distinct algorithms its slots resolve
-  // to, first-use order: pick[k * S + s] indexes `resolved`, and
-  // needed[j * S + s] marks the sizes resolved[j] answers. On the healthy
+  // to, first-use order: pick[k * S + s] indexes `resolved`. On the healthy
   // machine this is the pool itself, minus its null slots.
   std::vector<const coll::AlgorithmEntry*> resolved;
   std::vector<size_t> pick(algos.size() * S);
-  std::vector<std::uint8_t> needed;
   for (size_t k = 0; k < algos.size(); ++k) {
     if (algos[k] == nullptr) continue;
     for (size_t s = 0; s < S; ++s) {
       const coll::AlgorithmEntry* r =
           &resolve_algorithm(coll, *algos[k], cfg.p, sizes_bytes[s]);
-      const auto pos = std::find(resolved.begin(), resolved.end(), r);
-      const size_t j = static_cast<size_t>(pos - resolved.begin());
-      if (pos == resolved.end()) {
-        resolved.push_back(r);
-        needed.resize(resolved.size() * S, 0);
-      }
+      const size_t j =
+          static_cast<size_t>(std::find(resolved.begin(), resolved.end(), r) -
+                              resolved.begin());
+      if (j == resolved.size()) resolved.push_back(r);
       pick[k * S + s] = j;
-      needed[j * S + s] = 1;
     }
   }
   if (resolved.empty()) return out;
 
   Sized& sized = sized_for(nodes);
-  const auto simulate = [&](const sched::SizeFreeSchedule& sf,
-                            std::span<const i64> counts) {
-    return net::simulate(sf, counts, cfg.elem_size, *sized.routes, profile_.cost,
-                         net::process_route_memo());
-  };
   std::vector<std::vector<net::SimResult>> sims(resolved.size());
   for (size_t j = 0; j < resolved.size(); ++j) {
-    // A usable cached entry answers the whole axis in one call. Lanes never
-    // mix, so a size the algorithm doesn't answer costs a lane and changes
+    // One size-free entry answers the whole axis: the cached one, or with
+    // the cache off a fresh compile of the cell's schedule. Lanes never mix,
+    // so a size the algorithm doesn't answer costs a lane and changes
     // nothing else.
-    if (const auto entry = cached_entry(coll, *resolved[j], cfg)) {
-      sims[j] = simulate(*entry, elem_counts);
-      continue;
-    }
-    // No usable entry (cache off, or demoted by the cache's verification):
-    // compile a fresh size-free schedule per size and run it on a one-size
-    // axis -- at the size it was generated for, a schedule's bytes resolve
-    // from its blocks exactly, so the result is the scalar engine's. Sizes
-    // that clamp to the same element count (small vectors at large p)
-    // generate the same schedule, so they share the first one's result.
-    sims[j].resize(S);
-    for (size_t s = 0; s < S; ++s) {
-      if (!needed[j * S + s]) continue;
-      size_t first = 0;
-      while (!needed[j * S + first] || elem_counts[first] != elem_counts[s]) ++first;
-      if (first < s) {
-        sims[j][s] = sims[j][first];
-        continue;
-      }
-      const auto fresh = sched::SizeFreeSchedule::from(
-          resolved[j]->make(cell_config(nodes, sizes_bytes[s])));
-      if (!fresh.size_independent)
-        throw std::runtime_error("simulator requires a detail-mode schedule: " +
-                                 (to_string(coll) + ("/" + resolved[j]->name)) +
-                                 " carries bytes its blocks do not derive");
-      sims[j][s] = simulate(fresh, std::span(&elem_counts[s], 1)).front();
-    }
+    auto entry = cached_entry(coll, *resolved[j], cfg);
+    if (!entry)
+      entry = std::make_shared<const sched::SizeFreeSchedule>(
+          sched::SizeFreeSchedule::from(resolved[j]->make(cfg)));
+    sims[j] = net::simulate(*entry, elem_counts, cfg.elem_size, *sized.routes,
+                            profile_.cost, net::process_route_memo());
   }
 
   for (size_t k = 0; k < algos.size(); ++k) {

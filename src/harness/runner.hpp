@@ -110,13 +110,10 @@ class Runner {
   ///
   /// Fault demotion keys on size, so the pool is first rewritten as the
   /// distinct algorithms its slots resolve to across the axis; every
-  /// (slot, size) reads its resolved algorithm's lane. Each algorithm with a
-  /// cached size-free entry goes through one size-batched net::simulate call
-  /// across the whole axis (via the process-wide net::process_route_memo()).
-  /// Algorithms without a usable entry (cache off, or demoted by the cache's
-  /// verification) run one single-size call per distinct element count over
-  /// a fresh uncached size-free compile; a schedule whose bytes cannot be
-  /// derived from its blocks throws.
+  /// (slot, size) reads its resolved algorithm's lane. Each algorithm goes
+  /// through one size-batched net::simulate call across the whole axis (via
+  /// the process-wide net::process_route_memo()), over its cached size-free
+  /// entry or, with the cache off, one fresh compile per cell.
   [[nodiscard]] std::vector<std::vector<RunResult>> run_candidates(
       sched::Collective coll, std::span<const coll::AlgorithmEntry* const> algos,
       i64 nodes, std::span<const i64> sizes_bytes);
@@ -131,12 +128,10 @@ class Runner {
   }
 
   /// Compiled execution plan for one cell, pulled from the schedule cache
-  /// when possible (so verify-heavy runs skip generation on a hit, exactly
-  /// like the simulation path). Without a usable entry the cell's fresh
-  /// schedule goes through ExecPlan::lower -- the same size-free compile
-  /// run_candidates' fresh branch uses -- so a schedule whose blocks do not
-  /// derive its bytes throws here as it does there. Callers hand the plan
-  /// to runtime::execute.
+  /// when it is on (so verify-heavy runs skip generation on a hit, exactly
+  /// like the simulation path). With the cache off the cell's fresh
+  /// schedule goes through ExecPlan::lower, which validates it first.
+  /// Callers hand the plan to runtime::execute.
   [[nodiscard]] runtime::ExecPlan exec_plan(sched::Collective coll,
                                             const coll::AlgorithmEntry& algo, i64 nodes,
                                             i64 size_bytes, bool* used_cache = nullptr,
@@ -212,8 +207,7 @@ class Runner {
                                               i64 nodes, i64 size_bytes, i64 threads,
                                               runtime::ReduceOp op);
 
-  /// Size-free entry for one cell, or nullptr when the cache is off or the
-  /// entry was demoted (run_candidates falls back to fresh generation).
+  /// Size-free entry for one cell, or nullptr when the cache is off.
   [[nodiscard]] std::shared_ptr<const sched::SizeFreeSchedule> cached_entry(
       sched::Collective coll, const coll::AlgorithmEntry& algo, const coll::Config& cfg);
 

@@ -17,14 +17,15 @@ TrafficStats measure_traffic_reference(const sched::Schedule& sch, const Topolog
       for (const sched::Op& op : step.ops) {
         if (op.kind != sched::OpKind::send) continue;
         ++stats.messages;
+        const i64 bytes = sch.op_bytes(op);
         path.clear();
         topo.route(pl.node_of_rank[static_cast<size_t>(r)],
                    pl.node_of_rank[static_cast<size_t>(op.peer)], path);
         for (const i64 link : path) {
           switch (topo.links()[static_cast<size_t>(link)].cls) {
-            case LinkClass::local: stats.local_bytes += op.bytes; break;
-            case LinkClass::global: stats.global_bytes += op.bytes; break;
-            case LinkClass::intra_node: stats.intra_node_bytes += op.bytes; break;
+            case LinkClass::local: stats.local_bytes += bytes; break;
+            case LinkClass::global: stats.global_bytes += bytes; break;
+            case LinkClass::intra_node: stats.intra_node_bytes += bytes; break;
           }
         }
       }
@@ -53,12 +54,13 @@ SimResult simulate_reference(const sched::Schedule& sch, const Topology& topo,
       for (const sched::Op& op : rank_steps[t].ops) {
         switch (op.kind) {
           case sched::OpKind::send: {
+            const i64 bytes = sch.op_bytes(op);
             path.clear();
             topo.route(pl.node_of_rank[static_cast<size_t>(r)],
                        pl.node_of_rank[static_cast<size_t>(op.peer)], path);
             bool crosses_global = false;
             for (const i64 link : path) {
-              link_bytes[link] += op.bytes;
+              link_bytes[link] += bytes;
               crosses_global |=
                   topo.links()[static_cast<size_t>(link)].cls == LinkClass::global;
             }
@@ -70,10 +72,10 @@ SimResult simulate_reference(const sched::Schedule& sch, const Topology& topo,
           case sched::OpKind::recv:
             break;  // latency accounted on the sender side
           case sched::OpKind::recv_reduce:
-            overhead += static_cast<double>(op.bytes) / cp.reduce_bandwidth;
+            overhead += static_cast<double>(sch.op_bytes(op)) / cp.reduce_bandwidth;
             break;
           case sched::OpKind::local_perm:
-            overhead += static_cast<double>(op.bytes) / cp.mem_bandwidth +
+            overhead += static_cast<double>(sch.op_bytes(op)) / cp.mem_bandwidth +
                         static_cast<double>(std::max<i64>(0, op.segments - 1)) *
                             cp.seg_overhead;
             break;
@@ -609,7 +611,7 @@ std::shared_ptr<const CandCompiled> compiled_for(const sched::SizeFreeSchedule& 
       RowSpec spec;
       std::uint64_t h;
       const std::uint32_t r0 = sf.block_begin[i], r1 = sf.block_begin[i + 1];
-      if (sf.full_vector[i]) {
+      if (sf.kind[i] == sched::OpKind::local_perm) {
         spec = {kRowFull, 0, 0};
         h = 0x9e3779b97f4a7c15ull;
       } else if (r1 == r0 + 1 && sf.ranges[r0].begin >= 0 &&
@@ -646,7 +648,6 @@ std::vector<SimResult> simulate(const sched::SizeFreeSchedule& sf,
                                 std::span<const i64> elem_counts, i64 elem_size,
                                 const RouteCache& rc, const CostParams& cp,
                                 PairRouteMemo& memo) {
-  assert(sf.size_independent && "demoted entries must fall back to fresh generation");
   assert(sf.p == rc.num_ranks());
   const size_t S = elem_counts.size();
   if (S == 0) return {};
@@ -807,7 +808,7 @@ i64 inter_group_bytes(const sched::Schedule& sch, std::span<const i64> group_of_
         if (op.kind == sched::OpKind::send &&
             group_of_rank[static_cast<size_t>(r)] !=
                 group_of_rank[static_cast<size_t>(op.peer)])
-          total += op.bytes;
+          total += sch.op_bytes(op);
   return total;
 }
 

@@ -96,8 +96,9 @@ struct SimResult {
 /// -- the per-size loop the parity suite runs: byte resolution runs the same
 /// integer arithmetic, per-rank overheads accumulate in the same FP order
 /// (ops outer, flushed at rank boundaries), and per-step maxima reduce over
-/// non-negative finite terms, where max is order-independent bitwise. `sf`
-/// must be size_independent with p matching `rc`.
+/// non-negative finite terms, where max is order-independent bitwise. `sf`'s
+/// p must match `rc`; any entry qualifies, cached or freshly compiled, since
+/// every size-free schedule resolves at every size.
 [[nodiscard]] std::vector<SimResult> simulate(const sched::SizeFreeSchedule& sf,
                                               std::span<const i64> elem_counts,
                                               i64 elem_size, const RouteCache& rc,

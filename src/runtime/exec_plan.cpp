@@ -202,22 +202,16 @@ void ExecPlan::finalize_sizes() {
 }
 
 ExecPlan ExecPlan::lower(const sched::Schedule& s) {
-  if (!s.detail)
-    throw std::runtime_error("executor requires a detail-mode schedule");
   if (const std::string err = s.validate(); !err.empty())
     throw std::runtime_error("invalid schedule: " + err);
-  auto sf = std::make_shared<const sched::SizeFreeSchedule>(sched::SizeFreeSchedule::from(s));
-  if (!sf->size_independent)
-    throw std::runtime_error("executor requires a schedule whose blocks derive its bytes");
-  return from_size_free(std::move(sf), s.coll, s.root, s.elem_count, s.elem_size);
+  return from_size_free(
+      std::make_shared<const sched::SizeFreeSchedule>(sched::SizeFreeSchedule::from(s)),
+      s.coll, s.root, s.elem_count, s.elem_size);
 }
 
 ExecPlan ExecPlan::from_size_free(std::shared_ptr<const sched::SizeFreeSchedule> sf,
                                   sched::Collective coll, Rank root, i64 elem_count,
                                   i64 elem_size) {
-  if (!sf || !sf->size_independent)
-    throw std::runtime_error("entry failed verification; use fresh generation");
-
   ExecPlan plan;
   plan.coll = coll;
   plan.space = sf->space;
@@ -243,8 +237,8 @@ ExecPlan ExecPlan::from_size_free(std::shared_ptr<const sched::SizeFreeSchedule>
     const std::span<const sched::BlockRange> rs{
         sf->recv_ranges.data() + sf->recv_block_begin[i],
         sf->recv_ranges.data() + sf->recv_block_begin[i + 1]};
-    // The same arithmetic the generator's add_exchange baked the bytes with:
-    // from() verified they agree, so the plan's bytes are the schedule's.
+    // The same arithmetic Schedule::op_bytes runs, so the plan's bytes are
+    // the schedule's at this size.
     plan.op_bytes[i] = sched::ranges_elem_count(rs, n, sf->nblocks) * elem_size;
   }
   plan.keepalive = std::move(sf);

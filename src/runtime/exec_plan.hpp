@@ -42,10 +42,8 @@
 /// One construction path, `from_size_free(entry, ...)`, which is how
 /// harness::Runner's verify path skips generation entirely on a
 /// schedule-cache hit. `lower(Schedule)` is the uncached front end: it
-/// rejects coarse-mode and invalid schedules, compiles
-/// SizeFreeSchedule::from(s) -- rejecting a schedule whose blocks do not
-/// derive its bytes, as the simulator does -- and hands the fresh entry to
-/// `from_size_free`.
+/// rejects structurally invalid schedules (`Schedule::validate()`), compiles
+/// SizeFreeSchedule::from(s) and hands the fresh entry to `from_size_free`.
 namespace bine::runtime {
 
 /// The size-invariant finalized structure of one delivery stream: expanded
@@ -149,13 +147,12 @@ struct ExecPlan {
   }
 
   /// Validate `s`, compile it size-free and re-materialize it at its own
-  /// size. Throws std::runtime_error on coarse-mode or structurally invalid
-  /// schedules (the same contract execute_reference enforces at run time)
-  /// and on schedules whose blocks do not derive their bytes.
+  /// size. Throws std::runtime_error on structurally invalid schedules (the
+  /// same contract execute_reference enforces at run time).
   [[nodiscard]] static ExecPlan lower(const sched::Schedule& s);
 
   /// Re-materialize from a cached entry's execution overlay for a concrete
-  /// vector config. `sf` must be size_independent; `coll`/`root` come from
+  /// vector config (cached or freshly compiled); `coll`/`root` come from
   /// the cache key (the entry itself is keyed, not self-describing). The
   /// plan aliases the entry's columns and cached skeleton, keeping both
   /// alive through `keepalive`/`skeleton`.

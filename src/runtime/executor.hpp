@@ -208,8 +208,6 @@ std::vector<RankState<T>> initial_state(const sched::Schedule& s,
 template <typename T>
 ExecResult<T> execute_reference(const sched::Schedule& schedule, ReduceOp op,
                                 std::span<const std::vector<T>> inputs) {
-  if (!schedule.detail)
-    throw std::runtime_error("executor requires a detail-mode schedule");
   if (const std::string err = schedule.validate(); !err.empty())
     throw std::runtime_error("invalid schedule: " + err);
 
@@ -242,7 +240,7 @@ ExecResult<T> execute_reference(const sched::Schedule& schedule, ReduceOp op,
           msg.payload.push_back(slot);
         }
         result.messages += 1;
-        result.wire_bytes += opr.bytes;
+        result.wire_bytes += schedule.op_bytes(opr);
         const u64 key = static_cast<u64>(r) * static_cast<u64>(schedule.p) +
                         static_cast<u64>(opr.peer);
         inflight[key].push_back(std::move(msg));

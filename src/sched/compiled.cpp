@@ -35,7 +35,7 @@ void CompiledSchedule::lower_into(const Schedule& s, CompiledSchedule& out) {
         out.own.kind[i] = op.kind;
         out.own.rank[i] = static_cast<std::int32_t>(r);
         out.own.peer[i] = static_cast<std::int32_t>(op.peer);
-        out.own.bytes[i] = op.bytes;
+        out.own.bytes[i] = s.op_bytes(op);
         out.own.extra_segments[i] = lowered_extra_segments(op);
         ++i;
       },

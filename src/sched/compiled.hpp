@@ -16,6 +16,9 @@
 /// `CompiledSchedule::lower()` flattens the nested representation once into
 /// contiguous structure-of-arrays storage the simulator streams through:
 ///
+///   * `bytes` is the one size-dependent column: `Schedule::op_bytes`
+///     derives it from each op's blocks (ops carry no byte count), the same
+///     arithmetic SizeFreeSchedule::resolve_into runs per message size;
 ///   * ops are sorted by (step, rank, original op order) and indexed by a
 ///     per-step CSR range, so one pass over a step touches memory linearly;
 ///   * `extra_segments` pre-computes max(0, segments - 1), the only form the

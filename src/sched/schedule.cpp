@@ -42,21 +42,20 @@ void Schedule::add_exchange(size_t step, Rank from, Rank to, BlockSet blocks, bo
   assert(from != to && from >= 0 && from < p && to >= 0 && to < p);
   for (auto& rank_steps : steps)
     if (rank_steps.size() <= step) rank_steps.resize(step + 1);
-  const i64 nbytes = bytes_of(blocks);
   const i64 segs =
       segments > 0 ? segments : std::max<i64>(1, blocks.memory_segments(nblocks));
-  Op send{OpKind::send, to, blocks, nbytes, segs};
-  Op recv{reduce ? OpKind::recv_reduce : OpKind::recv, from, std::move(blocks), nbytes, segs};
+  Op send{OpKind::send, to, blocks, segs};
+  Op recv{reduce ? OpKind::recv_reduce : OpKind::recv, from, std::move(blocks), segs};
   steps[static_cast<size_t>(from)][step].ops.push_back(std::move(send));
   steps[static_cast<size_t>(to)][step].ops.push_back(std::move(recv));
 }
 
-void Schedule::add_local(size_t step, Rank r, i64 bytes_moved, i64 segs) {
+void Schedule::add_local(size_t step, Rank r, i64 segs) {
   assert(r >= 0 && r < p);
   for (auto& rank_steps : steps)
     if (rank_steps.size() <= step) rank_steps.resize(step + 1);
   steps[static_cast<size_t>(r)][step].ops.push_back(
-      Op{OpKind::local_perm, -1, {}, bytes_moved, segs});
+      Op{OpKind::local_perm, -1, {}, segs});
 }
 
 void Schedule::normalize_steps() {
@@ -70,7 +69,7 @@ i64 Schedule::total_wire_bytes() const {
   for (const auto& rank_steps : steps)
     for (const RankStep& st : rank_steps)
       for (const Op& op : st.ops)
-        if (op.kind == OpKind::send) total += op.bytes;
+        if (op.kind == OpKind::send) total += op_bytes(op);
   return total;
 }
 
@@ -93,13 +92,11 @@ std::string Schedule::validate() const {
           err << "step " << t << " rank " << r << ": bad peer " << op.peer;
           return err.str();
         }
-        if (detail) {
-          for (const i64 b : op.blocks.expand(nblocks))
-            if (b < 0 || b >= nblocks) {
-              err << "step " << t << " rank " << r << ": block id " << b << " out of range";
-              return err.str();
-            }
-        }
+        for (const i64 b : op.blocks.expand(nblocks))
+          if (b < 0 || b >= nblocks) {
+            err << "step " << t << " rank " << r << ": block id " << b << " out of range";
+            return err.str();
+          }
         auto& side = (op.kind == OpKind::send) ? sends : recvs;
         const auto key = (op.kind == OpKind::send) ? std::make_pair(r, op.peer)
                                                    : std::make_pair(op.peer, r);
@@ -118,21 +115,13 @@ std::string Schedule::validate() const {
         return err.str();
       }
       for (size_t k = 0; k < send_ops.size(); ++k) {
-        const Op* send_op = send_ops[k];
-        const Op* recv_op = it->second[k];
-        if (recv_op->bytes != send_op->bytes) {
-          err << "step " << t << ": byte mismatch on " << key.first << "->" << key.second;
+        auto a = send_ops[k]->blocks.expand(nblocks);
+        auto b = it->second[k]->blocks.expand(nblocks);
+        std::sort(a.begin(), a.end());
+        std::sort(b.begin(), b.end());
+        if (a != b) {
+          err << "step " << t << ": block mismatch on " << key.first << "->" << key.second;
           return err.str();
-        }
-        if (detail) {
-          auto a = send_op->blocks.expand(nblocks);
-          auto b = recv_op->blocks.expand(nblocks);
-          std::sort(a.begin(), a.end());
-          std::sort(b.begin(), b.end());
-          if (a != b) {
-            err << "step " << t << ": block mismatch on " << key.first << "->" << key.second;
-            return err.str();
-          }
         }
       }
     }

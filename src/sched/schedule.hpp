@@ -22,16 +22,17 @@
 ///     simulation. This type stays optimized for *generation* (per-rank
 ///     append, BlockSet bookkeeping); the IR is what the hot loop consumes.
 ///
-/// Size independence: the *structure* of every schedule -- steps, peers,
-/// block sets, segment counts -- is a pure function of (algorithm, p, root,
-/// torus_dims). `elem_count`/`elem_size` only scale the per-op byte counts,
-/// via `bytes_of`'s block arithmetic. sched::ScheduleCache (schedule_cache.hpp)
-/// exploits this invariant: one cached structure serves every message size of
-/// a sweep, with bytes re-resolved per size by the same arithmetic. Keep
-/// generators size-oblivious (never branch on elem_count): the cache
-/// cross-checks structure at two widely separated canonical sizes and
-/// demotes mismatches to the uncached path, but a branch that only triggers
-/// beyond the large probe (~256 MiB vectors) would defeat it.
+/// Size independence, by construction: an op carries no byte count. Its
+/// bytes are a derived view (`op_bytes`) -- its blocks' share of the vector
+/// via `bytes_of`'s block arithmetic, or the whole vector for a local_perm --
+/// so the *structure* of every schedule (steps, peers, block sets, segment
+/// counts) is a pure function of (algorithm, p, root, torus_dims), and
+/// `elem_count`/`elem_size` only size the view. sched::ScheduleCache
+/// (schedule_cache.hpp) builds on this: one cached structure serves every
+/// message size of a sweep, with bytes resolved per size by the same
+/// arithmetic. Generators never read the vector size (coll::make_base copies
+/// it onto the schedule; the test_generators_size_free lint keeps every
+/// other file under src/coll/ from naming it).
 ///
 /// Block-range storage lives in a per-schedule ScheduleArena (blocks.hpp):
 /// `Op::blocks` values point into it (or hold tiny sets inline), so the
@@ -85,8 +86,7 @@ enum class OpKind {
 struct Op {
   OpKind kind = OpKind::send;
   Rank peer = -1;      ///< counterpart rank (unused for local_perm)
-  BlockSet blocks;     ///< logical block ids (empty in coarse mode)
-  i64 bytes = 0;       ///< wire bytes (local_perm: bytes shuffled in memory)
+  BlockSet blocks;     ///< logical block ids (empty for local_perm)
   i64 segments = 1;    ///< contiguous memory segments touched by this op
 };
 
@@ -105,7 +105,6 @@ struct Schedule {
   i64 elem_count = 0;     ///< vector length (elements, per the collective's convention)
   i64 elem_size = 4;      ///< bytes per element
   Rank root = 0;          ///< for rooted collectives
-  bool detail = true;     ///< block-accurate ops (required by the executor)
   /// steps[rank][step]
   std::vector<std::vector<RankStep>> steps;
 
@@ -129,6 +128,12 @@ struct Schedule {
     return space == BlockSpace::pairwise ? elem_count * p : elem_count;
   }
 
+  /// Bytes `op` moves: wire bytes for send/recv ops, bytes shuffled in memory
+  /// for local_perm (always the whole vector). The only source of byte counts.
+  [[nodiscard]] i64 op_bytes(const Op& op) const {
+    return op.kind == OpKind::local_perm ? total_elems() * elem_size : bytes_of(op.blocks);
+  }
+
   /// Append a matched send/recv pair at `step` (growing step vectors as
   /// needed). `segments` overrides the memory-contiguity estimate derived
   /// from the block set (-1 = derive): strategies that pack (Permute/Send)
@@ -136,8 +141,8 @@ struct Schedule {
   void add_exchange(size_t step, Rank from, Rank to, BlockSet blocks, bool reduce,
                     i64 segments = -1);
 
-  /// Append a one-sided op (local_perm).
-  void add_local(size_t step, Rank r, i64 bytes_moved, i64 segs);
+  /// Append a one-sided op (local_perm over the whole vector).
+  void add_local(size_t step, Rank r, i64 segs);
 
   /// Ensure all ranks have the same number of steps (pad with empty).
   void normalize_steps();
@@ -146,7 +151,7 @@ struct Schedule {
   [[nodiscard]] i64 total_wire_bytes() const;
 
   /// Structural validation: every send has a matching recv in the same step
-  /// with the same blocks/bytes, peers are in range, block ids valid.
+  /// with the same blocks, peers are in range, block ids valid.
   /// Returns an empty string when valid, else a description of the problem.
   [[nodiscard]] std::string validate() const;
 

@@ -18,18 +18,18 @@
 /// Size-independent schedule memoization: the generation fast path.
 ///
 /// Schedule *structure* -- steps, peers, block sets, segment counts -- is a
-/// pure function of (algorithm, collective, p, root, torus_dims); message
-/// size only scales per-op byte counts through `Schedule::bytes_of`'s block
-/// arithmetic (see the invariant note in schedule.hpp). The evaluation grids
-/// exploit none of that when every (collective, algorithm, nodes, size) cell
-/// regenerates its BlockSet-heavy schedule from scratch, and with the
-/// simulator compiled (PR 1) generation dominates sweep wall time.
+/// pure function of (algorithm, collective, p, root, torus_dims) by
+/// construction: ops carry no byte counts, and `Schedule::op_bytes` derives
+/// them from blocks (see schedule.hpp). The evaluation grids exploit none of
+/// that when every (collective, algorithm, nodes, size) cell regenerates its
+/// BlockSet-heavy schedule from scratch, and with the simulator compiled
+/// generation dominates sweep wall time.
 ///
 /// `SizeFreeSchedule` is the memoized artifact: CompiledSchedule's flat SoA
 /// op stream with the byte column *abstracted* -- each op instead carries its
-/// block ranges (CSR into one owned array) or a full-vector marker, so
-/// `resolve_into` can materialize the concrete CompiledSchedule for any
-/// (elem_count, elem_size) by computing the bytes column alone (every
+/// block ranges (CSR into one owned array; a local_perm covers the whole
+/// vector), so `resolve_into` can materialize the concrete CompiledSchedule
+/// for any (elem_count, elem_size) by computing the bytes column alone (every
 /// size-invariant column is shared by span with the resolved schedule; see
 /// compiled.hpp). One cached entry therefore serves an entire message-size
 /// sweep.
@@ -41,25 +41,11 @@
 /// executor and the verification harness run off the same cached artifact as
 /// the simulator (DESIGN.md has the full pipeline).
 ///
-/// Safety over faith, two layers:
-///
-///   * `from()` verifies that re-deriving every op's bytes from its blocks
-///     reproduces the generator's baked bytes exactly; any op that fails
-///     (e.g. a coarse-mode schedule carrying bytes without blocks, or a
-///     local op moving something other than the full vector) marks the
-///     entry `size_independent = false`.
-///   * `ScheduleCache::get` builds the schedule at TWO canonical element
-///     counts -- one tiny, one ~256 MiB-vector sized, chosen with different
-///     divisibility patterns -- and demotes the entry unless the resulting
-///     size-free structures are identical. A generator whose *structure*
-///     branches on elem_count (a size-threshold algorithm switch, a
-///     parity-dependent segmentation) is caught unless it branches only
-///     beyond the large probe.
-///
-/// Demoted entries make callers (harness::Runner) fall back to fresh
-/// generation for that algorithm. For entries that pass, resolution at any
-/// size runs the *same* integer arithmetic `add_exchange` would, so cached
-/// and uncached paths are bit-exact -- which the parity tests assert.
+/// Resolution at any size runs the *same* integer arithmetic
+/// `Schedule::op_bytes` does, so cached and uncached paths are bit-exact --
+/// which the registry-wide parity test (test_schedule_cache) asserts at sizes
+/// from p elements to 2^27. A miss therefore generates once, with no runtime
+/// structure check.
 namespace bine::sched {
 
 /// Size-independent compiled form of one schedule (see file comment).
@@ -68,9 +54,8 @@ struct SizeFreeSchedule {
   i64 nblocks = 0;
   BlockSpace space = BlockSpace::per_vector;
   size_t steps = 0;
-  /// False when build-time verification failed; resolve_into must not be
-  /// used (callers fall back to fresh generation).
-  bool size_independent = true;
+  /// Every entry is size-independent by construction (ops carry no bytes).
+  static constexpr bool size_independent = true;
 
   /// CSR over the op arrays: ops of step t are [step_begin[t], step_begin[t+1]).
   std::vector<std::uint32_t> step_begin;
@@ -83,11 +68,9 @@ struct SizeFreeSchedule {
 
   /// Byte resolution: op i covers ranges [block_begin[i], block_begin[i+1])
   /// of `ranges` -- an owned copy, so entries outlive generator arenas --
-  /// unless full_vector[i], in which case it covers the whole vector
-  /// (the only byte pattern local_perm ops use).
+  /// unless it is a local_perm, which covers the whole vector.
   std::vector<std::uint32_t> block_begin;
   std::vector<BlockRange> ranges;
-  std::vector<std::uint8_t> full_vector;
 
   // --- execution overlay ---------------------------------------------------
   // Every receive-type op (recv AND recv_reduce), canonical step-major /
@@ -122,20 +105,13 @@ struct SizeFreeSchedule {
   [[nodiscard]] size_t num_ops() const noexcept { return kind.size(); }
   [[nodiscard]] size_t num_recv_ops() const noexcept { return recv_rank.size(); }
 
-  /// Compile `s` into size-free form, verifying byte resolvability against
-  /// the bytes `s` was generated with.
+  /// Compile `s` into size-free form (its vector config is not read).
   [[nodiscard]] static SizeFreeSchedule from(const Schedule& s);
-
-  /// True when `a` and `b` describe the identical structure (everything but
-  /// the sizes they were built at).
-  [[nodiscard]] static bool same_structure(const SizeFreeSchedule& a,
-                                           const SizeFreeSchedule& b);
 
   /// Materialize the CompiledSchedule for a concrete vector config, reusing
   /// `out`'s byte-column capacity. Only the bytes column is computed; every
   /// size-invariant column is shared by span with `self`, which `out` keeps
   /// alive (hence the shared handle rather than a plain `this` call).
-  /// Requires size_independent.
   static void resolve_into(std::shared_ptr<const SizeFreeSchedule> self,
                            i64 elem_count, i64 elem_size, CompiledSchedule& out);
 };
@@ -215,12 +191,13 @@ struct ScheduleKeyLess {
 /// is copy- and contention-free.
 class ScheduleCache {
  public:
-  /// Generator hook: build the schedule with the given elem_count (every
-  /// other config knob fixed by the key). Called twice on a miss, at the two
-  /// canonical verification sizes.
+  /// Generator hook: build the schedule for the key (every config knob fixed
+  /// by it). Called exactly once per miss and never on a hit. The argument
+  /// only sizes the built Schedule's derived byte view (`op_bytes`); the
+  /// entry does not depend on it.
   using Builder = std::function<Schedule(i64 elem_count)>;
 
-  /// The cached entry for `key`, building (and verifying) it on first use.
+  /// The cached entry for `key`, building it on first use.
   /// Exceptions from `build` propagate and cache nothing.
   [[nodiscard]] std::shared_ptr<const SizeFreeSchedule> get(const ScheduleKeyView& key,
                                                             const Builder& build);

@@ -67,7 +67,7 @@ inline void expect_bitwise_eq(const harness::RunResult& got,
   EXPECT_EQ(got.steps, oracle.steps) << what;
 }
 
-/// Every size-independent size-free schedule of the collective's registry at
+/// Every size-free schedule of the collective's registry at
 /// rank count p -- the pool a tuner/sweep cell batches. `own` keeps the
 /// shared entries alive behind the raw candidate span.
 struct Pool {
@@ -83,10 +83,8 @@ inline Pool registry_pool(sched::Collective coll, i64 p) {
     cfg.p = p;
     cfg.elem_size = 4;
     cfg.elem_count = 4096;  // structure probe size; sizes vary per test
-    auto sf = std::make_shared<const sched::SizeFreeSchedule>(
-        sched::SizeFreeSchedule::from(algo.make(cfg)));
-    if (!sf->size_independent) continue;  // demoted: not cacheable
-    pool.own.push_back(std::move(sf));
+    pool.own.push_back(std::make_shared<const sched::SizeFreeSchedule>(
+        sched::SizeFreeSchedule::from(algo.make(cfg))));
     pool.ptrs.push_back(pool.own.back().get());
   }
   return pool;

@@ -171,7 +171,7 @@ TEST(Blocks, ArenaSpansAreStableAcrossGrowth) {
   EXPECT_LE(arena.chunk_count(), 16u);
 }
 
-TEST(Schedule, ValidateCatchesByteMismatch) {
+TEST(Schedule, ValidateCatchesBlockMismatch) {
   bs::Schedule s;
   s.coll = bs::Collective::bcast;
   s.p = 2;
@@ -181,8 +181,8 @@ TEST(Schedule, ValidateCatchesByteMismatch) {
   s.steps.assign(2, {});
   s.add_exchange(0, 0, 1, bs::BlockSet::all(2), false);
   EXPECT_EQ(s.validate(), "");
-  s.steps[1][0].ops[0].bytes += 1;
-  EXPECT_NE(s.validate(), "");
+  s.steps[1][0].ops[0].blocks = bs::BlockSet::single(1);
+  EXPECT_NE(s.validate().find("block mismatch"), std::string::npos);
 }
 
 TEST(Schedule, TotalWireBytes) {

@@ -1,7 +1,7 @@
-// Schedule-generation fast path tests: SizeFreeSchedule resolution parity
-// against fresh lowering at every vector size, Runner cached-vs-uncached
-// bit-exactness across all four topology families, demotion of
-// size-dependent schedules, and scoped RouteCache equality with the eager
+// Schedule-generation fast path tests: registry-wide SizeFreeSchedule
+// resolution parity against fresh lowering at every vector size, one builder
+// call per cache miss, Runner cached-vs-uncached bit-exactness across all
+// four topology families, and scoped RouteCache equality with the eager
 // build. Sweep determinism across threads and cache modes lives in
 // test_sim_engine.cpp.
 #include <gtest/gtest.h>
@@ -44,122 +44,89 @@ void expect_same_ir(const sched::CompiledSchedule& a, const sched::CompiledSched
 
 }  // namespace
 
-// One cached SizeFreeSchedule entry must resolve, for EVERY vector size, to
-// the exact CompiledSchedule a fresh generate+lower produces -- the
-// size-independence invariant the cache is built on.
+// Every registry generator is size-free by construction. One cached entry
+// per (algorithm, p, root) must therefore resolve, at EVERY vector size, to
+// the exact CompiledSchedule a fresh generate+lower produces, and carry the
+// execution overlay a fresh compile does -- from one element per block up to
+// 2^27 elements, with non-divisible remainders in between (2^26 + 5p + 2).
 TEST(SizeFreeSchedule, ResolvesToFreshLoweringAtEverySize) {
-  const struct {
-    sched::Collective coll;
-    const char* name;
-  } cases[] = {
-      {sched::Collective::allreduce, "recursive_doubling"},
-      {sched::Collective::allreduce, "rabenseifner"},
-      {sched::Collective::allreduce, "bine_two_trans"},
-      {sched::Collective::allreduce, "bine_permute"},
-      {sched::Collective::allreduce, "bine_send"},
-      {sched::Collective::allreduce, "ring"},
-      {sched::Collective::bcast, "binomial"},
-      {sched::Collective::bcast, "bine"},
-      {sched::Collective::bcast, "bine_scatter_allgather"},
-      {sched::Collective::reduce, "bine_rs_gather"},
-      {sched::Collective::reduce_scatter, "bine_block"},
-      {sched::Collective::allgather, "bruck"},
-      {sched::Collective::gather, "bine"},
-      {sched::Collective::scatter, "binomial"},
-      {sched::Collective::alltoall, "bruck"},
-      {sched::Collective::alltoall, "bine"},
-      {sched::Collective::alltoall, "pairwise"},
-  };
-  for (const i64 p : {16, 24}) {  // pow2 and non-pow2
-    for (const auto& c : cases) {
-      const auto& entry = coll::find_algorithm(c.coll, c.name);
-      if (entry.pow2_only && !is_pow2(p)) continue;
-      SCOPED_TRACE(std::string(c.name) + " p=" + std::to_string(p));
+  sched::ScheduleCache cache;
+  sched::CompiledSchedule resolved;
+  for (const sched::Collective c : coll::all_collectives()) {
+    const bool rooted = c == sched::Collective::bcast || c == sched::Collective::reduce ||
+                        c == sched::Collective::gather || c == sched::Collective::scatter;
+    for (const auto& entry : coll::algorithms_for(c)) {
+      for (const i64 p : {2, 3, 5, 8, 12, 16, 24, 33, 64}) {
+        if (entry.pow2_only && !is_pow2(p)) continue;
+        for (const Rank root : {Rank{0}, Rank{p - 1}}) {
+          if (root != 0 && !rooted) continue;
+          SCOPED_TRACE(std::string(sched::to_string(c)) + "/" + entry.name +
+                       " p=" + std::to_string(p) + " root=" + std::to_string(root));
+          coll::Config cfg;
+          cfg.p = p;
+          cfg.root = root;
+          const sched::ScheduleKey key{c, entry.name, p, root, {}, 0};
+          const auto sf = cache.get(key, [&](i64 elem_count) {
+            coll::Config build_cfg = cfg;
+            build_cfg.elem_count = elem_count;
+            return entry.make(build_cfg);
+          });
 
-      coll::Config build_cfg;
-      build_cfg.p = p;
-      build_cfg.elem_count = 3 * p + 1;  // canonical size != any probed size
-      const auto sf = std::make_shared<const sched::SizeFreeSchedule>(
-          sched::SizeFreeSchedule::from(entry.make(build_cfg)));
-      ASSERT_TRUE(sf->size_independent);
+          for (const i64 elem_count : {p, 2 * p + 1, 7 * p + 3,
+                                       (i64{1} << 26) + 5 * p + 2, i64{1} << 27}) {
+            const std::string what = "elem_count=" + std::to_string(elem_count);
+            cfg.elem_count = elem_count;
+            const sched::Schedule fresh_sch = entry.make(cfg);
+            sched::SizeFreeSchedule::resolve_into(sf, cfg.elem_count, cfg.elem_size,
+                                                  resolved);
+            expect_same_ir(resolved, sched::CompiledSchedule::lower(fresh_sch), what);
+            // The size-invariant columns must be shared, not copied: that is
+            // the point of the span-based resolve (O(bytes column) per cell).
+            EXPECT_EQ(resolved.kind.data(), sf->kind.data());
+            EXPECT_EQ(resolved.step_begin.data(), sf->step_begin.data());
 
-      sched::CompiledSchedule resolved;
-      for (const i64 elem_count : {p, 2 * p, 7 * p + 3, i64{262144}}) {
-        coll::Config cfg = build_cfg;
-        cfg.elem_count = elem_count;
-        const sched::CompiledSchedule fresh =
-            sched::CompiledSchedule::lower(entry.make(cfg));
-        sched::SizeFreeSchedule::resolve_into(sf, cfg.elem_count, cfg.elem_size,
-                                              resolved);
-        expect_same_ir(resolved, fresh, "elem_count=" + std::to_string(elem_count));
-        // The size-invariant columns must be shared, not copied: that is the
-        // point of the span-based resolve (O(bytes column) per cell).
-        EXPECT_EQ(resolved.kind.data(), sf->kind.data());
-        EXPECT_EQ(resolved.step_begin.data(), sf->step_begin.data());
+            const sched::SizeFreeSchedule fresh = sched::SizeFreeSchedule::from(fresh_sch);
+            EXPECT_EQ(fresh.recv_step_begin, sf->recv_step_begin) << what;
+            EXPECT_EQ(fresh.recv_rank, sf->recv_rank) << what;
+            EXPECT_EQ(fresh.recv_peer, sf->recv_peer) << what;
+            EXPECT_EQ(fresh.recv_reduce, sf->recv_reduce) << what;
+            EXPECT_EQ(fresh.recv_block_begin, sf->recv_block_begin) << what;
+            EXPECT_EQ(fresh.recv_ranges, sf->recv_ranges) << what;
+          }
+        }
       }
     }
   }
 }
 
-// A schedule whose bytes can't be re-derived from blocks (here: a local op
-// moving half the vector) must be demoted, never mis-resolved.
-TEST(SizeFreeSchedule, SizeDependentSchedulesAreDemoted) {
-  sched::Schedule sch;
-  sch.coll = sched::Collective::allreduce;
-  sch.algorithm = "half_vector_local";
-  sch.p = 2;
-  sch.nblocks = 2;
-  sch.elem_count = 64;
-  sch.elem_size = 4;
-  sch.steps.assign(2, {});
-  sch.add_exchange(0, 0, 1, sched::BlockSet::all(2), true);
-  sch.add_local(1, 0, /*bytes_moved=*/sch.elem_count * sch.elem_size / 2, 1);
-  sch.normalize_steps();
-  EXPECT_FALSE(sched::SizeFreeSchedule::from(sch).size_independent);
-
-  // The full-vector pattern every generator actually uses stays cacheable.
-  sched::Schedule ok = sch;
-  ok.steps.assign(2, {});
-  ok.add_exchange(0, 0, 1, sched::BlockSet::all(2), true);
-  ok.add_local(1, 0, ok.elem_count * ok.elem_size, 1);
-  ok.normalize_steps();
-  EXPECT_TRUE(sched::SizeFreeSchedule::from(ok).size_independent);
-}
-
-// A generator whose *structure* (not just bytes) branches on elem_count is
-// internally byte-consistent at any one size, so only the cache's two-probe
-// structural cross-check can catch it. It must come back demoted.
-TEST(ScheduleCache, StructureBranchingOnElemCountIsDemoted) {
+// A miss runs the builder exactly once and a hit never runs it.
+TEST(ScheduleCache, BuilderRunsOncePerMiss) {
   sched::ScheduleCache cache;
+  int builds = 0;
+  const auto builder_for = [&builds](i64 p) {
+    return [&builds, p](i64 elem_count) {
+      ++builds;
+      coll::Config cfg;
+      cfg.p = p;
+      cfg.elem_count = elem_count;
+      return coll::find_algorithm(sched::Collective::allreduce, "recursive_doubling")
+          .make(cfg);
+    };
+  };
   sched::ScheduleKey key;
   key.coll = sched::Collective::allreduce;
-  key.algorithm = "size_branching_fake";
+  key.algorithm = "recursive_doubling";
   key.p = 8;
+  const auto first = cache.get(key, builder_for(key.p));
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(cache.get(key, builder_for(key.p)), first);
+  EXPECT_EQ(cache.get(key, builder_for(key.p)), first);
+  EXPECT_EQ(builds, 1);
 
-  const auto build = [&](i64 elem_count) {
-    coll::Config cfg;
-    cfg.p = key.p;
-    cfg.elem_count = elem_count;
-    // A size-threshold algorithm switch, the classic real-world offender.
-    const char* name = elem_count * cfg.elem_size > (i64{1} << 20) ? "ring"
-                                                                   : "recursive_doubling";
-    return coll::find_algorithm(sched::Collective::allreduce, name).make(cfg);
-  };
-  EXPECT_FALSE(cache.get(key, build)->size_independent);
-
-  // An honest generator through the same two-probe path stays cacheable and
-  // hits on re-request.
-  sched::ScheduleKey honest = key;
-  honest.algorithm = "recursive_doubling";
-  const auto honest_build = [&](i64 elem_count) {
-    coll::Config cfg;
-    cfg.p = honest.p;
-    cfg.elem_count = elem_count;
-    return coll::find_algorithm(sched::Collective::allreduce, "recursive_doubling")
-        .make(cfg);
-  };
-  EXPECT_TRUE(cache.get(honest, honest_build)->size_independent);
-  EXPECT_EQ(cache.get(honest, honest_build), cache.get(honest, honest_build));
+  sched::ScheduleKey other = key;
+  other.p = 16;
+  EXPECT_NE(cache.get(other, builder_for(other.p)), first);
+  EXPECT_EQ(builds, 2);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.hits, 2u);

@@ -237,7 +237,6 @@ TEST(SimCandidates, ScratchTrimReleasesOutsizedCell) {
   cfg.elem_count = 4096;
   const auto big_sf = std::make_shared<const sched::SizeFreeSchedule>(
       sched::SizeFreeSchedule::from(pairwise.make(cfg)));
-  ASSERT_TRUE(big_sf->size_independent);
   const net::RouteCache big_rc(big_topo, big_pl);
   // The spike premise: the schedule's route CSR (one 4 B slot id per link
   // of every distinct send pair's path) overflows the cap. If the cap ever
