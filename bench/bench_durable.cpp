@@ -52,6 +52,7 @@
 #include "harness/cancel.hpp"
 #include "harness/runner.hpp"
 #include "net/profiles.hpp"
+#include "sched/schedule_cache.hpp"
 
 using namespace bine;
 using Clock = std::chrono::steady_clock;
@@ -72,16 +73,16 @@ double cpu_seconds() {
 
 // The canonical plan: two systems x two collectives x three node counts =
 // 12 cells, every cell a full three-series candidate sweep over the paper's
-// reduced size vector. Private (cold) schedule caches: the workload a durable
-// sweep actually protects is first-run generation + simulation, and it is
-// that per-cell cost the fsync'd append must amortize against -- a warm-cache
-// replay of microsecond cells is not the scenario anyone journals.
+// reduced size vector. Every timed run starts from a cleared (cold)
+// process-wide schedule cache: the workload a durable sweep actually protects is first-run
+// generation + simulation, and it is that per-cell cost the fsync'd append
+// must amortize against -- a warm-cache replay of microsecond cells is not
+// the scenario anyone journals.
 exp::SweepPlan canonical_plan() {
   exp::SweepPlan plan;
   plan.name = "durable_canonical";
   plan.systems = {exp::SystemSpec{net::lumi_profile()},
                   exp::SystemSpec{net::leonardo_profile()}};
-  for (exp::SystemSpec& spec : plan.systems) spec.private_cache = true;
   plan.colls = {sched::Collective::allreduce, sched::Collective::allgather};
   plan.series = {exp::Series::best_bine(false), exp::Series::binomial_baseline(),
                  exp::Series::best_sota()};
@@ -132,11 +133,9 @@ int run_default() {
   const exp::SweepPlan base = canonical_plan();
   const size_t cells = exp::enumerate_cells(base).size();
 
-  // Warm the process-wide schedule cache once so both timed variants pay
-  // generation equally (round 1 would otherwise bill it to journal-off).
-  const exp::SweepResult warm = exp::run(base);
-  const std::string reference = warm.to_json();
-  std::printf("workload: %zu cells, %zu rows\n", cells, warm.rows.size());
+  const exp::SweepResult first = exp::run(base);
+  const std::string reference = first.to_json();
+  std::printf("workload: %zu cells, %zu rows\n", cells, first.rows.size());
 
   // Compute overhead: paired journal-off/journal-on rounds on the CPU clock,
   // median ratio. Order alternates per round so neither variant always sits
@@ -146,6 +145,7 @@ int run_default() {
   double on_s = std::numeric_limits<double>::infinity();
   std::vector<double> ratios;
   const auto run_off = [&]() -> double {
+    sched::process_schedule_cache().clear();
     const auto w0 = Clock::now();
     const double c0 = cpu_seconds();
     const exp::SweepResult r = exp::run(base);
@@ -157,6 +157,7 @@ int run_default() {
     remove_journal(journal);  // fresh journal each round: every cell appends
     exp::SweepPlan plan = base;
     plan.journal_path = journal;
+    sched::process_schedule_cache().clear();
     const auto w0 = Clock::now();
     const double c0 = cpu_seconds();
     const exp::SweepResult r = exp::run(plan);
@@ -225,10 +226,12 @@ int run_default() {
   interrupted.progress = [&token](size_t done, size_t) {
     if (done >= 4) token.cancel();
   };
+  sched::process_schedule_cache().clear();
   const exp::SweepResult partial = exp::run(interrupted);
 
   exp::SweepPlan resume = base;
   resume.journal_path = journal;
+  sched::process_schedule_cache().clear();
   const auto t0 = Clock::now();
   const exp::SweepResult resumed = exp::run(resume);
   const double resume_s = seconds_since(t0);
@@ -236,6 +239,7 @@ int run_default() {
       partial.cancelled && resumed.to_json() == reference;
 
   // Replay-only pass: every cell must now be answered from the journal.
+  sched::process_schedule_cache().clear();
   const exp::SweepResult replay = exp::run(resume);
   const double hit_rate =
       100.0 * static_cast<double>(replay.journal.replayed) /
@@ -277,7 +281,7 @@ int run_default() {
                  "  \"cancel_resume_byte_identical\": %s,\n"
                  "  \"hardware_threads\": %u\n"
                  "}\n",
-                 cells, warm.rows.size(), off_s * 1e3, on_s * 1e3,
+                 cells, first.rows.size(), off_s * 1e3, on_s * 1e3,
                  cpu_overhead_pct, sync_share_pct, overhead_pct, resume_s * 1e3,
                  hit_rate, identical ? "true" : "false",
                  (resume_identical && replay_identical) ? "true" : "false",

@@ -98,11 +98,7 @@ bool run_sweep_reference(const std::vector<Cell>& cells) {
 exp::SweepPlan compiled_plan(net::SystemProfile profile) {
   exp::SweepPlan plan;
   plan.name = "exec_engine_verify_sweep";
-  exp::SystemSpec spec{std::move(profile)};
-  // Pin the cache on regardless of BINE_SCHED_CACHE: this bench's compiled
-  // timing and the shared-cache demonstration are about the cached path.
-  spec.schedule_cache = true;
-  plan.systems = {std::move(spec)};
+  plan.systems = {exp::SystemSpec{std::move(profile)}};
   plan.colls = {sched::Collective::allreduce};
   for (const auto& entry : coll::algorithms_for(sched::Collective::allreduce)) {
     if (entry.specialized) continue;
@@ -206,7 +202,6 @@ int main() {
               cells.size(), cells.size() / 3);
 
   harness::Runner runner(net::fugaku_profile({4, 4, 4}));
-  runner.set_schedule_cache(true);
 
   const bool parity = parity_gate(runner, cells);
   if (!parity) {

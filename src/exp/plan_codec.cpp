@@ -252,17 +252,14 @@ std::string plan_to_json(const SweepPlan& plan) {
     }
     out += std::string("      \"spread_placement\": ") +
            (sys.spread_placement ? "true" : "false") + ",\n";
-    out += "      \"seed\": " + std::to_string(sys.seed) + ",\n";
+    // Hex string, like journal_salt: a bare JSON integer cannot carry the
+    // upper half of the u64 range.
+    out += "      \"seed\": \"" + hex_u64(sys.seed) + "\"";
     if (!sys.torus_dims.empty()) {
-      out += "      \"torus_dims\": ";
+      out += ",\n      \"torus_dims\": ";
       put_i64_array(out, sys.torus_dims);
-      out += ",\n";
     }
-    out += "      \"schedule_cache\": \"";
-    out += !sys.schedule_cache ? "default" : (*sys.schedule_cache ? "on" : "off");
-    out += "\",\n";
-    out += std::string("      \"private_cache\": ") +
-           (sys.private_cache ? "true" : "false") + "\n";
+    out += "\n";
     out += "    }";
   }
   out += plan.systems.empty() ? "],\n" : "\n  ],\n";
@@ -356,7 +353,7 @@ SweepPlan plan_from_json(std::string_view text) {
       throw std::invalid_argument("plan: systems entries must be objects");
     check_keys(sv, "system",
                {"profile", "dims", "faults", "spread_placement", "seed",
-                "torus_dims", "schedule_cache", "private_cache"});
+                "torus_dims"});
     SystemSpec sys;
     const std::string& pname = sv.at("profile", "profile").as_string("profile");
     std::vector<i64> dims;
@@ -374,19 +371,9 @@ SweepPlan plan_from_json(std::string_view text) {
     }
     const Value& sp = sv.at("spread_placement", "spread_placement");
     sys.spread_placement = sp.as_bool("spread_placement");
-    const i64 seed = sv.at("seed", "seed").as_i64("seed");
-    sys.seed = static_cast<u64>(seed);
+    sys.seed = u64_from_hex(sv.at("seed", "seed").as_string("seed"), "seed");
     if (const Value* t = sv.find("torus_dims"))
       sys.torus_dims = get_i64_array(*t, "torus_dims");
-    const std::string& sc =
-        sv.at("schedule_cache", "schedule_cache").as_string("schedule_cache");
-    if (sc == "default") sys.schedule_cache.reset();
-    else if (sc == "on") sys.schedule_cache = true;
-    else if (sc == "off") sys.schedule_cache = false;
-    else
-      throw std::invalid_argument("plan: schedule_cache must be "
-                                  "\"default\"|\"on\"|\"off\", got \"" + sc + "\"");
-    sys.private_cache = sv.at("private_cache", "private_cache").as_bool("private_cache");
     plan.systems.push_back(std::move(sys));
   }
 

@@ -39,7 +39,7 @@
 namespace bine::exp {
 
 inline constexpr std::string_view kPlanFormat = "bine-sweep-plan";
-inline constexpr i64 kPlanVersion = 1;
+inline constexpr i64 kPlanVersion = 2;
 
 /// Serialize the plan. Throws std::invalid_argument for plans outside the
 /// serializable subset: Backend::custom / a set `metric`, or a system whose

@@ -341,7 +341,6 @@ void measure_cell(const SweepPlan& plan, const Axes& ax, const Item& item,
               m.wire_bytes = v.wire_bytes;
               m.stage_bytes = v.stage_bytes;
               m.digest = v.digest;
-              m.used_cache = v.used_cache;
             }
           } else if (!eval[n]) {
             m.skipped = true;
@@ -521,8 +520,8 @@ void encode_metrics_row(std::string& out, const Metrics& m) {
   out += '\t';
   out += std::to_string(m.steps);
   out += '\t';
-  const unsigned flags = (m.skipped ? 1u : 0u) | (m.failed ? 2u : 0u) |
-                         (m.ok ? 4u : 0u) | (m.used_cache ? 8u : 0u) |
+  // Bit 8 is retired; the other bits keep their values.
+  const unsigned flags = (m.skipped ? 1u : 0u) | (m.failed ? 2u : 0u) | (m.ok ? 4u : 0u) |
                          (m.from_table ? 16u : 0u) | (m.cancelled ? 32u : 0u);
   out += std::to_string(flags);
   out += '\t';
@@ -558,7 +557,6 @@ void encode_metrics_row(std::string& out, const Metrics& m) {
   m.skipped = (flags & 1u) != 0;
   m.failed = (flags & 2u) != 0;
   m.ok = (flags & 4u) != 0;
-  m.used_cache = (flags & 8u) != 0;
   m.from_table = (flags & 16u) != 0;
   m.cancelled = (flags & 32u) != 0;
   m.error = unesc_field(f[7]);
@@ -757,8 +755,6 @@ std::vector<std::unique_ptr<harness::Runner>> make_runners(const SweepPlan& plan
     auto r = std::make_unique<harness::Runner>(spec.profile, spec.spread_placement,
                                                spec.seed);
     r->torus_dims = spec.torus_dims;
-    if (spec.private_cache) r->use_private_schedule_cache();
-    if (spec.schedule_cache) r->set_schedule_cache(*spec.schedule_cache);
     runners.push_back(std::move(r));
   }
   return runners;
@@ -780,7 +776,7 @@ u64 plan_fingerprint(const SweepPlan& plan) {
   u64 h = core::kFnvOffset;
   const auto mix = [&h](u64 v) { core::fnv_mix_bytes(h, &v, sizeof(v)); };
   const auto mix_str = [&h](std::string_view s) { core::fnv_mix_string(h, s); };
-  mix_str("bine.sweep.plan.v1");
+  mix_str("bine.sweep.plan.v2");
   mix_str(plan.name);
   mix(plan.systems.size());
   for (const SystemSpec& s : plan.systems) {
@@ -790,8 +786,6 @@ u64 plan_fingerprint(const SweepPlan& plan) {
     mix(s.seed);
     mix(s.torus_dims.size());
     for (const i64 d : s.torus_dims) mix(static_cast<u64>(d));
-    mix(s.schedule_cache ? (*s.schedule_cache ? 2u : 1u) : 0u);
-    mix(s.private_cache ? 1u : 0u);
   }
   mix(plan.colls.size());
   for (const Collective c : plan.colls) mix(static_cast<u64>(static_cast<int>(c)));
@@ -1057,7 +1051,6 @@ std::string SweepResult::to_json() const {
       std::snprintf(hex, sizeof(hex), "0x%016llx",
                     static_cast<unsigned long long>(r.m.digest));
       out += ", \"digest\": \"" + std::string(hex) + "\"";
-      out += std::string(", \"used_cache\": ") + (r.m.used_cache ? "true" : "false");
     } else if (backend == Backend::custom) {
       if (!r.m.algorithm.empty())
         out += ", \"algorithm\": \"" + tune::json::escape(r.m.algorithm) + "\"";

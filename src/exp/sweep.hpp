@@ -30,16 +30,16 @@
 ///
 /// Every cell is a pure function of its plan coordinates, so the resulting
 /// SweepResult table -- rows in canonical system > collective > nodes >
-/// size > series order -- is byte-identical for any shard width, with or
-/// without the schedule cache. The golden parity suite asserts the ported
+/// size > series order -- is byte-identical for any shard width and for a
+/// cold or warm schedule cache. The golden parity suite asserts the ported
 /// bench drivers emit bit-identical metrics to the pre-refactor loops.
 namespace bine::exp {
 
 using sched::Collective;
 
 /// One system under evaluation: the machine model plus the Runner knobs the
-/// old drivers set by hand (fragmented vs identity placement, torus shape,
-/// schedule-cache mode).
+/// old drivers set by hand (fragmented vs identity placement, torus shape).
+/// Every system resolves schedules through the one process-wide cache.
 struct SystemSpec {
   SystemSpec() = default;
   explicit SystemSpec(net::SystemProfile p) : profile(std::move(p)) {}
@@ -48,10 +48,6 @@ struct SystemSpec {
   bool spread_placement = true;  ///< synthetic fragmented scheduler (Sec. 2.2)
   u64 seed = 42;
   std::vector<i64> torus_dims;   ///< Runner::torus_dims (Appendix D generators)
-  /// Schedule-cache override; unset = the Runner default (BINE_SCHED_CACHE).
-  std::optional<bool> schedule_cache;
-  /// Detach from the process-wide cache (cold-start benchmarking).
-  bool private_cache = false;
 };
 
 /// One output series per cell: which algorithm(s) it evaluates and how the
@@ -136,7 +132,6 @@ struct Metrics {
   /// every delivery landed direct, fused, or through in-place tiles).
   i64 stage_bytes = 0;
   u64 digest = 0;
-  bool used_cache = false;
   // Backend::tuned_dispatch
   bool from_table = false;
   // Backend::custom

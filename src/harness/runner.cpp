@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <stdexcept>
 #include <type_traits>
 
@@ -32,23 +31,10 @@ std::string size_label(i64 bytes) {
   return std::to_string(bytes) + " B";
 }
 
-namespace {
-
-bool schedule_cache_default() {
-  if (const char* env = std::getenv("BINE_SCHED_CACHE")) {
-    const std::string v(env);
-    if (v == "0" || v == "false" || v == "off" || v == "no") return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 Runner::Runner(net::SystemProfile profile, bool spread_placement, u64 seed)
     : profile_(std::move(profile)),
       spread_placement_(spread_placement),
-      seed_(seed),
-      use_schedule_cache_(schedule_cache_default()) {
+      seed_(seed) {
   // Fault model: profile-attached spec wins; otherwise BINE_FAULT_SPEC lets
   // the CI fault-injection job degrade every Runner in a process without
   // touching call sites. Trivial specs are dropped here, so every fault
@@ -162,14 +148,13 @@ RunResult to_run_result(const net::SimResult& sim) {
 
 std::shared_ptr<const sched::SizeFreeSchedule> Runner::cached_entry(
     Collective coll, const coll::AlgorithmEntry& algo, const coll::Config& cfg) {
-  if (!use_schedule_cache_) return nullptr;
   // Transparent view key: a hit performs no string/vector copies and takes
   // only a shared lock inside the cache. The fault epoch (spec fingerprint;
   // 0 = healthy) partitions the shared table so a changed fault model can
   // never be served entries cached under another machine state.
   const sched::ScheduleKeyView key(coll, algo.name, cfg.p, cfg.root, cfg.torus_dims,
                                    fault_ ? fault_->fingerprint() : 0);
-  return sched_cache_->get(key, [&](i64 canonical_elems) {
+  return sched::process_schedule_cache().get(key, [&](i64 canonical_elems) {
     coll::Config build_cfg = cfg;
     build_cfg.elem_count = canonical_elems;
     return algo.make(build_cfg);
@@ -210,14 +195,10 @@ std::vector<std::vector<RunResult>> Runner::run_candidates(
   Sized& sized = sized_for(nodes);
   std::vector<std::vector<net::SimResult>> sims(resolved.size());
   for (size_t j = 0; j < resolved.size(); ++j) {
-    // One size-free entry answers the whole axis: the cached one, or with
-    // the cache off a fresh compile of the cell's schedule. Lanes never mix,
+    // One cached size-free entry answers the whole axis. Lanes never mix,
     // so a size the algorithm doesn't answer costs a lane and changes
     // nothing else.
-    auto entry = cached_entry(coll, *resolved[j], cfg);
-    if (!entry)
-      entry = std::make_shared<const sched::SizeFreeSchedule>(
-          sched::SizeFreeSchedule::from(resolved[j]->make(cfg)));
+    const auto entry = cached_entry(coll, *resolved[j], cfg);
     sims[j] = net::simulate(*entry, elem_counts, cfg.elem_size, *sized.routes,
                             profile_.cost, net::process_route_memo());
   }
@@ -231,17 +212,11 @@ std::vector<std::vector<RunResult>> Runner::run_candidates(
 }
 
 runtime::ExecPlan Runner::exec_plan(Collective coll, const coll::AlgorithmEntry& algo_in,
-                                    i64 nodes, i64 size_bytes, bool* used_cache,
-                                    i64 elem_size) {
+                                    i64 nodes, i64 size_bytes, i64 elem_size) {
   const coll::Config cfg = cell_config(nodes, size_bytes, elem_size);
   const coll::AlgorithmEntry& algo = resolve_algorithm(coll, algo_in, cfg.p, size_bytes);
-  if (used_cache) *used_cache = false;
-  if (auto entry = cached_entry(coll, algo, cfg)) {
-    if (used_cache) *used_cache = true;
-    return runtime::ExecPlan::from_size_free(std::move(entry), coll, cfg.root,
-                                             cfg.elem_count, cfg.elem_size);
-  }
-  return runtime::ExecPlan::lower(algo.make(cfg));
+  return runtime::ExecPlan::from_size_free(cached_entry(coll, algo, cfg), coll, cfg.root,
+                                           cfg.elem_count, cfg.elem_size);
 }
 
 namespace {
@@ -307,8 +282,8 @@ VerifiedRun Runner::run_verified_impl(Collective coll, const coll::AlgorithmEntr
     return out;
   }
   try {
-    const runtime::ExecPlan plan = exec_plan(coll, algo, nodes, size_bytes,
-                                             &out.used_cache, static_cast<i64>(sizeof(T)));
+    const runtime::ExecPlan plan =
+        exec_plan(coll, algo, nodes, size_bytes, static_cast<i64>(sizeof(T)));
     const auto inputs = synthetic_inputs<T>(plan.p, plan.elem_count);
     // Executor injection hook: only a spec with drop/corrupt probabilities
     // is passed through; the resulting damage surfaces as a verify failure
@@ -343,11 +318,6 @@ VerifiedRun Runner::run_verified(Collective coll, const coll::AlgorithmEntry& al
       return run_verified_impl<double>(coll, algo, nodes, size_bytes, threads, op);
   }
   throw std::logic_error("unknown element type");
-}
-
-void Runner::use_private_schedule_cache() {
-  private_cache_ = std::make_unique<sched::ScheduleCache>();
-  sched_cache_ = private_cache_.get();
 }
 
 std::vector<std::string> Runner::bine_names(Collective coll, bool contiguous_only) const {

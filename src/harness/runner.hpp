@@ -24,10 +24,11 @@
 /// fans independent cells out over a thread pool with deterministic,
 /// index-addressed results.
 ///
-/// The schedule cache is the process-wide sched::process_schedule_cache() by
-/// default: every Runner (one per SystemProfile in the table benches) shares
-/// entries, and both the simulation path (`run_candidates`) and the execution path
-/// (`exec_plan`/`run_verified`) resolve from the same cached size-free IR.
+/// The schedule cache is the process-wide sched::process_schedule_cache(),
+/// always on: every Runner (one per SystemProfile in the table benches) shares
+/// entries, and both the simulation path (`run_candidates`) and the execution
+/// path (`exec_plan`/`run_verified`) resolve from the same cached size-free
+/// IR. A cold start is `process_schedule_cache().clear()`.
 /// Batches of verified cells run as exp::run plans with
 /// Backend::execute_verified, which fans cells out and keeps executor
 /// thread pools from nesting.
@@ -49,14 +50,13 @@ struct VerifiedRun {
   std::string error;       ///< verify diagnostic or execution exception
   i64 messages = 0;
   i64 wire_bytes = 0;
-  bool used_cache = false; ///< plan came from the shared size-free IR
   /// Bytes the execution copied through stage buffers (ExecPlan::stage_bytes):
   /// 0 means every delivery landed direct, fused, or through in-place tiles.
   i64 stage_bytes = 0;
   /// FNV-1a digest over the final execution state (validity bytes,
   /// contributor words, element bit patterns) plus the layout scalars.
-  /// Deterministic for any thread count and identical between the cached and
-  /// fresh plan paths; 0 until the run verified ok. Sweep outputs carry it so
+  /// Deterministic for any thread count and identical to a run of
+  /// ExecPlan::lower over the fresh schedule; 0 until the run verified ok. Sweep outputs carry it so
   /// tuning/refinement stages can trust (and cross-check) verified cells.
   u64 digest = 0;
 };
@@ -112,8 +112,8 @@ class Runner {
   /// distinct algorithms its slots resolve to across the axis; every
   /// (slot, size) reads its resolved algorithm's lane. Each algorithm goes
   /// through one size-batched net::simulate call across the whole axis (via
-  /// the process-wide net::process_route_memo()), over its cached size-free
-  /// entry or, with the cache off, one fresh compile per cell.
+  /// the process-wide net::process_route_memo()) over its cached size-free
+  /// entry.
   [[nodiscard]] std::vector<std::vector<RunResult>> run_candidates(
       sched::Collective coll, std::span<const coll::AlgorithmEntry* const> algos,
       i64 nodes, std::span<const i64> sizes_bytes);
@@ -128,14 +128,11 @@ class Runner {
   }
 
   /// Compiled execution plan for one cell, pulled from the schedule cache
-  /// when it is on (so verify-heavy runs skip generation on a hit, exactly
-  /// like the simulation path). With the cache off the cell's fresh
-  /// schedule goes through ExecPlan::lower, which validates it first.
-  /// Callers hand the plan to runtime::execute.
+  /// (so verify-heavy runs skip generation on a hit, exactly like the
+  /// simulation path). Callers hand the plan to runtime::execute.
   [[nodiscard]] runtime::ExecPlan exec_plan(sched::Collective coll,
                                             const coll::AlgorithmEntry& algo, i64 nodes,
-                                            i64 size_bytes, bool* used_cache = nullptr,
-                                            i64 elem_size = 4);
+                                            i64 size_bytes, i64 elem_size = 4);
 
   /// Execute one cell over deterministic synthetic inputs with the compiled
   /// executor and verify the collective's postcondition. `threads` drives the
@@ -151,19 +148,6 @@ class Runner {
                                          i64 size_bytes, i64 threads = 0,
                                          runtime::ElemType elem = runtime::ElemType::u32,
                                          runtime::ReduceOp op = runtime::ReduceOp::sum);
-
-  /// Toggle the size-independent schedule cache (default: on, unless the
-  /// BINE_SCHED_CACHE environment variable is set to 0). The cached and
-  /// uncached paths are bit-exact; the toggle exists for benchmarking and
-  /// the parity suite.
-  void set_schedule_cache(bool enabled) { use_schedule_cache_ = enabled; }
-  [[nodiscard]] bool schedule_cache_enabled() const { return use_schedule_cache_; }
-  [[nodiscard]] sched::ScheduleCache::Stats schedule_cache_stats() const {
-    return sched_cache_->stats();
-  }
-  /// Detach this runner from the process-wide schedule cache onto a private
-  /// one (cold-start benchmarking, stats isolation in tests).
-  void use_private_schedule_cache();
 
   /// Torus shape handed to the Appendix D generators (empty = near-cubic).
   std::vector<i64> torus_dims;
@@ -196,7 +180,7 @@ class Runner {
   /// returned reference is stable (map nodes never move).
   Sized& sized_for(i64 nodes);
 
-  /// Simulation config for one cell (shared by cached and uncached paths).
+  /// Simulation config for one cell (shared by simulation and execution).
   /// `elem_size` defaults to the paper's 32-bit integers; the typed verified
   /// path passes the element type's width instead.
   [[nodiscard]] coll::Config cell_config(i64 nodes, i64 size_bytes,
@@ -207,7 +191,7 @@ class Runner {
                                               i64 nodes, i64 size_bytes, i64 threads,
                                               runtime::ReduceOp op);
 
-  /// Size-free entry for one cell, or nullptr when the cache is off.
+  /// Size-free entry for one cell from the process-wide schedule cache.
   [[nodiscard]] std::shared_ptr<const sched::SizeFreeSchedule> cached_entry(
       sched::Collective coll, const coll::AlgorithmEntry& algo, const coll::Config& cfg);
 
@@ -226,9 +210,6 @@ class Runner {
   std::map<i64, Sized> cache_;
   mutable std::mutex notes_mutex_;
   std::vector<std::string> degrade_notes_;
-  bool use_schedule_cache_ = true;
-  sched::ScheduleCache* sched_cache_ = &sched::process_schedule_cache();
-  std::unique_ptr<sched::ScheduleCache> private_cache_;
 };
 
 }  // namespace bine::harness

@@ -41,9 +41,10 @@
 ///
 /// One construction path, `from_size_free(entry, ...)`, which is how
 /// harness::Runner's verify path skips generation entirely on a
-/// schedule-cache hit. `lower(Schedule)` is the uncached front end: it
-/// rejects structurally invalid schedules (`Schedule::validate()`), compiles
-/// SizeFreeSchedule::from(s) and hands the fresh entry to `from_size_free`.
+/// schedule-cache hit. `lower(Schedule)` is the fresh-schedule front end
+/// (the examples' and the tests' oracle): it rejects structurally invalid
+/// schedules (`Schedule::validate()`), compiles SizeFreeSchedule::from(s) and
+/// hands the fresh entry to `from_size_free`.
 namespace bine::runtime {
 
 /// The size-invariant finalized structure of one delivery stream: expanded

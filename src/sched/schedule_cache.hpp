@@ -42,9 +42,9 @@
 /// the simulator (DESIGN.md has the full pipeline).
 ///
 /// Resolution at any size runs the *same* integer arithmetic
-/// `Schedule::op_bytes` does, so cached and uncached paths are bit-exact --
-/// which the registry-wide parity test (test_schedule_cache) asserts at sizes
-/// from p elements to 2^27. A miss therefore generates once, with no runtime
+/// `Schedule::op_bytes` does, so a cached entry and a fresh lowering are
+/// bit-exact -- which the registry-wide parity test (test_schedule_cache)
+/// asserts at sizes from p elements to 2^27. A miss therefore generates once, with no runtime
 /// structure check.
 namespace bine::sched {
 
@@ -224,9 +224,8 @@ class ScheduleCache {
 /// The process-wide cache instance. Schedule structure is a pure function of
 /// the key -- no Runner-, profile- or topology-specific state leaks into it --
 /// so every Runner (and the table benches' many Runners) shares one table:
-/// the second Runner in a process starts hot. Runners use this instance by
-/// default; `Runner::use_private_schedule_cache()` opts a runner out (cold
-/// per-instance timing, test isolation).
+/// the second Runner in a process starts hot. It is the only cache a Runner
+/// uses, always on; `clear()` gives a cold start (benches, tests).
 [[nodiscard]] ScheduleCache& process_schedule_cache();
 
 }  // namespace bine::sched

@@ -218,54 +218,48 @@ TEST(FaultSpec, Classification) {
 // --- zero-fault bit-identity ------------------------------------------------
 
 // A trivial spec must be indistinguishable from no spec at all: every
-// registered algorithm, threads 1 and 4, schedule cache on and off, compared
-// bitwise.
+// registered algorithm, threads 1 and 4, compared bitwise.
 TEST(FaultParity, ZeroFaultSpecIsBitIdenticalAcrossRegistry) {
-  for (const bool cache : {true, false}) {
-    harness::Runner healthy(net::lumi_profile());
-    harness::Runner zero(profile_with(make_spec()));
-    ASSERT_EQ(zero.fault_spec(), nullptr);  // trivial -> dropped at construction
-    healthy.set_schedule_cache(cache);
-    zero.set_schedule_cache(cache);
+  harness::Runner healthy(net::lumi_profile());
+  harness::Runner zero(profile_with(make_spec()));
+  ASSERT_EQ(zero.fault_spec(), nullptr);  // trivial -> dropped at construction
 
-    std::vector<std::string> names;
-    for (const Collective coll : coll::all_collectives())
-      for (const auto& entry : coll::algorithms_for(coll)) {
-        if (entry.specialized || !healthy.applicable(entry, 16)) continue;
-        for (const i64 size : {4096LL, 65536LL}) {
-          names.push_back(entry.name);
-          const harness::RunResult a = healthy.run(coll, entry, 16, size);
-          const harness::RunResult b = zero.run(coll, entry, 16, size);
-          EXPECT_EQ(a.seconds, b.seconds) << entry.name << " size " << size;
-          EXPECT_EQ(a.global_bytes, b.global_bytes) << entry.name;
-          EXPECT_EQ(a.total_bytes, b.total_bytes) << entry.name;
-          EXPECT_EQ(a.messages, b.messages) << entry.name;
-          EXPECT_EQ(a.steps, b.steps) << entry.name;
-        }
-      }
-    ASSERT_FALSE(names.empty());
-
-    // Threaded sweep over the same cells, healthy and zero-spec systems side
-    // by side: byte-identical too.
-    exp::SweepPlan plan;
-    plan.systems = {exp::SystemSpec{net::lumi_profile()},
-                    exp::SystemSpec{profile_with(make_spec())}};
-    for (exp::SystemSpec& sys : plan.systems) sys.schedule_cache = cache;
-    plan.colls = {Collective::allreduce, Collective::bcast};
-    plan.series = {exp::Series::best_bine(false)};
-    plan.nodes.counts = {16};
-    plan.sizes = {65536};
-    for (const i64 threads : {1LL, 4LL}) {
-      plan.threads = threads;
-      const exp::SweepResult r = exp::run(plan);
-      for (size_t ci = 0; ci < plan.colls.size(); ++ci) {
-        EXPECT_EQ(r.at(0, ci, 0, 0, 0).algorithm, r.at(1, ci, 0, 0, 0).algorithm);
-        EXPECT_EQ(r.at(0, ci, 0, 0, 0).seconds, r.at(1, ci, 0, 0, 0).seconds);
+  std::vector<std::string> names;
+  for (const Collective coll : coll::all_collectives())
+    for (const auto& entry : coll::algorithms_for(coll)) {
+      if (entry.specialized || !healthy.applicable(entry, 16)) continue;
+      for (const i64 size : {4096LL, 65536LL}) {
+        names.push_back(entry.name);
+        const harness::RunResult a = healthy.run(coll, entry, 16, size);
+        const harness::RunResult b = zero.run(coll, entry, 16, size);
+        EXPECT_EQ(a.seconds, b.seconds) << entry.name << " size " << size;
+        EXPECT_EQ(a.global_bytes, b.global_bytes) << entry.name;
+        EXPECT_EQ(a.total_bytes, b.total_bytes) << entry.name;
+        EXPECT_EQ(a.messages, b.messages) << entry.name;
+        EXPECT_EQ(a.steps, b.steps) << entry.name;
       }
     }
-    EXPECT_TRUE(healthy.degrade_notes().empty());
-    EXPECT_TRUE(zero.degrade_notes().empty());
+  ASSERT_FALSE(names.empty());
+
+  // Threaded sweep over the same cells, healthy and zero-spec systems side
+  // by side: byte-identical too.
+  exp::SweepPlan plan;
+  plan.systems = {exp::SystemSpec{net::lumi_profile()},
+                  exp::SystemSpec{profile_with(make_spec())}};
+  plan.colls = {Collective::allreduce, Collective::bcast};
+  plan.series = {exp::Series::best_bine(false)};
+  plan.nodes.counts = {16};
+  plan.sizes = {65536};
+  for (const i64 threads : {1LL, 4LL}) {
+    plan.threads = threads;
+    const exp::SweepResult r = exp::run(plan);
+    for (size_t ci = 0; ci < plan.colls.size(); ++ci) {
+      EXPECT_EQ(r.at(0, ci, 0, 0, 0).algorithm, r.at(1, ci, 0, 0, 0).algorithm);
+      EXPECT_EQ(r.at(0, ci, 0, 0, 0).seconds, r.at(1, ci, 0, 0, 0).seconds);
+    }
   }
+  EXPECT_TRUE(healthy.degrade_notes().empty());
+  EXPECT_TRUE(zero.degrade_notes().empty());
 }
 
 // Degraded and healthy runners share the process-wide schedule cache; the

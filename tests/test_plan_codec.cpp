@@ -41,12 +41,9 @@ exp::SweepPlan full_plan() {
   exp::SystemSpec lumi{net::lumi_profile()};
   lumi.spread_placement = false;
   lumi.seed = 7;
-  lumi.schedule_cache = false;
-  lumi.private_cache = true;
 
   exp::SystemSpec fugaku{net::profile_by_name("fugaku", {4, 4, 8})};
   fugaku.torus_dims = {4, 4, 8};
-  fugaku.schedule_cache = true;
 
   exp::SystemSpec degraded{net::leonardo_profile()};
   {
@@ -107,9 +104,6 @@ TEST(PlanCodec, FullRoundTripIsByteStable) {
   EXPECT_EQ(back.systems[0].profile.name, "lumi");
   EXPECT_FALSE(back.systems[0].spread_placement);
   EXPECT_EQ(back.systems[0].seed, 7u);
-  ASSERT_TRUE(back.systems[0].schedule_cache.has_value());
-  EXPECT_FALSE(*back.systems[0].schedule_cache);
-  EXPECT_TRUE(back.systems[0].private_cache);
   EXPECT_EQ(back.systems[1].profile.dims, (std::vector<i64>{4, 4, 8}));
   EXPECT_EQ(back.systems[1].torus_dims, (std::vector<i64>{4, 4, 8}));
   ASSERT_TRUE(back.systems[2].profile.faults != nullptr);
@@ -127,6 +121,16 @@ TEST(PlanCodec, FullRoundTripIsByteStable) {
   EXPECT_EQ(back.miss_policy, tune::MissPolicy::error);
   EXPECT_EQ(back.journal_salt, 0xdeadbeefcafe1234ull);
   EXPECT_EQ(back.cell_deadline_ms, 60000);
+
+  // Seeds travel as hex strings, so the whole u64 range round-trips.
+  for (const u64 seed : {u64{0}, u64{42}, u64{1} << 63, ~u64{0}}) {
+    exp::SweepPlan seeded = full_plan();
+    seeded.systems[0].seed = seed;
+    const std::string text = exp::plan_to_json(seeded);
+    const exp::SweepPlan again = exp::plan_from_json(text);
+    EXPECT_EQ(again.systems[0].seed, seed);
+    EXPECT_EQ(exp::plan_to_json(again), text);
+  }
 }
 
 // Tuning a missed cell is the service's job, not a plan policy: the retired
@@ -214,7 +218,8 @@ std::vector<std::pair<std::string, std::string>> bad_documents() {
   docs.emplace_back("trailing garbage", good + "x");
   docs.emplace_back("wrong format",
                     replaced("\"bine-sweep-plan\"", "\"bine-sweep-plot\""));
-  docs.emplace_back("wrong version", replaced("\"version\": 1", "\"version\": 99"));
+  docs.emplace_back("wrong version", replaced("\"version\": 2", "\"version\": 99"));
+  docs.emplace_back("v1 document", replaced("\"version\": 2", "\"version\": 1"));
   docs.emplace_back("unknown top-level key",
                     replaced("\"name\":", "\"nmae\":"));
   docs.emplace_back("duplicate key",
@@ -233,25 +238,24 @@ std::vector<std::pair<std::string, std::string>> bad_documents() {
   docs.emplace_back("unknown miss_policy",
                     replaced("\"heuristic_default\"", "\"guess\""));
   docs.emplace_back("unknown on_error", replaced("\"propagate\"", "\"explode\""));
-  docs.emplace_back("schedule_cache out of domain",
-                    replaced("\"default\"", "\"sometimes\""));
   docs.emplace_back("journal_salt not hex",
                     replaced("\"0x0000000000000000\"", "\"42\""));
   docs.emplace_back("journal_salt bad digit",
                     replaced("\"0x0000000000000000\"", "\"0x000000000000000g\""));
   docs.emplace_back("wrong type for sizes", replaced("[1024]", "\"1024\""));
-  docs.emplace_back("wrong type for seed",
-                    replaced("\"seed\": 42", "\"seed\": \"42\""));
+  const std::string seed = "\"seed\": \"0x000000000000002a\"";
+  docs.emplace_back("bare-integer seed", replaced(seed, "\"seed\": 42"));
+  docs.emplace_back("negative seed", replaced(seed, "\"seed\": -1"));
+  docs.emplace_back("seed not hex", replaced(seed, "\"seed\": \"42\""));
+  docs.emplace_back("leftover schedule_cache key",
+                    replaced(seed, seed + ", \"schedule_cache\": \"default\""));
   docs.emplace_back("unknown system key",
                     replaced("\"spread_placement\"", "\"spread_placemen\""));
   docs.emplace_back("unknown series key", replaced("\"label\"", "\"lable\""));
   docs.emplace_back("non-canonical fault spec: order",
-                    replaced("\"private_cache\": false",
-                             "\"private_cache\": false, "
-                             "\"faults\": \"degrade_global=0.5,seed=9\""));
+                    replaced(seed, seed + ", \"faults\": \"degrade_global=0.5,seed=9\""));
   docs.emplace_back("non-canonical fault spec: empty",
-                    replaced("\"private_cache\": false",
-                             "\"private_cache\": false, \"faults\": \"\""));
+                    replaced(seed, seed + ", \"faults\": \"\""));
   docs.emplace_back("contiguous_only false never serialized",
                     replaced("\"family\": \"bine\"",
                              "\"family\": \"bine\", \"contiguous_only\": false"));

@@ -1,9 +1,8 @@
 // Schedule-generation fast path tests: registry-wide SizeFreeSchedule
 // resolution parity against fresh lowering at every vector size, one builder
-// call per cache miss, Runner cached-vs-uncached bit-exactness across all
-// four topology families, and scoped RouteCache equality with the eager
-// build. Sweep determinism across threads and cache modes lives in
-// test_sim_engine.cpp.
+// call per cache miss, cached Runner cells bit-exact with the scalar oracle
+// across all four topology families, and scoped RouteCache equality with the
+// eager build. Sweep determinism across threads lives in test_sim_engine.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +19,7 @@
 #include "net/simulate.hpp"
 #include "sched/compiled.hpp"
 #include "sched/schedule_cache.hpp"
+#include "sim_oracle.hpp"
 
 using namespace bine;
 
@@ -132,11 +132,11 @@ TEST(ScheduleCache, BuilderRunsOncePerMiss) {
   EXPECT_EQ(stats.hits, 2u);
 }
 
-// Cache-hit cells must be bit-exact with fresh generation on every topology
-// family: dragonfly (lumi), dragonfly+ (leonardo), torus (fugaku), and
-// multi-GPU -- TrafficStats integer-equal, seconds within 1e-12 relative
-// (they are in fact the same arithmetic, so we assert exact equality).
-TEST(ScheduleCache, CachedRunsMatchUncachedAcrossTopologyFamilies) {
+// Cached cells must be bit-exact with the scalar oracle over fresh
+// generation (test_util::ScalarCell) on every topology family: dragonfly
+// (lumi), dragonfly+ (leonardo), torus (fugaku), and multi-GPU --
+// TrafficStats integer-equal, seconds equal by bit pattern.
+TEST(ScheduleCache, CachedRunsMatchScalarOracleAcrossTopologyFamilies) {
   std::vector<net::SystemProfile> profiles;
   profiles.push_back(net::lumi_profile());
   profiles.push_back(net::leonardo_profile());
@@ -149,29 +149,22 @@ TEST(ScheduleCache, CachedRunsMatchUncachedAcrossTopologyFamilies) {
   const std::vector<i64> sizes = {32, 16384, 1048576};
 
   for (auto& profile : profiles) {
-    harness::Runner cached(profile);
-    harness::Runner uncached(profile);
-    cached.set_schedule_cache(true);
-    cached.use_private_schedule_cache();  // per-profile stats for the assert below
-    uncached.set_schedule_cache(false);
+    sched::process_schedule_cache().clear();  // per-profile stats for the assert below
+    harness::Runner runner(profile, /*spread_placement=*/false);
+    const test_util::ScalarCell oracle(runner, 64);
     for (const sched::Collective coll : colls) {
       for (const auto& entry : coll::algorithms_for(coll)) {
         if (entry.specialized) continue;
         if (entry.pow2_only && !is_pow2(64)) continue;
-        for (const i64 size : sizes) {
-          SCOPED_TRACE(profile.name + "/" + entry.name + "/" +
-                       harness::size_label(size));
-          const harness::RunResult a = cached.run(coll, entry, 64, size);
-          const harness::RunResult b = uncached.run(coll, entry, 64, size);
-          EXPECT_EQ(a.seconds, b.seconds);  // bitwise: same arithmetic must run
-          EXPECT_EQ(a.global_bytes, b.global_bytes);
-          EXPECT_EQ(a.total_bytes, b.total_bytes);
-          EXPECT_EQ(a.steps, b.steps);
-        }
+        for (const i64 size : sizes)
+          test_util::expect_bitwise_eq(runner.run(coll, entry, 64, size),
+                                       oracle.run(entry, size),
+                                       profile.name + "/" + entry.name + "/" +
+                                           harness::size_label(size));
       }
     }
     // The whole point: one entry per (algorithm, p), hit for every extra size.
-    const auto stats = cached.schedule_cache_stats();
+    const auto stats = sched::process_schedule_cache().stats();
     EXPECT_GT(stats.hits, stats.misses) << profile.name;
   }
 }

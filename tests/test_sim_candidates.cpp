@@ -121,18 +121,18 @@ TEST(SimCandidates, ConcurrentRunnersShareProcessMemoBitIdentically) {
   std::vector<std::vector<std::vector<harness::RunResult>>> expect;
   {
     harness::Runner ref(net::lumi_profile());
-    ref.use_private_schedule_cache();
     for (const Cell& c : cells)
       expect.push_back(ref.run_candidates(c.coll, pool_for(ref, c), c.nodes, sizes));
   }
 
   for (const int threads : {1, 4}) {
+    // Cold schedule cache: the workers also race on its misses.
+    sched::process_schedule_cache().clear();
     std::atomic<int> mismatches{0};
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t)
       workers.emplace_back([&] {
         harness::Runner runner(net::lumi_profile());
-        runner.use_private_schedule_cache();
         for (size_t i = 0; i < cells.size(); ++i) {
           const auto got =
               runner.run_candidates(cells[i].coll, pool_for(runner, cells[i]),
@@ -178,13 +178,11 @@ TEST(SimCandidates, FaultEpochScopingNeverContaminatesHealthyRuns) {
   };
 
   harness::Runner healthy_before(net::lumi_profile());
-  healthy_before.use_private_schedule_cache();
   const auto reference = run_cell(healthy_before);
 
   // Degradation-only spec: every rank survives, global links lose bandwidth.
   setenv("BINE_FAULT_SPEC", "seed=7,degrade_global=0.5", 1);
   harness::Runner faulted(net::lumi_profile());
-  faulted.use_private_schedule_cache();
   ASSERT_NE(faulted.fault_spec(), nullptr);
   const auto degraded = run_cell(faulted);
   unsetenv("BINE_FAULT_SPEC");
@@ -202,7 +200,6 @@ TEST(SimCandidates, FaultEpochScopingNeverContaminatesHealthyRuns) {
   // ...and a fresh healthy Runner, served from the (now warm, possibly
   // fault-adjacent) process memo, must reproduce the reference exactly.
   harness::Runner healthy_after(net::lumi_profile());
-  healthy_after.use_private_schedule_cache();
   const auto replay = run_cell(healthy_after);
   ASSERT_EQ(replay.size(), reference.size());
   for (size_t k = 0; k < replay.size(); ++k) {

@@ -1,8 +1,8 @@
 // Compiled simulation engine tests: route-cache vs virtual route()
 // equivalence, flat-IR lowering invariants, compiled-vs-reference parity of
 // TrafficStats/SimResult across all four topology families, ragged-schedule
-// safety, and sweep determinism across thread counts and cache modes
-// against a direct argmin over Runner::run.
+// safety, and sweep determinism across thread counts against a direct
+// argmin over the scalar oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -237,8 +237,9 @@ TEST(SimEngine, RaggedScheduleIsNotUnderSimulated) {
   expect_bitwise_eq(batched[0], fast, "ragged");
 }
 
-// Sweeps through the batched engine must be byte-identical across worker
-// counts and cache modes, and agree with a direct argmin over Runner::run in
+// Sweeps through the batched engine, each from a cold schedule cache, must be
+// byte-identical across worker counts and agree with a direct argmin over
+// the scalar oracle (ScalarCell: fresh generation, identity placement) in
 // each series' own order -- on a pow2 torus cell and on ragged non-pow2
 // dragonfly cells (where the rank-count gate drops pool slots).
 TEST(SweepRunner, ResultsAreBitIdenticalAcrossThreadCounts) {
@@ -260,56 +261,57 @@ TEST(SweepRunner, ResultsAreBitIdenticalAcrossThreadCounts) {
   const std::vector<i64> sizes = {256, 16384, 1048576};
   for (const Case& c : cases) {
     // Golden rows in result order (coll, nodes, size, series), computed once.
-    harness::Runner golden_runner(c.profile);
-    golden_runner.set_schedule_cache(false);
+    const harness::Runner golden_runner(c.profile, /*spread_placement=*/false);
     std::vector<std::pair<std::string, harness::RunResult>> golden;
     for (const sched::Collective coll : c.colls) {
       const std::vector<std::vector<std::string>> families = {
           golden_runner.bine_names(coll, true), golden_runner.binomial_names(coll),
           golden_runner.sota_names(coll)};
-      for (const i64 nodes : c.nodes)
+      for (const i64 nodes : c.nodes) {
+        const ScalarCell oracle(golden_runner, nodes);
         for (const i64 size : sizes)
           for (const auto& names : families)
-            golden.push_back(
-                test_util::argmin_run(golden_runner, coll, names, nodes, size));
-    }
-    for (const bool cache : {true, false}) {
-      for (const i64 threads : {1, 2, 5}) {
-        exp::SweepPlan plan;
-        plan.name = "sweep_determinism";
-        plan.systems = {exp::SystemSpec{c.profile}};
-        plan.systems[0].schedule_cache = cache;
-        plan.systems[0].private_cache = true;
-        plan.colls = c.colls;
-        plan.series = {exp::Series::best_bine(/*contiguous_only=*/true),
-                       exp::Series::binomial_baseline(), exp::Series::best_sota()};
-        plan.nodes.counts = c.nodes;
-        plan.sizes = sizes;
-        plan.threads = threads;
-        const exp::SweepResult result = exp::run(plan);
-        size_t g = 0;
-        for (size_t ci = 0; ci < c.colls.size(); ++ci)
-          for (size_t ni = 0; ni < c.nodes.size(); ++ni)
-            for (size_t si = 0; si < sizes.size(); ++si)
-              for (size_t k = 0; k < plan.series.size(); ++k) {
-                const auto& [name, expect] = golden[g++];
-                const exp::Metrics& m = result.at(0, ci, ni, si, k);
-                const std::string what =
-                    c.profile.name + "/" + to_string(c.colls[ci]) +
-                    " p=" + std::to_string(c.nodes[ni]) +
-                    " size=" + std::to_string(sizes[si]) + " series=" + std::to_string(k) +
-                    " cache=" + std::to_string(cache) + " threads=" + std::to_string(threads);
-                EXPECT_EQ(m.algorithm, name) << what;
-                EXPECT_EQ(std::bit_cast<std::uint64_t>(m.seconds),
-                          std::bit_cast<std::uint64_t>(expect.seconds))
-                    << what;
-                EXPECT_EQ(m.global_bytes, expect.global_bytes) << what;
-                EXPECT_EQ(m.total_bytes, expect.total_bytes) << what;
-                EXPECT_EQ(m.messages, expect.messages) << what;
-                EXPECT_EQ(m.steps, expect.steps) << what;
-              }
-        EXPECT_EQ(g, golden.size());
+            golden.push_back(argmin_of(golden_runner, coll, names, nodes,
+                                       [&](const coll::AlgorithmEntry& entry) {
+                                         return oracle.run(entry, size);
+                                       }));
       }
+    }
+    for (const i64 threads : {1, 2, 5}) {
+      exp::SweepPlan plan;
+      plan.name = "sweep_determinism";
+      plan.systems = {exp::SystemSpec{c.profile}};
+      plan.systems[0].spread_placement = false;
+      plan.colls = c.colls;
+      plan.series = {exp::Series::best_bine(/*contiguous_only=*/true),
+                     exp::Series::binomial_baseline(), exp::Series::best_sota()};
+      plan.nodes.counts = c.nodes;
+      plan.sizes = sizes;
+      plan.threads = threads;
+      sched::process_schedule_cache().clear();
+      const exp::SweepResult result = exp::run(plan);
+      size_t g = 0;
+      for (size_t ci = 0; ci < c.colls.size(); ++ci)
+        for (size_t ni = 0; ni < c.nodes.size(); ++ni)
+          for (size_t si = 0; si < sizes.size(); ++si)
+            for (size_t k = 0; k < plan.series.size(); ++k) {
+              const auto& [name, expect] = golden[g++];
+              const exp::Metrics& m = result.at(0, ci, ni, si, k);
+              const std::string what =
+                  c.profile.name + "/" + to_string(c.colls[ci]) +
+                  " p=" + std::to_string(c.nodes[ni]) +
+                  " size=" + std::to_string(sizes[si]) + " series=" + std::to_string(k) +
+                  " threads=" + std::to_string(threads);
+              EXPECT_EQ(m.algorithm, name) << what;
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(m.seconds),
+                        std::bit_cast<std::uint64_t>(expect.seconds))
+                  << what;
+              EXPECT_EQ(m.global_bytes, expect.global_bytes) << what;
+              EXPECT_EQ(m.total_bytes, expect.total_bytes) << what;
+              EXPECT_EQ(m.messages, expect.messages) << what;
+              EXPECT_EQ(m.steps, expect.steps) << what;
+            }
+      EXPECT_EQ(g, golden.size());
     }
   }
 }

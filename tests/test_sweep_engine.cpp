@@ -1,11 +1,11 @@
 // Sweep-engine tests: golden parity between the declarative plans the ported
 // bench drivers run and direct per-cell references (an argmin over
 // Runner::run in each series' own order, select()+run dispatch), asserted
-// bit-identically across shard widths {1, 4} and schedule cache on/off; the
+// bit-identically across shard widths {1, 4} from a cold schedule cache; the
 // planner's cell dedup; canonical row ordering and JSON stability; the
 // custom-backend placeholder axes; NodeAxis per-collective extension; and
 // the verified-execution backend's digest parity with Runner::run_verified
-// across element types, reduce ops, shard widths and cache modes.
+// across element types, reduce ops and shard widths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include "exp/sweep.hpp"
 #include "harness/runner.hpp"
 #include "net/profiles.hpp"
+#include "sched/schedule_cache.hpp"
 #include "tune/tuner.hpp"
 #include "argmin_oracle.hpp"
 
@@ -51,31 +52,27 @@ void expect_metrics_eq(const exp::Metrics& m, const std::string& name,
 
 // The binomial table (paired bine/binomial series) vs a direct argmin over
 // Runner::run per cell: bit-identical metrics for every cell, across shard
-// widths and cache modes.
+// widths, each sweep starting from a cold schedule cache.
 TEST(SweepEngine, GoldenParityBinomialTable) {
-  for (const bool cache : {true, false}) {
-    harness::Runner runner(net::lumi_profile());
-    runner.set_schedule_cache(cache);
-    for (const i64 threads : {i64{1}, i64{4}}) {
-      exp::SweepPlan plan =
-          exp::paper::binomial_table(net::lumi_profile(), kNodes, kSizes);
-      plan.systems[0].schedule_cache = cache;
-      plan.threads = threads;
-      const exp::SweepResult result = exp::run(plan);
-      ASSERT_EQ(result.colls.size(), coll::all_collectives().size());
-      for (size_t ci = 0; ci < result.colls.size(); ++ci) {
-        const Collective coll = result.colls[ci];
-        for (size_t ni = 0; ni < kNodes.size(); ++ni)
-          for (size_t si = 0; si < kSizes.size(); ++si) {
-            const auto bine = argmin_run(runner, coll, runner.bine_names(coll, true),
-                                         kNodes[ni], kSizes[si]);
-            const auto binomial = argmin_run(runner, coll, runner.binomial_names(coll),
-                                             kNodes[ni], kSizes[si]);
-            expect_metrics_eq(result.at(0, ci, ni, si, 0), bine.first, bine.second);
-            expect_metrics_eq(result.at(0, ci, ni, si, 1), binomial.first,
-                              binomial.second);
-          }
-      }
+  harness::Runner runner(net::lumi_profile());
+  for (const i64 threads : {i64{1}, i64{4}}) {
+    exp::SweepPlan plan = exp::paper::binomial_table(net::lumi_profile(), kNodes, kSizes);
+    plan.threads = threads;
+    sched::process_schedule_cache().clear();
+    const exp::SweepResult result = exp::run(plan);
+    ASSERT_EQ(result.colls.size(), coll::all_collectives().size());
+    for (size_t ci = 0; ci < result.colls.size(); ++ci) {
+      const Collective coll = result.colls[ci];
+      for (size_t ni = 0; ni < kNodes.size(); ++ni)
+        for (size_t si = 0; si < kSizes.size(); ++si) {
+          const auto bine = argmin_run(runner, coll, runner.bine_names(coll, true),
+                                       kNodes[ni], kSizes[si]);
+          const auto binomial = argmin_run(runner, coll, runner.binomial_names(coll),
+                                           kNodes[ni], kSizes[si]);
+          expect_metrics_eq(result.at(0, ci, ni, si, 0), bine.first, bine.second);
+          expect_metrics_eq(result.at(0, ci, ni, si, 1), binomial.first,
+                            binomial.second);
+        }
     }
   }
 }
@@ -169,7 +166,7 @@ TEST(SweepEngine, GoldenParityTunedDispatch) {
 
 // Verified-execution backend vs Runner::run_verified -- digests included --
 // for every element type x {sum, min, max}, bit-identical across shard
-// widths {1, 4} and schedule cache on/off. ring and recursive_doubling
+// widths {1, 4}. ring and recursive_doubling
 // compute the same allreduce, so each (p, size) has one digest per
 // (elem, op).
 TEST(SweepEngine, GoldenParityExecuteVerified) {
@@ -183,72 +180,64 @@ TEST(SweepEngine, GoldenParityExecuteVerified) {
     for (const runtime::ReduceOp op :
          {runtime::ReduceOp::sum, runtime::ReduceOp::min, runtime::ReduceOp::max}) {
       std::optional<exp::SweepResult> first;
-      for (const bool cache : {true, false})
-        for (const i64 threads : {i64{1}, i64{4}}) {
-          SCOPED_TRACE(std::string(runtime::to_string(elem)) + "/" +
-                       runtime::to_string(op) + " cache=" + std::to_string(cache) +
-                       " threads=" + std::to_string(threads));
-          exp::SweepPlan plan;
-          plan.name = "golden_verified";
-          plan.systems = {exp::SystemSpec{net::lumi_profile()}};
-          plan.systems[0].schedule_cache = cache;
-          plan.colls = {Collective::allreduce};
-          plan.series = {exp::Series::single("recursive_doubling"),
-                         exp::Series::single("ring")};
-          plan.nodes.counts = nodes;
-          plan.sizes = sizes;
-          plan.backend = exp::Backend::execute_verified;
-          plan.elem = elem;
-          plan.op = op;
-          plan.threads = threads;
-          exp::SweepResult result = exp::run(plan);
-          for (size_t ni = 0; ni < nodes.size(); ++ni)
-            for (size_t k = 0; k < plan.series.size(); ++k)
-              for (size_t si = 0; si < sizes.size(); ++si) {
-                const exp::Metrics& m = result.at(0, 0, ni, si, k);
-                EXPECT_TRUE(m.ok) << m.error;
-                EXPECT_NE(m.digest, 0u);
-                if (!cache) {
-                  EXPECT_FALSE(m.used_cache);
-                }
-                if (first) {
-                  const exp::Metrics& f = first->at(0, 0, ni, si, k);
-                  EXPECT_EQ(m.digest, f.digest);
-                  EXPECT_EQ(m.messages, f.messages);
-                  EXPECT_EQ(m.wire_bytes, f.wire_bytes);
-                  continue;
-                }
-                const harness::VerifiedRun v = runner.run_verified(
-                    Collective::allreduce,
-                    coll::find_algorithm(Collective::allreduce,
-                                         plan.series[k].algorithms[0]),
-                    nodes[ni], sizes[si], /*threads=*/0, elem, op);
-                EXPECT_EQ(m.ok, v.ok);
-                EXPECT_EQ(m.digest, v.digest);
-                EXPECT_EQ(m.messages, v.messages);
-                EXPECT_EQ(m.wire_bytes, v.wire_bytes);
-                digests[ni * sizes.size() + si].insert(m.digest);
+      for (const i64 threads : {i64{1}, i64{4}}) {
+        SCOPED_TRACE(std::string(runtime::to_string(elem)) + "/" +
+                     runtime::to_string(op) + " threads=" + std::to_string(threads));
+        exp::SweepPlan plan;
+        plan.name = "golden_verified";
+        plan.systems = {exp::SystemSpec{net::lumi_profile()}};
+        plan.colls = {Collective::allreduce};
+        plan.series = {exp::Series::single("recursive_doubling"),
+                       exp::Series::single("ring")};
+        plan.nodes.counts = nodes;
+        plan.sizes = sizes;
+        plan.backend = exp::Backend::execute_verified;
+        plan.elem = elem;
+        plan.op = op;
+        plan.threads = threads;
+        exp::SweepResult result = exp::run(plan);
+        for (size_t ni = 0; ni < nodes.size(); ++ni)
+          for (size_t k = 0; k < plan.series.size(); ++k)
+            for (size_t si = 0; si < sizes.size(); ++si) {
+              const exp::Metrics& m = result.at(0, 0, ni, si, k);
+              EXPECT_TRUE(m.ok) << m.error;
+              EXPECT_NE(m.digest, 0u);
+              if (first) {
+                const exp::Metrics& f = first->at(0, 0, ni, si, k);
+                EXPECT_EQ(m.digest, f.digest);
+                EXPECT_EQ(m.messages, f.messages);
+                EXPECT_EQ(m.wire_bytes, f.wire_bytes);
+                continue;
               }
-          if (!first) first = std::move(result);
-        }
+              const harness::VerifiedRun v = runner.run_verified(
+                  Collective::allreduce,
+                  coll::find_algorithm(Collective::allreduce,
+                                       plan.series[k].algorithms[0]),
+                  nodes[ni], sizes[si], /*threads=*/0, elem, op);
+              EXPECT_EQ(m.ok, v.ok);
+              EXPECT_EQ(m.digest, v.digest);
+              EXPECT_EQ(m.messages, v.messages);
+              EXPECT_EQ(m.wire_bytes, v.wire_bytes);
+              digests[ni * sizes.size() + si].insert(m.digest);
+            }
+        if (!first) first = std::move(result);
+      }
     }
   for (const std::set<u64>& per_cell : digests) EXPECT_EQ(per_cell.size(), 12u);
 }
 
 // Rows -- and the serialized JSON -- are byte-identical for any shard width,
-// with the cache on or off.
-TEST(SweepEngine, ShardAndCacheInvariance) {
+// each sweep starting from a cold schedule cache.
+TEST(SweepEngine, ShardInvariance) {
   std::string reference;
-  for (const bool cache : {true, false}) {
-    for (const i64 threads : {i64{1}, i64{4}}) {
-      exp::SweepPlan plan =
-          exp::paper::sota_boxplots(net::lumi_profile(), kNodes, kSizes, kColls);
-      plan.systems[0].schedule_cache = cache;
-      plan.threads = threads;
-      const std::string json = exp::run(plan).to_json();
-      if (reference.empty()) reference = json;
-      EXPECT_EQ(json, reference) << "cache=" << cache << " threads=" << threads;
-    }
+  for (const i64 threads : {i64{1}, i64{4}}) {
+    exp::SweepPlan plan =
+        exp::paper::sota_boxplots(net::lumi_profile(), kNodes, kSizes, kColls);
+    plan.threads = threads;
+    sched::process_schedule_cache().clear();
+    const std::string json = exp::run(plan).to_json();
+    if (reference.empty()) reference = json;
+    EXPECT_EQ(json, reference) << "threads=" << threads;
   }
 }
 
