@@ -266,11 +266,28 @@ u64 state_digest(const runtime::ExecPlan& plan,
 
 }  // namespace
 
+std::optional<VerifiedRun> VerifyMemo::find(const Key& key) {
+  const std::scoped_lock lock(mutex_);
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) return std::nullopt;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  return it->second;
+}
+
+void VerifyMemo::record(const std::optional<Key>& key, const VerifiedRun& run) {
+  runs_.fetch_add(1, std::memory_order_relaxed);
+  if (!key) return;
+  const std::scoped_lock lock(mutex_);
+  entries_.emplace(*key, run);
+}
+
 template <typename T>
-VerifiedRun Runner::run_verified_impl(Collective coll, const coll::AlgorithmEntry& algo,
+VerifiedRun Runner::run_verified_impl(Collective coll, const coll::AlgorithmEntry& algo_in,
                                       i64 nodes, i64 size_bytes, i64 threads,
-                                      runtime::ReduceOp op) {
+                                      runtime::ElemType elem, runtime::ReduceOp op,
+                                      VerifyMemo* memo) {
   VerifiedRun out;
+  std::optional<VerifyMemo::Key> key;
   if (std::is_floating_point_v<T> && op == runtime::ReduceOp::prod) {
     // Floating-point products are order-dependent (no input domain keeps
     // them exact), so schedule-order vs reference-order reductions would
@@ -279,43 +296,59 @@ VerifiedRun Runner::run_verified_impl(Collective coll, const coll::AlgorithmEntr
     out.error = "verified execution does not support ReduceOp::prod over "
                 "floating-point elements (order-dependent rounding); use an "
                 "integral element type";
-    return out;
+  } else {
+    try {
+      const coll::Config cfg = cell_config(nodes, size_bytes, static_cast<i64>(sizeof(T)));
+      const coll::AlgorithmEntry& algo =
+          resolve_algorithm(coll, algo_in, cfg.p, size_bytes);
+      // Executor injection hook: only a spec with drop/corrupt probabilities
+      // is passed through; the resulting damage surfaces as a verify failure
+      // or an executor throw, both reported as a not-ok VerifiedRun below.
+      // Such runs never read or fill the memo.
+      const fault::FaultSpec* inject =
+          fault_ && fault_->has_exec_injection() ? fault_.get() : nullptr;
+      if (memo != nullptr && inject == nullptr) {
+        key = VerifyMemo::Key{coll, algo.name, cfg.p, cfg.root, cfg.torus_dims,
+                              fault_ ? fault_->fingerprint() : 0, cfg.elem_count, elem,
+                              op};
+        if (std::optional<VerifiedRun> hit = memo->find(*key)) return std::move(*hit);
+      }
+      const runtime::ExecPlan plan = runtime::ExecPlan::from_size_free(
+          cached_entry(coll, algo, cfg), coll, cfg.root, cfg.elem_count, cfg.elem_size);
+      const auto inputs = synthetic_inputs<T>(plan.p, plan.elem_count);
+      const auto res = runtime::execute<T>(plan, op, inputs, threads, inject);
+      out.messages = res.messages;
+      out.wire_bytes = res.wire_bytes;
+      out.stage_bytes = res.stage_bytes;
+      out.error = runtime::verify<T>(plan, op, inputs, res);
+      out.ok = out.error.empty();
+      if (out.ok) out.digest = state_digest<T>(plan, res);
+    } catch (const std::exception& e) {
+      out.ok = false;
+      out.error = e.what();
+    }
   }
-  try {
-    const runtime::ExecPlan plan =
-        exec_plan(coll, algo, nodes, size_bytes, static_cast<i64>(sizeof(T)));
-    const auto inputs = synthetic_inputs<T>(plan.p, plan.elem_count);
-    // Executor injection hook: only a spec with drop/corrupt probabilities
-    // is passed through; the resulting damage surfaces as a verify failure
-    // or an executor throw, both reported as a not-ok VerifiedRun below.
-    const fault::FaultSpec* inject =
-        fault_ && fault_->has_exec_injection() ? fault_.get() : nullptr;
-    const auto res = runtime::execute<T>(plan, op, inputs, threads, inject);
-    out.messages = res.messages;
-    out.wire_bytes = res.wire_bytes;
-    out.stage_bytes = res.stage_bytes;
-    out.error = runtime::verify<T>(plan, op, inputs, res);
-    out.ok = out.error.empty();
-    if (out.ok) out.digest = state_digest<T>(plan, res);
-  } catch (const std::exception& e) {
-    out.ok = false;
-    out.error = e.what();
-  }
+  if (memo != nullptr) memo->record(key, out);
   return out;
 }
 
 VerifiedRun Runner::run_verified(Collective coll, const coll::AlgorithmEntry& algo,
                                  i64 nodes, i64 size_bytes, i64 threads,
-                                 runtime::ElemType elem, runtime::ReduceOp op) {
+                                 runtime::ElemType elem, runtime::ReduceOp op,
+                                 VerifyMemo* memo) {
   switch (elem) {
     case runtime::ElemType::u32:
-      return run_verified_impl<std::uint32_t>(coll, algo, nodes, size_bytes, threads, op);
+      return run_verified_impl<std::uint32_t>(coll, algo, nodes, size_bytes, threads, elem,
+                                              op, memo);
     case runtime::ElemType::u64:
-      return run_verified_impl<std::uint64_t>(coll, algo, nodes, size_bytes, threads, op);
+      return run_verified_impl<std::uint64_t>(coll, algo, nodes, size_bytes, threads, elem,
+                                              op, memo);
     case runtime::ElemType::f32:
-      return run_verified_impl<float>(coll, algo, nodes, size_bytes, threads, op);
+      return run_verified_impl<float>(coll, algo, nodes, size_bytes, threads, elem, op,
+                                      memo);
     case runtime::ElemType::f64:
-      return run_verified_impl<double>(coll, algo, nodes, size_bytes, threads, op);
+      return run_verified_impl<double>(coll, algo, nodes, size_bytes, threads, elem, op,
+                                       memo);
   }
   throw std::logic_error("unknown element type");
 }

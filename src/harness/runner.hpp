@@ -1,8 +1,11 @@
 #pragma once
 
+#include <atomic>
+#include <compare>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -59,6 +62,47 @@ struct VerifiedRun {
   /// ExecPlan::lower over the fresh schedule; 0 until the run verified ok. Sweep outputs carry it so
   /// tuning/refinement stages can trust (and cross-check) verified cells.
   u64 digest = 0;
+};
+
+/// Verified-run outcomes shared by every Runner that is handed the memo, keyed
+/// by everything a verified execution reads: the collective, the algorithm
+/// after fault demotion, the effective communicator (p, root, torus_dims), the
+/// fault fingerprint (0 = healthy), elem_count, element type and reduce op.
+/// The system profile's topology, placement and cost model never reach the
+/// executor, so LUMI, Leonardo and MareNostrum 5 share entries; executor
+/// threads stay out of the key because results are bit-identical for any
+/// thread count. Runners bypass the memo under executor drop/corrupt
+/// injection. Thread-safe; two workers missing on one key both execute and
+/// store the same outcome. A tune::Tuner::build owns one for its duration.
+class VerifyMemo {
+ public:
+  /// Requests that executed (misses and bypasses) / that were answered from
+  /// the memo. Their sum is the number of verification requests.
+  [[nodiscard]] i64 runs() const { return runs_.load(std::memory_order_relaxed); }
+  [[nodiscard]] i64 hits() const { return hits_.load(std::memory_order_relaxed); }
+
+ private:
+  friend class Runner;
+  struct Key {
+    sched::Collective coll;
+    std::string algorithm;
+    i64 p;
+    Rank root;
+    std::vector<i64> torus_dims;
+    u64 fault_epoch;
+    i64 elem_count;
+    runtime::ElemType elem;
+    runtime::ReduceOp op;
+    auto operator<=>(const Key&) const = default;
+  };
+  [[nodiscard]] std::optional<VerifiedRun> find(const Key& key);
+  /// Counts one executed request; stores its outcome under `key` if given.
+  void record(const std::optional<Key>& key, const VerifiedRun& run);
+
+  std::mutex mutex_;
+  std::map<Key, VerifiedRun> entries_;
+  std::atomic<i64> runs_{0};
+  std::atomic<i64> hits_{0};
 };
 
 /// Vector sizes used throughout Sec. 5 (bytes): 32 B ... 512 MiB. The bench
@@ -143,11 +187,14 @@ class Runner {
   /// Floating-point inputs are small exact integers, so f32/f64 sum/min/max
   /// are order-independent and bit-deterministic; float x prod has no such
   /// domain and comes back not-ok with an actionable error.
+  /// `memo`, when given, answers a request whose key it already holds
+  /// without executing and stores every outcome it did not hold.
   [[nodiscard]] VerifiedRun run_verified(sched::Collective coll,
                                          const coll::AlgorithmEntry& algo, i64 nodes,
                                          i64 size_bytes, i64 threads = 0,
                                          runtime::ElemType elem = runtime::ElemType::u32,
-                                         runtime::ReduceOp op = runtime::ReduceOp::sum);
+                                         runtime::ReduceOp op = runtime::ReduceOp::sum,
+                                         VerifyMemo* memo = nullptr);
 
   /// Torus shape handed to the Appendix D generators (empty = near-cubic).
   std::vector<i64> torus_dims;
@@ -189,7 +236,8 @@ class Runner {
   [[nodiscard]] VerifiedRun run_verified_impl(sched::Collective coll,
                                               const coll::AlgorithmEntry& algo,
                                               i64 nodes, i64 size_bytes, i64 threads,
-                                              runtime::ReduceOp op);
+                                              runtime::ElemType elem, runtime::ReduceOp op,
+                                              VerifyMemo* memo);
 
   /// Size-free entry for one cell from the process-wide schedule cache.
   [[nodiscard]] std::shared_ptr<const sched::SizeFreeSchedule> cached_entry(

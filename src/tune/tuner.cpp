@@ -43,7 +43,7 @@ std::vector<const coll::AlgorithmEntry*> Tuner::candidates(Collective coll, i64 
 const coll::AlgorithmEntry* Tuner::winner_at(
     harness::Runner& runner, Collective coll, i64 p, i64 size,
     const std::vector<const coll::AlgorithmEntry*>& cands,
-    const harness::CellGuard* guard) const {
+    const harness::CellGuard* guard, harness::VerifyMemo* memo) const {
   // One run_candidates call for the whole pool at this size (bisection
   // midpoints land here; the initial grid batches sizes too, in tune_cell).
   if (guard != nullptr) guard->checkpoint("candidate ranking");
@@ -51,13 +51,14 @@ const coll::AlgorithmEntry* Tuner::winner_at(
       runner.run_candidates(coll, cands, p, std::span<const i64>(&size, 1));
   std::vector<double> seconds(cands.size());
   for (size_t k = 0; k < cands.size(); ++k) seconds[k] = evaluated[k][0].seconds;
-  return pick_winner(runner, coll, p, size, cands, seconds, guard);
+  return pick_winner(runner, coll, p, size, cands, seconds, guard, memo);
 }
 
 const coll::AlgorithmEntry* Tuner::pick_winner(
     harness::Runner& runner, Collective coll, i64 p, i64 size,
     const std::vector<const coll::AlgorithmEntry*>& cands,
-    const std::vector<double>& seconds, const harness::CellGuard* guard) const {
+    const std::vector<double>& seconds, const harness::CellGuard* guard,
+    harness::VerifyMemo* memo) const {
   // Rank every candidate by simulated time. Pure function of the cell, so
   // sharding cannot reorder anything observable.
   std::vector<std::pair<double, size_t>> ranked(cands.size());
@@ -82,8 +83,9 @@ const coll::AlgorithmEntry* Tuner::pick_winner(
   for (size_t k = 0; k < k_max; ++k) {
     if (guard != nullptr) guard->checkpoint("verified refinement");
     const coll::AlgorithmEntry* cand = cands[ranked[k].second];
-    const harness::VerifiedRun v = runner.run_verified(
-        coll, *cand, p, size, exec_threads, options_.refine_elem, options_.refine_op);
+    const harness::VerifiedRun v =
+        runner.run_verified(coll, *cand, p, size, exec_threads, options_.refine_elem,
+                            options_.refine_op, memo);
     if (v.ok) return cand;
   }
   throw std::runtime_error(std::string("tuner: all top-") + std::to_string(k_max) +
@@ -93,7 +95,8 @@ const coll::AlgorithmEntry* Tuner::pick_winner(
 }
 
 std::vector<SizeInterval> Tuner::tune_cell(harness::Runner& runner, Collective coll,
-                                           i64 p, const harness::CellGuard* guard) const {
+                                           i64 p, const harness::CellGuard* guard,
+                                           harness::VerifyMemo* memo) const {
   const std::vector<const coll::AlgorithmEntry*> cands = candidates(coll, p);
   if (cands.empty())
     throw std::runtime_error(std::string("tuner: no applicable algorithm for ") +
@@ -112,7 +115,8 @@ std::vector<SizeInterval> Tuner::tune_cell(harness::Runner& runner, Collective c
   std::vector<double> seconds(cands.size());
   for (size_t gi = 0; gi < grid.size(); ++gi) {
     for (size_t k = 0; k < cands.size(); ++k) seconds[k] = evaluated[k][gi].seconds;
-    winners.push_back(pick_winner(runner, coll, p, grid[gi], cands, seconds, guard));
+    winners.push_back(
+        pick_winner(runner, coll, p, grid[gi], cands, seconds, guard, memo));
   }
 
   // Adaptive refinement (bounded depth): each pass ranks the geometric
@@ -133,7 +137,7 @@ std::vector<SizeInterval> Tuner::tune_cell(harness::Runner& runner, Collective c
           std::sqrt(static_cast<double>(grid[i]) * static_cast<double>(grid[i + 1]))));
       if (mid <= grid[i] || mid >= grid[i + 1]) continue;  // bracket exhausted
       refined_grid.push_back(mid);
-      refined_winners.push_back(winner_at(runner, coll, p, mid, cands, guard));
+      refined_winners.push_back(winner_at(runner, coll, p, mid, cands, guard, memo));
       inserted = true;
     }
     grid = std::move(refined_grid);
@@ -277,11 +281,14 @@ DecisionTable Tuner::build(const std::vector<net::SystemProfile>& profiles,
     return std::nullopt;
   };
   exp::RunCellsReport cell_report;
+  // Verified runs never read placement or link costs, so every system's
+  // Runner and every shard worker shares one memo; it dies with this call.
+  harness::VerifyMemo memo;
   const std::vector<exp::CellFailure> failures = exp::run_cells(
       plan,
       [&](size_t i, const exp::CellRef& cell, harness::Runner& runner,
           const harness::CellGuard& guard) {
-        results[i] = tune_cell(runner, cell.coll, cell.p, &guard);
+        results[i] = tune_cell(runner, cell.coll, cell.p, &guard, &memo);
       },
       &codec, &cell_report);
   if (!failures.empty() && failures.size() == cells.size())
@@ -297,6 +304,8 @@ DecisionTable Tuner::build(const std::vector<net::SystemProfile>& profiles,
   BuildReport local;
   BuildReport& rep = report ? *report : local;
   rep.replayed_cells = cell_report.replayed;
+  rep.verified_runs = memo.runs();
+  rep.verify_memo_hits = memo.hits();
   for (std::string& note : cell_report.notes) rep.notes.push_back(std::move(note));
   for (const exp::CellFailure& f : failures) {
     ++rep.failed_cells;

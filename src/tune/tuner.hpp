@@ -97,6 +97,11 @@ struct BuildReport {
   i64 failed_cells = 0;   ///< cells excluded after exhausting retries
   i64 replayed_cells = 0; ///< cells answered from the journal (durable builds)
   i64 cancelled_cells = 0;///< cells skipped because the CancelToken fired
+  /// Verified refinement through the build's harness::VerifyMemo: executions
+  /// performed / requests answered from the memo. Their sum is the number of
+  /// verification requests the build made.
+  i64 verified_runs = 0;
+  i64 verify_memo_hits = 0;
   std::vector<std::string> notes;
 };
 
@@ -111,9 +116,11 @@ class Tuner {
   /// be unique. Cell enumeration and sharding delegate to the sweep
   /// engine's planner (exp::enumerate_cells / exp::run_cells): one work item
   /// per deduplicated cell, sharded across `options().threads`, every
-  /// Runner sharing the process-wide schedule cache. `report`, when given,
-  /// receives cell counts and the exclusion notes of any failed cells
-  /// (see TunerOptions::tolerate_failed_cells).
+  /// Runner sharing the process-wide schedule cache. One harness::VerifyMemo,
+  /// alive for this call only, serves every Runner and shard worker, so an
+  /// execution that several systems or sizes verify runs once. `report`,
+  /// when given, receives cell counts, verification counts and the exclusion
+  /// notes of any failed cells (see TunerOptions::tolerate_failed_cells).
   [[nodiscard]] DecisionTable build(const std::vector<net::SystemProfile>& profiles,
                                     const std::vector<sched::Collective>& colls,
                                     const std::vector<i64>& node_counts,
@@ -123,10 +130,12 @@ class Tuner {
   /// build()'s per-cell work item). Deterministic; throws if no candidate
   /// applies or every refined candidate fails verification. `guard`, when
   /// given, is checkpointed between candidate evaluations so a per-cell
-  /// deadline can interrupt a wedged cell.
+  /// deadline can interrupt a wedged cell. `memo`, when given, answers
+  /// verified refinement requests it already holds (build() passes its own).
   [[nodiscard]] std::vector<SizeInterval> tune_cell(
       harness::Runner& runner, sched::Collective coll, i64 p,
-      const harness::CellGuard* guard = nullptr) const;
+      const harness::CellGuard* guard = nullptr,
+      harness::VerifyMemo* memo = nullptr) const;
 
   /// The registry candidates a cell ranks: every non-topology-specialized
   /// algorithm whose rank-count gate admits p, in registry order.
@@ -140,7 +149,7 @@ class Tuner {
   [[nodiscard]] const coll::AlgorithmEntry* winner_at(
       harness::Runner& runner, sched::Collective coll, i64 p, i64 size,
       const std::vector<const coll::AlgorithmEntry*>& cands,
-      const harness::CellGuard* guard) const;
+      const harness::CellGuard* guard, harness::VerifyMemo* memo) const;
 
   /// Selection given each candidate's already-simulated seconds at one size:
   /// the stable-sort ranking and verified refinement winner_at performs,
@@ -149,7 +158,8 @@ class Tuner {
   [[nodiscard]] const coll::AlgorithmEntry* pick_winner(
       harness::Runner& runner, sched::Collective coll, i64 p, i64 size,
       const std::vector<const coll::AlgorithmEntry*>& cands,
-      const std::vector<double>& seconds, const harness::CellGuard* guard) const;
+      const std::vector<double>& seconds, const harness::CellGuard* guard,
+      harness::VerifyMemo* memo) const;
 
   /// The tuner knobs that shape cell results, hashed into the build plan's
   /// journal_salt: a journal written by a differently-configured tuner must

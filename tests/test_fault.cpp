@@ -2,7 +2,8 @@
 // bit-identity contract, link degradation, failed-rank shrinkage with
 // algorithm demotion, executor injection provably caught by verification,
 // self-healing sweeps (isolation, transient retries, partial results),
-// fault-tolerant tuner builds, crash-safe artifact emission, quarantine on
+// fault-tolerant tuner builds (verified-run memo isolation included),
+// crash-safe artifact emission, quarantine on
 // load, spec parsing, and the parallel_for exception regression.
 #include <gtest/gtest.h>
 
@@ -622,6 +623,111 @@ TEST(FaultTuner, BuildSurvivesFailedCellsWithReport) {
   EXPECT_THROW(
       (void)tune::Tuner(opts).build({broken}, {Collective::allreduce}, {16}),
       std::runtime_error);
+}
+
+// The build's verified-run memo never crosses machine states. A twin with
+// executor drop/corrupt injection bypasses it, so built beside a healthy
+// profile the twin tunes, fails and reports exactly as it does alone, and the
+// healthy profile's memo hits are the build's only ones.
+TEST(FaultTuner, InjectedTwinBypassesVerifyMemo) {
+  auto spec = make_spec();
+  spec->seed = 11;
+  spec->drop_fraction = 0.002;
+  spec->corrupt_fraction = 0.002;
+  net::SystemProfile twin = profile_with(std::move(spec));
+  twin.name = "lumi_injected";
+
+  tune::TunerOptions opts;
+  opts.size_grid = {32, 64, 2048, 16384};
+  opts.refine_top_k = 2;
+  opts.threads = 1;
+  opts.tolerate_failed_cells = true;
+  const std::vector<Collective> colls = {Collective::allreduce, Collective::allgather,
+                                         Collective::alltoall};
+  const std::vector<i64> nodes = {16, 32};
+  const tune::Tuner tuner(opts);
+
+  tune::BuildReport both_report, twin_report, healthy_report;
+  const tune::DecisionTable both =
+      tuner.build({net::lumi_profile(), twin}, colls, nodes, &both_report);
+  const tune::DecisionTable solo = tuner.build({twin}, colls, nodes, &twin_report);
+  const tune::DecisionTable healthy =
+      tuner.build({net::lumi_profile()}, colls, nodes, &healthy_report);
+  for (const Collective coll : colls)
+    for (const i64 p : nodes) {
+      SCOPED_TRACE(std::string(to_string(coll)) + " p=" + std::to_string(p));
+      const auto* got = both.cell(twin.name, coll, p);
+      const auto* want = solo.cell(twin.name, coll, p);
+      ASSERT_EQ(got == nullptr, want == nullptr);
+      if (got != nullptr) {
+        EXPECT_EQ(*got, *want);
+      }
+      ASSERT_NE(both.cell("lumi", coll, p), nullptr);
+      EXPECT_EQ(*both.cell("lumi", coll, p), *healthy.cell("lumi", coll, p));
+    }
+  EXPECT_GT(twin_report.failed_cells, 0) << "injection too weak to fail any cell";
+  EXPECT_EQ(both_report.failed_cells, twin_report.failed_cells);
+  EXPECT_EQ(both_report.notes, twin_report.notes);
+  EXPECT_EQ(twin_report.verify_memo_hits, 0);
+  EXPECT_EQ(both_report.verify_memo_hits, healthy_report.verify_memo_hits);
+}
+
+// Fault demotion keys on the byte size, not on elem_count: at 15 survivors a
+// pow2-only allreduce is demoted to bine_small at 64 KiB and to
+// bine_two_trans one byte above, and both sizes execute 16384 elements. The
+// memo keys on the demoted algorithm, so it never serves one for the other.
+TEST(FaultTuner, VerifyMemoKeysOnDemotedAlgorithm) {
+  auto spec = make_spec();
+  spec->failed_ranks = {0};  // 16 -> 15 survivors: not a power of two
+  net::SystemProfile shrunk = profile_with(std::move(spec));
+  shrunk.name = "lumi_shrunk";
+  const coll::AlgorithmEntry* pow2_algo = nullptr;
+  for (const auto& entry : coll::algorithms_for(Collective::allreduce))
+    if (entry.pow2_only && !entry.specialized) { pow2_algo = &entry; break; }
+  ASSERT_NE(pow2_algo, nullptr);
+  const i64 small = 65536, large = 65537;
+
+  harness::Runner fresh(shrunk);
+  const harness::VerifiedRun want_small =
+      fresh.run_verified(Collective::allreduce, *pow2_algo, 16, small, 1);
+  const harness::VerifiedRun want_large =
+      fresh.run_verified(Collective::allreduce, *pow2_algo, 16, large, 1);
+  ASSERT_TRUE(want_small.ok) << want_small.error;
+  ASSERT_TRUE(want_large.ok) << want_large.error;
+  ASSERT_TRUE(want_small.messages != want_large.messages ||
+              want_small.wire_bytes != want_large.wire_bytes)
+      << "the two demotions no longer differ; pick sizes that tell them apart";
+
+  harness::VerifyMemo memo;
+  harness::Runner shared(shrunk);
+  for (const i64 size : {small, large, small, large}) {
+    const harness::VerifiedRun got = shared.run_verified(
+        Collective::allreduce, *pow2_algo, 16, size, 1, runtime::ElemType::u32,
+        runtime::ReduceOp::sum, &memo);
+    const harness::VerifiedRun& want = size == small ? want_small : want_large;
+    EXPECT_EQ(got.messages, want.messages);
+    EXPECT_EQ(got.wire_bytes, want.wire_bytes);
+    EXPECT_EQ(got.digest, want.digest);
+  }
+  EXPECT_EQ(memo.runs(), 2);
+  EXPECT_EQ(memo.hits(), 2);
+
+  // The same holds for whole cells: built beside the healthy machine, the
+  // shrunk profile's table equals its solo build's.
+  tune::TunerOptions opts;
+  opts.size_grid = {32, 4096, small, large, 1 << 20};
+  opts.refine_top_k = 2;
+  opts.threads = 1;
+  const tune::Tuner tuner(opts);
+  const std::vector<Collective> colls = {Collective::allreduce, Collective::reduce_scatter};
+  const tune::DecisionTable both = tuner.build({net::lumi_profile(), shrunk}, colls, {16});
+  const tune::DecisionTable solo = tuner.build({shrunk}, colls, {16});
+  for (const Collective coll : colls) {
+    ASSERT_NE(solo.cell(shrunk.name, coll, 16), nullptr);
+    ASSERT_NE(both.cell(shrunk.name, coll, 16), nullptr);
+    EXPECT_EQ(*both.cell(shrunk.name, coll, 16), *solo.cell(shrunk.name, coll, 16))
+        << to_string(coll);
+  }
 }
 
 TEST(FaultTuner, ProfileFingerprintIsFaultAware) {

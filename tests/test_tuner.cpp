@@ -2,12 +2,16 @@
 // (bit-identical reload), interval compression covering the full size axis
 // with no gaps/overlaps, sharded-vs-serial tuning determinism, tuned
 // select() parity with an exhaustive argmin over the same sweep data,
-// version/fingerprint mismatch rejection, unknown-algorithm demotion, and
-// select()'s miss policies and negative-size clamp.
+// version/fingerprint mismatch rejection, unknown-algorithm demotion,
+// select()'s miss policies and negative-size clamp, and the build's
+// verified-run memo: its premise (a verified run ignores system, placement
+// and executor threads) and its exactness against memo-free tuning.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -459,4 +463,105 @@ TEST(TunerBisect, ShardedBuildIsDeterministic) {
           .dump(),
       tune::Tuner(b).build({net::lumi_profile(), net::mn5_profile()}, kColls, kNodes)
           .dump());
+}
+
+// The premise of the build's verified-run memo: with its key fixed, a
+// verified run is the same on every system, with spread or identity
+// placement, at any executor thread count. The key holds elem_count, not the
+// byte size, so 32 B and 64 B at p=16 (16 elements each) must agree too.
+// One memo shared by all of those requests executes once per distinct
+// (collective, algorithm, p, elem_count) and answers every request with the
+// memo-free outcome.
+TEST(VerifyMemo, VerifiedRunIgnoresSystemPlacementAndThreads) {
+  std::vector<std::unique_ptr<harness::Runner>> runners;
+  for (const bool spread : {true, false})
+    for (net::SystemProfile profile :
+         {net::lumi_profile(), net::leonardo_profile(), net::mn5_profile()})
+      runners.push_back(std::make_unique<harness::Runner>(std::move(profile), spread));
+  const harness::Runner& first = *runners.front();
+  harness::VerifyMemo memo;
+  i64 distinct = 0;
+
+  const auto expect_same = [](const harness::VerifiedRun& a,
+                              const harness::VerifiedRun& b) {
+    EXPECT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.digest, b.digest);
+    EXPECT_EQ(a.messages, b.messages);
+    EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+    EXPECT_EQ(a.stage_bytes, b.stage_bytes);
+  };
+  for (const Collective coll : coll::all_collectives())
+    for (const i64 p : {16, 48})
+      for (const auto& algo : coll::algorithms_for(coll)) {
+        if (algo.specialized || !first.applicable(algo, p)) continue;
+        harness::VerifiedRun at_32b;
+        std::set<i64> elem_counts;
+        for (const i64 size : {32, 64, 16384}) {
+          elem_counts.insert(std::max<i64>(p, size / 4));
+          SCOPED_TRACE(std::string(to_string(coll)) + "/" + algo.name + " p=" +
+                       std::to_string(p) + " " + harness::size_label(size));
+          const harness::VerifiedRun ref = runners[0]->run_verified(coll, algo, p, size, 1);
+          EXPECT_TRUE(ref.ok) << ref.error;
+          for (const auto& runner : runners)
+            for (const i64 threads : {1, 4}) {
+              SCOPED_TRACE(runner->profile().name + " threads=" + std::to_string(threads));
+              expect_same(runner->run_verified(coll, algo, p, size, threads), ref);
+              expect_same(runner->run_verified(coll, algo, p, size, threads,
+                                               runtime::ElemType::u32,
+                                               runtime::ReduceOp::sum, &memo),
+                          ref);
+            }
+          if (size == 32) at_32b = ref;
+          if (size == 64 && p == 16) expect_same(ref, at_32b);
+        }
+        distinct += static_cast<i64>(elem_counts.size());
+      }
+  EXPECT_EQ(memo.runs(), distinct);
+  EXPECT_GT(memo.hits(), 0);
+}
+
+// Memo exactness: a build whose systems and sizes share verified runs
+// through the memo tunes every cell exactly as a fresh memo-free Runner does,
+// serial or sharded, and the memo answers part of its requests.
+TEST(VerifyMemo, BuildMatchesMemoFreeTuningSerialAndSharded) {
+  tune::TunerOptions opts;
+  opts.size_grid = {32, 64, 256, 2048, 16384};
+  opts.refine_top_k = 2;
+  opts.bisect_depth = 1;
+  opts.threads = 1;
+  const std::vector<net::SystemProfile> profiles = {
+      net::lumi_profile(), net::leonardo_profile(), net::mn5_profile()};
+  const std::vector<i64> nodes = {16, 48};
+
+  tune::BuildReport serial_report;
+  const tune::DecisionTable serial =
+      tune::Tuner(opts).build(profiles, coll::all_collectives(), nodes, &serial_report);
+  EXPECT_EQ(serial_report.cells, static_cast<i64>(profiles.size() *
+                                                  coll::all_collectives().size() *
+                                                  nodes.size()));
+  EXPECT_GT(serial_report.verify_memo_hits, 0);
+  EXPECT_GT(serial_report.verified_runs, 0);
+
+  // The oracle: every cell tuned on a fresh Runner with no memo.
+  const tune::Tuner oracle(opts);
+  for (const net::SystemProfile& profile : profiles)
+    for (const Collective coll : coll::all_collectives())
+      for (const i64 p : nodes) {
+        SCOPED_TRACE(profile.name + "/" + to_string(coll) + " p=" + std::to_string(p));
+        harness::Runner fresh(profile, opts.spread_placement, opts.seed);
+        const std::vector<tune::SizeInterval>* cell = serial.cell(profile.name, coll, p);
+        ASSERT_NE(cell, nullptr);
+        EXPECT_EQ(*cell, oracle.tune_cell(fresh, coll, p));
+      }
+
+  opts.threads = 4;
+  tune::BuildReport sharded_report;
+  const tune::DecisionTable sharded =
+      tune::Tuner(opts).build(profiles, coll::all_collectives(), nodes, &sharded_report);
+  EXPECT_EQ(sharded.dump(), serial.dump());
+  EXPECT_GT(sharded_report.verify_memo_hits, 0);
+  // The requests are a function of the build, not of its shard width; only
+  // their split into runs and hits may move when workers race on a key.
+  EXPECT_EQ(sharded_report.verified_runs + sharded_report.verify_memo_hits,
+            serial_report.verified_runs + serial_report.verify_memo_hits);
 }
