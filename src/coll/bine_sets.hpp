@@ -6,7 +6,8 @@
 #include "core/types.hpp"
 
 /// Shared destination-set computations for Bine butterflies, used by the flat
-/// butterfly collectives and their torus-optimized per-dimension variants.
+/// butterfly collectives, the rooted aliased composites, and the torus and
+/// hierarchical per-dimension variants.
 ///
 /// In a distance-doubling Bine butterfly reduce-scatter over P = 2^s ranks,
 /// rank r parts at step j with the relative destinations l whose nu(l) is

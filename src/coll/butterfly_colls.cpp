@@ -1,7 +1,9 @@
 #include "coll/butterfly_colls.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "coll/bine_sets.hpp"
 #include "core/block_perm.hpp"
@@ -51,19 +53,7 @@ core::CircularInterval dd_held_interval(int i, i64 P) {
 }
 
 using detail::rel_to_dest;
-
-/// Physical blocks carried for destination set `dests` (p'-space), folding in
-/// the blocks of the extra ranks paired during the non-power-of-two pre-step.
-BlockSet dest_blocks(const std::vector<i64>& dests, i64 P, i64 extra, i64 p,
-                     sched::ScheduleArena& arena) {
-  std::vector<i64> ids;
-  ids.reserve(dests.size() * 2);
-  for (const i64 x : dests) {
-    ids.push_back(x);
-    if (x < extra) ids.push_back(P + x);
-  }
-  return sched::blockset_from_ids(std::move(ids), p, arena);
-}
+using sched::BlockRange;
 
 struct Layout {
   i64 P = 0;      ///< butterfly size (pow2)
@@ -85,81 +75,139 @@ void require_pow2_for(const char* what, const Layout& lo) {
                                 " requires a power-of-two rank count (paper Sec. 4.3.1)");
 }
 
-/// Emit the reduce-scatter butterfly steps into `sch` starting at step
-/// `step0`; returns the next free step index. `aliased` applies the
-/// reverse(nu) position aliasing of the "Send" strategy.
-size_t emit_rs_steps(Schedule& sch, const Config& cfg, const Layout& lo,
-                     NoncontigStrategy st, size_t step0) {
-  const bool aliased = st == NoncontigStrategy::send;
-  std::vector<i64> dests;
-  if (st == NoncontigStrategy::two_transmission) {
-    for (int j = 0; j < lo.s; ++j) {
-      const core::CircularInterval rel = dh_sent_interval(j, lo.P);
-      for (Rank r = 0; r < lo.P; ++r) {
-        const Rank q = butterfly_partner(ButterflyVariant::bine_dh, r, j, lo.P);
-        dests.clear();
-        dests.reserve(static_cast<size_t>(rel.length));
-        for (i64 k = 0; k < rel.length; ++k)
-          dests.push_back(rel_to_dest(r, pmod(rel.start + k, lo.P), lo.P));
-        sch.add_exchange(step0 + static_cast<size_t>(j), r, q,
-                         dest_blocks(dests, lo.P, lo.extra, cfg.p, sch.arena()), true);
-      }
-    }
-    return step0 + static_cast<size_t>(lo.s);
+/// Physical blocks carried for the destination pieces `pieces` (p'-space,
+/// sorted, disjoint, each within [0, P)), folding in the blocks of the extra
+/// ranks paired during the non-power-of-two pre-step: every piece's part
+/// below `extra` appears again at +P.
+BlockSet fold_blocks(std::vector<BlockRange>& pieces, const Layout& lo, i64 p,
+                     sched::ScheduleArena& arena) {
+  const size_t n = pieces.size();
+  for (size_t k = 0; k < n && pieces[k].begin < lo.extra; ++k) {
+    const i64 end = std::min(pieces[k].begin + pieces[k].count, lo.extra);
+    const BlockRange folded{lo.P + pieces[k].begin, end - pieces[k].begin};
+    pieces.push_back(folded);
   }
-  const auto rel_by_step = dd_sent_rel(lo.P);
-  for (int j = 0; j < lo.s; ++j) {
-    for (Rank r = 0; r < lo.P; ++r) {
-      const Rank q = butterfly_partner(ButterflyVariant::bine_dd, r, j, lo.P);
-      dests.clear();
-      dests.reserve(rel_by_step[static_cast<size_t>(j)].size());
-      for (const i64 l : rel_by_step[static_cast<size_t>(j)])
-        dests.push_back(rel_to_dest(r, l, lo.P));
-      if (aliased)
-        for (i64& d : dests) d = core::permuted_position(d, lo.P);
-      BlockSet blocks = dest_blocks(dests, lo.P, lo.extra, cfg.p, sch.arena());
-      const i64 segs =
-          st == NoncontigStrategy::block_by_block ? blocks.block_count() : 1;
-      sch.add_exchange(step0 + static_cast<size_t>(j), r, q, blocks, true, segs);
-    }
-  }
-  return step0 + static_cast<size_t>(lo.s);
+  return sched::blockset_from_ranges(pieces, p, arena);
 }
 
-/// Emit the allgather butterfly steps (time reversal of the reduce-scatter).
-size_t emit_ag_steps(Schedule& sch, const Config& cfg, const Layout& lo,
-                     NoncontigStrategy st, size_t step0) {
-  const bool aliased = st == NoncontigStrategy::send;
-  std::vector<i64> dests;
-  if (st == NoncontigStrategy::two_transmission) {
-    for (int i = 0; i < lo.s; ++i) {
-      const core::CircularInterval rel = dd_held_interval(i, lo.P);
+/// Sorted pieces of the circular p'-space interval {start, len}.
+void interval_pieces(i64 start, i64 len, i64 P, std::vector<BlockRange>& out) {
+  out.clear();
+  start = pmod(start, P);
+  const i64 head = std::min(len, P - start);
+  if (head < len) out.push_back({0, len - head});
+  out.push_back({start, head});
+}
+
+/// Sorted maximal runs of a sorted id list.
+std::vector<BlockRange> runs_of(const std::vector<i64>& sorted_ids) {
+  std::vector<BlockRange> out;
+  for (const i64 x : sorted_ids) {
+    if (!out.empty() && out.back().begin + out.back().count == x)
+      ++out.back().count;
+    else
+      out.push_back({x, 1});
+  }
+  return out;
+}
+
+/// A step's relative set S as sorted runs of its rel_to_dest images before
+/// the shift by r: S itself for even ranks, -S mod P for odd ones.
+struct RelRuns {
+  std::vector<BlockRange> even, odd;
+};
+
+RelRuns rel_runs(std::vector<i64> rel, i64 P) {
+  RelRuns out;
+  out.even = runs_of(rel);
+  for (i64& l : rel) l = pmod(-l, P);
+  std::sort(rel.begin(), rel.end());
+  out.odd = runs_of(rel);
+  return out;
+}
+
+/// `runs` (sorted, within [0, P)) shifted by `shift` in [0, P), written to
+/// `out` still sorted: a rotation, where the runs pushed past P move to the
+/// front and the one straddling P splits in two.
+void rotate_runs(const std::vector<BlockRange>& runs, i64 shift, i64 P,
+                 std::vector<BlockRange>& out) {
+  out.clear();
+  size_t k = 0;  // first run whose shifted end passes P
+  while (k < runs.size() && runs[k].begin + runs[k].count + shift <= P) ++k;
+  for (size_t i = k; i < runs.size(); ++i) {
+    const i64 b = runs[i].begin + shift;
+    out.push_back(b >= P ? BlockRange{b - P, runs[i].count}
+                         : BlockRange{0, b + runs[i].count - P});
+  }
+  for (size_t i = 0; i < k; ++i) out.push_back({runs[i].begin + shift, runs[i].count});
+  if (k < runs.size() && runs[k].begin + shift < P)
+    out.push_back({runs[k].begin + shift, P - runs[k].begin - shift});
+}
+
+/// Emit the reduce-scatter (`reduce`) or allgather (its time reversal)
+/// butterfly steps into `sch` starting at step `step0`; returns the next free
+/// step index. Every set is built from ranges: the Two Transmissions sets are
+/// one circular interval, the Send strategy's reverse(nu) aliasing maps each
+/// set onto one aligned run, and Permute/block_by_block rotate the step's
+/// presorted relative runs by r.
+size_t emit_butterfly_steps(Schedule& sch, const Config& cfg, const Layout& lo,
+                            NoncontigStrategy st, size_t step0, bool reduce) {
+  const bool two_trans = st == NoncontigStrategy::two_transmission;
+  // Two Transmissions runs the opposite butterfly (Sec. 4.3.1).
+  const ButterflyVariant variant =
+      reduce != two_trans ? ButterflyVariant::bine_dd : ButterflyVariant::bine_dh;
+  std::vector<BlockRange> pieces;
+  if (two_trans) {
+    for (int j = 0; j < lo.s; ++j) {
+      const core::CircularInterval rel = reduce ? dh_sent_interval(j, lo.P)
+                                                : dd_held_interval(j, lo.P);
       for (Rank r = 0; r < lo.P; ++r) {
-        const Rank q = butterfly_partner(ButterflyVariant::bine_dd, r, i, lo.P);
-        dests.clear();
-        dests.reserve(static_cast<size_t>(rel.length));
-        for (i64 k = 0; k < rel.length; ++k)
-          dests.push_back(rel_to_dest(r, pmod(rel.start + k, lo.P), lo.P));
-        sch.add_exchange(step0 + static_cast<size_t>(i), r, q,
-                         dest_blocks(dests, lo.P, lo.extra, cfg.p, sch.arena()), false);
+        const i64 start =
+            r % 2 == 0 ? r + rel.start : r - rel.start - rel.length + 1;
+        interval_pieces(start, rel.length, lo.P, pieces);
+        sch.add_exchange(step0 + static_cast<size_t>(j), r,
+                         butterfly_partner(variant, r, j, lo.P),
+                         fold_blocks(pieces, lo, cfg.p, sch.arena()), reduce);
       }
     }
     return step0 + static_cast<size_t>(lo.s);
   }
-  const auto rel_by_step = dh_held_rel(lo.P);
-  for (int i = 0; i < lo.s; ++i) {
+  const auto rel_by_step = reduce ? dd_sent_rel(lo.P) : dh_held_rel(lo.P);
+  const auto perm = st == NoncontigStrategy::send ? core::contiguity_permutation(lo.P)
+                                                  : std::vector<i64>{};
+  for (int j = 0; j < lo.s; ++j) {
+    const size_t step = step0 + static_cast<size_t>(j);
+    const std::vector<i64>& rel = rel_by_step[static_cast<size_t>(j)];
+    if (st == NoncontigStrategy::send) {
+      // The aliased set shares the top bits of reverse(nu(d)): an aligned
+      // run of |S| = 2^k positions, located by any one member.
+      assert(lo.extra == 0);
+      const i64 len = static_cast<i64>(rel.size());
+      for (Rank r = 0; r < lo.P; ++r) {
+        const i64 begin =
+            perm[static_cast<size_t>(rel_to_dest(r, rel.front(), lo.P))] & ~(len - 1);
+#ifndef NDEBUG
+        i64 lo_pos = lo.P, hi_pos = -1;
+        for (const i64 l : rel) {
+          const i64 pos = perm[static_cast<size_t>(rel_to_dest(r, l, lo.P))];
+          lo_pos = std::min(lo_pos, pos);
+          hi_pos = std::max(hi_pos, pos);
+        }
+        assert(hi_pos - lo_pos + 1 == len && lo_pos == begin);
+#endif
+        sch.add_exchange(step, r, butterfly_partner(variant, r, j, lo.P),
+                         BlockSet::run(begin, len), reduce, 1);
+      }
+      continue;
+    }
+    const RelRuns runs = rel_runs(rel, lo.P);
     for (Rank r = 0; r < lo.P; ++r) {
-      const Rank q = butterfly_partner(ButterflyVariant::bine_dh, r, i, lo.P);
-      dests.clear();
-      dests.reserve(rel_by_step[static_cast<size_t>(i)].size());
-      for (const i64 l : rel_by_step[static_cast<size_t>(i)])
-        dests.push_back(rel_to_dest(r, l, lo.P));
-      if (aliased)
-        for (i64& d : dests) d = core::permuted_position(d, lo.P);
-      BlockSet blocks = dest_blocks(dests, lo.P, lo.extra, cfg.p, sch.arena());
+      rotate_runs(r % 2 == 0 ? runs.even : runs.odd, r, lo.P, pieces);
+      BlockSet blocks = fold_blocks(pieces, lo, cfg.p, sch.arena());
       const i64 segs =
           st == NoncontigStrategy::block_by_block ? blocks.block_count() : 1;
-      sch.add_exchange(step0 + static_cast<size_t>(i), r, q, blocks, false, segs);
+      sch.add_exchange(step, r, butterfly_partner(variant, r, j, lo.P), blocks, reduce,
+                       segs);
     }
   }
   return step0 + static_cast<size_t>(lo.s);
@@ -182,7 +230,7 @@ Schedule reduce_scatter_bine(const Config& cfg, NoncontigStrategy st) {
     for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, lo.P);
     ++step;
   }
-  step = emit_rs_steps(sch, cfg, lo, st, step);
+  step = emit_butterfly_steps(sch, cfg, lo, st, step, true);
   if (st == NoncontigStrategy::send) {
     // Fix-up: rank r holds the block that belongs to reverse(nu(r)).
     for (Rank r = 0; r < lo.P; ++r) {
@@ -218,7 +266,7 @@ Schedule allgather_bine(const Config& cfg, NoncontigStrategy st) {
     }
     ++step;
   }
-  step = emit_ag_steps(sch, cfg, lo, st, step);
+  step = emit_butterfly_steps(sch, cfg, lo, st, step, false);
   if (st == NoncontigStrategy::permute) {
     for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, lo.P);
     ++step;
@@ -248,8 +296,8 @@ Schedule allreduce_bine_large(const Config& cfg, NoncontigStrategy st) {
   // cancels between the phases; the Permute strategy un-permutes at the end
   // (Sec. 4.3.1: "the subsequent collective implicitly reverses the
   // permutation").
-  step = emit_rs_steps(sch, cfg, lo, st, step);
-  step = emit_ag_steps(sch, cfg, lo, st, step);
+  step = emit_butterfly_steps(sch, cfg, lo, st, step, true);
+  step = emit_butterfly_steps(sch, cfg, lo, st, step, false);
   if (st == NoncontigStrategy::permute) {
     for (Rank r = 0; r < lo.P; ++r) sch.add_local(step, r, lo.P);
     ++step;
@@ -282,14 +330,13 @@ Schedule allreduce_bine_small(const Config& cfg) {
 
 namespace {
 
-/// Contiguous logical-destination range kept by `r` down to level `lvl` of
-/// the standard hypercube halving: {d : d >> lvl == r >> lvl}.
-std::vector<i64> cube_range(Rank r, int lvl) {
-  std::vector<i64> out;
-  const i64 base = (r >> lvl) << lvl;
-  out.reserve(static_cast<size_t>(i64{1} << lvl));
-  for (i64 d = base; d < base + (i64{1} << lvl); ++d) out.push_back(d);
-  return out;
+/// Physical blocks of the logical destinations kept by `r` down to level
+/// `lvl` of the standard hypercube halving, {d : d >> lvl == r >> lvl}: one
+/// run, plus the blocks of the extra ranks folded onto it.
+BlockSet cube_blocks(Rank r, int lvl, const Layout& lo, i64 p,
+                     std::vector<BlockRange>& pieces, sched::ScheduleArena& arena) {
+  pieces.assign(1, BlockRange{(r >> lvl) << lvl, i64{1} << lvl});
+  return fold_blocks(pieces, lo, p, arena);
 }
 
 }  // namespace
@@ -298,6 +345,7 @@ Schedule reduce_scatter_recursive_halving(const Config& cfg) {
   const Layout lo = layout_of(cfg.p);
   Schedule sch = make_base(Collective::reduce_scatter, cfg, "reduce_scatter_rhalving",
                            sched::BlockSpace::per_vector);
+  std::vector<BlockRange> pieces;
   size_t step = 0;
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, lo.P + i, i, BlockSet::all(cfg.p), true);
@@ -306,7 +354,7 @@ Schedule reduce_scatter_recursive_halving(const Config& cfg) {
     const int lvl = lo.s - 1 - j;
     for (Rank r = 0; r < lo.P; ++r) {
       const Rank q = r ^ (i64{1} << lvl);
-      sch.add_exchange(step, r, q, dest_blocks(cube_range(q, lvl), lo.P, lo.extra, cfg.p, sch.arena()),
+      sch.add_exchange(step, r, q, cube_blocks(q, lvl, lo, cfg.p, pieces, sch.arena()),
                        true);
     }
   }
@@ -320,6 +368,7 @@ Schedule allgather_recursive_doubling(const Config& cfg) {
   const Layout lo = layout_of(cfg.p);
   Schedule sch = make_base(Collective::allgather, cfg, "allgather_rdoubling",
                            sched::BlockSpace::per_vector);
+  std::vector<BlockRange> pieces;
   size_t step = 0;
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, lo.P + i, i, BlockSet::single(lo.P + i), false);
@@ -327,7 +376,7 @@ Schedule allgather_recursive_doubling(const Config& cfg) {
   for (int j = 0; j < lo.s; ++j, ++step)
     for (Rank r = 0; r < lo.P; ++r)
       sch.add_exchange(step, r, r ^ (i64{1} << j),
-                       dest_blocks(cube_range(r, j), lo.P, lo.extra, cfg.p, sch.arena()), false);
+                       cube_blocks(r, j, lo, cfg.p, pieces, sch.arena()), false);
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::all(cfg.p), false);
   sch.normalize_steps();
@@ -355,6 +404,7 @@ Schedule allreduce_rabenseifner(const Config& cfg) {
   const Layout lo = layout_of(cfg.p);
   Schedule sch = make_base(Collective::allreduce, cfg, "allreduce_rabenseifner",
                            sched::BlockSpace::per_vector);
+  std::vector<BlockRange> pieces;
   size_t step = 0;
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, lo.P + i, i, BlockSet::all(cfg.p), true);
@@ -363,14 +413,14 @@ Schedule allreduce_rabenseifner(const Config& cfg) {
     const int lvl = lo.s - 1 - j;
     for (Rank r = 0; r < lo.P; ++r) {
       const Rank q = r ^ (i64{1} << lvl);
-      sch.add_exchange(step, r, q, dest_blocks(cube_range(q, lvl), lo.P, lo.extra, cfg.p, sch.arena()),
+      sch.add_exchange(step, r, q, cube_blocks(q, lvl, lo, cfg.p, pieces, sch.arena()),
                        true);
     }
   }
   for (int j = 0; j < lo.s; ++j, ++step)
     for (Rank r = 0; r < lo.P; ++r)
       sch.add_exchange(step, r, r ^ (i64{1} << j),
-                       dest_blocks(cube_range(r, j), lo.P, lo.extra, cfg.p, sch.arena()), false);
+                       cube_blocks(r, j, lo, cfg.p, pieces, sch.arena()), false);
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::all(cfg.p), false);
   sch.normalize_steps();

@@ -1,5 +1,6 @@
 #include "coll/large_rooted.hpp"
 
+#include "coll/bine_sets.hpp"
 #include "coll/butterfly_colls.hpp"
 #include "coll/compose.hpp"
 #include "coll/tree_colls.hpp"
@@ -29,34 +30,45 @@ Schedule reduce_rs_gather_std(const Config& cfg) {
 
 namespace {
 
-/// Physical, aliased block set for a logical destination list: the block of
-/// logical destination d is phys(reverse(nu(d))). The reverse(nu) aliasing
-/// maps dd-subtrees (and the halving sets derived from them) onto contiguous
-/// runs, which is what keeps every transmission contiguous (Fig. 8).
-BlockSet aliased_blocks(const std::vector<i64>& logical_dests, Rank root, i64 p,
-                        sched::ScheduleArena& arena) {
-  std::vector<i64> ids;
-  ids.reserve(logical_dests.size());
-  for (const i64 d : logical_dests)
-    ids.push_back(to_physical(core::permuted_position(d, p), root, p));
-  return sched::blockset_from_ids(std::move(ids), p, arena);
+/// Physical, aliased block set of a group of logical destinations: the block
+/// of logical destination d is phys(reverse(nu(d))). Every group this file
+/// sends -- a bine_dd subtree, or a distance-doubling/halving butterfly set --
+/// is the ranks whose nu agrees with one member's nu on its low bits, so
+/// reverse(nu) maps it onto an aligned run of `len` (a power of two)
+/// positions (Fig. 8). `member` is any logical destination of the group; the
+/// run is then rotated onto physical blocks by the root.
+BlockSet aliased_run(i64 member, i64 len, Rank root, i64 p, sched::ScheduleArena& arena) {
+  const sched::BlockRange run{
+      to_physical(core::permuted_position(member, p) & ~(len - 1), root, p), len};
+  return sched::blockset_from_ranges({&run, 1}, p, arena);
 }
 
-i64 rel_dest(Rank l, i64 rel, i64 p) { return pmod(l % 2 == 0 ? l + rel : l - rel, p); }
+/// Aliased blocks of the bine_dd subtree rooted at logical rank `c` (c != 0):
+/// the P >> (join_step(c) + 1) ranks sharing nu(c)'s low join_step(c) + 1 bits.
+BlockSet aliased_subtree(Rank c, Rank root, i64 p, sched::ScheduleArena& arena) {
+  const int keep = core::join_step(core::TreeVariant::bine_dd, c, p) + 1;
+  return aliased_run(c, p >> keep, root, p, arena);
+}
+
+/// Aliased blocks logical rank `l` sends for the butterfly step whose
+/// relative set is `rels`.
+BlockSet aliased_step(const std::vector<i64>& rels, Rank l, Rank root, i64 p,
+                      sched::ScheduleArena& arena) {
+  return aliased_run(detail::rel_to_dest(l, rels.front(), p), static_cast<i64>(rels.size()),
+                     root, p, arena);
+}
 
 /// Aliased distance-halving Bine allgather steps in logical (root-rotated)
 /// space, starting from "logical rank l holds block phys(pi(l))".
 void emit_aliased_dh_allgather(Schedule& sch, const Config& cfg, size_t step0) {
   const i64 P = cfg.p;
-  const int s = log2_exact(P);
-  for (int i = 0; i < s; ++i) {
+  const auto held = detail::dh_held_rel(P);
+  for (int i = 0; i < log2_exact(P); ++i) {
     for (Rank l = 0; l < P; ++l) {
       const Rank q = core::butterfly_partner(core::ButterflyVariant::bine_dh, l, i, P);
-      std::vector<i64> dests;
-      for (i64 rel = 0; rel < P; ++rel)
-        if ((core::nu(rel, P) & low_bits(s - i)) == 0) dests.push_back(rel_dest(l, rel, P));
       sch.add_exchange(step0 + static_cast<size_t>(i), to_physical(l, cfg.root, P),
-                       to_physical(q, cfg.root, P), aliased_blocks(dests, cfg.root, P, sch.arena()),
+                       to_physical(q, cfg.root, P),
+                       aliased_step(held[static_cast<size_t>(i)], l, cfg.root, P, sch.arena()),
                        false);
     }
   }
@@ -66,17 +78,13 @@ void emit_aliased_dh_allgather(Schedule& sch, const Config& cfg, size_t step0) {
 /// ends with "logical rank l holds block phys(pi(l))" fully reduced.
 void emit_aliased_dd_reduce_scatter(Schedule& sch, const Config& cfg, size_t step0) {
   const i64 P = cfg.p;
-  const int s = log2_exact(P);
-  for (int j = 0; j < s; ++j) {
+  const auto sent = detail::dd_sent_rel(P);
+  for (int j = 0; j < log2_exact(P); ++j) {
     for (Rank l = 0; l < P; ++l) {
       const Rank q = core::butterfly_partner(core::ButterflyVariant::bine_dd, l, j, P);
-      std::vector<i64> dests;
-      for (i64 rel = 0; rel < P; ++rel) {
-        const u64 v = core::nu(rel, P);
-        if ((v & low_bits(j)) == 0 && ((v >> j) & 1)) dests.push_back(rel_dest(l, rel, P));
-      }
       sch.add_exchange(step0 + static_cast<size_t>(j), to_physical(l, cfg.root, P),
-                       to_physical(q, cfg.root, P), aliased_blocks(dests, cfg.root, P, sch.arena()),
+                       to_physical(q, cfg.root, P),
+                       aliased_step(sent[static_cast<size_t>(j)], l, cfg.root, P, sch.arena()),
                        true);
     }
   }
@@ -104,7 +112,7 @@ Schedule bcast_scatter_allgather_bine(const Config& cfg) {
       const Rank c = core::tree_partner(core::TreeVariant::bine_dd, l, st, P);
       sch.add_exchange(static_cast<size_t>(st), to_physical(l, cfg.root, P),
                        to_physical(c, cfg.root, P),
-                       aliased_blocks(core::dd_subtree_members(c, P), cfg.root, P, sch.arena()), false);
+                       aliased_subtree(c, cfg.root, P, sch.arena()), false);
     }
   }
   // Phase 2: distance-halving Bine allgather over the aliased layout.
@@ -134,7 +142,7 @@ Schedule reduce_rs_gather_bine(const Config& cfg) {
       const Rank c = core::tree_partner(core::TreeVariant::bine_dd, l, st, P);
       const size_t out_step = static_cast<size_t>(s) + static_cast<size_t>(s - 1 - st);
       sch.add_exchange(out_step, to_physical(c, cfg.root, P), to_physical(l, cfg.root, P),
-                       aliased_blocks(core::dd_subtree_members(c, P), cfg.root, P, sch.arena()), false);
+                       aliased_subtree(c, cfg.root, P, sch.arena()), false);
     }
   }
   sch.normalize_steps();

@@ -198,4 +198,11 @@ class BlockSet {
 [[nodiscard]] BlockSet blockset_from_ids(std::vector<i64> ids, i64 B,
                                          ScheduleArena& arena);
 
+/// Build a BlockSet from disjoint circular ranges (begin taken mod B): the
+/// same canonical set blockset_from_ids gives for their expansion, in
+/// O(#ranges) for presorted input (one sort of the pieces otherwise).
+/// Generators whose sets are a few intervals use this instead of listing ids.
+[[nodiscard]] BlockSet blockset_from_ranges(std::span<const BlockRange> ranges, i64 B,
+                                            ScheduleArena& arena);
+
 }  // namespace bine::sched

@@ -37,11 +37,52 @@ BlockSet blockset_from_ids(std::vector<i64> ids, i64 B, ScheduleArena& arena) {
   return BlockSet::from_ranges(scratch, arena);
 }
 
+BlockSet blockset_from_ranges(std::span<const BlockRange> ranges, i64 B,
+                              ScheduleArena& arena) {
+  // Split wrapped ranges at B into linear pieces, then coalesce exactly as
+  // blockset_from_ids does over the expanded ids.
+  static thread_local std::vector<BlockRange> scratch;
+  scratch.clear();
+  for (const BlockRange& r : ranges) {
+    if (r.count == 0) continue;
+    if (r.count >= B) return BlockSet::all(B);  // disjoint: nothing else remains
+    const i64 begin = pmod(r.begin, B);
+    const i64 head = std::min(r.count, B - begin);
+    scratch.push_back({begin, head});
+    if (head < r.count) scratch.push_back({0, r.count - head});
+  }
+  if (scratch.empty()) return {};
+  const auto by_begin = [](const BlockRange& a, const BlockRange& b) {
+    return a.begin < b.begin;
+  };
+  if (!std::is_sorted(scratch.begin(), scratch.end(), by_begin))
+    std::sort(scratch.begin(), scratch.end(), by_begin);
+  size_t out = 0;
+  for (size_t k = 1; k < scratch.size(); ++k) {
+    assert(scratch[out].begin + scratch[out].count <= scratch[k].begin &&
+           "ranges must be disjoint");
+    if (scratch[out].begin + scratch[out].count == scratch[k].begin)
+      scratch[out].count += scratch[k].count;
+    else
+      scratch[++out] = scratch[k];
+  }
+  scratch.resize(out + 1);
+  // Same circular join as blockset_from_ids.
+  if (scratch.size() > 1 && scratch.front().begin == 0 &&
+      scratch.back().begin + scratch.back().count == B) {
+    scratch.back().count += scratch.front().count;
+    scratch.erase(scratch.begin());
+  }
+  return BlockSet::from_ranges(scratch, arena);
+}
+
 void Schedule::add_exchange(size_t step, Rank from, Rank to, BlockSet blocks, bool reduce,
                             i64 segments) {
   assert(from != to && from >= 0 && from < p && to >= 0 && to < p);
-  for (auto& rank_steps : steps)
+  for (const Rank r : {from, to}) {
+    auto& rank_steps = steps[static_cast<size_t>(r)];
     if (rank_steps.size() <= step) rank_steps.resize(step + 1);
+  }
   const i64 segs =
       segments > 0 ? segments : std::max<i64>(1, blocks.memory_segments(nblocks));
   Op send{OpKind::send, to, blocks, segs};
@@ -52,10 +93,9 @@ void Schedule::add_exchange(size_t step, Rank from, Rank to, BlockSet blocks, bo
 
 void Schedule::add_local(size_t step, Rank r, i64 segs) {
   assert(r >= 0 && r < p);
-  for (auto& rank_steps : steps)
-    if (rank_steps.size() <= step) rank_steps.resize(step + 1);
-  steps[static_cast<size_t>(r)][step].ops.push_back(
-      Op{OpKind::local_perm, -1, {}, segs});
+  auto& rank_steps = steps[static_cast<size_t>(r)];
+  if (rank_steps.size() <= step) rank_steps.resize(step + 1);
+  rank_steps[step].ops.push_back(Op{OpKind::local_perm, -1, {}, segs});
 }
 
 void Schedule::normalize_steps() {

@@ -134,14 +134,17 @@ struct Schedule {
     return op.kind == OpKind::local_perm ? total_elems() * elem_size : bytes_of(op.blocks);
   }
 
-  /// Append a matched send/recv pair at `step` (growing step vectors as
-  /// needed). `segments` overrides the memory-contiguity estimate derived
-  /// from the block set (-1 = derive): strategies that pack (Permute/Send)
-  /// force 1, strategies that issue per-block sends force the block count.
+  /// Append a matched send/recv pair at `step`. Only `from`'s and `to`'s
+  /// step vectors grow, so the schedule stays ragged until
+  /// normalize_steps(), which every generator calls last. `segments`
+  /// overrides the memory-contiguity estimate derived from the block set
+  /// (-1 = derive): strategies that pack (Permute/Send) force 1, strategies
+  /// that issue per-block sends force the block count.
   void add_exchange(size_t step, Rank from, Rank to, BlockSet blocks, bool reduce,
                     i64 segments = -1);
 
-  /// Append a one-sided op (local_perm over the whole vector).
+  /// Append a one-sided op (local_perm over the whole vector); grows only
+  /// `r`'s step vector.
   void add_local(size_t step, Rank r, i64 segs);
 
   /// Ensure all ranks have the same number of steps (pad with empty).

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "coll/butterfly_colls.hpp"
+#include "coll/registry.hpp"
 #include "core/block_perm.hpp"
 #include "core/modular.hpp"
 #include "core/nu.hpp"
@@ -212,4 +215,272 @@ TEST(BlockPermutation, Fig8Step0BlocksOfRank0) {
   for (const i64 b : {1, 2, 5, 6}) dests.push_back(bc::permuted_position(b, 8));
   std::sort(dests.begin(), dests.end());
   EXPECT_EQ(dests, (std::vector<i64>{4, 5, 6, 7}));
+}
+
+// --- Range-native butterfly blocks vs the id oracle ----------------------------
+//
+// The butterfly generators build every block set from ranges. The oracle below
+// rebuilds each set the way they used to: list the relative destinations, map
+// them through rel_to_dest (and reverse(nu) for the Send strategy), fold in the
+// extra ranks of a non-power-of-two communicator and canonicalise with
+// blockset_from_ids. Every butterfly op must match it exactly.
+
+namespace {
+
+namespace bco = bine::coll;
+namespace bs = bine::sched;
+using bco::NoncontigStrategy;
+
+std::vector<bs::BlockRange> ranges_of(const bs::BlockSet& set) {
+  return {set.ranges().begin(), set.ranges().end()};
+}
+
+/// Physical destination of relative offset `l` for rank `r` (Sec. 3.1).
+i64 oracle_dest(Rank r, i64 l, i64 P) { return bine::pmod(r % 2 == 0 ? r + l : r - l, P); }
+
+/// The p'-space destination ids folded with the extra ranks, canonicalised.
+bs::BlockSet oracle_blocks(const std::vector<i64>& dests, i64 P, i64 p,
+                           bs::ScheduleArena& arena) {
+  std::vector<i64> ids;
+  for (const i64 d : dests) {
+    ids.push_back(d);
+    if (d < p - P) ids.push_back(P + d);
+  }
+  return bs::blockset_from_ids(std::move(ids), p, arena);
+}
+
+/// Ids of the bine_dh subtree of rank 0's step-k child, relative to rank 0.
+std::vector<i64> dh_subtree_rel(int k, i64 P) {
+  const Rank child = bc::tree_partner(bc::TreeVariant::bine_dh, 0, k, P);
+  const bc::CircularInterval iv = bc::subtree_interval(bc::TreeVariant::bine_dh, child, P);
+  std::vector<i64> out;
+  for (i64 x = 0; x < iv.length; ++x) out.push_back(bine::pmod(iv.start + x, P));
+  return out;
+}
+
+/// Relative destinations rank r sends at step j of the Bine reduce-scatter
+/// (`reduce`) or allgather butterfly under strategy `st`.
+std::vector<i64> bine_rel(bool reduce, NoncontigStrategy st, int j, i64 P) {
+  const int s = bine::log2_exact(P);
+  std::vector<i64> rel;
+  if (st == NoncontigStrategy::two_transmission) {
+    if (reduce) return dh_subtree_rel(j, P);
+    rel.push_back(0);
+    for (int k = s - j; k < s; ++k)
+      for (const i64 l : dh_subtree_rel(k, P)) rel.push_back(l);
+    return rel;
+  }
+  for (i64 l = 0; l < P; ++l) {
+    const u64 v = bc::nu(l, P);
+    const bool in = reduce ? (v & bine::low_bits(j)) == 0 && ((v >> j) & 1) != 0
+                           : (v & bine::low_bits(s - j)) == 0;
+    if (in) rel.push_back(l);
+  }
+  return rel;
+}
+
+enum class Phase { bine_rs, bine_ag, cube_rs, cube_ag };
+
+struct OracleCase {
+  bs::Collective coll;
+  std::string name;  ///< registry name
+  NoncontigStrategy st;
+  std::vector<Phase> phases;
+};
+
+/// Check the butterfly steps of `sch` starting at `step0` against the oracle.
+void expect_phase_matches_oracle(const bs::Schedule& sch, Phase phase, NoncontigStrategy st,
+                                 size_t step0, const std::string& what) {
+  const i64 p = sch.p, P = bco::pow2_floor(p);
+  const int s = bine::log2_exact(P);
+  const bool reduce = phase == Phase::bine_rs || phase == Phase::cube_rs;
+  const bool two_trans = st == NoncontigStrategy::two_transmission;
+  bs::ScheduleArena arena;
+  for (int j = 0; j < s; ++j) {
+    const size_t step = step0 + static_cast<size_t>(j);
+    const bool bine = phase == Phase::bine_rs || phase == Phase::bine_ag;
+    const std::vector<i64> rel = bine ? bine_rel(reduce, st, j, P) : std::vector<i64>{};
+    for (Rank r = 0; r < p; ++r) {
+      const auto& ops = sch.steps[static_cast<size_t>(r)][step].ops;
+      if (r >= P) {
+        ASSERT_TRUE(ops.empty()) << what << " step " << step << " rank " << r;
+        continue;
+      }
+      std::vector<i64> dests;
+      Rank q = 0;
+      if (bine) {
+        q = bc::butterfly_partner(reduce != two_trans ? ButterflyVariant::bine_dd
+                                                      : ButterflyVariant::bine_dh,
+                                  r, j, P);
+        for (const i64 l : rel) {
+          const i64 d = oracle_dest(r, l, P);
+          dests.push_back(st == NoncontigStrategy::send ? bc::permuted_position(d, P) : d);
+        }
+      } else {
+        const int lvl = reduce ? s - 1 - j : j;
+        q = r ^ (i64{1} << lvl);
+        const Rank kept = reduce ? q : r;
+        for (i64 d = (kept >> lvl) << lvl; d < ((kept >> lvl) + 1) << lvl; ++d)
+          dests.push_back(d);
+      }
+      const bs::BlockSet want = oracle_blocks(dests, P, p, arena);
+      const i64 segs = !bine || two_trans ? std::max<i64>(1, want.memory_segments(p))
+                       : st == NoncontigStrategy::block_by_block ? want.block_count()
+                                                                 : 1;
+      ASSERT_EQ(ops.size(), 2u) << what << " step " << step << " rank " << r;
+      const bs::Op& send = ops[0].kind == bs::OpKind::send ? ops[0] : ops[1];
+      ASSERT_EQ(send.kind, bs::OpKind::send) << what;
+      ASSERT_EQ(send.peer, q) << what << " step " << step << " rank " << r;
+      ASSERT_EQ(ranges_of(send.blocks), ranges_of(want))
+          << what << " step " << step << " rank " << r;
+      ASSERT_EQ(send.segments, segs) << what << " step " << step << " rank " << r;
+      if (st == NoncontigStrategy::send && bine) {
+        ASSERT_EQ(send.blocks.ranges().size(), 1u) << what << " Send set is not one run";
+        ASSERT_EQ(send.blocks.memory_segments(p), 1) << what << " Send set wraps";
+      }
+    }
+  }
+}
+
+const std::vector<OracleCase>& oracle_cases() {
+  using C = bs::Collective;
+  using S = NoncontigStrategy;
+  static const std::vector<OracleCase> cases = [] {
+    std::vector<OracleCase> out;
+    for (const S st : {S::block_by_block, S::permute, S::send, S::two_transmission}) {
+      const std::string name = std::string("bine_") + bco::to_string(st);  // registry name
+      out.push_back({C::reduce_scatter, name, st, {Phase::bine_rs}});
+      out.push_back({C::allgather, name, st, {Phase::bine_ag}});
+      out.push_back({C::allreduce, name, st, {Phase::bine_rs, Phase::bine_ag}});
+    }
+    for (const C c : {C::reduce_scatter, C::allgather, C::allreduce}) {
+      const std::vector<Phase> phases =
+          c == C::reduce_scatter ? std::vector<Phase>{Phase::bine_rs}
+          : c == C::allgather    ? std::vector<Phase>{Phase::bine_ag}
+                                 : std::vector<Phase>{Phase::bine_rs, Phase::bine_ag};
+      out.push_back({c, "swing", S::block_by_block, phases});
+    }
+    // The standard butterflies have no strategy; two_transmission stands in
+    // for "no pre-step, segments derived from the set".
+    out.push_back({C::reduce_scatter, "recursive_halving", S::two_transmission, {Phase::cube_rs}});
+    out.push_back({C::allgather, "recursive_doubling", S::two_transmission, {Phase::cube_ag}});
+    out.push_back(
+        {C::allreduce, "rabenseifner", S::two_transmission, {Phase::cube_rs, Phase::cube_ag}});
+    return out;
+  }();
+  return cases;
+}
+
+void expect_range_native_matches_oracle(i64 p) {
+  const i64 P = bco::pow2_floor(p);
+  const int s = bine::log2_exact(P);
+  for (const OracleCase& c : oracle_cases()) {
+    const bco::AlgorithmEntry& entry = bco::find_algorithm(c.coll, c.name);
+    if (entry.pow2_only && P != p) continue;
+    bco::Config cfg;
+    cfg.p = p;
+    cfg.elem_count = p;
+    const bs::Schedule sch = entry.make(cfg);
+    const std::string what =
+        std::string(bs::to_string(c.coll)) + "/" + c.name + " p=" + std::to_string(p);
+    // Pre-steps: the non-power-of-two fold, then Permute's local shuffle
+    // before a reduce-scatter or Send's seeding exchange before an allgather.
+    size_t step = P != p ? 1 : 0;
+    if (c.phases[0] == Phase::bine_rs && c.st == NoncontigStrategy::permute) ++step;
+    if (c.phases[0] == Phase::bine_ag && c.st == NoncontigStrategy::send) ++step;
+    for (const Phase ph : c.phases) {
+      expect_phase_matches_oracle(sch, ph, c.st, step, what);
+      if (::testing::Test::HasFatalFailure()) return;
+      step += static_cast<size_t>(s);
+    }
+  }
+}
+
+}  // namespace
+
+TEST(ButterflyBlocks, RangeNativeMatchesIdOracle) {
+  for (i64 p = 2; p <= 70; ++p) {
+    expect_range_native_matches_oracle(p);
+    if (HasFatalFailure()) return;
+  }
+  for (const i64 p : {96, 127, 1000, 1024, 2048}) {
+    expect_range_native_matches_oracle(p);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// The rooted large-vector composites (bcast scatter + allgather, reduce
+// reduce-scatter + gather) alias every set through reverse(nu) and build it as
+// one run. Oracle: every op rebuilt from ids -- the per-rank nu scan for the
+// butterfly phases, dd_subtree_members for the tree phases -- over pow2 p up
+// to 1024 and two roots.
+TEST(ButterflyBlocks, AliasedRootedCompositesMatchIdOracle) {
+  for (i64 p = 2; p <= 1024; p *= 2) {
+    const int s = bine::log2_exact(p);
+    for (const Rank root : {Rank{0}, p / 3}) {
+      bco::Config cfg;
+      cfg.p = p;
+      cfg.elem_count = p;
+      cfg.root = root;
+      const bs::Schedule bcast = bco::find_algorithm(bs::Collective::bcast,
+                                                     "bine_scatter_allgather").make(cfg);
+      const bs::Schedule reduce = bco::find_algorithm(bs::Collective::reduce,
+                                                      "bine_rs_gather").make(cfg);
+      bs::ScheduleArena arena;
+      const auto aliased = [&](const std::vector<i64>& logical) {
+        std::vector<i64> ids;
+        for (const i64 d : logical)
+          ids.push_back(bc::to_physical(bc::permuted_position(d, p), root, p));
+        return bs::blockset_from_ids(ids, p, arena);
+      };
+      // The send from logical rank `from` to `to` at `step` carries `want`.
+      const auto expect_send = [&](const bs::Schedule& sch, size_t step, Rank from, Rank to,
+                                   const bs::BlockSet& want) {
+        const Rank pf = bc::to_physical(from, root, p), pt = bc::to_physical(to, root, p);
+        const auto& ops = sch.steps[static_cast<size_t>(pf)][step].ops;
+        const auto it = std::find_if(ops.begin(), ops.end(), [&](const bs::Op& op) {
+          return op.kind == bs::OpKind::send && op.peer == pt;
+        });
+        ASSERT_NE(it, ops.end()) << sch.algorithm << " p=" << p << " root=" << root
+                                 << " step " << step << " " << from << "->" << to;
+        ASSERT_EQ(ranges_of(it->blocks), ranges_of(want))
+            << sch.algorithm << " p=" << p << " root=" << root << " step " << step << " "
+            << from << "->" << to;
+      };
+      // Butterfly phases: bcast's allgather fills steps [s, 2s), reduce's
+      // reduce-scatter [0, s).
+      for (const bool reducing : {false, true}) {
+        for (int j = 0; j < s; ++j) {
+          for (Rank l = 0; l < p; ++l) {
+            std::vector<i64> dests;
+            for (i64 rel = 0; rel < p; ++rel) {
+              const u64 v = bc::nu(rel, p);
+              const bool in = reducing ? (v & bine::low_bits(j)) == 0 && ((v >> j) & 1)
+                                       : (v & bine::low_bits(s - j)) == 0;
+              if (in) dests.push_back(oracle_dest(l, rel, p));
+            }
+            const Rank q = bc::butterfly_partner(
+                reducing ? ButterflyVariant::bine_dd : ButterflyVariant::bine_dh, l, j, p);
+            expect_send(reducing ? reduce : bcast,
+                        static_cast<size_t>(reducing ? j : s + j), l, q, aliased(dests));
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+      // Tree phases: bcast scatters down the bine_dd tree in steps [0, s),
+      // reduce gathers up it in steps [s, 2s); each edge carries the child's
+      // whole subtree.
+      for (Rank l = 0; l < p; ++l) {
+        for (int st = bc::join_step(bc::TreeVariant::bine_dd, l, p) + 1; st < s; ++st) {
+          const Rank c = bc::tree_partner(bc::TreeVariant::bine_dd, l, st, p);
+          std::vector<i64> members;
+          for (const Rank m : bc::dd_subtree_members(c, p)) members.push_back(m);
+          const bs::BlockSet want = aliased(members);
+          expect_send(bcast, static_cast<size_t>(st), l, c, want);
+          expect_send(reduce, static_cast<size_t>(2 * s - 1 - st), c, l, want);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
 }

@@ -143,6 +143,53 @@ TEST(Blocks, FromIdsExpandRoundTripOnRandomSets) {
   }
 }
 
+// blockset_from_ranges must land on the canonical form blockset_from_ids
+// gives for the expanded ids: random disjoint circular ranges (wrapped ones
+// included, given in shuffled order), the full circle, pieces meeting at
+// B-1/0, empty input and B = 1.
+TEST(Blocks, FromRangesMatchesFromIds) {
+  bs::ScheduleArena arena;
+  const auto expect_same = [&](const std::vector<bs::BlockRange>& ranges, i64 B) {
+    std::vector<i64> ids;
+    for (const bs::BlockRange& r : ranges)
+      for (i64 k = 0; k < r.count; ++k) ids.push_back(bine::pmod(r.begin + k, B));
+    const bs::BlockSet want = bs::blockset_from_ids(ids, B, arena);
+    const bs::BlockSet got = bs::blockset_from_ranges(ranges, B, arena);
+    EXPECT_EQ(std::vector<bs::BlockRange>(got.ranges().begin(), got.ranges().end()),
+              std::vector<bs::BlockRange>(want.ranges().begin(), want.ranges().end()))
+        << "B=" << B << " ranges=" << ranges.size();
+    EXPECT_EQ(got.memory_segments(B), want.memory_segments(B)) << "B=" << B;
+  };
+
+  std::mt19937_64 rng(20261017);
+  for (const i64 B : {1, 2, 3, 8, 16, 37, 64}) {
+    for (int trial = 0; trial < 300; ++trial) {
+      // Cut the circle at random points starting from a random offset; keep
+      // a random subset of the arcs. Adjacent kept arcs exercise merging,
+      // arcs crossing B-1/0 exercise the split and the circular join.
+      const i64 offset = static_cast<i64>(rng() % static_cast<u64>(B));
+      std::vector<bs::BlockRange> ranges;
+      i64 at = 0;
+      while (at < B) {
+        const i64 len = 1 + static_cast<i64>(rng() % static_cast<u64>(std::min<i64>(B, 5)));
+        const i64 count = std::min(len, B - at);
+        if (rng() % 2 == 0) ranges.push_back({offset + at, count});
+        at += count;
+      }
+      std::shuffle(ranges.begin(), ranges.end(), rng);
+      expect_same(ranges, B);
+    }
+    expect_same({}, B);            // empty input
+    expect_same({{0, 0}}, B);      // only empty ranges
+    expect_same({{0, B}}, B);      // the full circle
+    expect_same({{B - 1, B}}, B);  // the full circle, wrapped
+    if (B > 1) expect_same({{B - 1, 1}, {0, 1}}, B);  // pieces meeting at B-1/0
+  }
+  expect_same({{5, 4}, {1, 2}}, 8);  // wrapped 5..0 plus 1..2: joins to one range
+  expect_same({{3, 2}, {7, 1}, {0, 1}}, 8);
+  EXPECT_TRUE(bs::blockset_from_ranges({}, 4, arena).empty());
+}
+
 TEST(Blocks, FullCircleWrappedRunIsOneMemorySegment) {
   // run(3, 8) in B=8 covers every block: the memory image is the whole
   // vector, i.e. one contiguous segment, not a split pair.
