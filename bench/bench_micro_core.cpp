@@ -1,6 +1,6 @@
 // Micro-benchmarks of the core primitives: the negabinary conversions,
-// partner computations, schedule generation, lowering, routing, and the
-// in-process executors.
+// partner computations, schedule generation, simulation, and the in-process
+// executors.
 //
 // Plan: a Backend::custom sweep -- series are the primitives, the node axis
 // is the argument grid, the metric times one (primitive, arg) cell with a
@@ -14,6 +14,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "coll/registry.hpp"
@@ -22,11 +23,12 @@
 #include "core/nu.hpp"
 #include "core/tree.hpp"
 #include "exp/sweep.hpp"
+#include "net/pair_route_memo.hpp"
 #include "net/profiles.hpp"
 #include "net/simulate.hpp"
 #include "runtime/compiled_executor.hpp"
 #include "runtime/executor.hpp"
-#include "sched/compiled.hpp"
+#include "sched/schedule_cache.hpp"
 
 using namespace bine;
 using Clock = std::chrono::steady_clock;
@@ -103,37 +105,30 @@ std::vector<Micro> micro_benches() {
                         coll::find_algorithm(sched::Collective::allreduce, "bine_send");
                     return [cfg, &entry] { sink = entry.make(cfg).num_steps(); };
                   }});
-  list.push_back({"lower_allreduce", {64, 512}, [](i64 p) {
-                    coll::Config cfg;
-                    cfg.p = p;
-                    cfg.elem_count = 1 << 16;
-                    auto sch = std::make_shared<sched::Schedule>(
-                        coll::find_algorithm(sched::Collective::allreduce, "bine_send")
-                            .make(cfg));
-                    auto scratch = std::make_shared<sched::CompiledSchedule>();
-                    return [sch, scratch] {
-                      sched::CompiledSchedule::lower_into(*sch, *scratch);
-                      sink = scratch->num_ops();
-                    };
-                  }});
   list.push_back({"simulate_allreduce", {64, 512}, [](i64 p) {
                     coll::Config cfg;
                     cfg.p = p;
                     cfg.elem_count = 1 << 16;
-                    const auto sch =
-                        coll::find_algorithm(sched::Collective::allreduce, "bine_send")
-                            .make(cfg);
+                    auto sf = std::make_shared<const sched::SizeFreeSchedule>(
+                        sched::SizeFreeSchedule::from(
+                            coll::find_algorithm(sched::Collective::allreduce, "bine_send")
+                                .make(cfg)));
                     const auto profile = net::lumi_profile();
                     auto topo = std::shared_ptr<net::Topology>(profile.build(p));
                     const auto pl = net::Placement::identity(p);
-                    // Route cache and lowering are hoisted, as in the harness
-                    // hot loop; this times the compiled engine itself.
+                    // Route cache, schedule compile and route memo are
+                    // hoisted, as in the harness hot loop; this times the
+                    // production engine itself at one size.
                     auto rc = std::make_shared<net::RouteCache>(*topo, pl);
-                    auto lowered = std::make_shared<sched::CompiledSchedule>(
-                        sched::CompiledSchedule::lower(sch));
+                    auto memo = std::make_shared<net::PairRouteMemo>();
                     const net::CostParams cost = profile.cost;
-                    return [topo, rc, lowered, cost] {
-                      sink = static_cast<u64>(net::simulate(*lowered, *rc, cost).steps);
+                    return [topo, rc, sf, memo, cost, n = cfg.elem_count,
+                            elem_size = cfg.elem_size] {
+                      sink = static_cast<u64>(
+                          net::simulate(*sf, std::span<const i64>(&n, 1), elem_size, *rc,
+                                        cost, *memo)
+                              .front()
+                              .steps);
                     };
                   }});
   list.push_back({"execute_allreduce", {16, 64}, [](i64 p) {

@@ -1,29 +1,26 @@
-// Before/after benchmark of the simulation engine: the naive reference
-// (virtual route() per message, hash-map link accumulators, double routing
-// via measure_traffic) vs the compiled path (RouteCache + flat IR lowered
-// into reused buffers, one pass).
+// Simulation engine benchmark, in two sections.
 //
-// Plan: a Backend::custom sweep -- series are the non-specialized allreduce
-// algorithms, the size axis the paper's vector sizes, on a Torus(4x4x4).
-// Each cell generates its schedule (untimed, identical for both engines),
-// asserts engine parity, then times each engine; the per-cell engine times
-// ride in the row's extra field. plan.threads = 1: timing cells never
-// contend. Emits BENCH_sim.json as before.
+// Section 1 checks the scalar oracle (net::simulate over a Schedule and a
+// prebuilt RouteCache) against the naive reference (virtual route() per
+// message, hash-map link accumulators) on every non-specialized allreduce
+// schedule at the paper's vector sizes on a Torus(4x4x4): traffic exact,
+// seconds within 1e-12. It is a Backend::custom sweep with plan.threads = 1
+// and times nothing; a divergence exits 1.
 //
-// A second section times size batching: the size-free net::simulate
-// overload (one structural pass across the whole size axis, routes through
-// a warm PairRouteMemo) against the per-size scalar compiled loop on the
-// same cell set, asserting bit-identical output -- on the torus (dense
-// scalar accumulators) AND on a Dragonfly large enough to take the scalar
-// engine's sparse touched-link path, so both regimes sit in the perf
-// snapshot. Exit code gates bitwise parity and >= 2.0x size batching on
-// both topologies.
+// Section 2 times size batching: the production size-free net::simulate
+// over one schedule (one structural pass across the whole size axis, routes
+// through a warm PairRouteMemo) against the same engine called once per
+// size, so the ratio measures batching alone. Output is checked bitwise
+// against the scalar oracle over the schedule generated at each size, on the
+// torus AND on a 1320-link Dragonfly. Exit code gates bitwise parity and
+// >= 2.0x size batching on both topologies. Emits BENCH_sim.json.
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,7 +31,6 @@
 #include "net/route_cache.hpp"
 #include "net/simulate.hpp"
 #include "net/topology.hpp"
-#include "sched/compiled.hpp"
 #include "sched/schedule_cache.hpp"
 
 using namespace bine;
@@ -46,21 +42,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// The scalar oracle for one schedule across a size axis: resolve_into +
-/// simulate per size.
-std::vector<net::SimResult> per_size_oracle(
-    const std::shared_ptr<const sched::SizeFreeSchedule>& sf,
-    const std::vector<i64>& elem_counts, i64 elem_size, const net::RouteCache& rc,
-    const net::CostParams& cp) {
-  std::vector<net::SimResult> out;
-  sched::CompiledSchedule lowered;
-  for (const i64 n : elem_counts) {
-    sched::SizeFreeSchedule::resolve_into(sf, n, elem_size, lowered);
-    out.push_back(net::simulate(lowered, rc, cp));
-  }
-  return out;
-}
-
 bool bitwise_eq(const net::SimResult& a, const net::SimResult& b) {
   return std::bit_cast<u64>(a.seconds) == std::bit_cast<u64>(b.seconds) &&
          a.traffic.total() == b.traffic.total() &&
@@ -68,14 +49,14 @@ bool bitwise_eq(const net::SimResult& a, const net::SimResult& b) {
 }
 
 /// Batched-vs-per-size comparison on one topology: every non-specialized
-/// allreduce schedule, the paper size axis, compiled per-size loop
-/// (resolve_into + simulate) vs ONE size-batched simulate call through a
-/// warm route memo (the production shape: the process memo persists across
-/// cells). Output must match bitwise; rates are per (schedule, size) cell.
+/// allreduce schedule, the paper size axis, the production engine called
+/// once per size vs ONE size-batched call through a warm route memo (the
+/// production shape: the process memo persists across cells). Output must
+/// match the scalar oracle bitwise; rates are per (schedule, size) cell.
 struct BatchedReport {
   size_t cells = 0;
-  double compiled_rate = 0;  ///< per-size compiled engine, schedules/sec
-  double batched_rate = 0;   ///< size-batched engine, schedules/sec
+  double single_call_rate = 0;  ///< one production call per size, schedules/sec
+  double batched_rate = 0;      ///< one production call per size axis, schedules/sec
   double speedup = 0;
   bool bit_identical = true;
   i64 num_links = 0;
@@ -94,26 +75,30 @@ BatchedReport bench_batched(const net::Topology& topo, const net::CostParams& cp
   for (size_t s = 0; s < sizes.size(); ++s)
     elem_counts[s] = std::max<i64>(cfg.p, sizes[s] / cfg.elem_size);
 
-  double compiled_total = 0, batched_total = 0;
-  sched::CompiledSchedule lowered;
+  double single_total = 0, batched_total = 0;
   net::PairRouteMemo memo;
   for (const auto& entry : coll::algorithms_for(sched::Collective::allreduce)) {
     if (entry.specialized) continue;
     if (entry.pow2_only && !is_pow2(cfg.p)) continue;
     cfg.elem_count = elem_counts.back();
-    auto sf = std::make_shared<const sched::SizeFreeSchedule>(
-        sched::SizeFreeSchedule::from(entry.make(cfg)));
+    const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(entry.make(cfg));
 
     const auto batched_pass = [&] {
-      return net::simulate(*sf, elem_counts, cfg.elem_size, rc, cp, memo);
+      return net::simulate(sf, elem_counts, cfg.elem_size, rc, cp, memo);
+    };
+    const auto single_call = [&](size_t s) {
+      return net::simulate(sf, std::span<const i64>(&elem_counts[s], 1), cfg.elem_size,
+                           rc, cp, memo)
+          .front();
     };
 
     // Parity gate, bitwise: timing means nothing if the engines diverge.
     const auto batched = batched_pass();
-    const auto oracle = per_size_oracle(sf, elem_counts, cfg.elem_size, rc, cp);
     for (size_t s = 0; s < elem_counts.size(); ++s) {
-      if (!bitwise_eq(batched[s], oracle[s])) {
-        std::fprintf(stderr, "FAIL: batched engine diverges on %s/%s n=%lld\n",
+      cfg.elem_count = elem_counts[s];
+      const net::SimResult oracle = net::simulate(entry.make(cfg), rc, cp);
+      if (!bitwise_eq(batched[s], oracle) || !bitwise_eq(single_call(s), oracle)) {
+        std::fprintf(stderr, "FAIL: production engine diverges on %s/%s n=%lld\n",
                      topo.name().c_str(), entry.name.c_str(),
                      static_cast<long long>(elem_counts[s]));
         rep.bit_identical = false;
@@ -135,19 +120,16 @@ BatchedReport bench_batched(const net::Topology& topo, const net::CostParams& cp
       }
       return best;
     };
-    compiled_total += time_engine([&] {
-      for (const i64 n : elem_counts) {
-        sched::SizeFreeSchedule::resolve_into(sf, n, cfg.elem_size, lowered);
-        checksum += net::simulate(lowered, rc, cp).seconds;
-      }
+    single_total += time_engine([&] {
+      for (size_t s = 0; s < elem_counts.size(); ++s) checksum += single_call(s).seconds;
     });
     batched_total += time_engine([&] { checksum += batched_pass().back().seconds; });
     (void)checksum;
     rep.cells += elem_counts.size();
   }
-  rep.compiled_rate = static_cast<double>(rep.cells) / compiled_total;
+  rep.single_call_rate = static_cast<double>(rep.cells) / single_total;
   rep.batched_rate = static_cast<double>(rep.cells) / batched_total;
-  rep.speedup = rep.batched_rate / rep.compiled_rate;
+  rep.speedup = rep.batched_rate / rep.single_call_rate;
   return rep;
 }
 
@@ -175,27 +157,21 @@ int main() {
               static_cast<long long>(topo.num_nodes()));
 
   const net::RouteCache rc(topo, pl);
-  sched::CompiledSchedule lowered;  // reused across cells, as the harness does
-  const double per_cell_budget = 0.01;
   bool parity_failed = false;
 
   plan.metric = [&](const exp::CellCtx& ctx) -> exp::Metrics {
-    if (parity_failed) return {};  // fail fast: skip the remaining timings
+    if (parity_failed) return {};  // fail fast: skip the remaining cells
     coll::Config cfg;
     cfg.p = topo.num_nodes();
     cfg.elem_count = std::max<i64>(cfg.p, ctx.size_bytes / cfg.elem_size);
-    const std::string& algorithm =
-        ctx.plan->series[ctx.series].label;
+    const std::string& algorithm = ctx.plan->series[ctx.series].label;
     const sched::Schedule sch =
         coll::find_algorithm(sched::Collective::allreduce, algorithm).make(cfg);
 
     exp::Metrics m;
     m.algorithm = algorithm;
-
-    // Parity gate: the two engines must agree before timing means anything.
     const net::SimResult ref = net::simulate_reference(sch, topo, pl, cp);
-    sched::CompiledSchedule::lower_into(sch, lowered);
-    const net::SimResult fast = net::simulate(lowered, rc, cp);
+    const net::SimResult fast = net::simulate(sch, rc, cp);
     if (ref.traffic.local_bytes != fast.traffic.local_bytes ||
         ref.traffic.global_bytes != fast.traffic.global_bytes ||
         ref.traffic.intra_node_bytes != fast.traffic.intra_node_bytes ||
@@ -211,74 +187,35 @@ int main() {
       parity_failed = true;
       return m;
     }
-
-    // Best of three rounds per engine: noise on a shared machine only ever
-    // adds time, so the min is the most faithful per-cell cost.
-    double checksum = 0;
-    auto time_engine = [&](auto&& body) {
-      double best = std::numeric_limits<double>::infinity();
-      for (int round = 0; round < 3; ++round) {
-        i64 n = 0;
-        const auto t0 = Clock::now();
-        while (seconds_since(t0) < per_cell_budget) {
-          body();
-          ++n;
-        }
-        best = std::min(best, seconds_since(t0) / static_cast<double>(n));
-      }
-      return best;
-    };
-    const double naive = time_engine(
-        [&] { checksum += net::simulate_reference(sch, topo, pl, cp).seconds; });
-    const double compiled = time_engine([&] {
-      sched::CompiledSchedule::lower_into(sch, lowered);
-      checksum += net::simulate(lowered, rc, cp).seconds;
-    });
-    (void)checksum;
-    m.extra = {naive, compiled, rel};
+    m.extra = {rel};
     return m;
   };
 
   const exp::SweepResult result = exp::run(plan);
   if (parity_failed) return 1;
 
-  double naive_total = 0, compiled_total = 0, max_rel_err = 0;
-  for (const exp::Row& row : result.rows) {
-    naive_total += row.m.extra[0];
-    compiled_total += row.m.extra[1];
-    max_rel_err = std::max(max_rel_err, row.m.extra[2]);
-  }
+  double max_rel_err = 0;
+  for (const exp::Row& row : result.rows) max_rel_err = std::max(max_rel_err, row.m.extra[0]);
   const size_t cells = result.rows.size();
-  const double naive_rate = static_cast<double>(cells) / naive_total;
-  const double compiled_rate = static_cast<double>(cells) / compiled_total;
-  const double speedup = compiled_rate / naive_rate;
-  std::printf("naive:    %10.1f schedules/sec (%.2f ms per sweep pass)\n", naive_rate,
-              1e3 * naive_total);
-  std::printf("compiled: %10.1f schedules/sec (%.2f ms per sweep pass)\n", compiled_rate,
-              1e3 * compiled_total);
-  std::printf("speedup:  %10.2fx   (parity rel err %.3g)\n", speedup, max_rel_err);
+  std::printf("scalar oracle vs reference: %zu schedules agree (max rel err %.3g)\n", cells,
+              max_rel_err);
 
-  // Size batching (the batched engine over one schedule, one pass across
-  // the whole size axis) vs the per-size scalar loop, on the
-  // dense-accumulator torus and on a dragonfly large enough for the scalar
-  // engine's sparse touched-link path. The scalar baseline is resolve_into +
-  // simulate over the cached size-free entry -- the strictest per-size form.
+  // Size batching (the production engine over one schedule, one pass across
+  // the whole size axis) vs the same engine called once per size, on the
+  // torus and on a dragonfly. 384 ranks, 1320 links; the larger budget keeps
+  // several reps inside each round even for the ring schedule at 384 ranks.
   const BatchedReport torus_batched = bench_batched(topo, cp, plan.sizes, 0.01);
-  // 384 ranks, 1320 links: past the scalar engine's 1024-link dense-scan
-  // threshold, so its sparse touched-link path is what gets compared. The
-  // larger budget keeps several reps inside each round even for the ring
-  // schedule at 384 ranks.
   const net::Dragonfly dragonfly(24, 16, 1, 25e9, 25e9);
   const net::CostParams dragonfly_cp;  // default alphas: a real global tier
   const BatchedReport dragonfly_batched =
       bench_batched(dragonfly, dragonfly_cp, plan.sizes, 0.05);
   std::printf("batched (torus, %lld links):     %10.1f schedules/sec  "
-              "(%.2fx vs per-size scalar, %s)\n",
+              "(%.2fx vs per-size calls, %s)\n",
               static_cast<long long>(torus_batched.num_links),
               torus_batched.batched_rate, torus_batched.speedup,
               torus_batched.bit_identical ? "bit-identical" : "DIVERGED");
   std::printf("batched (dragonfly, %lld links): %10.1f schedules/sec  "
-              "(%.2fx vs per-size scalar, %s)\n",
+              "(%.2fx vs per-size calls, %s)\n",
               static_cast<long long>(dragonfly_batched.num_links),
               dragonfly_batched.batched_rate, dragonfly_batched.speedup,
               dragonfly_batched.bit_identical ? "bit-identical" : "DIVERGED");
@@ -287,7 +224,7 @@ int main() {
   const bool batched_gate = torus_batched.speedup >= 2.0 &&
                             dragonfly_batched.speedup >= 2.0;
   if (!batched_gate)
-    std::fprintf(stderr, "FAIL: size-batched gate (>= 2.0x vs per-size scalar) not "
+    std::fprintf(stderr, "FAIL: size-batched gate (>= 2.0x vs per-size calls) not "
                          "met: torus %.2fx, dragonfly %.2fx\n",
                  torus_batched.speedup, dragonfly_batched.speedup);
 
@@ -298,25 +235,22 @@ int main() {
                  "  \"topology\": \"torus_4x4x4\",\n"
                  "  \"collective\": \"allreduce\",\n"
                  "  \"num_schedules\": %zu,\n"
-                 "  \"naive_schedules_per_sec\": %.1f,\n"
-                 "  \"compiled_schedules_per_sec\": %.1f,\n"
-                 "  \"speedup\": %.2f,\n"
                  "  \"parity_max_rel_err\": %.3g,\n"
-                 "  \"per_size_compiled_schedules_per_sec\": %.1f,\n"
+                 "  \"per_size_call_schedules_per_sec\": %.1f,\n"
                  "  \"per_schedule_rate_batched\": %.1f,\n"
                  "  \"batched_speedup\": %.2f,\n"
                  "  \"batched_bit_identical\": %s,\n"
                  "  \"dragonfly_num_links\": %lld,\n"
-                 "  \"dragonfly_per_size_compiled_schedules_per_sec\": %.1f,\n"
+                 "  \"dragonfly_per_size_call_schedules_per_sec\": %.1f,\n"
                  "  \"dragonfly_per_schedule_rate_batched\": %.1f,\n"
                  "  \"dragonfly_batched_speedup\": %.2f,\n"
                  "  \"dragonfly_batched_bit_identical\": %s\n"
                  "}\n",
-                 cells, naive_rate, compiled_rate, speedup, max_rel_err,
-                 torus_batched.compiled_rate, torus_batched.batched_rate,
+                 cells, max_rel_err, torus_batched.single_call_rate,
+                 torus_batched.batched_rate,
                  torus_batched.speedup, torus_batched.bit_identical ? "true" : "false",
                  static_cast<long long>(dragonfly_batched.num_links),
-                 dragonfly_batched.compiled_rate, dragonfly_batched.batched_rate,
+                 dragonfly_batched.single_call_rate, dragonfly_batched.batched_rate,
                  dragonfly_batched.speedup,
                  dragonfly_batched.bit_identical ? "true" : "false");
     if (out.commit()) std::printf("wrote BENCH_sim.json\n");

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 namespace bine::net {
@@ -93,7 +95,7 @@ SimResult simulate_reference(const sched::Schedule& sch, const Topology& topo,
   return result;
 }
 
-// --- compiled engine -----------------------------------------------------------
+// --- scalar oracle ---------------------------------------------------------------
 
 namespace {
 
@@ -107,118 +109,70 @@ inline void accumulate_send(TrafficStats& stats, const RouteCache::ClassHops& h,
 
 }  // namespace
 
-TrafficStats measure_traffic(const sched::CompiledSchedule& cs, const RouteCache& rc) {
-  assert(cs.p == rc.num_ranks());
-  TrafficStats stats;
-  for (size_t i = 0; i < cs.num_ops(); ++i) {
-    if (cs.kind[i] != sched::OpKind::send) continue;
-    accumulate_send(stats, rc.hops(cs.rank[i], cs.peer[i]), cs.bytes[i]);
-  }
-  return stats;
-}
-
-SimResult simulate(const sched::CompiledSchedule& cs, const RouteCache& rc,
-                   const CostParams& cp) {
-  assert(cs.p == rc.num_ranks());
+SimResult simulate(const sched::Schedule& sch, const RouteCache& rc, const CostParams& cp) {
+  assert(sch.p == rc.num_ranks());
   SimResult result;
-  result.steps = cs.steps;
+  result.steps = sch.num_steps();
 
-  // Dense per-link byte accumulators. On small link arrays (torus-sized) the
-  // per-step reduction scans and clears every link -- no bookkeeping in the
-  // send loop; on large fabrics (a dragonfly has thousands of links, a step
-  // touches few) only the touched links are visited and reset. Both orders
-  // produce the same max. The scratch persists per thread: every step
-  // restores the accumulators to zero, so reuse across calls never leaks
-  // bytes between simulations.
-  // Capacity cap: a sweep mixing large-fabric cells (dragonfly: thousands of
-  // links) with small ones (torus) must not pin the high-water allocation per
-  // worker thread forever, so once a small simulation follows a large one the
-  // scratch is released and reallocated at the small size.
-  constexpr size_t kLinkScratchCapEntries = size_t{1} << 16;
-  const size_t num_links = static_cast<size_t>(rc.num_links());
-  const bool dense_links = num_links <= 1024;
-  static thread_local std::vector<i64> link_bytes;
-  static thread_local std::vector<i64> touched;
-  if (link_bytes.capacity() > kLinkScratchCapEntries && num_links <= kLinkScratchCapEntries) {
-    std::vector<i64>().swap(link_bytes);
-    std::vector<i64>().swap(touched);
-  }
-  if (link_bytes.size() < num_links) link_bytes.resize(num_links, 0);
-  touched.clear();
-
+  // Per-link byte accumulators; each step visits and resets only the links
+  // it touched. A step's link time is a max over non-negative finite terms,
+  // so the visiting order never changes a bit of the result.
+  std::vector<i64> link_bytes(static_cast<size_t>(rc.num_links()), 0);
+  std::vector<i64> touched;
+  const std::span<const double> inv_bw = rc.inv_bandwidth();
   const double inv_reduce_bw = 1.0 / cp.reduce_bandwidth;
   const double inv_mem_bw = 1.0 / cp.mem_bandwidth;
-  const double* inv_bw = rc.inv_bandwidth().data();
-  const sched::OpKind* kind = cs.kind.data();
-  const std::int32_t* rank = cs.rank.data();
-  const std::int32_t* peer = cs.peer.data();
-  const i64* bytes = cs.bytes.data();
-  const std::int32_t* extra_segs = cs.extra_segments.data();
 
-  for (size_t t = 0; t < cs.steps; ++t) {
-    double max_rank_overhead = 0;
-    double overhead = 0;
-    std::int32_t cur_rank = -1;
-    for (std::uint32_t i = cs.step_begin[t]; i < cs.step_begin[t + 1]; ++i) {
-      if (rank[i] != cur_rank) {  // ops are rank-grouped within a step
-        max_rank_overhead = std::max(max_rank_overhead, overhead);
-        overhead = 0;
-        cur_rank = rank[i];
-      }
-      const i64 b = bytes[i];
-      switch (kind[i]) {
-        case sched::OpKind::send: {
-          const RouteCache::ClassHops& h = rc.hops(cur_rank, peer[i]);
-          accumulate_send(result.traffic, h, b);
-          if (dense_links) {
-            for (const i64 link : rc.path(cur_rank, peer[i]))
-              link_bytes[static_cast<size_t>(link)] += b;
-          } else {
-            for (const i64 link : rc.path(cur_rank, peer[i])) {
+  double max_rank_overhead = 0;
+  double overhead = 0;
+  Rank cur_rank = -1;
+  sched::for_each_lowered_op(
+      sch, result.steps,
+      [&](Rank r, const sched::Op& op) {
+        if (r != cur_rank) {  // ops arrive rank-grouped within a step
+          max_rank_overhead = std::max(max_rank_overhead, overhead);
+          overhead = 0;
+          cur_rank = r;
+        }
+        const i64 b = sch.op_bytes(op);
+        const double extra_segs = static_cast<double>(sched::lowered_extra_segments(op));
+        switch (op.kind) {
+          case sched::OpKind::send: {
+            const RouteCache::ClassHops& h = rc.hops(r, op.peer);
+            accumulate_send(result.traffic, h, b);
+            for (const i64 link : rc.path(r, op.peer)) {
               if (link_bytes[static_cast<size_t>(link)] == 0) touched.push_back(link);
               link_bytes[static_cast<size_t>(link)] += b;
             }
+            overhead += (h.global > 0 ? cp.alpha_global : cp.alpha_local) +
+                        extra_segs * cp.seg_overhead;
+            break;
           }
-          overhead += (h.global > 0 ? cp.alpha_global : cp.alpha_local) +
-                      static_cast<double>(extra_segs[i]) * cp.seg_overhead;
-          break;
+          case sched::OpKind::recv:
+            break;  // dropped by for_each_lowered_op
+          case sched::OpKind::recv_reduce:
+            overhead += static_cast<double>(b) * inv_reduce_bw;
+            break;
+          case sched::OpKind::local_perm:
+            overhead += static_cast<double>(b) * inv_mem_bw + extra_segs * cp.seg_overhead;
+            break;
         }
-        case sched::OpKind::recv:
-          break;  // latency accounted on the sender side
-        case sched::OpKind::recv_reduce:
-          overhead += static_cast<double>(b) * inv_reduce_bw;
-          break;
-        case sched::OpKind::local_perm:
-          overhead += static_cast<double>(b) * inv_mem_bw +
-                      static_cast<double>(extra_segs[i]) * cp.seg_overhead;
-          break;
-      }
-    }
-    max_rank_overhead = std::max(max_rank_overhead, overhead);
-
-    double max_link_time = 0;
-    if (dense_links) {
-      i64* lb = link_bytes.data();
-      double m0 = 0, m1 = 0;
-      size_t l = 0;
-      for (; l + 1 < num_links; l += 2) {
-        m0 = std::max(m0, static_cast<double>(lb[l]) * inv_bw[l]);
-        m1 = std::max(m1, static_cast<double>(lb[l + 1]) * inv_bw[l + 1]);
-      }
-      for (; l < num_links; ++l) m0 = std::max(m0, static_cast<double>(lb[l]) * inv_bw[l]);
-      max_link_time = std::max(m0, m1);
-      std::fill_n(lb, num_links, i64{0});
-    } else {
-      for (const i64 link : touched) {
-        max_link_time = std::max(max_link_time,
-                                 static_cast<double>(link_bytes[static_cast<size_t>(link)]) *
-                                     inv_bw[link]);
-        link_bytes[static_cast<size_t>(link)] = 0;
-      }
-      touched.clear();
-    }
-    result.seconds += max_link_time + max_rank_overhead;
-  }
+      },
+      [&](size_t) {
+        max_rank_overhead = std::max(max_rank_overhead, overhead);
+        double max_link_time = 0;
+        for (const i64 link : touched) {
+          i64& lb = link_bytes[static_cast<size_t>(link)];
+          max_link_time = std::max(max_link_time,
+                                   static_cast<double>(lb) * inv_bw[static_cast<size_t>(link)]);
+          lb = 0;
+        }
+        touched.clear();
+        result.seconds += max_link_time + max_rank_overhead;
+        max_rank_overhead = 0;
+        overhead = 0;
+        cur_rank = -1;
+      });
   return result;
 }
 
@@ -338,12 +292,11 @@ struct CandStreamCtx {
 /// straight vector code. W covers the whole practical size axis (up to 32
 /// lanes per window), so the op arrays, byte rows and route CSR are touched
 /// once per op per cell. Lane s runs exactly the arithmetic the scalar
-/// engine runs on the schedule resolved at size s: byte rows are the i64
-/// closed form of ranges_elem_count, the op constants are the scalar
-/// engine's double expressions term for term, and each lane's FP
-/// accumulation order is the scalar engine's (ops outer, flushed at rank
-/// boundaries) -- lanes never mix -- so results are bitwise identical to
-/// simulate(resolve(sf, n_s), rc, cp).
+/// oracle runs on the schedule generated at size s: byte rows are the i64
+/// closed form of ranges_elem_count, the op constants are the oracle's
+/// double expressions term for term, and each lane's FP accumulation order
+/// is the oracle's (ops outer, flushed at rank boundaries) -- lanes never
+/// mix -- so results are bitwise identical to it.
 template <size_t W>
 void stream_candidate(const CandStreamCtx& cx, size_t off) {
   const sched::SizeFreeSchedule& sf = *cx.sf;
@@ -373,8 +326,8 @@ void stream_candidate(const CandStreamCtx& cx, size_t off) {
   // decomposes exactly as C*(n/B) + R(n%B): C is the total covered block
   // count and R(rem) sums, over the *unwrapped* sub-runs [lo, hi) each range
   // splits into, the ids below rem: max(0, min(hi, rem) - lo). All-i64, so
-  // each row holds precisely what resolve_into bakes per size; pad lanes
-  // (base = rem = 0) come out 0.
+  // each row holds precisely what Schedule::op_bytes gives at that size; pad
+  // lanes (base = rem = 0) come out 0.
   const auto eval_row = [&](const RowSpec& o, i64* b) {
     if (o.kind == kRowFull) {
       for (size_t s = 0; s < W; ++s) b[s] = full_bytes[s];
@@ -475,8 +428,7 @@ void stream_candidate(const CandStreamCtx& cx, size_t off) {
     // send loop above and the gather through a touched list here. A slot
     // idle this step holds 0, contributing +0.0 to a max over non-negative
     // finite terms -- bitwise the same result as the oracle's touched-only
-    // reduce (the scalar engine's dense-links path rests on the same
-    // argument). The clear restores the tiles to zero for the next step.
+    // reduce. The clear restores the tiles to zero for the next step.
     for (size_t slot = 0; slot < num_slots; ++slot) {
       const double ib = slot_inv_bw[slot];
       i64* a = acc + slot * W;
@@ -699,7 +651,7 @@ std::vector<SimResult> simulate(const sched::SizeFreeSchedule& sf,
   sc.acc.assign(num_slots * W, 0);  // accumulator tiles; each step clears its own
 
   // Per-size geometry: block space and nblocks shape it, the arithmetic
-  // resolve_into runs per size.
+  // Schedule::op_bytes runs at each size.
   const i64 B = sf.nblocks;
   sc.full_bytes.assign(P, 0);
   sc.base.assign(P, 0);
@@ -774,15 +726,34 @@ size_t sim_scratch_resident_bytes() { return thread_sim_scratch().resident_bytes
 
 namespace {
 
-/// Ordered rank pairs the cost model will query for `cs`: the (rank, peer)
+/// The conveniences route through `pl` and `topo` by index, so a placement
+/// shorter than the schedule or one naming a node off the topology is
+/// rejected before any lookup.
+void check_placement(const sched::Schedule& sch, const Topology& topo,
+                     const Placement& pl) {
+  if (static_cast<i64>(pl.node_of_rank.size()) < sch.p)
+    throw std::invalid_argument("placement covers " +
+                                std::to_string(pl.node_of_rank.size()) +
+                                " ranks, schedule has " + std::to_string(sch.p));
+  for (Rank r = 0; r < sch.p; ++r) {
+    const i64 node = pl.node_of_rank[static_cast<size_t>(r)];
+    if (node < 0 || node >= topo.num_nodes())
+      throw std::invalid_argument("placement puts rank " + std::to_string(r) +
+                                  " on node " + std::to_string(node) + " of " +
+                                  std::to_string(topo.num_nodes()));
+  }
+}
+
+/// Ordered rank pairs the cost model will query for `sch`: the (rank, peer)
 /// of every send. A schedule touches O(p log p) of the p^2 pairs, so scoping
 /// the route build to this list is what makes the one-off conveniences cheap
 /// on large rank counts (sweeps keep the eager build; see harness::Runner).
-std::vector<std::pair<Rank, Rank>> send_pairs(const sched::CompiledSchedule& cs) {
+std::vector<std::pair<Rank, Rank>> send_pairs(const sched::Schedule& sch) {
   std::vector<std::pair<Rank, Rank>> pairs;
-  pairs.reserve(cs.num_ops());
-  for (size_t i = 0; i < cs.num_ops(); ++i)
-    if (cs.kind[i] == sched::OpKind::send) pairs.emplace_back(cs.rank[i], cs.peer[i]);
+  for (Rank r = 0; r < sch.p; ++r)
+    for (const sched::RankStep& step : sch.steps[static_cast<size_t>(r)])
+      for (const sched::Op& op : step.ops)
+        if (op.kind == sched::OpKind::send) pairs.emplace_back(r, op.peer);
   return pairs;  // RouteCache's scoped constructor sorts and dedups
 }
 
@@ -790,14 +761,13 @@ std::vector<std::pair<Rank, Rank>> send_pairs(const sched::CompiledSchedule& cs)
 
 TrafficStats measure_traffic(const sched::Schedule& sch, const Topology& topo,
                              const Placement& pl) {
-  const sched::CompiledSchedule cs = sched::CompiledSchedule::lower(sch);
-  return measure_traffic(cs, RouteCache(topo, pl, send_pairs(cs)));
+  return simulate(sch, topo, pl, CostParams{}).traffic;
 }
 
 SimResult simulate(const sched::Schedule& sch, const Topology& topo, const Placement& pl,
                    const CostParams& cp) {
-  const sched::CompiledSchedule cs = sched::CompiledSchedule::lower(sch);
-  return simulate(cs, RouteCache(topo, pl, send_pairs(cs)), cp);
+  check_placement(sch, topo, pl);
+  return simulate(sch, RouteCache(topo, pl, send_pairs(sch)), cp);
 }
 
 i64 inter_group_bytes(const sched::Schedule& sch, std::span<const i64> group_of_rank) {

@@ -6,7 +6,6 @@
 #include "net/pair_route_memo.hpp"
 #include "net/route_cache.hpp"
 #include "net/topology.hpp"
-#include "sched/compiled.hpp"
 #include "sched/schedule.hpp"
 #include "sched/schedule_cache.hpp"
 
@@ -22,11 +21,10 @@
 ///   * The size-free `simulate` overload -- the engine harness::Runner (and
 ///     through it every sweep, tuner and service job) runs: one schedule
 ///     across the whole size axis in one pass over cached size-free IR.
-///   * The scalar compiled `simulate`/`measure_traffic` over a
-///     `sched::CompiledSchedule` plus a `RouteCache` -- the *bitwise* oracle
-///     of the batched engine, and (via the `Schedule` overloads, which lower
-///     and build a scoped route table per call) the one-off convenience the
-///     examples use.
+///   * The scalar `simulate` over a `sched::Schedule` plus a `RouteCache`
+///     -- the *bitwise* oracle of the size-free engine, and (via the
+///     topology/placement overloads, which build a scoped route table per
+///     call) the one-off convenience the examples use.
 ///   * The *reference* engine (`*_reference`): per-op virtual routing and a
 ///     per-step hash map -- the *semantic* oracle the scalar engine is
 ///     checked against within 1e-12; don't use it in sweeps.
@@ -43,13 +41,11 @@ struct TrafficStats {
   [[nodiscard]] i64 total() const { return local_bytes + global_bytes + intra_node_bytes; }
 };
 
-/// Exact per-class byte counts of `sch` routed over `topo` under `pl`.
+/// Exact per-class byte counts of `sch` routed over `topo` under `pl`: the
+/// traffic of the convenience `simulate` below. Throws std::invalid_argument
+/// when `pl` places fewer than `sch.p` ranks or puts a rank off `topo`.
 [[nodiscard]] TrafficStats measure_traffic(const sched::Schedule& sch, const Topology& topo,
                                            const Placement& pl);
-
-/// Compiled fast path: O(1) per message via the cache's per-pair hop counts.
-[[nodiscard]] TrafficStats measure_traffic(const sched::CompiledSchedule& cs,
-                                           const RouteCache& rc);
 
 /// Bytes crossing group boundaries (no routing needed): the metric of Fig. 5
 /// and of the "Traffic Red." columns when groups have single logical pipes.
@@ -76,11 +72,15 @@ struct SimResult {
 /// + max over ranks  (sum of message alphas + segment overheads
 ///                    + reduce bytes / reduce bw + permute bytes / mem bw).
 /// Total time is the sum over steps. Traffic stats fall out of the same pass.
+/// Routes only the schedule's send pairs; throws std::invalid_argument when
+/// `pl` places fewer than `sch.p` ranks or puts a rank off `topo`.
 [[nodiscard]] SimResult simulate(const sched::Schedule& sch, const Topology& topo,
                                  const Placement& pl, const CostParams& cp);
 
-/// Compiled fast path over pre-lowered IR and pre-built routes.
-[[nodiscard]] SimResult simulate(const sched::CompiledSchedule& cs, const RouteCache& rc,
+/// The scalar oracle over pre-built routes: walks `sch` in
+/// sched::for_each_lowered_op order with bytes from `Schedule::op_bytes`.
+/// `sch.p` must match `rc`.
+[[nodiscard]] SimResult simulate(const sched::Schedule& sch, const RouteCache& rc,
                                  const CostParams& cp);
 
 /// Size-batched compiled engine -- the one production simulator: one
@@ -91,14 +91,16 @@ struct SimResult {
 /// distinct byte rows, memoized on the entry) then streams through W-wide
 /// size-lane tiles.
 ///
-/// result[s] is bit-identical to the scalar oracle
-///   simulate(resolve(sf, elem_counts[s], elem_size), rc, cp)
+/// result[s] is bit-identical to the scalar oracle over the Schedule `sf`
+/// was compiled from, generated at elem_counts[s]
+///   simulate(sch_at(elem_counts[s]), rc, cp)
 /// -- the per-size loop the parity suite runs: byte resolution runs the same
-/// integer arithmetic, per-rank overheads accumulate in the same FP order
-/// (ops outer, flushed at rank boundaries), and per-step maxima reduce over
-/// non-negative finite terms, where max is order-independent bitwise. `sf`'s
-/// p must match `rc`; any entry qualifies, cached or freshly compiled, since
-/// every size-free schedule resolves at every size.
+/// integer arithmetic as `Schedule::op_bytes`, per-rank overheads accumulate
+/// in the same FP order (ops outer, flushed at rank boundaries), and
+/// per-step maxima reduce over non-negative finite terms, where max is
+/// order-independent bitwise. `sf`'s p must match `rc`; any entry qualifies,
+/// cached or freshly compiled, since every size-free schedule serves every
+/// size.
 [[nodiscard]] std::vector<SimResult> simulate(const sched::SizeFreeSchedule& sf,
                                               std::span<const i64> elem_counts,
                                               i64 elem_size, const RouteCache& rc,

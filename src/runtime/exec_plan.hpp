@@ -8,7 +8,7 @@
 #include "sched/schedule.hpp"
 #include "sched/schedule_cache.hpp"
 
-/// Flat execution IR: the runtime analogue of sched::CompiledSchedule.
+/// Flat execution IR, built from a sched::SizeFreeSchedule entry.
 ///
 /// The executor's work is entirely delivery-driven: within a synchronized
 /// step every send reads the sender's *pre-step* state, so a message's
@@ -28,14 +28,14 @@
 ///     (`elem_prefix`) sized once at plan build time, so execution performs no
 ///     per-step allocation at all.
 ///
-/// Columns split along the size axis exactly like CompiledSchedule's:
-/// everything except byte/element arithmetic is a pure function of schedule
-/// *structure*, so those columns are exposed as read-only spans. The delivery
-/// stream aliases a sched::SizeFreeSchedule's execution overlay directly and
-/// the derived structural columns alias an `ExecSkeleton` -- the finalized,
-/// size-free dataflow analysis (receiver runs, zero-copy direct marks, fused
-/// symmetric pairs, staging block offsets) built ONCE per entry and cached on
-/// it, so a cache hit pays only for the size-dependent columns (`op_bytes`,
+/// Columns split along the size axis: everything except byte/element
+/// arithmetic is a pure function of schedule *structure*, so those columns
+/// are exposed as read-only spans. The delivery stream aliases a
+/// sched::SizeFreeSchedule's execution overlay directly and the derived
+/// structural columns alias an `ExecSkeleton` -- the finalized, size-free
+/// dataflow analysis (receiver runs, zero-copy direct marks, fused symmetric
+/// pairs, staging block offsets) built ONCE per entry and cached on it, so a
+/// cache hit pays only for the size-dependent columns (`op_bytes`,
 /// `block_off`, `elem_prefix`, `stage_elem_off`). The plan owns no delivery
 /// storage: `keepalive` and `skeleton` hold what the spans point into.
 ///
@@ -51,8 +51,7 @@ namespace bine::runtime {
 /// block ids plus every output of the per-step dataflow analysis that does
 /// not touch element counts. Cached on the schedule-cache entry
 /// (SizeFreeSchedule::derived) so `from_size_free` re-runs none of it on a
-/// hit -- the execution analogue of resolve_into sharing the size-invariant
-/// simulation columns.
+/// hit.
 struct ExecSkeleton {
   // Expanded delivery payloads (CSR into `ids`), from the entry's ranges.
   std::vector<std::uint32_t> block_begin;

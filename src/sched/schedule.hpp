@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,11 +17,12 @@
 /// of synchronized steps of send/recv/local operations over logical blocks.
 /// One schedule serves two consumers:
 ///   * runtime::Executor runs it over real buffers and verifies semantics;
-///   * net::simulate lays it onto a topology model for traffic/time -- via
-///     sched::CompiledSchedule (compiled.hpp), which lowers the nested
-///     representation below into flat structure-of-arrays form once per
-///     simulation. This type stays optimized for *generation* (per-rank
-///     append, BlockSet bookkeeping); the IR is what the hot loop consumes.
+///   * net::simulate lays it onto a topology model for traffic/time.
+/// This type stays optimized for *generation* (per-rank append, BlockSet
+/// bookkeeping). Hot loops consume the flat size-free IR compiled from it,
+/// sched::SizeFreeSchedule (schedule_cache.hpp); the scalar simulation
+/// oracle walks this nested form directly, in the canonical op order that
+/// `for_each_lowered_op` below defines for both.
 ///
 /// Size independence, by construction: an op carries no byte count. Its
 /// bytes are a derived view (`op_bytes`) -- its blocks' share of the vector
@@ -183,5 +185,46 @@ struct Schedule {
  private:
   std::shared_ptr<ScheduleArena> arena_;
 };
+
+/// Visit every op of `s` in the canonical flat order: step-major, ranks
+/// increasing within a step, original per-rank op order, ragged ranks
+/// contributing nothing past their last step. Calls `op(rank, o)` per op and
+/// `step_end(t)` after each step. This is the one definition of IR order,
+/// shared by SizeFreeSchedule::from (its simulation stream and the
+/// execution overlay runtime::ExecPlan::lower goes through) and the scalar
+/// simulation oracle over a Schedule.
+template <class OpFn, class StepEndFn>
+void for_each_op_step_major(const Schedule& s, size_t steps, OpFn&& op,
+                            StepEndFn&& step_end) {
+  for (size_t t = 0; t < steps; ++t) {
+    for (Rank r = 0; r < s.p; ++r) {
+      const auto& rank_steps = s.steps[static_cast<size_t>(r)];
+      if (t >= rank_steps.size()) continue;
+      for (const Op& o : rank_steps[t].ops) op(r, o);
+    }
+    step_end(t);
+  }
+}
+
+/// The simulation order: the canonical order above with plain recvs dropped
+/// (cost-free in the model). SizeFreeSchedule::from's simulation stream and
+/// the scalar oracle both walk it, so the two visit identical op sequences.
+template <class OpFn, class StepEndFn>
+void for_each_lowered_op(const Schedule& s, size_t steps, OpFn&& op,
+                         StepEndFn&& step_end) {
+  for_each_op_step_major(
+      s, steps,
+      [&](Rank r, const Op& o) {
+        if (o.kind == OpKind::recv) return;
+        op(r, o);
+      },
+      step_end);
+}
+
+/// The cost model's segment term, max(0, segments - 1), in one place for
+/// the same reason.
+[[nodiscard]] inline std::int32_t lowered_extra_segments(const Op& op) noexcept {
+  return static_cast<std::int32_t>(std::max<i64>(0, op.segments - 1));
+}
 
 }  // namespace bine::sched

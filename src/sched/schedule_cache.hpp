@@ -12,7 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "sched/compiled.hpp"
 #include "sched/schedule.hpp"
 
 /// Size-independent schedule memoization: the generation fast path.
@@ -25,14 +24,13 @@
 /// BlockSet-heavy schedule from scratch, and with the simulator compiled
 /// generation dominates sweep wall time.
 ///
-/// `SizeFreeSchedule` is the memoized artifact: CompiledSchedule's flat SoA
-/// op stream with the byte column *abstracted* -- each op instead carries its
-/// block ranges (CSR into one owned array; a local_perm covers the whole
-/// vector), so `resolve_into` can materialize the concrete CompiledSchedule
-/// for any (elem_count, elem_size) by computing the bytes column alone (every
-/// size-invariant column is shared by span with the resolved schedule; see
-/// compiled.hpp). One cached entry therefore serves an entire message-size
-/// sweep.
+/// `SizeFreeSchedule` is the memoized artifact: a flat structure-of-arrays
+/// op stream in the canonical simulation order (`for_each_lowered_op`,
+/// schedule.hpp) with no byte column at all -- each op carries its block
+/// ranges instead (CSR into one owned array; a local_perm covers the whole
+/// vector), and the size-free net::simulate derives bytes for any
+/// (elem_count, elem_size) from them. One cached entry therefore serves an
+/// entire message-size sweep.
 ///
 /// Beyond the simulation columns, the entry carries an *execution overlay*:
 /// every receive-type op (plain recvs included -- the simulation stream drops
@@ -41,10 +39,11 @@
 /// executor and the verification harness run off the same cached artifact as
 /// the simulator (DESIGN.md has the full pipeline).
 ///
-/// Resolution at any size runs the *same* integer arithmetic
-/// `Schedule::op_bytes` does, so a cached entry and a fresh lowering are
-/// bit-exact -- which the registry-wide parity test (test_schedule_cache)
-/// asserts at sizes from p elements to 2^27. A miss therefore generates once, with no runtime
+/// Bytes at any size come from the *same* integer arithmetic
+/// `Schedule::op_bytes` runs, so simulating a cached entry and simulating a
+/// freshly generated Schedule at that size are bit-exact -- which the
+/// registry-wide parity test (test_schedule_cache) asserts at sizes from p
+/// elements to 2^27. A miss therefore generates once, with no runtime
 /// structure check.
 namespace bine::sched {
 
@@ -60,11 +59,11 @@ struct SizeFreeSchedule {
   /// CSR over the op arrays: ops of step t are [step_begin[t], step_begin[t+1]).
   std::vector<std::uint32_t> step_begin;
 
-  // One entry per op, in CompiledSchedule order (plain recvs dropped).
+  // One entry per op, in for_each_lowered_op order (plain recvs dropped).
   std::vector<OpKind> kind;
   std::vector<std::int32_t> rank;
   std::vector<std::int32_t> peer;
-  std::vector<std::int32_t> extra_segments;
+  std::vector<std::int32_t> extra_segments;  ///< lowered_extra_segments(op)
 
   /// Byte resolution: op i covers ranges [block_begin[i], block_begin[i+1])
   /// of `ranges` -- an owned copy, so entries outlive generator arenas --
@@ -86,11 +85,11 @@ struct SizeFreeSchedule {
   std::vector<BlockRange> recv_ranges;
 
   /// Type-erased slot for derived artifacts a higher layer caches on the
-  /// entry (runtime::ExecPlan's finalized skeleton -- the execution analogue
-  /// of resolve_into's span sharing). Built once under the slot mutex on
-  /// first use, then shared by every later hit; the sched layer stays
-  /// runtime-agnostic. Held by unique_ptr so the entry remains movable;
-  /// mutable because entries are only ever reached as shared_ptr<const>.
+  /// entry (runtime::ExecPlan's finalized skeleton). Built once under the
+  /// slot mutex on first use, then shared by every later hit; the sched
+  /// layer stays runtime-agnostic. Held by unique_ptr so the entry remains
+  /// movable; mutable because entries are only ever reached as
+  /// shared_ptr<const>.
   struct DerivedSlot {
     std::mutex mutex;
     std::shared_ptr<const void> value;
@@ -107,13 +106,6 @@ struct SizeFreeSchedule {
 
   /// Compile `s` into size-free form (its vector config is not read).
   [[nodiscard]] static SizeFreeSchedule from(const Schedule& s);
-
-  /// Materialize the CompiledSchedule for a concrete vector config, reusing
-  /// `out`'s byte-column capacity. Only the bytes column is computed; every
-  /// size-invariant column is shared by span with `self`, which `out` keeps
-  /// alive (hence the shared handle rather than a plain `this` call).
-  static void resolve_into(std::shared_ptr<const SizeFreeSchedule> self,
-                           i64 elem_count, i64 elem_size, CompiledSchedule& out);
 };
 
 /// Key of one memoized schedule: the registry algorithm name plus every

@@ -21,7 +21,6 @@
 #include "net/route_cache.hpp"
 #include "net/simulate.hpp"
 #include "net/topology.hpp"
-#include "sched/compiled.hpp"
 #include "sched/schedule_cache.hpp"
 
 namespace bine::test_util {
@@ -69,10 +68,12 @@ inline void expect_bitwise_eq(const harness::RunResult& got,
 
 /// Every size-free schedule of the collective's registry at
 /// rank count p -- the pool a tuner/sweep cell batches. `own` keeps the
-/// shared entries alive behind the raw candidate span.
+/// shared entries alive behind the raw candidate span; `algos[k]` generated
+/// `own[k]`, so an oracle can regenerate it at any size.
 struct Pool {
   std::vector<std::shared_ptr<const sched::SizeFreeSchedule>> own;
   std::vector<const sched::SizeFreeSchedule*> ptrs;
+  std::vector<const coll::AlgorithmEntry*> algos;
 };
 
 inline Pool registry_pool(sched::Collective coll, i64 p) {
@@ -86,6 +87,7 @@ inline Pool registry_pool(sched::Collective coll, i64 p) {
     pool.own.push_back(std::make_shared<const sched::SizeFreeSchedule>(
         sched::SizeFreeSchedule::from(algo.make(cfg))));
     pool.ptrs.push_back(pool.own.back().get());
+    pool.algos.push_back(&algo);
   }
   return pool;
 }
@@ -93,7 +95,7 @@ inline Pool registry_pool(sched::Collective coll, i64 p) {
 /// The scalar oracle a Runner(profile, /*spread_placement=*/false) cell must
 /// match bitwise: the machine instance the Runner builds (identity placement,
 /// failed ranks removed, degraded links), the freshly generated schedule at
-/// each size, lowered and run through the scalar compiled engine.
+/// each size, run through the scalar oracle.
 class ScalarCell {
  public:
   ScalarCell(const harness::Runner& runner, i64 nodes)
@@ -120,8 +122,7 @@ class ScalarCell {
     cfg.p = p_;
     cfg.elem_count = std::max<i64>(p_, size_bytes / cfg.elem_size);
     cfg.torus_dims = torus_dims_;
-    const net::SimResult sim =
-        net::simulate(sched::CompiledSchedule::lower(algo.make(cfg)), *rc_, cost_);
+    const net::SimResult sim = net::simulate(algo.make(cfg), *rc_, cost_);
     return {sim.seconds, sim.traffic.global_bytes, sim.traffic.total(),
             sim.traffic.messages, sim.steps};
   }

@@ -89,7 +89,8 @@ TEST(ExecEngine, CompiledMatchesReferenceAcrossRegistry) {
 
 // A plan re-materialized from the cache's execution overlay must be
 // indistinguishable from one lowered directly off the nested schedule, at
-// any vector size -- the execution analogue of resolve-vs-lower parity.
+// any vector size -- the execution analogue of
+// SizeFreeSchedule.MatchesFreshGenerationAtEverySize.
 TEST(ExecEngine, PlanFromSizeFreeMatchesDirectLowering) {
   const struct {
     sched::Collective coll;

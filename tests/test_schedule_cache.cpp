@@ -1,23 +1,26 @@
-// Schedule-generation fast path tests: registry-wide SizeFreeSchedule
-// resolution parity against fresh lowering at every vector size, one builder
-// call per cache miss, cached Runner cells bit-exact with the scalar oracle
-// across all four topology families, and scoped RouteCache equality with the
-// eager build. Sweep determinism across threads lives in test_sim_engine.cpp.
+// Schedule-generation fast path tests: registry-wide parity of cached
+// SizeFreeSchedule entries with fresh generation at every vector size (every
+// IR column, and the production simulator against the scalar oracle), one
+// builder call per cache miss, cached Runner cells bit-exact with the scalar
+// oracle across all four topology families, and scoped RouteCache equality
+// with the eager build. Sweep determinism across threads lives in
+// test_sim_engine.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "coll/registry.hpp"
 #include "harness/runner.hpp"
+#include "net/pair_route_memo.hpp"
 #include "net/profiles.hpp"
 #include "net/route_cache.hpp"
 #include "net/simulate.hpp"
-#include "sched/compiled.hpp"
+#include "net/topology.hpp"
 #include "sched/schedule_cache.hpp"
 #include "sim_oracle.hpp"
 
@@ -25,39 +28,52 @@ using namespace bine;
 
 namespace {
 
-template <class T>
-std::vector<T> as_vec(std::span<const T> s) {
-  return {s.begin(), s.end()};
-}
-
-void expect_same_ir(const sched::CompiledSchedule& a, const sched::CompiledSchedule& b,
-                    const std::string& what) {
+void expect_same_entry(const sched::SizeFreeSchedule& a, const sched::SizeFreeSchedule& b,
+                       const std::string& what) {
   EXPECT_EQ(a.p, b.p) << what;
+  EXPECT_EQ(a.nblocks, b.nblocks) << what;
+  EXPECT_EQ(a.space, b.space) << what;
   EXPECT_EQ(a.steps, b.steps) << what;
-  EXPECT_EQ(as_vec(a.step_begin), as_vec(b.step_begin)) << what;
-  EXPECT_EQ(as_vec(a.kind), as_vec(b.kind)) << what;
-  EXPECT_EQ(as_vec(a.rank), as_vec(b.rank)) << what;
-  EXPECT_EQ(as_vec(a.peer), as_vec(b.peer)) << what;
-  EXPECT_EQ(as_vec(a.bytes), as_vec(b.bytes)) << what;
-  EXPECT_EQ(as_vec(a.extra_segments), as_vec(b.extra_segments)) << what;
+  // Simulation stream.
+  EXPECT_EQ(a.step_begin, b.step_begin) << what;
+  EXPECT_EQ(a.kind, b.kind) << what;
+  EXPECT_EQ(a.rank, b.rank) << what;
+  EXPECT_EQ(a.peer, b.peer) << what;
+  EXPECT_EQ(a.extra_segments, b.extra_segments) << what;
+  EXPECT_EQ(a.block_begin, b.block_begin) << what;
+  EXPECT_EQ(a.ranges, b.ranges) << what;
+  // Execution overlay.
+  EXPECT_EQ(a.recv_step_begin, b.recv_step_begin) << what;
+  EXPECT_EQ(a.recv_rank, b.recv_rank) << what;
+  EXPECT_EQ(a.recv_peer, b.recv_peer) << what;
+  EXPECT_EQ(a.recv_reduce, b.recv_reduce) << what;
+  EXPECT_EQ(a.recv_block_begin, b.recv_block_begin) << what;
+  EXPECT_EQ(a.recv_ranges, b.recv_ranges) << what;
 }
 
 }  // namespace
 
 // Every registry generator is size-free by construction. One cached entry
-// per (algorithm, p, root) must therefore resolve, at EVERY vector size, to
-// the exact CompiledSchedule a fresh generate+lower produces, and carry the
-// execution overlay a fresh compile does -- from one element per block up to
-// 2^27 elements, with non-divisible remainders in between (2^26 + 5p + 2).
-TEST(SizeFreeSchedule, ResolvesToFreshLoweringAtEverySize) {
+// per (algorithm, p, root) must therefore equal, column for column, the
+// entry compiled from a fresh generation at EVERY vector size, and the
+// production simulator over the cached entry must be bitwise equal to the
+// scalar oracle over each fresh schedule -- from one element per block up
+// to 2^27 elements, with non-divisible remainders in between
+// (2^26 + 5p + 2). Ranks sit on the first p nodes of a 4x4x4 torus.
+TEST(SizeFreeSchedule, MatchesFreshGenerationAtEverySize) {
   sched::ScheduleCache cache;
-  sched::CompiledSchedule resolved;
+  const net::Torus topo({4, 4, 4}, 6.8e9);
+  const net::CostParams cp;
+  net::PairRouteMemo memo;
+  std::map<i64, net::RouteCache> routes;  // per rank count
   for (const sched::Collective c : coll::all_collectives()) {
     const bool rooted = c == sched::Collective::bcast || c == sched::Collective::reduce ||
                         c == sched::Collective::gather || c == sched::Collective::scatter;
     for (const auto& entry : coll::algorithms_for(c)) {
       for (const i64 p : {2, 3, 5, 8, 12, 16, 24, 33, 64}) {
         if (entry.pow2_only && !is_pow2(p)) continue;
+        const net::RouteCache& rc =
+            routes.try_emplace(p, topo, net::Placement::identity(p)).first->second;
         for (const Rank root : {Rank{0}, Rank{p - 1}}) {
           if (root != 0 && !rooted) continue;
           SCOPED_TRACE(std::string(sched::to_string(c)) + "/" + entry.name +
@@ -72,26 +88,18 @@ TEST(SizeFreeSchedule, ResolvesToFreshLoweringAtEverySize) {
             return entry.make(build_cfg);
           });
 
-          for (const i64 elem_count : {p, 2 * p + 1, 7 * p + 3,
-                                       (i64{1} << 26) + 5 * p + 2, i64{1} << 27}) {
-            const std::string what = "elem_count=" + std::to_string(elem_count);
-            cfg.elem_count = elem_count;
+          const std::vector<i64> elem_counts = {p, 2 * p + 1, 7 * p + 3,
+                                                (i64{1} << 26) + 5 * p + 2, i64{1} << 27};
+          const auto production =
+              net::simulate(*sf, elem_counts, cfg.elem_size, rc, cp, memo);
+          ASSERT_EQ(production.size(), elem_counts.size());
+          for (size_t s = 0; s < elem_counts.size(); ++s) {
+            const std::string what = "elem_count=" + std::to_string(elem_counts[s]);
+            cfg.elem_count = elem_counts[s];
             const sched::Schedule fresh_sch = entry.make(cfg);
-            sched::SizeFreeSchedule::resolve_into(sf, cfg.elem_count, cfg.elem_size,
-                                                  resolved);
-            expect_same_ir(resolved, sched::CompiledSchedule::lower(fresh_sch), what);
-            // The size-invariant columns must be shared, not copied: that is
-            // the point of the span-based resolve (O(bytes column) per cell).
-            EXPECT_EQ(resolved.kind.data(), sf->kind.data());
-            EXPECT_EQ(resolved.step_begin.data(), sf->step_begin.data());
-
-            const sched::SizeFreeSchedule fresh = sched::SizeFreeSchedule::from(fresh_sch);
-            EXPECT_EQ(fresh.recv_step_begin, sf->recv_step_begin) << what;
-            EXPECT_EQ(fresh.recv_rank, sf->recv_rank) << what;
-            EXPECT_EQ(fresh.recv_peer, sf->recv_peer) << what;
-            EXPECT_EQ(fresh.recv_reduce, sf->recv_reduce) << what;
-            EXPECT_EQ(fresh.recv_block_begin, sf->recv_block_begin) << what;
-            EXPECT_EQ(fresh.recv_ranges, sf->recv_ranges) << what;
+            expect_same_entry(sched::SizeFreeSchedule::from(fresh_sch), *sf, what);
+            test_util::expect_bitwise_eq(production[s], net::simulate(fresh_sch, rc, cp),
+                                         what);
           }
         }
       }
@@ -184,12 +192,13 @@ TEST(ScopedRouteCache, MatchesEagerOnSchedulePairs) {
     SCOPED_TRACE(name);
     const sched::Schedule sch =
         coll::find_algorithm(sched::Collective::allreduce, name).make(cfg);
-    const sched::CompiledSchedule cs = sched::CompiledSchedule::lower(sch);
 
     const net::RouteCache eager(topo, pl);
     std::vector<std::pair<Rank, Rank>> pairs;
-    for (size_t i = 0; i < cs.num_ops(); ++i)
-      if (cs.kind[i] == sched::OpKind::send) pairs.emplace_back(cs.rank[i], cs.peer[i]);
+    for (Rank r = 0; r < sch.p; ++r)
+      for (const sched::RankStep& step : sch.steps[static_cast<size_t>(r)])
+        for (const sched::Op& op : step.ops)
+          if (op.kind == sched::OpKind::send) pairs.emplace_back(r, op.peer);
     const net::RouteCache scoped(topo, pl, pairs);
 
     i64 scoped_links = 0;
@@ -205,9 +214,9 @@ TEST(ScopedRouteCache, MatchesEagerOnSchedulePairs) {
     }
 
     // Full simulation parity: the convenience overload (which routes scoped)
-    // against the compiled engine on the eager cache.
+    // against the scalar oracle on the eager cache.
     const net::SimResult conv = net::simulate(sch, topo, pl, cp);
-    const net::SimResult fast = net::simulate(cs, eager, cp);
+    const net::SimResult fast = net::simulate(sch, eager, cp);
     EXPECT_EQ(conv.seconds, fast.seconds);
     EXPECT_EQ(conv.traffic.local_bytes, fast.traffic.local_bytes);
     EXPECT_EQ(conv.traffic.global_bytes, fast.traffic.global_bytes);

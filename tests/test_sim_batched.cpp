@@ -1,6 +1,6 @@
 // Size-axis batching at the Runner level: Runner::run_candidates (and its
 // one-cell delegate run) must be bit-identical to the per-size scalar oracle
-// (the freshly generated schedule lowered and run through net::simulate on
+// (the freshly generated schedule run through the scalar net::simulate on
 // the Runner's own machine instance) from a cold and a warm schedule cache,
 // including pools whose fault demotion resolves different algorithms at
 // different sizes. "Bit-identical" is literal: seconds compare by bit
@@ -16,7 +16,6 @@
 #include "harness/runner.hpp"
 #include "net/profiles.hpp"
 #include "net/simulate.hpp"
-#include "sched/compiled.hpp"
 #include "sched/schedule_cache.hpp"
 #include "sim_oracle.hpp"
 

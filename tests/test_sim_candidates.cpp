@@ -1,7 +1,7 @@
 // Size-batched simulation parity: the size-free net::simulate overload,
 // looped over every schedule of a candidate pool, must be bit-identical to
-// the per-size scalar compiled engine (net::simulate over the resolved
-// schedule) -- through a fresh private PairRouteMemo, a cold one and a warm
+// the per-size scalar oracle (net::simulate over the schedule generated at
+// that size) -- through a fresh private PairRouteMemo, a cold one and a warm
 // one -- across the full algorithm registry, all four topology families,
 // ragged/non-pow2 rank counts and fault epochs. Concurrent Runners sharing
 // the process-wide route memo must stay bit-identical, fault-epoch memo
@@ -36,7 +36,7 @@ using namespace bine::test_util;
 // the pool simulated across the whole axis in one call -- three ways (a
 // fresh private memo, so every pair is walked from the RouteCache; the
 // shared memo cold; and warm) -- vs the per-size scalar oracle on the
-// resolved schedule, all bit-identical.
+// schedule freshly generated at each size, all bit-identical.
 TEST(SimCandidates, BitIdenticalToPerSizeScalarOracle) {
   const net::CostParams cp;  // defaults: distinct alpha/seg/bw knobs
   const std::vector<i64> elem_counts = {8, 27, 64, 100, 512, 4096, 12345, 262144};
@@ -67,10 +67,13 @@ TEST(SimCandidates, BitIdenticalToPerSizeScalarOracle) {
             const std::string what = topo->name() + "/" + to_string(coll) +
                                      " cand=" + std::to_string(k) + " p=" +
                                      std::to_string(p) + (degrade ? " degraded" : "");
-            sched::CompiledSchedule lowered;
             for (size_t s = 0; s < elem_counts.size(); ++s) {
-              sched::SizeFreeSchedule::resolve_into(sf, elem_counts[s], 4, lowered);
-              const net::SimResult oracle = net::simulate(lowered, rc, cp);
+              coll::Config cfg;
+              cfg.p = p;
+              cfg.elem_size = 4;
+              cfg.elem_count = elem_counts[s];
+              const net::SimResult oracle =
+                  net::simulate(pool.algos[k]->make(cfg), rc, cp);
               const std::string at = what + " n=" + std::to_string(elem_counts[s]);
               expect_bitwise_eq(walked[s], oracle, at + " [fresh memo]");
               expect_bitwise_eq(cold[s], oracle, at + " [cold]");

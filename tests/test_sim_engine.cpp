@@ -1,14 +1,16 @@
-// Compiled simulation engine tests: route-cache vs virtual route()
-// equivalence, flat-IR lowering invariants, compiled-vs-reference parity of
-// TrafficStats/SimResult across all four topology families, ragged-schedule
-// safety, and sweep determinism across thread counts against a direct
-// argmin over the scalar oracle.
+// Simulation engine tests: route-cache vs virtual route() equivalence,
+// size-free stream order invariants, scalar-oracle-vs-reference parity of
+// TrafficStats/SimResult across all four topology families, placement
+// validation in the Schedule-level conveniences, ragged-schedule safety, and
+// sweep determinism across thread counts against a direct argmin over the
+// scalar oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,7 +24,7 @@
 #include "net/route_cache.hpp"
 #include "net/simulate.hpp"
 #include "net/topology.hpp"
-#include "sched/compiled.hpp"
+#include "sched/schedule_cache.hpp"
 #include "sim_oracle.hpp"
 
 using namespace bine;
@@ -67,84 +69,70 @@ TEST(RouteCache, MatchesVirtualRouteForAllPairs) {
   }
 }
 
-TEST(CompiledSchedule, LoweringPreservesOpsInStepRankOrder) {
+TEST(SizeFreeSchedule, LoweringPreservesOpsInStepRankOrder) {
   coll::Config cfg;
   cfg.p = 16;
   cfg.elem_count = 1024;
   const sched::Schedule sch =
       coll::find_algorithm(sched::Collective::allreduce, "rabenseifner").make(cfg);
-  const sched::CompiledSchedule cs = sched::CompiledSchedule::lower(sch);
+  const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
 
-  EXPECT_EQ(cs.p, sch.p);
-  EXPECT_EQ(cs.steps, sch.num_steps());
-  ASSERT_EQ(cs.step_begin.size(), cs.steps + 1);
-  EXPECT_EQ(cs.step_begin.front(), 0u);
-  EXPECT_EQ(cs.step_begin.back(), cs.num_ops());
+  EXPECT_EQ(sf.p, sch.p);
+  EXPECT_EQ(sf.steps, sch.num_steps());
+  ASSERT_EQ(sf.step_begin.size(), sf.steps + 1);
+  EXPECT_EQ(sf.step_begin.front(), 0u);
+  EXPECT_EQ(sf.step_begin.back(), sf.num_ops());
+  ASSERT_EQ(sf.block_begin.size(), sf.num_ops() + 1);
 
-  // Plain recvs are cost-free in the model and dropped at lowering time;
-  // everything else must survive.
+  // Plain recvs are cost-free in the model and dropped from the simulation
+  // stream; everything else must survive.
   size_t total_costed_ops = 0;
   for (const auto& rank_steps : sch.steps)
     for (const auto& st : rank_steps)
       for (const auto& op : st.ops)
         if (op.kind != sched::OpKind::recv) ++total_costed_ops;
-  EXPECT_EQ(cs.num_ops(), total_costed_ops);
+  EXPECT_EQ(sf.num_ops(), total_costed_ops);
 
   // Within each step, ops must be grouped by non-decreasing rank and mirror
-  // the original per-rank op order (the engine's overhead accumulator and
-  // float-parity with the reference depend on this).
+  // the original per-rank op order (the engines' overhead accumulators and
+  // float-parity with the reference depend on this), and each op's ranges
+  // must size to exactly the bytes the Schedule derives for it.
   auto costed_ops_of = [&](std::int32_t r, size_t t) {
     std::vector<const sched::Op*> ops;
     for (const sched::Op& op : sch.steps[static_cast<size_t>(r)][t].ops)
       if (op.kind != sched::OpKind::recv) ops.push_back(&op);
     return ops;
   };
-  for (size_t t = 0; t < cs.steps; ++t) {
-    ASSERT_LE(cs.step_begin[t], cs.step_begin[t + 1]);
+  for (size_t t = 0; t < sf.steps; ++t) {
+    ASSERT_LE(sf.step_begin[t], sf.step_begin[t + 1]);
     std::int32_t prev_rank = -1;
     std::vector<const sched::Op*> rank_ops;
     size_t op_in_rank = 0;
-    for (std::uint32_t i = cs.step_begin[t]; i < cs.step_begin[t + 1]; ++i) {
-      ASSERT_GE(cs.rank[i], prev_rank);
-      if (cs.rank[i] != prev_rank) {
-        rank_ops = costed_ops_of(cs.rank[i], t);
+    for (std::uint32_t i = sf.step_begin[t]; i < sf.step_begin[t + 1]; ++i) {
+      ASSERT_GE(sf.rank[i], prev_rank);
+      if (sf.rank[i] != prev_rank) {
+        rank_ops = costed_ops_of(sf.rank[i], t);
         op_in_rank = 0;
       }
       ASSERT_LT(op_in_rank, rank_ops.size());
       const sched::Op& op = *rank_ops[op_in_rank];
-      EXPECT_EQ(cs.kind[i], op.kind);
-      EXPECT_EQ(cs.peer[i], op.peer);
-      EXPECT_EQ(cs.bytes[i], sch.op_bytes(op));
-      EXPECT_EQ(cs.extra_segments[i], std::max<i64>(0, op.segments - 1));
-      prev_rank = cs.rank[i];
+      EXPECT_EQ(sf.kind[i], op.kind);
+      EXPECT_EQ(sf.peer[i], op.peer);
+      EXPECT_EQ(sf.extra_segments[i], std::max<i64>(0, op.segments - 1));
+      const std::span<const sched::BlockRange> rs{sf.ranges.data() + sf.block_begin[i],
+                                                  sf.ranges.data() + sf.block_begin[i + 1]};
+      const i64 bytes = op.kind == sched::OpKind::local_perm
+                            ? sch.total_elems() * sch.elem_size
+                            : sched::ranges_elem_count(rs, sch.total_elems(), sf.nblocks) *
+                                  sch.elem_size;
+      EXPECT_EQ(bytes, sch.op_bytes(op));
+      prev_rank = sf.rank[i];
       ++op_in_rank;
     }
   }
-
-  // lower_into into a dirty scratch (previously holding a bigger schedule)
-  // must produce exactly the same IR as a fresh lower().
-  sched::CompiledSchedule scratch = sched::CompiledSchedule::lower(sch);
-  coll::Config small;
-  small.p = 8;
-  small.elem_count = 64;
-  const sched::Schedule sch2 =
-      coll::find_algorithm(sched::Collective::allreduce, "recursive_doubling").make(small);
-  sched::CompiledSchedule::lower_into(sch2, scratch);
-  const sched::CompiledSchedule fresh = sched::CompiledSchedule::lower(sch2);
-  EXPECT_EQ(scratch.p, fresh.p);
-  EXPECT_EQ(scratch.steps, fresh.steps);
-  const auto same = [](auto a, auto b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end());
-  };
-  EXPECT_TRUE(same(scratch.step_begin, fresh.step_begin));
-  EXPECT_TRUE(same(scratch.kind, fresh.kind));
-  EXPECT_TRUE(same(scratch.rank, fresh.rank));
-  EXPECT_TRUE(same(scratch.peer, fresh.peer));
-  EXPECT_TRUE(same(scratch.bytes, fresh.bytes));
-  EXPECT_TRUE(same(scratch.extra_segments, fresh.extra_segments));
 }
 
-TEST(SimEngine, CompiledMatchesReferenceAcrossTopologies) {
+TEST(SimEngine, ScalarOracleMatchesReferenceAcrossTopologies) {
   const struct {
     sched::Collective coll;
     const char* name;
@@ -171,19 +159,18 @@ TEST(SimEngine, CompiledMatchesReferenceAcrossTopologies) {
         cfg.p = topo->num_nodes();
         cfg.elem_count = 3 * cfg.p;  // non-divisible block sizes included
         const sched::Schedule sch = coll::find_algorithm(c.coll, c.name).make(cfg);
-        const sched::CompiledSchedule cs = sched::CompiledSchedule::lower(sch);
         SCOPED_TRACE(std::string(topo->name()) + "/" + c.name +
                      (scramble ? "/scrambled" : "/identity"));
 
         const net::TrafficStats ref_traffic = net::measure_traffic_reference(sch, *topo, pl);
-        const net::TrafficStats fast_traffic = net::measure_traffic(cs, rc);
-        EXPECT_EQ(fast_traffic.local_bytes, ref_traffic.local_bytes);
-        EXPECT_EQ(fast_traffic.global_bytes, ref_traffic.global_bytes);
-        EXPECT_EQ(fast_traffic.intra_node_bytes, ref_traffic.intra_node_bytes);
-        EXPECT_EQ(fast_traffic.messages, ref_traffic.messages);
+        const net::TrafficStats conv_traffic = net::measure_traffic(sch, *topo, pl);
+        EXPECT_EQ(conv_traffic.local_bytes, ref_traffic.local_bytes);
+        EXPECT_EQ(conv_traffic.global_bytes, ref_traffic.global_bytes);
+        EXPECT_EQ(conv_traffic.intra_node_bytes, ref_traffic.intra_node_bytes);
+        EXPECT_EQ(conv_traffic.messages, ref_traffic.messages);
 
         const net::SimResult ref = net::simulate_reference(sch, *topo, pl, cp);
-        const net::SimResult fast = net::simulate(cs, rc, cp);
+        const net::SimResult fast = net::simulate(sch, rc, cp);
         EXPECT_EQ(fast.steps, ref.steps);
         EXPECT_EQ(fast.traffic.local_bytes, ref.traffic.local_bytes);
         EXPECT_EQ(fast.traffic.global_bytes, ref.traffic.global_bytes);
@@ -191,13 +178,45 @@ TEST(SimEngine, CompiledMatchesReferenceAcrossTopologies) {
         EXPECT_EQ(fast.traffic.messages, ref.traffic.messages);
         EXPECT_NEAR(fast.seconds, ref.seconds, std::abs(ref.seconds) * 1e-12);
 
-        // The Schedule-level conveniences are the compiled engine.
+        // The Schedule-level conveniences are the scalar oracle.
         const net::SimResult conv = net::simulate(sch, *topo, pl, cp);
-        EXPECT_EQ(conv.seconds, fast.seconds);
-        EXPECT_EQ(conv.traffic.global_bytes, fast.traffic.global_bytes);
+        expect_bitwise_eq(conv, fast, "convenience");
       }
     }
   }
+}
+
+// The Schedule-level conveniences index the placement by rank and the
+// topology by node id, so a placement shorter than the schedule or one naming
+// a node off the topology must be rejected rather than read out of bounds.
+TEST(SimEngine, ConveniencesRejectMismatchedPlacement) {
+  coll::Config cfg;
+  cfg.p = 8;
+  cfg.elem_count = 64;
+  const sched::Schedule sch =
+      coll::find_algorithm(sched::Collective::allreduce, "recursive_doubling").make(cfg);
+  const net::Torus topo({2, 2, 2}, 10e9);
+  const net::CostParams cp;
+
+  const net::Placement short_pl = net::Placement::identity(7);
+  EXPECT_THROW((void)net::simulate(sch, topo, short_pl, cp), std::invalid_argument);
+  EXPECT_THROW((void)net::measure_traffic(sch, topo, short_pl), std::invalid_argument);
+
+  for (const i64 bad_node : {i64{8}, i64{1000}, i64{-1}}) {
+    net::Placement off_pl = net::Placement::identity(8);
+    off_pl.node_of_rank[5] = bad_node;
+    EXPECT_THROW((void)net::simulate(sch, topo, off_pl, cp), std::invalid_argument)
+        << bad_node;
+    EXPECT_THROW((void)net::measure_traffic(sch, topo, off_pl), std::invalid_argument)
+        << bad_node;
+  }
+
+  // A valid placement still simulates, and agrees with the reference.
+  const net::Placement pl = net::Placement::identity(8);
+  EXPECT_EQ(net::measure_traffic(sch, topo, pl).global_bytes,
+            net::measure_traffic_reference(sch, topo, pl).global_bytes);
+  EXPECT_EQ(net::simulate(sch, topo, pl, cp).traffic.messages,
+            net::simulate_reference(sch, topo, pl, cp).traffic.messages);
 }
 
 TEST(SimEngine, RaggedScheduleIsNotUnderSimulated) {
@@ -221,8 +240,7 @@ TEST(SimEngine, RaggedScheduleIsNotUnderSimulated) {
   const net::Placement pl = net::Placement::identity(3);
   const net::CostParams cp;
   const net::SimResult ref = net::simulate_reference(sch, topo, pl, cp);
-  const net::SimResult fast =
-      net::simulate(sched::CompiledSchedule::lower(sch), net::RouteCache(topo, pl), cp);
+  const net::SimResult fast = net::simulate(sch, net::RouteCache(topo, pl), cp);
   EXPECT_EQ(ref.traffic.messages, 2);
   EXPECT_EQ(fast.traffic.messages, 2);
   EXPECT_EQ(fast.steps, 2u);
