@@ -13,7 +13,10 @@
 // size, so the ratio measures batching alone. Output is checked bitwise
 // against the scalar oracle over the schedule generated at each size, on the
 // torus AND on a 1320-link Dragonfly. Exit code gates bitwise parity and
-// >= 2.0x size batching on both topologies. Emits BENCH_sim.json.
+// >= 2.0x size batching on both topologies. The gate is calibrated for a
+// Release build (RelWithDebInfo measures 1.6-1.9x); the bench prints its
+// build type and records it, with the hardware thread count, in
+// BENCH_sim.json.
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -22,6 +25,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "coll/registry.hpp"
@@ -35,6 +39,12 @@
 
 using namespace bine;
 using Clock = std::chrono::steady_clock;
+
+#ifndef BINE_BUILD_TYPE
+#define BINE_BUILD_TYPE "unknown"
+#endif
+constexpr const char* kGateNote =
+    "the >= 2.0x size-batching gate is calibrated for a Release build";
 
 namespace {
 
@@ -136,6 +146,9 @@ BatchedReport bench_batched(const net::Topology& topo, const net::CostParams& cp
 }  // namespace
 
 int main() {
+  const unsigned hardware_threads = std::thread::hardware_concurrency();
+  std::printf("build: %s, %u hardware threads (%s)\n", BINE_BUILD_TYPE, hardware_threads,
+              kGateNote);
   const net::Torus topo({4, 4, 4}, 6.8e9);
   const net::Placement pl = net::Placement::identity(topo.num_nodes());
   net::CostParams cp;
@@ -225,8 +238,9 @@ int main() {
                             dragonfly_batched.speedup >= 2.0;
   if (!batched_gate)
     std::fprintf(stderr, "FAIL: size-batched gate (>= 2.0x vs per-size calls) not "
-                         "met: torus %.2fx, dragonfly %.2fx\n",
-                 torus_batched.speedup, dragonfly_batched.speedup);
+                         "met: torus %.2fx, dragonfly %.2fx (%s build; %s)\n",
+                 torus_batched.speedup, dragonfly_batched.speedup, BINE_BUILD_TYPE,
+                 kGateNote);
 
   if (fault::AtomicFile out("BENCH_sim.json"); std::FILE* f = out.handle()) {
     std::fprintf(f,
@@ -244,7 +258,10 @@ int main() {
                  "  \"dragonfly_per_size_call_schedules_per_sec\": %.1f,\n"
                  "  \"dragonfly_per_schedule_rate_batched\": %.1f,\n"
                  "  \"dragonfly_batched_speedup\": %.2f,\n"
-                 "  \"dragonfly_batched_bit_identical\": %s\n"
+                 "  \"dragonfly_batched_bit_identical\": %s,\n"
+                 "  \"build_type\": \"%s\",\n"
+                 "  \"gate_note\": \"%s\",\n"
+                 "  \"hardware_threads\": %u\n"
                  "}\n",
                  cells, max_rel_err, torus_batched.single_call_rate,
                  torus_batched.batched_rate,
@@ -252,7 +269,8 @@ int main() {
                  static_cast<long long>(dragonfly_batched.num_links),
                  dragonfly_batched.single_call_rate, dragonfly_batched.batched_rate,
                  dragonfly_batched.speedup,
-                 dragonfly_batched.bit_identical ? "true" : "false");
+                 dragonfly_batched.bit_identical ? "true" : "false", BINE_BUILD_TYPE,
+                 kGateNote, hardware_threads);
     if (out.commit()) std::printf("wrote BENCH_sim.json\n");
   }
   return batched_gate ? 0 : 1;

@@ -206,7 +206,7 @@ struct RowSpec {
   std::uint32_t rbegin, rend;  // single: {begin, count}; span: range span
 };
 constexpr std::uint32_t kRowFull = 0;    // full-vector row
-constexpr std::uint32_t kRowSingle = 1;  // one range, inlined (32-bit fields)
+constexpr std::uint32_t kRowSingle = 1;  // one range, inlined
 constexpr std::uint32_t kRowSpan = 2;    // walk sf.ranges[rbegin, rend)
 
 /// Per-thread scratch arena for the size-batched engine. Sweeps call it
@@ -300,7 +300,7 @@ struct CandStreamCtx {
 template <size_t W>
 void stream_candidate(const CandStreamCtx& cx, size_t off) {
   const sched::SizeFreeSchedule& sf = *cx.sf;
-  const sched::BlockRange* ranges = sf.ranges.data();
+  const sched::BlockRange32* ranges = sf.ranges.data();
   const i64 B = sf.nblocks;
   const i64* full_bytes = cx.full_bytes + off;
   const i64* base = cx.base + off;
@@ -350,13 +350,13 @@ void stream_candidate(const CandStreamCtx& cx, size_t off) {
     i64 c = 0;
     i64 cl[W] = {};
     for (std::uint32_t r = o.rbegin; r < o.rend; ++r) {
-      const sched::BlockRange& br = ranges[r];
-      c += br.count;
-      const i64 head = std::min(br.count, B - br.begin);
-      const i64 lo = br.begin, hi = br.begin + head;
+      const i64 lo = ranges[r].begin, cnt = ranges[r].count;
+      c += cnt;
+      const i64 head = std::min(cnt, B - lo);
+      const i64 hi = lo + head;
       for (size_t s = 0; s < W; ++s)
         cl[s] += std::max<i64>(0, std::min(hi, rem[s]) - lo);
-      const i64 tail = br.count - head;  // wrapped part, restarting at block 0
+      const i64 tail = cnt - head;  // wrapped part, restarting at block 0
       if (tail > 0)
         for (size_t s = 0; s < W; ++s) cl[s] += std::min(tail, rem[s]);
     }
@@ -558,19 +558,17 @@ std::shared_ptr<const CandCompiled> compiled_for(const sched::SizeFreeSchedule& 
       }
       // Intern this op's byte-row content. A mixing hash over the range
       // content (or a tag for full-vector rows) keys the table; single
-      // 32-bit-representable ranges are inlined in the spec so their rows
-      // evaluate without touching the ranges arena.
+      // ranges are inlined in the spec so their rows evaluate without
+      // touching the ranges arena.
       RowSpec spec;
       std::uint64_t h;
-      const std::uint32_t r0 = sf.block_begin[i], r1 = sf.block_begin[i + 1];
       if (sf.kind[i] == sched::OpKind::local_perm) {
         spec = {kRowFull, 0, 0};
         h = 0x9e3779b97f4a7c15ull;
-      } else if (r1 == r0 + 1 && sf.ranges[r0].begin >= 0 &&
-                 sf.ranges[r0].begin <= 0xffffffffll && sf.ranges[r0].count >= 0 &&
-                 sf.ranges[r0].count <= 0xffffffffll) {
-        spec = {kRowSingle, static_cast<std::uint32_t>(sf.ranges[r0].begin),
-                static_cast<std::uint32_t>(sf.ranges[r0].count)};
+      } else if (const std::uint32_t e = sf.exchange[i],
+                 r0 = sf.range_begin[e], r1 = sf.range_begin[e + 1];
+                 r1 == r0 + 1) {
+        spec = {kRowSingle, sf.ranges[r0].begin, sf.ranges[r0].count};
         h = (static_cast<std::uint64_t>(spec.rbegin) << 32) | spec.rend;
         h *= 0xff51afd7ed558ccdull;
         h ^= h >> 33;
@@ -578,10 +576,8 @@ std::shared_ptr<const CandCompiled> compiled_for(const sched::SizeFreeSchedule& 
         spec = {kRowSpan, r0, r1};
         h = 14695981039346656037ull;
         for (std::uint32_t r = r0; r < r1; ++r) {
-          h = (h ^ static_cast<std::uint64_t>(sf.ranges[r].begin)) *
-              1099511628211ull;
-          h = (h ^ static_cast<std::uint64_t>(sf.ranges[r].count)) *
-              1099511628211ull;
+          h = (h ^ sf.ranges[r].begin) * 1099511628211ull;
+          h = (h ^ sf.ranges[r].count) * 1099511628211ull;
         }
       }
       o.row = intern_row(spec, h);

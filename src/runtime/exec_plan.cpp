@@ -17,27 +17,30 @@ namespace {
 /// which is what makes the result cacheable per schedule entry.
 ExecSkeleton analyze_structure(const sched::SizeFreeSchedule& sf) {
   const size_t steps = sf.steps;
-  const std::span<const std::uint32_t> step_begin = sf.recv_step_begin;
-  const std::span<const std::int32_t> to = sf.recv_rank;
-  const std::span<const std::int32_t> from = sf.recv_peer;
-  const std::span<const std::uint8_t> reduce = sf.recv_reduce;
+  const std::span<const std::uint32_t> step_begin = sf.delivery_step_begin;
+  const std::span<const std::uint8_t> reduce = sf.delivery_reduce;
   const i64 p = sf.p;
   const i64 nblocks = sf.nblocks;
+  const size_t nops = sf.num_deliveries();
 
   ExecSkeleton sk;
-  // Expand the overlay's block ranges once; every later hit reuses them.
-  sk.block_begin.reserve(to.size() + 1);
+  // Resolve each delivery through its send once -- receiver, sender and
+  // expanded payload ids -- so every later hit reuses them.
+  sk.to.reserve(nops);
+  sk.from.reserve(nops);
+  sk.block_begin.reserve(nops + 1);
   sk.block_begin.push_back(0);
-  for (size_t i = 0; i < to.size(); ++i) {
-    const std::span<const sched::BlockRange> rs{
-        sf.recv_ranges.data() + sf.recv_block_begin[i],
-        sf.recv_ranges.data() + sf.recv_block_begin[i + 1]};
-    for (const sched::BlockRange& br : rs)
+  for (size_t i = 0; i < nops; ++i) {
+    const std::uint32_t send = sf.delivery_send[i];
+    sk.to.push_back(sf.peer[send]);
+    sk.from.push_back(sf.rank[send]);
+    for (const sched::BlockRange32& br : sf.exchange_ranges(sf.exchange[send]))
       for (i64 k = 0; k < br.count; ++k) sk.ids.push_back(pmod(br.begin + k, nblocks));
     sk.block_begin.push_back(static_cast<std::uint32_t>(sk.ids.size()));
   }
+  const std::span<const std::int32_t> to = sk.to;
+  const std::span<const std::int32_t> from = sk.from;
 
-  const size_t nops = to.size();
   sk.run_begin.clear();
   sk.step_run_begin.reserve(steps + 1);
   sk.step_run_begin.push_back(0);
@@ -150,6 +153,8 @@ std::shared_ptr<const ExecSkeleton> ExecSkeleton::of(const sched::SizeFreeSchedu
 
 void ExecPlan::finalize_sizes() {
   // Point structural spans at the (built or cached) skeleton.
+  to = skeleton->to;
+  from = skeleton->from;
   block_begin = skeleton->block_begin;
   ids = skeleton->ids;
   run_begin = skeleton->run_begin;
@@ -221,25 +226,22 @@ ExecPlan ExecPlan::from_size_free(std::shared_ptr<const sched::SizeFreeSchedule>
   plan.elem_size = elem_size;
   plan.root = root;
   plan.steps = sf->steps;
-  // The delivery stream aliases the entry; the structural columns alias its
-  // cached skeleton. Only op_bytes and the element arithmetic below are
-  // computed per plan.
-  plan.step_begin = sf->recv_step_begin;
-  plan.to = sf->recv_rank;
-  plan.from = sf->recv_peer;
-  plan.reduce = sf->recv_reduce;
+  // The step CSR and reduce flags alias the entry's overlay; every other
+  // structural column aliases its cached skeleton. Only op_bytes and the
+  // element arithmetic below are computed per plan.
+  plan.step_begin = sf->delivery_step_begin;
+  plan.reduce = sf->delivery_reduce;
   plan.skeleton = ExecSkeleton::of(*sf);
 
   const i64 n = sf->space == sched::BlockSpace::pairwise ? elem_count * sf->p : elem_count;
-  const size_t ops = sf->num_recv_ops();
+  const size_t ops = sf->num_deliveries();
   plan.op_bytes.resize(ops);
   for (size_t i = 0; i < ops; ++i) {
-    const std::span<const sched::BlockRange> rs{
-        sf->recv_ranges.data() + sf->recv_block_begin[i],
-        sf->recv_ranges.data() + sf->recv_block_begin[i + 1]};
     // The same arithmetic Schedule::op_bytes runs, so the plan's bytes are
     // the schedule's at this size.
-    plan.op_bytes[i] = sched::ranges_elem_count(rs, n, sf->nblocks) * elem_size;
+    const std::uint32_t e = sf->exchange[sf->delivery_send[i]];
+    plan.op_bytes[i] = sched::ranges_elem_count(sf->exchange_ranges(e), n, sf->nblocks) *
+                       elem_size;
   }
   plan.keepalive = std::move(sf);
   plan.finalize_sizes();

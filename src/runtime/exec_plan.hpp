@@ -30,11 +30,12 @@
 ///
 /// Columns split along the size axis: everything except byte/element
 /// arithmetic is a pure function of schedule *structure*, so those columns
-/// are exposed as read-only spans. The delivery stream aliases a
-/// sched::SizeFreeSchedule's execution overlay directly and the derived
-/// structural columns alias an `ExecSkeleton` -- the finalized, size-free
+/// are exposed as read-only spans. The step CSR and reduce flags alias a
+/// sched::SizeFreeSchedule's execution overlay directly. Everything else
+/// aliases an `ExecSkeleton`: each delivery resolved through its send index
+/// (receiver, sender, expanded block ids) plus the finalized, size-free
 /// dataflow analysis (receiver runs, zero-copy direct marks, fused symmetric
-/// pairs, staging block offsets) built ONCE per entry and cached on it, so a
+/// pairs, staging block offsets), built ONCE per entry and cached on it, so a
 /// cache hit pays only for the size-dependent columns (`op_bytes`,
 /// `block_off`, `elem_prefix`, `stage_elem_off`). The plan owns no delivery
 /// storage: `keepalive` and `skeleton` hold what the spans point into.
@@ -47,13 +48,17 @@
 /// hands the fresh entry to `from_size_free`.
 namespace bine::runtime {
 
-/// The size-invariant finalized structure of one delivery stream: expanded
-/// block ids plus every output of the per-step dataflow analysis that does
+/// The size-invariant finalized structure of one delivery stream: each
+/// delivery's endpoints and expanded block ids, resolved through the entry's
+/// send index, plus every output of the per-step dataflow analysis that does
 /// not touch element counts. Cached on the schedule-cache entry
 /// (SizeFreeSchedule::derived) so `from_size_free` re-runs none of it on a
-/// hit.
+/// hit. Only entries that execute ever build one.
 struct ExecSkeleton {
-  // Expanded delivery payloads (CSR into `ids`), from the entry's ranges.
+  // Delivery endpoints: the matched send's peer and rank.
+  std::vector<std::int32_t> to;
+  std::vector<std::int32_t> from;
+  // Expanded delivery payloads (CSR into `ids`), from the exchange ranges.
   std::vector<std::uint32_t> block_begin;
   std::vector<i64> ids;
   // Dataflow analysis outputs (see ExecPlan field docs).
@@ -85,7 +90,7 @@ struct ExecPlan {
 
   // One record per delivery (recv or recv_reduce), step-major,
   // receiver-grouped, receiver op order preserved. Size-invariant: spans
-  // into the size-free entry or its skeleton.
+  // into the size-free entry's overlay (step_begin, reduce) or its skeleton.
   std::span<const std::uint32_t> step_begin;    ///< steps+1 CSR over deliveries
   std::span<const std::int32_t> to;             ///< receiving rank
   std::span<const std::int32_t> from;           ///< sending rank

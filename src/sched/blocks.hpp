@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -41,6 +42,16 @@ struct BlockRange {
   i64 begin = 0;
   i64 count = 0;
   friend bool operator==(const BlockRange&, const BlockRange&) = default;
+};
+
+/// The cached form of a BlockRange (sched::SizeFreeSchedule): 8 bytes
+/// instead of 16. Every begin and count lies in [0, nblocks], and
+/// nblocks <= p^2 fits for p < 65536; SizeFreeSchedule::from rejects
+/// anything wider.
+struct BlockRange32 {
+  std::uint32_t begin = 0;
+  std::uint32_t count = 0;
+  friend bool operator==(const BlockRange32&, const BlockRange32&) = default;
 };
 
 /// Bump allocator backing BlockSet range storage for one schedule build.
@@ -103,15 +114,17 @@ class ScheduleArena {
 
 /// Total elements covered by `rs` when `n` elements are split into `B`
 /// blocks. O(#ranges). Shared by BlockSet::elem_count and the ScheduleCache's
-/// per-size byte resolution, so cached schedules reproduce generation's byte
-/// arithmetic bit-exactly.
-[[nodiscard]] inline i64 ranges_elem_count(std::span<const BlockRange> rs, i64 n,
+/// per-size byte resolution (over BlockRange32), so cached schedules
+/// reproduce generation's byte arithmetic bit-exactly.
+template <class Range>
+[[nodiscard]] inline i64 ranges_elem_count(std::span<const Range> rs, i64 n,
                                            i64 B) noexcept {
   i64 total = 0;
-  for (const BlockRange& r : rs) {
-    const i64 head = std::min(r.count, B - r.begin);
-    total += block_offset(r.begin + head, n, B) - block_offset(r.begin, n, B);
-    const i64 tail = r.count - head;  // wrapped part, restarting at block 0
+  for (const Range& r : rs) {
+    const i64 begin = r.begin, count = r.count;
+    const i64 head = std::min(count, B - begin);
+    total += block_offset(begin + head, n, B) - block_offset(begin, n, B);
+    const i64 tail = count - head;  // wrapped part, restarting at block 0
     if (tail > 0) total += block_offset(tail, n, B);
   }
   return total;

@@ -85,8 +85,9 @@ void Schedule::add_exchange(size_t step, Rank from, Rank to, BlockSet blocks, bo
   }
   const i64 segs =
       segments > 0 ? segments : std::max<i64>(1, blocks.memory_segments(nblocks));
-  Op send{OpKind::send, to, blocks, segs};
-  Op recv{reduce ? OpKind::recv_reduce : OpKind::recv, from, std::move(blocks), segs};
+  const std::uint32_t id = num_exchanges++;
+  Op send{OpKind::send, id, to, blocks, segs};
+  Op recv{reduce ? OpKind::recv_reduce : OpKind::recv, id, from, std::move(blocks), segs};
   steps[static_cast<size_t>(from)][step].ops.push_back(std::move(send));
   steps[static_cast<size_t>(to)][step].ops.push_back(std::move(recv));
 }
@@ -95,7 +96,7 @@ void Schedule::add_local(size_t step, Rank r, i64 segs) {
   assert(r >= 0 && r < p);
   auto& rank_steps = steps[static_cast<size_t>(r)];
   if (rank_steps.size() <= step) rank_steps.resize(step + 1);
-  rank_steps[step].ops.push_back(Op{OpKind::local_perm, -1, {}, segs});
+  rank_steps[step].ops.push_back(Op{OpKind::local_perm, kNoExchange, -1, {}, segs});
 }
 
 void Schedule::normalize_steps() {

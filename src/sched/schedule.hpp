@@ -77,16 +77,24 @@ enum class BlockSpace {
   pairwise,
 };
 
-enum class OpKind {
+enum class OpKind : std::uint8_t {
   send,        ///< transmit blocks to `peer`
   recv,        ///< receive blocks from `peer`, replacing slot contents
   recv_reduce, ///< receive blocks from `peer`, folding into slots with the op
   local_perm,  ///< local buffer shuffle (costs memory bandwidth, moves no bytes on wires)
 };
 
+/// `Op::exchange` of ops no Schedule::add_exchange call built.
+inline constexpr std::uint32_t kNoExchange = 0xffffffffu;
+
 /// One operation of one rank within one step.
 struct Op {
   OpKind kind = OpKind::send;
+  /// Id of the add_exchange call that built this send or receive, shared by
+  /// both halves (kNoExchange for local ops and ops built by hand). It sits
+  /// in the padding after `kind`, so it costs no space. SizeFreeSchedule::from
+  /// pairs each receive with its send through it.
+  std::uint32_t exchange = kNoExchange;
   Rank peer = -1;      ///< counterpart rank (unused for local_perm)
   BlockSet blocks;     ///< logical block ids (empty for local_perm)
   i64 segments = 1;    ///< contiguous memory segments touched by this op
@@ -109,6 +117,9 @@ struct Schedule {
   Rank root = 0;          ///< for rooted collectives
   /// steps[rank][step]
   std::vector<std::vector<RankStep>> steps;
+  /// Exchange ids handed out so far: add_exchange stamps the next one on
+  /// both ops it appends, and coll::sequence offsets a donor's ids past it.
+  std::uint32_t num_exchanges = 0;
 
   /// Number of synchronized steps: the max over ranks, so a ragged schedule
   /// (one that missed normalize_steps()) can never be silently
@@ -136,8 +147,9 @@ struct Schedule {
     return op.kind == OpKind::local_perm ? total_elems() * elem_size : bytes_of(op.blocks);
   }
 
-  /// Append a matched send/recv pair at `step`. Only `from`'s and `to`'s
-  /// step vectors grow, so the schedule stays ragged until
+  /// Append a matched send/recv pair at `step`, both stamped with the
+  /// exchange id `num_exchanges` (then incremented). Only `from`'s and
+  /// `to`'s step vectors grow, so the schedule stays ragged until
   /// normalize_steps(), which every generator calls last. `segments`
   /// overrides the memory-contiguity estimate derived from the block set
   /// (-1 = derive): strategies that pack (Permute/Send) force 1, strategies

@@ -26,15 +26,21 @@
 ///
 /// `SizeFreeSchedule` is the memoized artifact: a flat structure-of-arrays
 /// op stream in the canonical simulation order (`for_each_lowered_op`,
-/// schedule.hpp) with no byte column at all -- each op carries its block
-/// ranges instead (CSR into one owned array; a local_perm covers the whole
+/// schedule.hpp) with no byte column at all -- each op names the *exchange*
+/// whose block ranges it covers instead (a local_perm covers the whole
 /// vector), and the size-free net::simulate derives bytes for any
 /// (elem_count, elem_size) from them. One cached entry therefore serves an
 /// entire message-size sweep.
 ///
-/// Beyond the simulation columns, the entry carries an *execution overlay*:
-/// every receive-type op (plain recvs included -- the simulation stream drops
-/// them) with its block ranges, in the canonical step-major/receiver order.
+/// Each exchange -- one Schedule::add_exchange call, a send plus its
+/// matched receive -- stores its block ranges exactly once, as 8-byte
+/// BlockRange32s in one CSR: the send and a matched recv_reduce in the
+/// simulation stream reference the same span. Beyond the simulation
+/// columns, the entry carries an *execution overlay* of index columns: one
+/// record per delivery (every receive-type op, plain recvs included -- the
+/// simulation stream drops them) holding the stream index of its send and a
+/// reduce flag, in the canonical step-major/receiver order. The receiver,
+/// the sender and the payload all come from that send.
 /// runtime::ExecPlan::from_size_free consumes it, which is how the runtime
 /// executor and the verification harness run off the same cached artifact as
 /// the simulator (DESIGN.md has the full pipeline).
@@ -64,25 +70,26 @@ struct SizeFreeSchedule {
   std::vector<std::int32_t> rank;
   std::vector<std::int32_t> peer;
   std::vector<std::int32_t> extra_segments;  ///< lowered_extra_segments(op)
+  /// The op's exchange: sends and recv_reduces cover its ranges. A
+  /// local_perm holds kNoExchange and covers the whole vector.
+  std::vector<std::uint32_t> exchange;
 
-  /// Byte resolution: op i covers ranges [block_begin[i], block_begin[i+1])
-  /// of `ranges` -- an owned copy, so entries outlive generator arenas --
-  /// unless it is a local_perm, which covers the whole vector.
-  std::vector<std::uint32_t> block_begin;
-  std::vector<BlockRange> ranges;
+  /// Exchange e covers ranges [range_begin[e], range_begin[e+1]) -- an owned
+  /// copy, so entries outlive generator arenas. Exchanges are numbered in
+  /// the stream order of their sends.
+  std::vector<std::uint32_t> range_begin;
+  std::vector<BlockRange32> ranges;
 
   // --- execution overlay ---------------------------------------------------
-  // Every receive-type op (recv AND recv_reduce), canonical step-major /
-  // receiver-grouped order with the receiver's op order preserved -- the
-  // ordering the reference executor's delivery semantics depend on. Plain
-  // recvs exist only here; recv_reduce ops appear both here and in the
-  // simulation stream above.
-  std::vector<std::uint32_t> recv_step_begin;  ///< CSR per step
-  std::vector<std::int32_t> recv_rank;         ///< receiving rank
-  std::vector<std::int32_t> recv_peer;         ///< sending rank
-  std::vector<std::uint8_t> recv_reduce;       ///< 1 = recv_reduce
-  std::vector<std::uint32_t> recv_block_begin; ///< CSR into recv_ranges
-  std::vector<BlockRange> recv_ranges;
+  // One record per delivery (receive-type op: recv AND recv_reduce), in
+  // canonical step-major / receiver-grouped order with the receiver's op
+  // order preserved -- the ordering the reference executor's delivery
+  // semantics depend on. A delivery stores only the stream index of its
+  // send: the receiver is that send's peer, the sender its rank, and the
+  // payload its exchange's ranges.
+  std::vector<std::uint32_t> delivery_step_begin;  ///< CSR per step
+  std::vector<std::uint32_t> delivery_send;        ///< stream index of the send
+  std::vector<std::uint8_t> delivery_reduce;       ///< 1 = recv_reduce
 
   /// Type-erased slot for derived artifacts a higher layer caches on the
   /// entry (runtime::ExecPlan's finalized skeleton). Built once under the
@@ -102,9 +109,25 @@ struct SizeFreeSchedule {
   mutable std::unique_ptr<DerivedSlot> sim_derived = std::make_unique<DerivedSlot>();
 
   [[nodiscard]] size_t num_ops() const noexcept { return kind.size(); }
-  [[nodiscard]] size_t num_recv_ops() const noexcept { return recv_rank.size(); }
+  [[nodiscard]] size_t num_exchanges() const noexcept { return range_begin.size() - 1; }
+  [[nodiscard]] size_t num_deliveries() const noexcept { return delivery_send.size(); }
+
+  /// Block ranges of exchange `e`.
+  [[nodiscard]] std::span<const BlockRange32> exchange_ranges(std::uint32_t e) const {
+    return {ranges.data() + range_begin[e], ranges.data() + range_begin[e + 1]};
+  }
+
+  /// Capacity in bytes of every column above (derived slots excluded):
+  /// what the entry keeps resident.
+  [[nodiscard]] size_t resident_bytes() const noexcept;
 
   /// Compile `s` into size-free form (its vector config is not read).
+  /// Receives pair with the send of their add_exchange call (`Op::exchange`),
+  /// which must sit in the same step with the mirrored (from, to): the
+  /// (step, from, to, k-th) pairing Schedule::validate checks. Throws
+  /// std::invalid_argument for a receive with no such send, and
+  /// std::length_error when p, nblocks, a block range or a column offset
+  /// does not fit the 32-bit columns.
   [[nodiscard]] static SizeFreeSchedule from(const Schedule& s);
 };
 
@@ -201,6 +224,8 @@ class ScheduleCache {
   struct Stats {
     u64 hits = 0;
     u64 misses = 0;
+    u64 entries = 0;  ///< entries held
+    u64 bytes = 0;    ///< sum of their SizeFreeSchedule::resident_bytes()
   };
   [[nodiscard]] Stats stats() const;
   void clear();
@@ -211,6 +236,7 @@ class ScheduleCache {
       entries_;
   mutable std::atomic<u64> hits_{0};
   std::atomic<u64> misses_{0};
+  u64 bytes_ = 0;  ///< guarded by mutex_
 };
 
 /// The process-wide cache instance. Schedule structure is a pure function of

@@ -497,6 +497,8 @@ ServerStats Server::stats_snapshot() const {
   const sched::ScheduleCache::Stats cache = sched::process_schedule_cache().stats();
   s.schedule_cache_hits = cache.hits;
   s.schedule_cache_misses = cache.misses;
+  s.schedule_cache_entries = cache.entries;
+  s.schedule_cache_bytes = cache.bytes;
   const net::PairRouteMemo::Stats memo = net::process_route_memo().stats();
   s.route_memo_hits = memo.hits;
   s.route_memo_misses = memo.misses;
@@ -537,7 +539,9 @@ std::string Server::stats_json() const {
   out += "  },\n";
   out += "  \"schedule_cache\": {\n";
   out += "    \"hits\": " + std::to_string(s.schedule_cache_hits) + ",\n";
-  out += "    \"misses\": " + std::to_string(s.schedule_cache_misses) + "\n";
+  out += "    \"misses\": " + std::to_string(s.schedule_cache_misses) + ",\n";
+  out += "    \"entries\": " + std::to_string(s.schedule_cache_entries) + ",\n";
+  out += "    \"bytes\": " + std::to_string(s.schedule_cache_bytes) + "\n";
   out += "  },\n";
   out += "  \"route_memo\": {\n";
   out += "    \"hits\": " + std::to_string(s.route_memo_hits) + ",\n";

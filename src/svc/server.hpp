@@ -108,6 +108,8 @@ struct ServerStats {
   i64 table_cells = 0;
   u64 schedule_cache_hits = 0;   ///< process-wide sched::ScheduleCache
   u64 schedule_cache_misses = 0;
+  u64 schedule_cache_entries = 0;
+  u64 schedule_cache_bytes = 0;  ///< resident bytes of the cached entries
   u64 route_memo_hits = 0;       ///< process-wide net::PairRouteMemo
   u64 route_memo_misses = 0;     ///< pair rows walked and memoized
   u64 route_memo_scopes = 0;     ///< distinct (Topology, Placement, fault_epoch)

@@ -206,7 +206,8 @@ TEST(ExecEngine, LoweringRejectsInvalidSchedules) {
                                         sched::BlockSpace::per_vector);
   // Hand-craft a send with no matching recv.
   sch.steps[0].resize(1);
-  sch.steps[0][0].ops.push_back({sched::OpKind::send, 1, sched::BlockSet::all(4), 1});
+  sch.steps[0][0].ops.push_back(
+      {sched::OpKind::send, sched::kNoExchange, 1, sched::BlockSet::all(4), 1});
   sch.normalize_steps();
   EXPECT_THROW((void)runtime::ExecPlan::lower(sch), std::runtime_error);
 }

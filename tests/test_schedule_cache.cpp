@@ -1,16 +1,19 @@
 // Schedule-generation fast path tests: registry-wide parity of cached
 // SizeFreeSchedule entries with fresh generation at every vector size (every
-// IR column, and the production simulator against the scalar oracle), one
-// builder call per cache miss, cached Runner cells bit-exact with the scalar
-// oracle across all four topology families, and scoped RouteCache equality
-// with the eager build. Sweep determinism across threads lives in
-// test_sim_engine.cpp.
+// IR column, and the production simulator against the scalar oracle), each
+// exchange stored once in exactly sized columns, rejection of what the
+// 32-bit columns cannot hold or pair, one builder call per cache miss, the
+// cache's entry and resident-byte counts, cached Runner cells bit-exact
+// with the scalar oracle across all four topology families, and scoped
+// RouteCache equality with the eager build. Sweep determinism across
+// threads lives in test_sim_engine.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -40,15 +43,14 @@ void expect_same_entry(const sched::SizeFreeSchedule& a, const sched::SizeFreeSc
   EXPECT_EQ(a.rank, b.rank) << what;
   EXPECT_EQ(a.peer, b.peer) << what;
   EXPECT_EQ(a.extra_segments, b.extra_segments) << what;
-  EXPECT_EQ(a.block_begin, b.block_begin) << what;
+  EXPECT_EQ(a.exchange, b.exchange) << what;
+  // Exchange ranges.
+  EXPECT_EQ(a.range_begin, b.range_begin) << what;
   EXPECT_EQ(a.ranges, b.ranges) << what;
   // Execution overlay.
-  EXPECT_EQ(a.recv_step_begin, b.recv_step_begin) << what;
-  EXPECT_EQ(a.recv_rank, b.recv_rank) << what;
-  EXPECT_EQ(a.recv_peer, b.recv_peer) << what;
-  EXPECT_EQ(a.recv_reduce, b.recv_reduce) << what;
-  EXPECT_EQ(a.recv_block_begin, b.recv_block_begin) << what;
-  EXPECT_EQ(a.recv_ranges, b.recv_ranges) << what;
+  EXPECT_EQ(a.delivery_step_begin, b.delivery_step_begin) << what;
+  EXPECT_EQ(a.delivery_send, b.delivery_send) << what;
+  EXPECT_EQ(a.delivery_reduce, b.delivery_reduce) << what;
 }
 
 }  // namespace
@@ -107,6 +109,171 @@ TEST(SizeFreeSchedule, MatchesFreshGenerationAtEverySize) {
   }
 }
 
+// Each exchange's block ranges are stored once, in exactly sized columns,
+// and every reader reaches them through the exchange index: a recv_reduce in
+// the stream and every delivery of the overlay name the exchange of the
+// send they pair with, which sits in the same step with the mirrored
+// (from, to) and carries the receive's own block ranges.
+TEST(SizeFreeSchedule, StoresEachExchangeOnce) {
+  for (const sched::Collective c : coll::all_collectives()) {
+    for (const auto& entry : coll::algorithms_for(c)) {
+      if (entry.specialized) continue;
+      for (const i64 p : {2, 3, 5, 8, 12, 33, 64, 256}) {
+        if (entry.pow2_only && !is_pow2(p)) continue;
+        for (const Rank root : {Rank{0}, Rank{p / 3}}) {
+          if (root != 0 && p / 3 == 0) continue;
+          SCOPED_TRACE(std::string(sched::to_string(c)) + "/" + entry.name +
+                       " p=" + std::to_string(p) + " root=" + std::to_string(root));
+          coll::Config cfg;
+          cfg.p = p;
+          cfg.root = root;
+          cfg.elem_count = p;
+          const sched::Schedule sch = entry.make(cfg);
+          const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
+
+          size_t sends = 0, send_ranges = 0;
+          for (const auto& rank_steps : sch.steps)
+            for (const sched::RankStep& st : rank_steps)
+              for (const sched::Op& op : st.ops)
+                if (op.kind == sched::OpKind::send) {
+                  ++sends;
+                  send_ranges += op.blocks.ranges().size();
+                }
+          EXPECT_EQ(sf.num_exchanges(), sends);
+          EXPECT_EQ(sf.ranges.size(), send_ranges);
+
+          const auto exact = [](const auto& v) { return v.capacity() == v.size(); };
+          EXPECT_TRUE(exact(sf.step_begin));
+          EXPECT_TRUE(exact(sf.kind));
+          EXPECT_TRUE(exact(sf.rank));
+          EXPECT_TRUE(exact(sf.peer));
+          EXPECT_TRUE(exact(sf.extra_segments));
+          EXPECT_TRUE(exact(sf.exchange));
+          EXPECT_TRUE(exact(sf.range_begin));
+          EXPECT_TRUE(exact(sf.ranges));
+          EXPECT_TRUE(exact(sf.delivery_step_begin));
+          EXPECT_TRUE(exact(sf.delivery_send));
+          EXPECT_TRUE(exact(sf.delivery_reduce));
+
+          // Sends number the exchanges in stream order; remember each one's
+          // stream index and step.
+          std::vector<std::uint32_t> send_of(sf.num_exchanges());
+          std::vector<size_t> step_of(sf.num_ops());
+          std::uint32_t next = 0;
+          for (size_t t = 0; t < sf.steps; ++t)
+            for (std::uint32_t i = sf.step_begin[t]; i < sf.step_begin[t + 1]; ++i) {
+              step_of[i] = t;
+              if (sf.kind[i] == sched::OpKind::send) {
+                ASSERT_EQ(sf.exchange[i], next);
+                send_of[next++] = i;
+              } else if (sf.kind[i] == sched::OpKind::local_perm) {
+                EXPECT_EQ(sf.exchange[i], sched::kNoExchange);
+              }
+            }
+
+          // Walk the receive-type ops in canonical order next to the stream
+          // and the overlay.
+          std::uint32_t op = 0, delivery = 0;
+          size_t step = 0, mismatches = 0;
+          sched::for_each_op_step_major(
+              sch, sf.steps,
+              [&](Rank r, const sched::Op& o) {
+                if (o.kind == sched::OpKind::send || o.kind == sched::OpKind::local_perm) {
+                  ++op;
+                  return;
+                }
+                const std::uint32_t send = sf.delivery_send[delivery];
+                const bool reduce = o.kind == sched::OpKind::recv_reduce;
+                bool ok = sf.delivery_reduce[delivery] == (reduce ? 1 : 0) &&
+                          sf.kind[send] == sched::OpKind::send &&
+                          send_of[sf.exchange[send]] == send && step_of[send] == step &&
+                          sf.rank[send] == o.peer && sf.peer[send] == r;
+                const auto rs = sf.exchange_ranges(sf.exchange[send]);
+                const auto want = o.blocks.ranges();
+                ok = ok && rs.size() == want.size();
+                for (size_t k = 0; ok && k < rs.size(); ++k)
+                  ok = rs[k].begin == want[k].begin && rs[k].count == want[k].count;
+                if (reduce) {
+                  ok = ok && sf.kind[op] == sched::OpKind::recv_reduce &&
+                       sf.rank[op] == r && sf.exchange[op] == sf.exchange[send] &&
+                       step_of[op] == step;
+                  ++op;
+                }
+                if (!ok) ++mismatches;
+                ++delivery;
+              },
+              [&](size_t t) {
+                EXPECT_EQ(op, sf.step_begin[t + 1]);
+                EXPECT_EQ(delivery, sf.delivery_step_begin[t + 1]);
+                step = t + 1;
+              });
+          EXPECT_EQ(mismatches, 0u);
+          EXPECT_EQ(delivery, sf.num_deliveries());
+        }
+      }
+    }
+  }
+
+  // The layout's footprint on a range-heavy schedule. Allreduce bine_permute
+  // at p=256 took 6535324 resident bytes when each exchange's ranges were
+  // stored up to three times at 16 bytes per range with growth slack; it
+  // takes 932508 with every exchange stored once in 8-byte ranges.
+  coll::Config cfg;
+  cfg.p = 256;
+  cfg.elem_count = cfg.p;
+  const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(
+      coll::find_algorithm(sched::Collective::allreduce, "bine_permute").make(cfg));
+  EXPECT_LE(sf.resident_bytes(), 6535324u / 4);
+}
+
+// from() narrows into 32-bit columns and pairs receives with sends; it
+// rejects, instead of truncating or mispairing, what does not fit.
+TEST(SizeFreeSchedule, RejectsWhatItCannotStore) {
+  sched::Schedule wide;
+  wide.coll = sched::Collective::bcast;
+  wide.p = 2;
+  wide.nblocks = i64{1} << 33;
+  wide.steps.assign(2, {});
+  wide.add_exchange(0, 0, 1, sched::BlockSet::run((i64{1} << 32) + 1, 1), false);
+  wide.normalize_steps();
+  EXPECT_THROW((void)sched::SizeFreeSchedule::from(wide), std::length_error);
+  wide.nblocks = 8;  // nblocks fits; the range field still does not
+  EXPECT_THROW((void)sched::SizeFreeSchedule::from(wide), std::length_error);
+
+  const auto what_of = [](const sched::Schedule& s) -> std::string {
+    try {
+      (void)sched::SizeFreeSchedule::from(s);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  sched::Schedule lone;
+  lone.coll = sched::Collective::bcast;
+  lone.p = 2;
+  lone.nblocks = 2;
+  lone.steps.assign(2, {});
+  lone.steps[1].resize(1);
+  lone.steps[1][0].ops.push_back(
+      {sched::OpKind::recv, sched::kNoExchange, 0, sched::BlockSet::all(2), 1});
+  lone.normalize_steps();
+  EXPECT_NE(what_of(lone).find("step 0: recv 0->1 has no matching send"), std::string::npos)
+      << what_of(lone);
+
+  // A receive whose sender was rewritten no longer mirrors its send.
+  sched::Schedule moved;
+  moved.coll = sched::Collective::bcast;
+  moved.p = 3;
+  moved.nblocks = 3;
+  moved.steps.assign(3, {});
+  moved.add_exchange(0, 0, 1, sched::BlockSet::all(3), true);
+  moved.normalize_steps();
+  moved.steps[1][0].ops[0].peer = 2;
+  EXPECT_NE(what_of(moved).find("step 0: recv 2->1 has no matching send"),
+            std::string::npos)
+      << what_of(moved);
+}
+
 // A miss runs the builder exactly once and a hit never runs it.
 TEST(ScheduleCache, BuilderRunsOncePerMiss) {
   sched::ScheduleCache cache;
@@ -138,6 +305,39 @@ TEST(ScheduleCache, BuilderRunsOncePerMiss) {
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.hits, 2u);
+}
+
+// Stats report the entries held and the sum of their resident bytes,
+// maintained on insert and on clear.
+TEST(ScheduleCache, StatsCountEntriesAndResidentBytes) {
+  sched::ScheduleCache cache;
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().bytes, 0u);
+  std::vector<std::shared_ptr<const sched::SizeFreeSchedule>> held;
+  u64 bytes = 0;
+  for (const char* name : {"recursive_doubling", "ring", "bine_permute"}) {
+    for (const i64 p : {8, 33}) {
+      const auto& entry = coll::find_algorithm(sched::Collective::allreduce, name);
+      if (entry.pow2_only && !is_pow2(p)) continue;
+      const sched::ScheduleKey key{sched::Collective::allreduce, name, p, 0, {}, 0};
+      const auto build = [&](i64 elem_count) {
+        coll::Config cfg;
+        cfg.p = p;
+        cfg.elem_count = elem_count;
+        return entry.make(cfg);
+      };
+      held.push_back(cache.get(key, build));
+      bytes += held.back()->resident_bytes();
+      (void)cache.get(key, build);  // a hit adds nothing
+    }
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, held.size());
+  EXPECT_EQ(stats.bytes, bytes);
+  EXPECT_GT(stats.bytes, 0u);
+  cache.clear();
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
 // Cached cells must be bit-exact with the scalar oracle over fresh

@@ -82,7 +82,7 @@ TEST(SizeFreeSchedule, LoweringPreservesOpsInStepRankOrder) {
   ASSERT_EQ(sf.step_begin.size(), sf.steps + 1);
   EXPECT_EQ(sf.step_begin.front(), 0u);
   EXPECT_EQ(sf.step_begin.back(), sf.num_ops());
-  ASSERT_EQ(sf.block_begin.size(), sf.num_ops() + 1);
+  ASSERT_EQ(sf.exchange.size(), sf.num_ops());
 
   // Plain recvs are cost-free in the model and dropped from the simulation
   // stream; everything else must survive.
@@ -119,11 +119,10 @@ TEST(SizeFreeSchedule, LoweringPreservesOpsInStepRankOrder) {
       EXPECT_EQ(sf.kind[i], op.kind);
       EXPECT_EQ(sf.peer[i], op.peer);
       EXPECT_EQ(sf.extra_segments[i], std::max<i64>(0, op.segments - 1));
-      const std::span<const sched::BlockRange> rs{sf.ranges.data() + sf.block_begin[i],
-                                                  sf.ranges.data() + sf.block_begin[i + 1]};
       const i64 bytes = op.kind == sched::OpKind::local_perm
                             ? sch.total_elems() * sch.elem_size
-                            : sched::ranges_elem_count(rs, sch.total_elems(), sf.nblocks) *
+                            : sched::ranges_elem_count(sf.exchange_ranges(sf.exchange[i]),
+                                                       sch.total_elems(), sf.nblocks) *
                                   sch.elem_size;
       EXPECT_EQ(bytes, sch.op_bytes(op));
       prev_rank = sf.rank[i];

@@ -432,7 +432,12 @@ TEST(Svc, StatsDocumentParses) {
   // Nested groups all present.
   (void)v.at("sweep", "sweep");
   (void)v.at("table", "table");
-  (void)v.at("schedule_cache", "schedule_cache");
+  // Schedule-cache footprint: the tune-on-miss above cached its candidates.
+  const auto& cache = v.at("schedule_cache", "schedule_cache");
+  (void)cache.at("hits", "hits");
+  (void)cache.at("misses", "misses");
+  EXPECT_GT(cache.at("entries", "entries").as_i64("entries"), 0);
+  EXPECT_GT(cache.at("bytes", "bytes").as_i64("bytes"), 0);
   // Route-memo counters: the tune-on-miss above ranked its candidate pool
   // batched, so the process memo has at least one scope with traffic.
   const auto& memo = v.at("route_memo", "route_memo");
