@@ -6,6 +6,7 @@
 #include <random>
 #include <vector>
 
+#include "coll/registry.hpp"
 #include "sched/blocks.hpp"
 
 namespace bs = bine::sched;
@@ -244,4 +245,54 @@ TEST(Schedule, TotalWireBytes) {
   s.add_exchange(1, 0, 2, bs::BlockSet::single(2), false);  // 16 bytes
   s.normalize_steps();
   EXPECT_EQ(s.total_wire_bytes(), 64 + 16);
+}
+
+// The canonical op stream (`for_each_op_step_major`) is what every consumer
+// of a Schedule reads: the size-free compile, the scalar simulation oracle
+// and the reference executor. This digest pins it -- rank, kind, peer,
+// exchange id, segments and block ranges of every op, plus the step
+// boundaries -- for every non-specialized registry algorithm, so a change to
+// how a Schedule stores its ops cannot reorder or alter the stream.
+TEST(Schedule, RegistryOpStreamIsPinned) {
+  u64 h = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
+  const auto mix = [&h](i64 v) {
+    h ^= static_cast<u64>(v);
+    h *= 0x100000001b3ull;
+  };
+  size_t schedules = 0;
+  for (const bs::Collective c : bine::coll::all_collectives()) {
+    for (const auto& entry : bine::coll::algorithms_for(c)) {
+      if (entry.specialized) continue;
+      for (const i64 p : {2, 3, 5, 8, 12, 33, 64}) {
+        if (entry.pow2_only && !bine::is_pow2(p)) continue;
+        for (const bine::Rank root : {bine::Rank{0}, bine::Rank{p / 3}}) {
+          if (root != 0 && p / 3 == 0) continue;
+          bine::coll::Config cfg;
+          cfg.p = p;
+          cfg.root = root;
+          cfg.elem_count = p;
+          const bs::Schedule sch = entry.make(cfg);
+          ++schedules;
+          mix(static_cast<i64>(sch.num_steps()));
+          bs::for_each_op_step_major(
+              sch, sch.num_steps(),
+              [&](bine::Rank r, const bs::Op& op) {
+                mix(r);
+                mix(static_cast<i64>(op.kind));
+                mix(op.peer);
+                mix(op.exchange);
+                mix(op.segments);
+                for (const bs::BlockRange& br : op.blocks.ranges()) {
+                  mix(br.begin);
+                  mix(br.count);
+                }
+                mix(-1);
+              },
+              [&](size_t t) { mix(-2 - static_cast<i64>(t)); });
+        }
+      }
+    }
+  }
+  EXPECT_GT(schedules, 0u);
+  EXPECT_EQ(h, 0xc3cddc01d6fbbf19ull) << std::hex << h;
 }
