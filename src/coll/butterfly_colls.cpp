@@ -241,7 +241,6 @@ Schedule reduce_scatter_bine(const Config& cfg, NoncontigStrategy st) {
   }
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::single(lo.P + i), false);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -273,7 +272,6 @@ Schedule allgather_bine(const Config& cfg, NoncontigStrategy st) {
   }
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::all(cfg.p), false);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -304,7 +302,6 @@ Schedule allreduce_bine_large(const Config& cfg, NoncontigStrategy st) {
   }
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::all(cfg.p), false);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -322,7 +319,6 @@ Schedule allreduce_bine_small(const Config& cfg) {
                        BlockSet::all(cfg.p), true);
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::all(cfg.p), false);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -360,7 +356,6 @@ Schedule reduce_scatter_recursive_halving(const Config& cfg) {
   }
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::single(lo.P + i), false);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -379,7 +374,6 @@ Schedule allgather_recursive_doubling(const Config& cfg) {
                        cube_blocks(r, j, lo, cfg.p, pieces, sch.arena()), false);
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::all(cfg.p), false);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -396,7 +390,6 @@ Schedule allreduce_recursive_doubling(const Config& cfg) {
       sch.add_exchange(step, r, r ^ (i64{1} << j), BlockSet::all(cfg.p), true);
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::all(cfg.p), false);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -423,7 +416,6 @@ Schedule allreduce_rabenseifner(const Config& cfg) {
                        cube_blocks(r, j, lo, cfg.p, pieces, sch.arena()), false);
   for (i64 i = 0; i < lo.extra; ++i)
     sch.add_exchange(step, i, lo.P + i, BlockSet::all(cfg.p), false);
-  sch.normalize_steps();
   return sch;
 }
 

@@ -79,7 +79,6 @@ Schedule allreduce_hierarchical_bine(const Config& cfg, i64 gpus_per_node) {
       if (l == local_of(r)) continue;
       sch.add_exchange(step, r, node_of(r) * G + l, shard_of(local_of(r)), false);
     }
-  sch.normalize_steps();
   return sch;
 }
 

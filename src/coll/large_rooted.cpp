@@ -117,7 +117,6 @@ Schedule bcast_scatter_allgather_bine(const Config& cfg) {
   }
   // Phase 2: distance-halving Bine allgather over the aliased layout.
   emit_aliased_dh_allgather(sch, cfg, static_cast<size_t>(s));
-  sch.normalize_steps();
   return sch;
 }
 
@@ -145,7 +144,6 @@ Schedule reduce_rs_gather_bine(const Config& cfg) {
                        aliased_subtree(c, cfg.root, P, sch.arena()), false);
     }
   }
-  sch.normalize_steps();
   return sch;
 }
 

@@ -35,7 +35,6 @@ Schedule allgather_ring(const Config& cfg) {
   Schedule sch =
       make_base(Collective::allgather, cfg, "allgather_ring", sched::BlockSpace::per_vector);
   emit_ring_ag(sch, cfg.p, 0);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -43,7 +42,6 @@ Schedule reduce_scatter_ring(const Config& cfg) {
   Schedule sch = make_base(Collective::reduce_scatter, cfg, "reduce_scatter_ring",
                            sched::BlockSpace::per_vector);
   emit_ring_rs(sch, cfg.p, 0);
-  sch.normalize_steps();
   return sch;
 }
 
@@ -52,7 +50,6 @@ Schedule allreduce_ring(const Config& cfg) {
       make_base(Collective::allreduce, cfg, "allreduce_ring", sched::BlockSpace::per_vector);
   const size_t mid = emit_ring_rs(sch, cfg.p, 0);
   emit_ring_ag(sch, cfg.p, mid);
-  sch.normalize_steps();
   return sch;
 }
 

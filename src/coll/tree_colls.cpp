@@ -60,7 +60,6 @@ Schedule bcast_tree(const Config& cfg, TreeVariant v) {
   for (i64 i = 0; i < extra; ++i)
     s.add_exchange(static_cast<size_t>(sp), to_physical(i, cfg.root, cfg.p),
                    to_physical(p_prime + i, cfg.root, cfg.p), everything, false);
-  s.normalize_steps();
   return s;
 }
 
@@ -87,7 +86,6 @@ Schedule reduce_tree(const Config& cfg, TreeVariant v) {
                      to_physical(l, cfg.root, cfg.p), everything, true);
     }
   }
-  s.normalize_steps();
   return s;
 }
 
@@ -114,7 +112,6 @@ Schedule gather_tree(const Config& cfg, TreeVariant v) {
                      subtree_blocks(v, child, p_prime, extra, cfg.root, cfg.p, s.arena()), false);
     }
   }
-  s.normalize_steps();
   return s;
 }
 
@@ -139,7 +136,6 @@ Schedule scatter_tree(const Config& cfg, TreeVariant v) {
     s.add_exchange(static_cast<size_t>(sp), to_physical(i, cfg.root, cfg.p),
                    to_physical(p_prime + i, cfg.root, cfg.p),
                    own_block(p_prime + i, cfg.root, cfg.p), false);
-  s.normalize_steps();
   return s;
 }
 
@@ -158,7 +154,6 @@ Schedule flat(Collective coll, const Config& cfg, const char* name, bool to_root
     else
       s.add_exchange(step, cfg.root, peer, blocks, reduce);
   }
-  s.normalize_steps();
   return s;
 }
 

@@ -14,22 +14,17 @@ TrafficStats measure_traffic_reference(const sched::Schedule& sch, const Topolog
                                        const Placement& pl) {
   TrafficStats stats;
   std::vector<i64> path;
-  for (Rank r = 0; r < sch.p; ++r) {
-    for (const auto& step : sch.steps[static_cast<size_t>(r)]) {
-      for (const sched::Op& op : step.ops) {
-        if (op.kind != sched::OpKind::send) continue;
-        ++stats.messages;
-        const i64 bytes = sch.op_bytes(op);
-        path.clear();
-        topo.route(pl.node_of_rank[static_cast<size_t>(r)],
-                   pl.node_of_rank[static_cast<size_t>(op.peer)], path);
-        for (const i64 link : path) {
-          switch (topo.links()[static_cast<size_t>(link)].cls) {
-            case LinkClass::local: stats.local_bytes += bytes; break;
-            case LinkClass::global: stats.global_bytes += bytes; break;
-            case LinkClass::intra_node: stats.intra_node_bytes += bytes; break;
-          }
-        }
+  for (const sched::Exchange& x : sch.exchanges()) {
+    ++stats.messages;
+    const i64 bytes = sch.bytes_of(x.blocks);
+    path.clear();
+    topo.route(pl.node_of_rank[static_cast<size_t>(x.from)],
+               pl.node_of_rank[static_cast<size_t>(x.to)], path);
+    for (const i64 link : path) {
+      switch (topo.links()[static_cast<size_t>(link)].cls) {
+        case LinkClass::local: stats.local_bytes += bytes; break;
+        case LinkClass::global: stats.global_bytes += bytes; break;
+        case LinkClass::intra_node: stats.intra_node_bytes += bytes; break;
       }
     }
   }
@@ -45,15 +40,17 @@ SimResult simulate_reference(const sched::Schedule& sch, const Topology& topo,
   std::vector<i64> path;
   // Reused per step: link id -> accumulated bytes (sparse).
   std::unordered_map<i64, i64> link_bytes;
-
-  for (size_t t = 0; t < result.steps; ++t) {
-    link_bytes.clear();
-    double max_rank_overhead = 0;
-    for (Rank r = 0; r < sch.p; ++r) {
-      const auto& rank_steps = sch.steps[static_cast<size_t>(r)];
-      if (t >= rank_steps.size()) continue;  // ragged rank: idle this step
-      double overhead = 0;
-      for (const sched::Op& op : rank_steps[t].ops) {
+  double max_rank_overhead = 0;
+  double overhead = 0;
+  Rank cur_rank = -1;
+  sched::for_each_op_step_major(
+      sch, result.steps,
+      [&](Rank r, const sched::Op& op) {
+        if (r != cur_rank) {  // ops arrive rank-grouped within a step
+          max_rank_overhead = std::max(max_rank_overhead, overhead);
+          overhead = 0;
+          cur_rank = r;
+        }
         switch (op.kind) {
           case sched::OpKind::send: {
             const i64 bytes = sch.op_bytes(op);
@@ -82,16 +79,20 @@ SimResult simulate_reference(const sched::Schedule& sch, const Topology& topo,
                             cp.seg_overhead;
             break;
         }
-      }
-      max_rank_overhead = std::max(max_rank_overhead, overhead);
-    }
-    double max_link_time = 0;
-    for (const auto& [link, bytes] : link_bytes)
-      max_link_time =
-          std::max(max_link_time, static_cast<double>(bytes) /
-                                      topo.links()[static_cast<size_t>(link)].bandwidth);
-    result.seconds += max_link_time + max_rank_overhead;
-  }
+      },
+      [&](size_t) {
+        max_rank_overhead = std::max(max_rank_overhead, overhead);
+        double max_link_time = 0;
+        for (const auto& [link, bytes] : link_bytes)
+          max_link_time =
+              std::max(max_link_time, static_cast<double>(bytes) /
+                                          topo.links()[static_cast<size_t>(link)].bandwidth);
+        result.seconds += max_link_time + max_rank_overhead;
+        link_bytes.clear();
+        max_rank_overhead = 0;
+        overhead = 0;
+        cur_rank = -1;
+      });
   return result;
 }
 
@@ -126,16 +127,18 @@ SimResult simulate(const sched::Schedule& sch, const RouteCache& rc, const CostP
   double max_rank_overhead = 0;
   double overhead = 0;
   Rank cur_rank = -1;
-  sched::for_each_lowered_op(
+  sched::for_each_op_step_major(
       sch, result.steps,
       [&](Rank r, const sched::Op& op) {
+        if (op.kind == sched::OpKind::recv) return;  // cost-free in the model
         if (r != cur_rank) {  // ops arrive rank-grouped within a step
           max_rank_overhead = std::max(max_rank_overhead, overhead);
           overhead = 0;
           cur_rank = r;
         }
         const i64 b = sch.op_bytes(op);
-        const double extra_segs = static_cast<double>(sched::lowered_extra_segments(op));
+        const double extra_segs =
+            static_cast<double>(sched::lowered_extra_segments(op.segments));
         switch (op.kind) {
           case sched::OpKind::send: {
             const RouteCache::ClassHops& h = rc.hops(r, op.peer);
@@ -149,7 +152,7 @@ SimResult simulate(const sched::Schedule& sch, const RouteCache& rc, const CostP
             break;
           }
           case sched::OpKind::recv:
-            break;  // dropped by for_each_lowered_op
+            break;  // skipped above
           case sched::OpKind::recv_reduce:
             overhead += static_cast<double>(b) * inv_reduce_bw;
             break;
@@ -746,10 +749,8 @@ void check_placement(const sched::Schedule& sch, const Topology& topo,
 /// on large rank counts (sweeps keep the eager build; see harness::Runner).
 std::vector<std::pair<Rank, Rank>> send_pairs(const sched::Schedule& sch) {
   std::vector<std::pair<Rank, Rank>> pairs;
-  for (Rank r = 0; r < sch.p; ++r)
-    for (const sched::RankStep& step : sch.steps[static_cast<size_t>(r)])
-      for (const sched::Op& op : step.ops)
-        if (op.kind == sched::OpKind::send) pairs.emplace_back(r, op.peer);
+  pairs.reserve(sch.exchanges().size());
+  for (const sched::Exchange& x : sch.exchanges()) pairs.emplace_back(x.from, x.to);
   return pairs;  // RouteCache's scoped constructor sorts and dedups
 }
 
@@ -768,13 +769,9 @@ SimResult simulate(const sched::Schedule& sch, const Topology& topo, const Place
 
 i64 inter_group_bytes(const sched::Schedule& sch, std::span<const i64> group_of_rank) {
   i64 total = 0;
-  for (Rank r = 0; r < sch.p; ++r)
-    for (const auto& step : sch.steps[static_cast<size_t>(r)])
-      for (const sched::Op& op : step.ops)
-        if (op.kind == sched::OpKind::send &&
-            group_of_rank[static_cast<size_t>(r)] !=
-                group_of_rank[static_cast<size_t>(op.peer)])
-          total += sch.op_bytes(op);
+  for (const sched::Exchange& x : sch.exchanges())
+    if (group_of_rank[static_cast<size_t>(x.from)] != group_of_rank[static_cast<size_t>(x.to)])
+      total += sch.bytes_of(x.blocks);
   return total;
 }
 

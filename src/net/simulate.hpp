@@ -78,7 +78,7 @@ struct SimResult {
                                  const Placement& pl, const CostParams& cp);
 
 /// The scalar oracle over pre-built routes: walks `sch` in
-/// sched::for_each_lowered_op order with bytes from `Schedule::op_bytes`.
+/// sched::for_each_op_step_major order with bytes from `Schedule::op_bytes`.
 /// `sch.p` must match `rc`.
 [[nodiscard]] SimResult simulate(const sched::Schedule& sch, const RouteCache& rc,
                                  const CostParams& cp);

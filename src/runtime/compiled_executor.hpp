@@ -332,8 +332,8 @@ class CompiledExecutor {
       });
     }
 
-    // One delivery per matched send (validate() guarantees the 1:1 pairing
-    // with equal bytes), so send-side accounting falls out of the plan.
+    // One delivery per exchange (its send and receive carry the same
+    // bytes), so send-side accounting falls out of the plan.
     res.messages = static_cast<i64>(pl.num_ops());
     res.wire_bytes = pl.total_wire_bytes;
     res.stage_bytes = pl.stage_bytes;

@@ -13,11 +13,11 @@
 /// The executor's work is entirely delivery-driven: within a synchronized
 /// step every send reads the sender's *pre-step* state, so a message's
 /// payload is fully determined by (sender, block ids) -- all sends a rank
-/// issues in one step read identical state, and `Schedule::validate()`
-/// guarantees each send is matched by exactly one receive with the same
-/// block set. `ExecPlan` therefore keeps exactly one record per *delivery*
-/// (receive-type op), in the canonical step-major / receiver-grouped order
-/// the nested reference executor applies them in:
+/// issues in one step read identical state, and each exchange of the
+/// Schedule's log is one send and one implied receive of the same block
+/// set. `ExecPlan` therefore keeps exactly one record per *delivery*
+/// (receive half), in the canonical step-major / receiver-grouped order
+/// the reference executor applies them in:
 ///
 ///   * per delivery: receiving rank, sending rank, reduce flag, wire bytes,
 ///     and a CSR slice of expanded block ids;
@@ -43,9 +43,9 @@
 /// One construction path, `from_size_free(entry, ...)`, which is how
 /// harness::Runner's verify path skips generation entirely on a
 /// schedule-cache hit. `lower(Schedule)` is the fresh-schedule front end
-/// (the examples' and the tests' oracle): it rejects structurally invalid
-/// schedules (`Schedule::validate()`), compiles SizeFreeSchedule::from(s) and
-/// hands the fresh entry to `from_size_free`.
+/// (the examples' and the tests' oracle): it rejects invalid schedules
+/// (`Schedule::validate()`: a peer or block range out of range), compiles
+/// SizeFreeSchedule::from(s) and hands the fresh entry to `from_size_free`.
 namespace bine::runtime {
 
 /// The size-invariant finalized structure of one delivery stream: each

@@ -1,10 +1,12 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "runtime/reduction.hpp"
@@ -29,7 +31,8 @@
 ///   * the *compiled* engine (runtime/compiled_executor.hpp) streams the flat
 ///     runtime::ExecPlan IR over dense per-rank buffers and flat contributor
 ///     bitset words -- the default, and the one harness::Runner drives;
-///   * the nested-walking `execute_reference` in this header is retained as
+///   * `execute_reference` in this header, which walks the Schedule's
+///     canonical op order (sched::for_each_op_step_major), is retained as
 ///     the sequential oracle the parity suites compare the compiled engine
 ///     against -- its threaded path (`threads > 1`) included.
 namespace bine::runtime {
@@ -105,7 +108,7 @@ struct ExecResult {
 };
 
 /// The block-id-to-elements mapping of one schedule: everything
-/// `initial_block`/`verify` need, shared between the nested Schedule path and
+/// `initial_block`/`verify` need, shared between the Schedule path and
 /// the compiled ExecPlan path (which has no Schedule to point at).
 struct BlockLayout {
   sched::BlockSpace space = sched::BlockSpace::per_vector;
@@ -200,11 +203,11 @@ std::vector<RankState<T>> initial_state(const sched::Schedule& s,
   return ranks;
 }
 
-/// Run `schedule` over the given inputs, walking the nested representation
-/// op by op. Retained as the sequential oracle for the compiled engine
-/// (runtime/compiled_executor.hpp). Throws std::runtime_error on any
-/// semantic violation (sending an invalid block, unmatched messages,
-/// duplicated reduction contributions).
+/// Run `schedule` over the given inputs, walking its canonical op order
+/// (sched::for_each_op_step_major) op by op. Retained as the sequential
+/// oracle for the compiled engine (runtime/compiled_executor.hpp). Throws
+/// std::runtime_error on any semantic violation (an invalid schedule,
+/// sending an invalid block, duplicated reduction contributions).
 template <typename T>
 ExecResult<T> execute_reference(const sched::Schedule& schedule, ReduceOp op,
                                 std::span<const std::vector<T>> inputs) {
@@ -219,71 +222,62 @@ ExecResult<T> execute_reference(const sched::Schedule& schedule, ReduceOp op,
     std::vector<BlockSlot<T>> payload;
   };
 
-  const size_t nsteps = schedule.num_steps();
-  for (size_t t = 0; t < nsteps; ++t) {
-    // Phase 1: capture all sends from pre-step state. Multiple messages per
-    // (from, to) pair are legal (multi-port schedules): matched in op order.
-    std::unordered_map<u64, std::vector<Message>> inflight;  // key = from * p + to
-    std::unordered_map<u64, size_t> consumed;
-    for (Rank r = 0; r < schedule.p; ++r) {
-      for (const sched::Op& opr : schedule.steps[static_cast<size_t>(r)][t].ops) {
-        if (opr.kind != sched::OpKind::send) continue;
-        Message msg;
-        msg.ids = opr.blocks.expand(schedule.nblocks);
-        for (const i64 id : msg.ids) {
-          const BlockSlot<T>& slot =
-              result.ranks[static_cast<size_t>(r)].slots[static_cast<size_t>(id)];
-          if (!slot.valid)
-            throw std::runtime_error("step " + std::to_string(t) + ": rank " +
-                                     std::to_string(r) + " sends invalid block " +
-                                     std::to_string(id));
-          msg.payload.push_back(slot);
-        }
-        result.messages += 1;
-        result.wire_bytes += schedule.op_bytes(opr);
-        const u64 key = static_cast<u64>(r) * static_cast<u64>(schedule.p) +
-                        static_cast<u64>(opr.peer);
-        inflight[key].push_back(std::move(msg));
-      }
-    }
-
-    // Phase 2: deliver into receivers.
-    for (Rank r = 0; r < schedule.p; ++r) {
-      for (const sched::Op& opr : schedule.steps[static_cast<size_t>(r)][t].ops) {
-        if (opr.kind != sched::OpKind::recv && opr.kind != sched::OpKind::recv_reduce)
-          continue;
-        const u64 key = static_cast<u64>(opr.peer) * static_cast<u64>(schedule.p) +
-                        static_cast<u64>(r);
-        const auto it = inflight.find(key);
-        const size_t already = consumed[key]++;
-        if (it == inflight.end() || already >= it->second.size())
-          throw std::runtime_error("step " + std::to_string(t) + ": rank " +
-                                   std::to_string(r) + " expects a message from " +
-                                   std::to_string(opr.peer) + " but none was sent");
-        const Message& msg = it->second[already];
-        for (size_t k = 0; k < msg.ids.size(); ++k) {
-          const i64 id = msg.ids[k];
-          BlockSlot<T>& slot =
-              result.ranks[static_cast<size_t>(r)].slots[static_cast<size_t>(id)];
-          const BlockSlot<T>& incoming = msg.payload[k];
-          if (opr.kind == sched::OpKind::recv) {
-            slot = incoming;
-          } else {
+  // Each step is buffered, then run in two phases over its ops.
+  std::vector<std::pair<Rank, sched::Op>> step_ops;
+  std::unordered_map<std::uint32_t, Message> inflight;  // by exchange id
+  sched::for_each_op_step_major(
+      schedule, schedule.num_steps(),
+      [&](Rank r, const sched::Op& opr) { step_ops.emplace_back(r, opr); },
+      [&](size_t t) {
+        // Phase 1: capture all sends from pre-step state.
+        for (const auto& [r, opr] : step_ops) {
+          if (opr.kind != sched::OpKind::send) continue;
+          Message msg;
+          msg.ids = opr.blocks.expand(schedule.nblocks);
+          for (const i64 id : msg.ids) {
+            const BlockSlot<T>& slot =
+                result.ranks[static_cast<size_t>(r)].slots[static_cast<size_t>(id)];
             if (!slot.valid)
               throw std::runtime_error("step " + std::to_string(t) + ": rank " +
-                                       std::to_string(r) + " reduce into invalid block " +
+                                       std::to_string(r) + " sends invalid block " +
                                        std::to_string(id));
-            if (slot.contributors.intersects(incoming.contributors))
-              throw std::runtime_error(
-                  "step " + std::to_string(t) + ": rank " + std::to_string(r) +
-                  " would fold duplicate contributions into block " + std::to_string(id));
-            reduce_into<T>(op, slot.data, incoming.data);
-            slot.contributors.merge(incoming.contributors);
+            msg.payload.push_back(slot);
+          }
+          result.messages += 1;
+          result.wire_bytes += schedule.op_bytes(opr);
+          inflight.emplace(opr.exchange, std::move(msg));
+        }
+
+        // Phase 2: deliver into receivers, in receiver order.
+        for (const auto& [r, opr] : step_ops) {
+          if (opr.kind != sched::OpKind::recv && opr.kind != sched::OpKind::recv_reduce)
+            continue;
+          const Message& msg = inflight.at(opr.exchange);
+          for (size_t k = 0; k < msg.ids.size(); ++k) {
+            const i64 id = msg.ids[k];
+            BlockSlot<T>& slot =
+                result.ranks[static_cast<size_t>(r)].slots[static_cast<size_t>(id)];
+            const BlockSlot<T>& incoming = msg.payload[k];
+            if (opr.kind == sched::OpKind::recv) {
+              slot = incoming;
+            } else {
+              if (!slot.valid)
+                throw std::runtime_error("step " + std::to_string(t) + ": rank " +
+                                         std::to_string(r) + " reduce into invalid block " +
+                                         std::to_string(id));
+              if (slot.contributors.intersects(incoming.contributors))
+                throw std::runtime_error("step " + std::to_string(t) + ": rank " +
+                                         std::to_string(r) +
+                                         " would fold duplicate contributions into block " +
+                                         std::to_string(id));
+              reduce_into<T>(op, slot.data, incoming.data);
+              slot.contributors.merge(incoming.contributors);
+            }
           }
         }
-      }
-    }
-  }
+        step_ops.clear();
+        inflight.clear();
+      });
   return result;
 }
 

@@ -44,6 +44,13 @@ struct BlockRange {
   friend bool operator==(const BlockRange&, const BlockRange&) = default;
 };
 
+/// True when `r` lies in a space of `B` blocks: begin in [0, B), count in
+/// [0, B]. Schedule::validate and SizeFreeSchedule::from reject any other
+/// range; ranges_elem_count and the executors assume none reaches them.
+[[nodiscard]] constexpr bool range_in_space(const BlockRange& r, i64 B) noexcept {
+  return r.begin >= 0 && r.begin < B && r.count >= 0 && r.count <= B;
+}
+
 /// The cached form of a BlockRange (sched::SizeFreeSchedule): 8 bytes
 /// instead of 16. Every begin and count lies in [0, nblocks], and
 /// nblocks <= p^2 fits for p < 65536; SizeFreeSchedule::from rejects

@@ -1,8 +1,9 @@
 #include "sched/schedule.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace bine::sched {
 
@@ -79,95 +80,134 @@ BlockSet blockset_from_ranges(std::span<const BlockRange> ranges, i64 B,
 void Schedule::add_exchange(size_t step, Rank from, Rank to, BlockSet blocks, bool reduce,
                             i64 segments) {
   assert(from != to && from >= 0 && from < p && to >= 0 && to < p);
-  for (const Rank r : {from, to}) {
-    auto& rank_steps = steps[static_cast<size_t>(r)];
-    if (rank_steps.size() <= step) rank_steps.resize(step + 1);
-  }
+  assert(step < kNoExchange);
   const i64 segs =
       segments > 0 ? segments : std::max<i64>(1, blocks.memory_segments(nblocks));
-  const std::uint32_t id = num_exchanges++;
-  Op send{OpKind::send, id, to, blocks, segs};
-  Op recv{reduce ? OpKind::recv_reduce : OpKind::recv, id, from, std::move(blocks), segs};
-  steps[static_cast<size_t>(from)][step].ops.push_back(std::move(send));
-  steps[static_cast<size_t>(to)][step].ops.push_back(std::move(recv));
+  exchanges_.push_back(
+      {std::move(blocks), from, to, segs, static_cast<std::uint32_t>(step), reduce});
+  num_steps_ = std::max(num_steps_, step + 1);
 }
 
 void Schedule::add_local(size_t step, Rank r, i64 segs) {
   assert(r >= 0 && r < p);
-  auto& rank_steps = steps[static_cast<size_t>(r)];
-  if (rank_steps.size() <= step) rank_steps.resize(step + 1);
-  rank_steps[step].ops.push_back(Op{OpKind::local_perm, kNoExchange, -1, {}, segs});
+  assert(step < kNoExchange);
+  locals_.push_back({r, segs, static_cast<std::uint32_t>(step),
+                     static_cast<std::uint32_t>(exchanges_.size())});
+  num_steps_ = std::max(num_steps_, step + 1);
 }
 
-void Schedule::normalize_steps() {
-  size_t max_steps = 0;
-  for (const auto& rank_steps : steps) max_steps = std::max(max_steps, rank_steps.size());
-  for (auto& rank_steps : steps) rank_steps.resize(max_steps);
+void Schedule::append(const Schedule& next) {
+  // Keep next's arena alive by rebasing onto a fresh arena that retains both
+  // the previous one and next's: an arena shared with another schedule (e.g.
+  // after copy) is never mutated, and retention edges always point from
+  // newer arenas to older ones -- no cycles, no unbounded growth of a
+  // long-lived base schedule's arena.
+  auto fresh = std::make_shared<ScheduleArena>();
+  fresh->retain(std::move(arena_));
+  fresh->retain(next.arena_);
+  arena_ = std::move(fresh);
+  const auto step_offset = static_cast<std::uint32_t>(num_steps_);
+  const auto id_offset = static_cast<std::uint32_t>(exchanges_.size());
+  for (Exchange x : next.exchanges_) {
+    x.step += step_offset;
+    exchanges_.push_back(std::move(x));
+  }
+  for (LocalOp l : next.locals_) {
+    l.step += step_offset;
+    l.before += id_offset;
+    locals_.push_back(l);
+  }
+  num_steps_ += next.num_steps_;
 }
 
 i64 Schedule::total_wire_bytes() const {
   i64 total = 0;
-  for (const auto& rank_steps : steps)
-    for (const RankStep& st : rank_steps)
-      for (const Op& op : st.ops)
-        if (op.kind == OpKind::send) total += op_bytes(op);
+  for (const Exchange& x : exchanges_) total += bytes_of(x.blocks);
   return total;
 }
 
 std::string Schedule::validate() const {
   std::ostringstream err;
-  if (static_cast<i64>(steps.size()) != p) return "steps.size() != p";
-  const size_t nsteps = num_steps();
-  for (const auto& rank_steps : steps)
-    if (rank_steps.size() != nsteps) return "ragged step counts; call normalize_steps()";
-
-  for (size_t t = 0; t < nsteps; ++t) {
-    // Pair up sends and receives within the step, keyed by (from, to). More
-    // than one message per pair per step is allowed (multi-port schedules);
-    // the k-th send matches the k-th recv in op order.
-    std::map<std::pair<Rank, Rank>, std::vector<const Op*>> sends, recvs;
-    for (Rank r = 0; r < p; ++r) {
-      for (const Op& op : steps[static_cast<size_t>(r)][t].ops) {
-        if (op.kind == OpKind::local_perm) continue;
-        if (op.peer < 0 || op.peer >= p || op.peer == r) {
-          err << "step " << t << " rank " << r << ": bad peer " << op.peer;
-          return err.str();
-        }
-        for (const i64 b : op.blocks.expand(nblocks))
-          if (b < 0 || b >= nblocks) {
-            err << "step " << t << " rank " << r << ": block id " << b << " out of range";
-            return err.str();
-          }
-        auto& side = (op.kind == OpKind::send) ? sends : recvs;
-        const auto key = (op.kind == OpKind::send) ? std::make_pair(r, op.peer)
-                                                   : std::make_pair(op.peer, r);
-        side[key].push_back(&op);
-      }
-    }
-    if (sends.size() != recvs.size()) {
-      err << "step " << t << ": " << sends.size() << " send flows vs " << recvs.size()
-          << " recv flows";
+  for (const Exchange& x : exchanges_) {
+    if (x.from < 0 || x.from >= p || x.to < 0 || x.to >= p || x.from == x.to) {
+      err << "step " << x.step << ": bad exchange " << x.from << "->" << x.to;
       return err.str();
     }
-    for (const auto& [key, send_ops] : sends) {
-      const auto it = recvs.find(key);
-      if (it == recvs.end() || it->second.size() != send_ops.size()) {
-        err << "step " << t << ": unmatched messages " << key.first << "->" << key.second;
+    for (const BlockRange& r : x.blocks.ranges())
+      if (!range_in_space(r, nblocks)) {
+        err << "step " << x.step << ": " << x.from << "->" << x.to << " block range "
+            << r.begin << "+" << r.count << " outside " << nblocks << " blocks";
         return err.str();
       }
-      for (size_t k = 0; k < send_ops.size(); ++k) {
-        auto a = send_ops[k]->blocks.expand(nblocks);
-        auto b = it->second[k]->blocks.expand(nblocks);
-        std::sort(a.begin(), a.end());
-        std::sort(b.begin(), b.end());
-        if (a != b) {
-          err << "step " << t << ": block mismatch on " << key.first << "->" << key.second;
-          return err.str();
-        }
-      }
-    }
   }
+  for (const LocalOp& l : locals_)
+    if (l.rank < 0 || l.rank >= p) {
+      err << "step " << l.step << ": bad local rank " << l.rank;
+      return err.str();
+    }
   return {};
+}
+
+Schedule::OpOrder Schedule::op_order() const {
+  const u64 num_halves = 2 * u64{exchanges_.size()} + locals_.size();
+  if (num_halves > kNoExchange)
+    throw std::length_error("Schedule: " + std::to_string(num_halves) +
+                            " ops do not fit 32-bit indices");
+  const auto first_local = static_cast<std::uint32_t>(2 * exchanges_.size());
+
+  // Every half in call order: a local sits before the exchange logged after
+  // it. Both halves of one exchange belong to different ranks, so their
+  // relative order never matters.
+  std::vector<std::uint32_t> calls(num_halves);
+  size_t k = 0, l = 0;
+  for (std::uint32_t e = 0;; ++e) {
+    for (; l < locals_.size() && locals_[l].before == e; ++l)
+      calls[k++] = first_local + static_cast<std::uint32_t>(l);
+    if (e == exchanges_.size()) break;
+    calls[k++] = 2 * e;
+    calls[k++] = 2 * e + 1;
+  }
+
+  // Stable counting sorts, least significant key first: by rank, then by
+  // step. Ties keep call order.
+  const auto counting_sort = [&](std::vector<std::uint32_t>& out,
+                                 const std::vector<std::uint32_t>& in, size_t buckets,
+                                 auto&& key) {
+    std::vector<std::uint32_t> begin(buckets + 1, 0);
+    for (const std::uint32_t h : in) ++begin[key(h) + 1];
+    for (size_t b = 0; b < buckets; ++b) begin[b + 1] += begin[b];
+    out.resize(in.size());
+    std::vector<std::uint32_t> at(begin.begin(), begin.end() - 1);
+    for (const std::uint32_t h : in) out[at[key(h)]++] = h;
+    return begin;
+  };
+  OpOrder order;
+  std::vector<std::uint32_t> by_rank;
+  (void)counting_sort(by_rank, calls, static_cast<size_t>(p),
+                      [this](std::uint32_t h) { return static_cast<size_t>(half_rank(h)); });
+  order.step_begin = counting_sort(order.halves, by_rank, num_steps_, [&](std::uint32_t h) {
+    return static_cast<size_t>(h < first_local ? exchanges_[h / 2].step
+                                               : locals_[h - first_local].step);
+  });
+  return order;
+}
+
+Rank Schedule::half_rank(std::uint32_t h) const noexcept {
+  if (h / 2 < exchanges_.size()) {
+    const Exchange& x = exchanges_[h / 2];
+    return h % 2 == 0 ? x.from : x.to;
+  }
+  return locals_[h - 2 * exchanges_.size()].rank;
+}
+
+Op Schedule::half_op(std::uint32_t h) const noexcept {
+  if (h / 2 < exchanges_.size()) {
+    const Exchange& x = exchanges_[h / 2];
+    if (h % 2 == 0) return {OpKind::send, h / 2, x.to, x.blocks, x.segments};
+    return {x.reduce ? OpKind::recv_reduce : OpKind::recv, h / 2, x.from, x.blocks,
+            x.segments};
+  }
+  return {OpKind::local_perm, kNoExchange, -1, {}, locals_[h - 2 * exchanges_.size()].segments};
 }
 
 }  // namespace bine::sched

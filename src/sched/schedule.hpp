@@ -13,16 +13,22 @@
 /// The schedule intermediate representation.
 ///
 /// Every collective algorithm in this library -- Bine or baseline -- is a
-/// *schedule generator*: a pure function producing, for each rank, a sequence
-/// of synchronized steps of send/recv/local operations over logical blocks.
-/// One schedule serves two consumers:
+/// *schedule generator*: a pure function producing a sequence of
+/// synchronized steps in which ranks exchange logical blocks. One schedule
+/// serves two consumers:
 ///   * runtime::Executor runs it over real buffers and verifies semantics;
 ///   * net::simulate lays it onto a topology model for traffic/time.
-/// This type stays optimized for *generation* (per-rank append, BlockSet
-/// bookkeeping). Hot loops consume the flat size-free IR compiled from it,
-/// sched::SizeFreeSchedule (schedule_cache.hpp); the scalar simulation
-/// oracle walks this nested form directly, in the canonical op order that
-/// `for_each_lowered_op` below defines for both.
+///
+/// A Schedule is a flat *exchange log*: each add_exchange call is stored
+/// once (step, from, to, reduce, segments, blocks) and each add_local call
+/// in a side column. The receive half of an exchange is implied, never
+/// stored, so every send has exactly one receive with the same blocks in the
+/// same step by construction. Readers that need per-rank ops walk the
+/// canonical order `for_each_op_step_major` below defines (step-major, ranks
+/// increasing, each rank's call order), which produces each send and
+/// receive half on the fly. Hot loops consume the flat size-free IR compiled
+/// from it, sched::SizeFreeSchedule (schedule_cache.hpp); the scalar
+/// simulation oracle walks the canonical order directly.
 ///
 /// Size independence, by construction: an op carries no byte count. Its
 /// bytes are a derived view (`op_bytes`) -- its blocks' share of the vector
@@ -37,9 +43,9 @@
 /// other file under src/coll/ from naming it).
 ///
 /// Block-range storage lives in a per-schedule ScheduleArena (blocks.hpp):
-/// `Op::blocks` values point into it (or hold tiny sets inline), so the
-/// schedule must not outlive its arena -- which `arena_` guarantees for the
-/// normal value-semantics usage, including splicing via coll::sequence
+/// `Exchange::blocks` values point into it (or hold tiny sets inline), so
+/// the schedule must not outlive its arena -- which `arena_` guarantees for
+/// the normal value-semantics usage, including splicing via coll::sequence
 /// (which retains the donor arena).
 namespace bine::sched {
 
@@ -84,26 +90,41 @@ enum class OpKind : std::uint8_t {
   local_perm,  ///< local buffer shuffle (costs memory bandwidth, moves no bytes on wires)
 };
 
-/// `Op::exchange` of ops no Schedule::add_exchange call built.
+/// `Op::exchange` of local ops, which no Schedule::add_exchange call built.
 inline constexpr std::uint32_t kNoExchange = 0xffffffffu;
 
-/// One operation of one rank within one step.
+/// One half of a logged exchange, or a local op, as one rank performs it:
+/// what the canonical walk (for_each_op_step_major) hands its callback.
 struct Op {
   OpKind kind = OpKind::send;
-  /// Id of the add_exchange call that built this send or receive, shared by
-  /// both halves (kNoExchange for local ops and ops built by hand). It sits
-  /// in the padding after `kind`, so it costs no space. SizeFreeSchedule::from
-  /// pairs each receive with its send through it.
+  /// Log index of the exchange this send or receive is a half of (shared
+  /// by both halves; kNoExchange for a local_perm). It sits in the padding
+  /// after `kind`, so it costs no space.
   std::uint32_t exchange = kNoExchange;
   Rank peer = -1;      ///< counterpart rank (unused for local_perm)
   BlockSet blocks;     ///< logical block ids (empty for local_perm)
   i64 segments = 1;    ///< contiguous memory segments touched by this op
 };
 
-/// All ops a rank performs in one synchronized step. Sends and receives in
-/// the same step proceed concurrently (sendrecv exchange).
-struct RankStep {
-  std::vector<Op> ops;
+/// One add_exchange call: at `step`, `from` sends `blocks` to `to`, which
+/// stores them (or folds them in, when `reduce`). Sends and receives in the
+/// same step proceed concurrently (sendrecv exchange).
+struct Exchange {
+  BlockSet blocks;
+  Rank from = -1;
+  Rank to = -1;
+  i64 segments = 1;  ///< contiguous memory segments each half touches
+  std::uint32_t step = 0;
+  bool reduce = false;
+};
+
+/// One add_local call: a local_perm by `rank` at `step`.
+struct LocalOp {
+  Rank rank = -1;
+  i64 segments = 1;
+  std::uint32_t step = 0;
+  /// Exchanges logged before it: its place in the rank's call order.
+  std::uint32_t before = 0;
 };
 
 struct Schedule {
@@ -115,21 +136,17 @@ struct Schedule {
   i64 elem_count = 0;     ///< vector length (elements, per the collective's convention)
   i64 elem_size = 4;      ///< bytes per element
   Rank root = 0;          ///< for rooted collectives
-  /// steps[rank][step]
-  std::vector<std::vector<RankStep>> steps;
-  /// Exchange ids handed out so far: add_exchange stamps the next one on
-  /// both ops it appends, and coll::sequence offsets a donor's ids past it.
-  std::uint32_t num_exchanges = 0;
 
-  /// Number of synchronized steps: the max over ranks, so a ragged schedule
-  /// (one that missed normalize_steps()) can never be silently
-  /// under-simulated. validate() still rejects ragged schedules outright;
-  /// consumers that index steps[r][t] must bound t by steps[r].size().
-  [[nodiscard]] size_t num_steps() const noexcept {
-    size_t n = 0;
-    for (const auto& rank_steps : steps) n = std::max(n, rank_steps.size());
-    return n;
+  /// Number of synchronized steps: 1 + the largest step any op uses.
+  [[nodiscard]] size_t num_steps() const noexcept { return num_steps_; }
+
+  /// The exchange log, in add_exchange call order; an exchange's index is
+  /// its id (`Op::exchange`).
+  [[nodiscard]] const std::vector<Exchange>& exchanges() const noexcept {
+    return exchanges_;
   }
+  /// The add_local ops, in call order.
+  [[nodiscard]] const std::vector<LocalOp>& locals() const noexcept { return locals_; }
 
   /// Bytes covered by a block set under this schedule's vector config.
   [[nodiscard]] i64 bytes_of(const BlockSet& set) const {
@@ -147,30 +164,41 @@ struct Schedule {
     return op.kind == OpKind::local_perm ? total_elems() * elem_size : bytes_of(op.blocks);
   }
 
-  /// Append a matched send/recv pair at `step`, both stamped with the
-  /// exchange id `num_exchanges` (then incremented). Only `from`'s and
-  /// `to`'s step vectors grow, so the schedule stays ragged until
-  /// normalize_steps(), which every generator calls last. `segments`
-  /// overrides the memory-contiguity estimate derived from the block set
-  /// (-1 = derive): strategies that pack (Permute/Send) force 1, strategies
-  /// that issue per-block sends force the block count.
+  /// Log `from` sending `blocks` to `to` at `step`. `segments` overrides the
+  /// memory-contiguity estimate derived from the block set (-1 = derive):
+  /// strategies that pack (Permute/Send) force 1, strategies that issue
+  /// per-block sends force the block count.
   void add_exchange(size_t step, Rank from, Rank to, BlockSet blocks, bool reduce,
                     i64 segments = -1);
 
-  /// Append a one-sided op (local_perm over the whole vector); grows only
-  /// `r`'s step vector.
+  /// Log a one-sided op (local_perm over the whole vector) by `r`.
   void add_local(size_t step, Rank r, i64 segs);
 
-  /// Ensure all ranks have the same number of steps (pad with empty).
-  void normalize_steps();
+  /// Log `next`'s ops after this schedule's last step, keeping `next`'s
+  /// arena alive (coll::sequence). Its exchange ids follow this log's.
+  void append(const Schedule& next);
 
-  /// Sum of wire bytes over all sends.
+  /// Sum of wire bytes over all exchanges.
   [[nodiscard]] i64 total_wire_bytes() const;
 
-  /// Structural validation: every send has a matching recv in the same step
-  /// with the same blocks, peers are in range, block ids valid.
-  /// Returns an empty string when valid, else a description of the problem.
+  /// Structural validation: peers are in range and distinct, and every
+  /// block range lies in the block space (range_in_space). Returns an
+  /// empty string when valid, else a description of the problem.
   [[nodiscard]] std::string validate() const;
+
+  /// The canonical op order, as indices of op halves: half h < 2E (E =
+  /// exchanges().size()) is the send (h even) or receive (h odd) of exchange
+  /// h / 2; half h >= 2E is local h - 2E. Step t's halves are
+  /// [step_begin[t], step_begin[t + 1]), sorted by rank with ties in call
+  /// order. Throws std::length_error past 2^32 - 1 halves.
+  struct OpOrder {
+    std::vector<std::uint32_t> step_begin;
+    std::vector<std::uint32_t> halves;
+  };
+  [[nodiscard]] OpOrder op_order() const;
+  /// The rank that performs half `h`, and the op it performs.
+  [[nodiscard]] Rank half_rank(std::uint32_t h) const noexcept;
+  [[nodiscard]] Op half_op(std::uint32_t h) const noexcept;
 
   /// Arena backing this schedule's BlockSet range storage (created lazily;
   /// shared so copies of the schedule keep the spans alive).
@@ -178,65 +206,40 @@ struct Schedule {
     if (!arena_) arena_ = std::make_shared<ScheduleArena>();
     return *arena_;
   }
-  [[nodiscard]] std::shared_ptr<const ScheduleArena> arena_handle() const {
-    return arena_;
-  }
-  /// Keep `donor`'s arena alive: required before splicing its ops in.
-  /// Rebases this schedule onto a fresh arena that retains both the previous
-  /// one and the donor's, so an arena shared with another schedule (e.g.
-  /// after copy) is never mutated and retention edges always point from
-  /// newer arenas to older ones -- no cycles, no unbounded growth of a
-  /// long-lived base schedule's arena.
-  void retain_arena_of(const Schedule& donor) {
-    auto fresh = std::make_shared<ScheduleArena>();
-    fresh->retain(std::move(arena_));
-    fresh->retain(donor.arena_);
-    arena_ = std::move(fresh);
-  }
 
  private:
+  std::vector<Exchange> exchanges_;
+  std::vector<LocalOp> locals_;
+  size_t num_steps_ = 0;
   std::shared_ptr<ScheduleArena> arena_;
 };
 
 /// Visit every op of `s` in the canonical flat order: step-major, ranks
-/// increasing within a step, original per-rank op order, ragged ranks
-/// contributing nothing past their last step. Calls `op(rank, o)` per op and
-/// `step_end(t)` after each step. This is the one definition of IR order,
-/// shared by SizeFreeSchedule::from (its simulation stream and the
-/// execution overlay runtime::ExecPlan::lower goes through) and the scalar
-/// simulation oracle over a Schedule.
+/// increasing within a step, each rank's ops in call order. Calls
+/// `op(rank, o)` per op -- each exchange yields its send at `from` and its
+/// receive at `to` -- and `step_end(t)` after each of the first `steps`
+/// steps. This is the one definition of IR order, shared by
+/// SizeFreeSchedule::from (its simulation stream, which drops the cost-free
+/// plain recvs, and the execution overlay), the scalar simulation oracle and
+/// the reference executor.
 template <class OpFn, class StepEndFn>
 void for_each_op_step_major(const Schedule& s, size_t steps, OpFn&& op,
                             StepEndFn&& step_end) {
+  const Schedule::OpOrder order = s.op_order();
   for (size_t t = 0; t < steps; ++t) {
-    for (Rank r = 0; r < s.p; ++r) {
-      const auto& rank_steps = s.steps[static_cast<size_t>(r)];
-      if (t >= rank_steps.size()) continue;
-      for (const Op& o : rank_steps[t].ops) op(r, o);
-    }
+    if (t < s.num_steps())
+      for (std::uint32_t i = order.step_begin[t]; i < order.step_begin[t + 1]; ++i) {
+        const std::uint32_t h = order.halves[i];
+        op(s.half_rank(h), s.half_op(h));
+      }
     step_end(t);
   }
 }
 
-/// The simulation order: the canonical order above with plain recvs dropped
-/// (cost-free in the model). SizeFreeSchedule::from's simulation stream and
-/// the scalar oracle both walk it, so the two visit identical op sequences.
-template <class OpFn, class StepEndFn>
-void for_each_lowered_op(const Schedule& s, size_t steps, OpFn&& op,
-                         StepEndFn&& step_end) {
-  for_each_op_step_major(
-      s, steps,
-      [&](Rank r, const Op& o) {
-        if (o.kind == OpKind::recv) return;
-        op(r, o);
-      },
-      step_end);
-}
-
-/// The cost model's segment term, max(0, segments - 1), in one place for
-/// the same reason.
-[[nodiscard]] inline std::int32_t lowered_extra_segments(const Op& op) noexcept {
-  return static_cast<std::int32_t>(std::max<i64>(0, op.segments - 1));
+/// The cost model's segment term, max(0, segments - 1), in one place: the
+/// size-free stream and the scalar oracle both charge it.
+[[nodiscard]] inline std::int32_t lowered_extra_segments(i64 segments) noexcept {
+  return static_cast<std::int32_t>(std::max<i64>(0, segments - 1));
 }
 
 }  // namespace bine::sched

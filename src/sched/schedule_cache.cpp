@@ -11,9 +11,8 @@ namespace bine::sched {
 
 namespace {
 
-constexpr std::uint32_t kNoOp = 0xffffffffu;
-/// Largest count a 32-bit column may hold: ids stay below the kNoOp /
-/// kNoExchange sentinels.
+/// Largest count a 32-bit column may hold: ids stay below the kNoExchange
+/// sentinel.
 constexpr u64 kMaxCount = 0xfffffffeu;
 
 void check_count(u64 n, const char* what) {
@@ -29,10 +28,17 @@ void check_count(u64 n, const char* what) {
   return static_cast<std::uint32_t>(v);
 }
 
-[[noreturn]] void throw_unmatched(size_t step, Rank from, Rank to) {
-  throw std::invalid_argument("SizeFreeSchedule: step " + std::to_string(step) + ": recv " +
-                              std::to_string(from) + "->" + std::to_string(to) +
-                              " has no matching send");
+/// A range of the send `from`->`to` at `step` must fit the 32-bit columns
+/// (std::length_error) and lie in the block space (std::invalid_argument).
+void check_range(const BlockRange& br, i64 nblocks, size_t step, Rank from, Rank to) {
+  if (br.begin > 0) (void)narrow32(br.begin, "range begin");
+  if (br.count > 0) (void)narrow32(br.count, "range count");
+  if (!range_in_space(br, nblocks))
+    throw std::invalid_argument("SizeFreeSchedule: step " + std::to_string(step) + ": " +
+                                std::to_string(from) + "->" + std::to_string(to) +
+                                " block range " + std::to_string(br.begin) + "+" +
+                                std::to_string(br.count) + " outside " +
+                                std::to_string(nblocks) + " blocks");
 }
 
 }  // namespace
@@ -48,38 +54,38 @@ SizeFreeSchedule SizeFreeSchedule::from(const Schedule& s) {
                             " does not fit a 32-bit rank column");
   (void)narrow32(s.nblocks, "nblocks");
 
-  // Pass 1 counts every column, so pass 2 sizes each one exactly, and maps
-  // each exchange id to the stream index of its send. Counts only grow, so
-  // checking the totals covers every offset written on the way.
+  const std::vector<Exchange>& log = s.exchanges();
+  const Schedule::OpOrder order = s.op_order();
+  const auto first_local = static_cast<std::uint32_t>(2 * log.size());
+
+  // Pass 1 counts every column, so pass 2 sizes each one exactly, numbers
+  // the exchanges in the stream order of their sends and records each send's
+  // stream index. Counts only grow, so checking the totals covers every
+  // offset written on the way.
   out.step_begin.assign(out.steps + 1, 0);
   out.delivery_step_begin.assign(out.steps + 1, 0);
-  std::vector<std::uint32_t> send_of(s.num_exchanges, kNoOp);
+  std::vector<std::uint32_t> number(log.size()), send_at(log.size());
   u64 num_ops = 0, num_exchanges = 0, num_ranges = 0, num_deliveries = 0;
-  for_each_op_step_major(
-      s, out.steps,
-      [&](Rank, const Op& op) {
-        switch (op.kind) {
-          case OpKind::recv:
-            ++num_deliveries;
-            return;  // dropped from the simulation stream
-          case OpKind::recv_reduce:
-            ++num_deliveries;
-            break;
-          case OpKind::send:
-            if (op.exchange < send_of.size())
-              send_of[op.exchange] = static_cast<std::uint32_t>(num_ops);
-            ++num_exchanges;
-            num_ranges += op.blocks.ranges().size();
-            break;
-          case OpKind::local_perm:
-            break;
-        }
+  for (size_t t = 0; t < out.steps; ++t) {
+    for (std::uint32_t i = order.step_begin[t]; i < order.step_begin[t + 1]; ++i) {
+      const std::uint32_t h = order.halves[i];
+      if (h >= first_local) {
         ++num_ops;
-      },
-      [&](size_t t) {
-        out.step_begin[t + 1] = static_cast<std::uint32_t>(num_ops);
-        out.delivery_step_begin[t + 1] = static_cast<std::uint32_t>(num_deliveries);
-      });
+      } else if (h % 2 == 0) {
+        const Exchange& x = log[h / 2];
+        for (const BlockRange& br : x.blocks.ranges())
+          check_range(br, s.nblocks, t, x.from, x.to);
+        number[h / 2] = static_cast<std::uint32_t>(num_exchanges++);
+        send_at[h / 2] = static_cast<std::uint32_t>(num_ops++);
+        num_ranges += x.blocks.ranges().size();
+      } else {
+        ++num_deliveries;
+        if (log[h / 2].reduce) ++num_ops;  // a plain recv is cost-free: not streamed
+      }
+    }
+    out.step_begin[t + 1] = static_cast<std::uint32_t>(num_ops);
+    out.delivery_step_begin[t + 1] = static_cast<std::uint32_t>(num_deliveries);
+  }
   check_count(num_ops, "op count");
   check_count(num_exchanges, "exchange count");
   check_count(num_ranges, "block range count");
@@ -99,54 +105,34 @@ SizeFreeSchedule SizeFreeSchedule::from(const Schedule& s) {
   // Pass 2 fills the columns in the shared canonical order (schedule.hpp):
   // the simulation stream must visit ops exactly as the scalar oracle over
   // the Schedule does, and the overlay must replay the reference executor's
-  // delivery order. A receive may precede its send within the step, so its
-  // pairing is checked once the step's stream is complete.
-  struct Pending {
-    std::uint32_t send;         ///< kNoOp when the receive's id names none
-    std::uint32_t recv_reduce;  ///< stream index, kNoOp for a plain recv
-    Rank from, to;
+  // delivery order.
+  const auto push_op = [&out](OpKind kind, Rank rank, Rank peer, i64 segments,
+                              std::uint32_t exchange) {
+    out.kind.push_back(kind);
+    out.rank.push_back(static_cast<std::int32_t>(rank));
+    out.peer.push_back(static_cast<std::int32_t>(peer));
+    out.extra_segments.push_back(lowered_extra_segments(segments));
+    out.exchange.push_back(exchange);
   };
-  std::vector<Pending> pending;
-  for_each_op_step_major(
-      s, out.steps,
-      [&](Rank r, const Op& op) {
-        std::uint32_t exchange = kNoExchange;
-        if (op.kind == OpKind::recv || op.kind == OpKind::recv_reduce) {
-          std::uint32_t send = kNoOp;
-          if (op.exchange < send_of.size())
-            std::swap(send, send_of[op.exchange]);  // each send delivers once
-          out.delivery_send.push_back(send);
-          out.delivery_reduce.push_back(op.kind == OpKind::recv_reduce ? 1 : 0);
-          pending.push_back({send,
-                             op.kind == OpKind::recv ? kNoOp
-                                                     : static_cast<std::uint32_t>(
-                                                           out.kind.size()),
-                             op.peer, r});
-          if (op.kind == OpKind::recv) return;
-        } else if (op.kind == OpKind::send) {
-          exchange = static_cast<std::uint32_t>(out.range_begin.size() - 1);
-          for (const BlockRange& br : op.blocks.ranges())
-            out.ranges.push_back(
-                {narrow32(br.begin, "range begin"), narrow32(br.count, "range count")});
-          out.range_begin.push_back(static_cast<std::uint32_t>(out.ranges.size()));
-        }
-        out.kind.push_back(op.kind);
-        out.rank.push_back(static_cast<std::int32_t>(r));
-        out.peer.push_back(static_cast<std::int32_t>(op.peer));
-        out.extra_segments.push_back(lowered_extra_segments(op));
-        out.exchange.push_back(exchange);  // a recv_reduce's is set below
-      },
-      [&](size_t t) {
-        for (const Pending& d : pending) {
-          // kNoOp lies past every stream index, so an unnamed send fails here.
-          if (d.send < out.step_begin[t] || d.send >= out.step_begin[t + 1] ||
-              out.kind[d.send] != OpKind::send || out.rank[d.send] != d.from ||
-              out.peer[d.send] != d.to)
-            throw_unmatched(t, d.from, d.to);
-          if (d.recv_reduce != kNoOp) out.exchange[d.recv_reduce] = out.exchange[d.send];
-        }
-        pending.clear();
-      });
+  for (const std::uint32_t h : order.halves) {
+    if (h >= first_local) {
+      const LocalOp& l = s.locals()[h - first_local];
+      push_op(OpKind::local_perm, l.rank, -1, l.segments, kNoExchange);
+      continue;
+    }
+    const Exchange& x = log[h / 2];
+    if (h % 2 == 0) {
+      push_op(OpKind::send, x.from, x.to, x.segments, number[h / 2]);
+      for (const BlockRange& br : x.blocks.ranges())
+        out.ranges.push_back(
+            {static_cast<std::uint32_t>(br.begin), static_cast<std::uint32_t>(br.count)});
+      out.range_begin.push_back(static_cast<std::uint32_t>(out.ranges.size()));
+      continue;
+    }
+    out.delivery_send.push_back(send_at[h / 2]);
+    out.delivery_reduce.push_back(x.reduce ? 1 : 0);
+    if (x.reduce) push_op(OpKind::recv_reduce, x.to, x.from, x.segments, number[h / 2]);
+  }
   return out;
 }
 

@@ -25,15 +25,15 @@
 /// generation dominates sweep wall time.
 ///
 /// `SizeFreeSchedule` is the memoized artifact: a flat structure-of-arrays
-/// op stream in the canonical simulation order (`for_each_lowered_op`,
-/// schedule.hpp) with no byte column at all -- each op names the *exchange*
+/// op stream in the canonical order (`for_each_op_step_major`, schedule.hpp;
+/// cost-free plain recvs dropped) with no byte column at all -- each op names the *exchange*
 /// whose block ranges it covers instead (a local_perm covers the whole
 /// vector), and the size-free net::simulate derives bytes for any
 /// (elem_count, elem_size) from them. One cached entry therefore serves an
 /// entire message-size sweep.
 ///
-/// Each exchange -- one Schedule::add_exchange call, a send plus its
-/// matched receive -- stores its block ranges exactly once, as 8-byte
+/// Each exchange of the Schedule's log -- a send plus its implied receive --
+/// stores its block ranges exactly once, as 8-byte
 /// BlockRange32s in one CSR: the send and a matched recv_reduce in the
 /// simulation stream reference the same span. Beyond the simulation
 /// columns, the entry carries an *execution overlay* of index columns: one
@@ -65,7 +65,7 @@ struct SizeFreeSchedule {
   /// CSR over the op arrays: ops of step t are [step_begin[t], step_begin[t+1]).
   std::vector<std::uint32_t> step_begin;
 
-  // One entry per op, in for_each_lowered_op order (plain recvs dropped).
+  // One entry per op, in canonical order with plain recvs dropped.
   std::vector<OpKind> kind;
   std::vector<std::int32_t> rank;
   std::vector<std::int32_t> peer;
@@ -121,13 +121,12 @@ struct SizeFreeSchedule {
   /// what the entry keeps resident.
   [[nodiscard]] size_t resident_bytes() const noexcept;
 
-  /// Compile `s` into size-free form (its vector config is not read).
-  /// Receives pair with the send of their add_exchange call (`Op::exchange`),
-  /// which must sit in the same step with the mirrored (from, to): the
-  /// (step, from, to, k-th) pairing Schedule::validate checks. Throws
-  /// std::invalid_argument for a receive with no such send, and
-  /// std::length_error when p, nblocks, a block range or a column offset
-  /// does not fit the 32-bit columns.
+  /// Compile `s` into size-free form (its vector config is not read): one
+  /// counting sort of its log into the canonical order, then the column
+  /// fill. Throws std::length_error when p, nblocks, a block range or a
+  /// column offset does not fit the 32-bit columns, and
+  /// std::invalid_argument for a block range outside the block space
+  /// (sched::range_in_space).
   [[nodiscard]] static SizeFreeSchedule from(const Schedule& s);
 };
 

@@ -185,6 +185,9 @@ void Server::serve_connection(Connection* conn) {
     if (close) break;
     if (!recv_some(conn->fd, inbuf)) break;
   }
+  // stop() shuts connections down under conns_mu_, so closing under it
+  // keeps shutdown from reaching a closed, possibly reused descriptor.
+  std::lock_guard<std::mutex> lock(conns_mu_);
   conn->fd.close();
 }
 
@@ -588,11 +591,12 @@ void Server::stop() {
   }
   unix_listener_.shutdown_read();
   tcp_listener_.shutdown_read();
-  unix_listener_.close();
-  tcp_listener_.close();
   for (std::thread& t : accept_threads_)
     if (t.joinable()) t.join();
   accept_threads_.clear();
+  // Only now: the accept threads read the listeners until they exit.
+  unix_listener_.close();
+  tcp_listener_.close();
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (Connection& c : conns_) c.fd.shutdown_read();

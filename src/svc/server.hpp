@@ -169,7 +169,7 @@ class Server {
   };
 
   struct Connection {
-    Fd fd;
+    Fd fd;  ///< closed by its thread under conns_mu_
     std::thread thread;
   };
 

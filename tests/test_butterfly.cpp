@@ -288,6 +288,18 @@ struct OracleCase {
   std::vector<Phase> phases;
 };
 
+/// Each rank's ops per step, out[step][rank], in the canonical walk's order.
+std::vector<std::vector<std::vector<bs::Op>>> ops_by_step(const bs::Schedule& sch) {
+  std::vector<std::vector<std::vector<bs::Op>>> out(
+      sch.num_steps(), std::vector<std::vector<bs::Op>>(static_cast<size_t>(sch.p)));
+  size_t step = 0;
+  bs::for_each_op_step_major(
+      sch, sch.num_steps(),
+      [&](Rank r, const bs::Op& op) { out[step][static_cast<size_t>(r)].push_back(op); },
+      [&](size_t t) { step = t + 1; });
+  return out;
+}
+
 /// Check the butterfly steps of `sch` starting at `step0` against the oracle.
 void expect_phase_matches_oracle(const bs::Schedule& sch, Phase phase, NoncontigStrategy st,
                                  size_t step0, const std::string& what) {
@@ -296,12 +308,13 @@ void expect_phase_matches_oracle(const bs::Schedule& sch, Phase phase, Noncontig
   const bool reduce = phase == Phase::bine_rs || phase == Phase::cube_rs;
   const bool two_trans = st == NoncontigStrategy::two_transmission;
   bs::ScheduleArena arena;
+  const auto ops_at = ops_by_step(sch);
   for (int j = 0; j < s; ++j) {
     const size_t step = step0 + static_cast<size_t>(j);
     const bool bine = phase == Phase::bine_rs || phase == Phase::bine_ag;
     const std::vector<i64> rel = bine ? bine_rel(reduce, st, j, P) : std::vector<i64>{};
     for (Rank r = 0; r < p; ++r) {
-      const auto& ops = sch.steps[static_cast<size_t>(r)][step].ops;
+      const auto& ops = ops_at[step][static_cast<size_t>(r)];
       if (r >= P) {
         ASSERT_TRUE(ops.empty()) << what << " step " << step << " rank " << r;
         continue;
@@ -426,6 +439,7 @@ TEST(ButterflyBlocks, AliasedRootedCompositesMatchIdOracle) {
                                                      "bine_scatter_allgather").make(cfg);
       const bs::Schedule reduce = bco::find_algorithm(bs::Collective::reduce,
                                                       "bine_rs_gather").make(cfg);
+      const auto bcast_ops = ops_by_step(bcast), reduce_ops = ops_by_step(reduce);
       bs::ScheduleArena arena;
       const auto aliased = [&](const std::vector<i64>& logical) {
         std::vector<i64> ids;
@@ -437,7 +451,7 @@ TEST(ButterflyBlocks, AliasedRootedCompositesMatchIdOracle) {
       const auto expect_send = [&](const bs::Schedule& sch, size_t step, Rank from, Rank to,
                                    const bs::BlockSet& want) {
         const Rank pf = bc::to_physical(from, root, p), pt = bc::to_physical(to, root, p);
-        const auto& ops = sch.steps[static_cast<size_t>(pf)][step].ops;
+        const auto& ops = (&sch == &bcast ? bcast_ops : reduce_ops)[step][static_cast<size_t>(pf)];
         const auto it = std::find_if(ops.begin(), ops.end(), [&](const bs::Op& op) {
           return op.kind == bs::OpKind::send && op.peer == pt;
         });

@@ -150,7 +150,6 @@ TEST(ExecutorFaults, RejectsDuplicateContribution) {
   sch.add_exchange(0, 1, 0, bs::BlockSet::all(4), true);
   sch.add_exchange(1, 1, 0, bs::BlockSet::all(4), true);  // duplicate fold
   sch.add_exchange(0, 3, 2, bs::BlockSet::all(4), true);
-  sch.normalize_steps();
   const auto in = make_inputs(4, 8);
   const br::ExecPlan plan = br::ExecPlan::lower(sch);
   EXPECT_THROW((void)br::execute<u64>(plan, br::ReduceOp::sum, in), std::runtime_error);
@@ -164,23 +163,9 @@ TEST(ExecutorFaults, RejectsSendingAbsentBlock) {
   bs::Schedule sch =
       bc::make_base(bs::Collective::bcast, cfg, "broken", bs::BlockSpace::per_vector);
   sch.add_exchange(0, 1, 2, bs::BlockSet::all(4), false);  // rank 1 has nothing yet
-  sch.normalize_steps();
   const auto in = make_inputs(4, 8);
   const br::ExecPlan plan = br::ExecPlan::lower(sch);
   EXPECT_THROW((void)br::execute<u64>(plan, br::ReduceOp::sum, in), std::runtime_error);
-}
-
-TEST(ExecutorFaults, RejectsUnmatchedMessage) {
-  bc::Config cfg;
-  cfg.p = 4;
-  cfg.elem_count = 8;
-  bs::Schedule sch =
-      bc::make_base(bs::Collective::bcast, cfg, "broken", bs::BlockSpace::per_vector);
-  sch.add_exchange(0, 0, 1, bs::BlockSet::all(4), false);
-  // Corrupt: drop the recv half.
-  sch.steps[1][0].ops.clear();
-  sch.normalize_steps();
-  EXPECT_NE(sch.validate(), "");
 }
 
 TEST(ExecutorFaults, IncompleteBroadcastFailsVerification) {
@@ -192,7 +177,6 @@ TEST(ExecutorFaults, IncompleteBroadcastFailsVerification) {
       bc::make_base(bs::Collective::bcast, cfg, "partial", bs::BlockSpace::per_vector);
   sch.add_exchange(0, 0, 1, bs::BlockSet::all(4), false);
   sch.add_exchange(1, 0, 2, bs::BlockSet::all(4), false);
-  sch.normalize_steps();
   const auto in = make_inputs(4, 8);
   const br::ExecPlan plan = br::ExecPlan::lower(sch);
   const auto res = br::execute<u64>(plan, br::ReduceOp::sum, in);

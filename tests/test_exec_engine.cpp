@@ -1,4 +1,4 @@
-// Compiled execution engine tests: compiled-vs-nested-reference parity
+// Compiled execution engine tests: compiled-vs-reference parity
 // across the whole registry (buffers, contributor sets, message accounting),
 // cached-plan/direct-lowering equivalence, duplicate-contribution detection
 // parity, threaded-executor determinism, Runner's verified-execution path on
@@ -36,7 +36,7 @@ std::vector<std::vector<u64>> make_inputs(i64 p, i64 elems) {
   return in;
 }
 
-/// Bit-exact comparison of a compiled result against the nested reference:
+/// Bit-exact comparison of a compiled result against the reference executor:
 /// validity, data, contributor sets, and message accounting.
 void expect_matches_reference(const runtime::ExecResult<u64>& ref,
                               const runtime::CompiledExecResult<u64>& got,
@@ -61,7 +61,7 @@ void expect_matches_reference(const runtime::ExecResult<u64>& ref,
 
 // The tentpole invariant: for EVERY registered algorithm of every collective
 // (topology-specialized torus/hierarchical generators included), the compiled
-// executor must be bit-exact with the nested reference -- and must satisfy
+// executor must be bit-exact with the reference executor -- and must satisfy
 // the collective's postcondition through the compiled verify overload.
 TEST(ExecEngine, CompiledMatchesReferenceAcrossRegistry) {
   for (const sched::Collective coll : coll::all_collectives()) {
@@ -88,7 +88,7 @@ TEST(ExecEngine, CompiledMatchesReferenceAcrossRegistry) {
 }
 
 // A plan re-materialized from the cache's execution overlay must be
-// indistinguishable from one lowered directly off the nested schedule, at
+// indistinguishable from one lowered directly off the fresh schedule, at
 // any vector size -- the execution analogue of
 // SizeFreeSchedule.MatchesFreshGenerationAtEverySize.
 TEST(ExecEngine, PlanFromSizeFreeMatchesDirectLowering) {
@@ -169,7 +169,7 @@ TEST(ExecEngine, PlanFromSizeFreeMatchesDirectLowering) {
 
 // The data-dependent correctness hazard (Appendix C): a schedule that folds
 // the same contributor twice must throw in the compiled engine -- sequential
-// and threaded -- exactly as it does in the nested reference.
+// and threaded -- exactly as it does in the reference executor.
 TEST(ExecEngine, DuplicateContributionDetectionParity) {
   // Step 1 folds rank 1's contribution into rank 0 a second time, next to a
   // valid 2 -> 1 delivery: two receiver runs of kParallelGrainElems elements
@@ -183,7 +183,6 @@ TEST(ExecEngine, DuplicateContributionDetectionParity) {
   sch.add_exchange(0, 3, 2, sched::BlockSet::all(4), true);
   sch.add_exchange(1, 1, 0, sched::BlockSet::all(4), true);
   sch.add_exchange(1, 2, 1, sched::BlockSet::all(4), true);
-  sch.normalize_steps();
   const auto in = make_inputs(cfg.p, cfg.elem_count);
   EXPECT_THROW(runtime::execute_reference<u64>(sch, runtime::ReduceOp::sum, in),
                std::runtime_error);
@@ -202,19 +201,19 @@ TEST(ExecEngine, LoweringRejectsInvalidSchedules) {
   coll::Config cfg;
   cfg.p = 4;
   cfg.elem_count = 8;
-  sched::Schedule sch = coll::make_base(sched::Collective::bcast, cfg, "unmatched",
+  sched::Schedule sch = coll::make_base(sched::Collective::bcast, cfg, "out_of_range",
                                         sched::BlockSpace::per_vector);
-  // Hand-craft a send with no matching recv.
-  sch.steps[0].resize(1);
-  sch.steps[0][0].ops.push_back(
-      {sched::OpKind::send, sched::kNoExchange, 1, sched::BlockSet::all(4), 1});
-  sch.normalize_steps();
+  // Block 4 lies outside the 4-block space.
+  sch.add_exchange(0, 0, 1, sched::BlockSet::single(4), false);
   EXPECT_THROW((void)runtime::ExecPlan::lower(sch), std::runtime_error);
+  const auto in = make_inputs(cfg.p, cfg.elem_count);
+  EXPECT_THROW(runtime::execute_reference<u64>(sch, runtime::ReduceOp::sum, in),
+               std::runtime_error);
 }
 
-// Threaded phase fan-out must be bit-identical to the sequential nested
-// reference (the one executor oracle) and to the sequential compiled pass,
-// for the BINE_THREADS values CI pins (1 and 4).
+// Threaded phase fan-out must be bit-identical to the sequential reference
+// (the one executor oracle) and to the sequential compiled pass, for the
+// BINE_THREADS values CI pins (1 and 4).
 TEST(ExecEngine, ThreadedExecutionIsDeterministic) {
   const std::vector<std::pair<sched::Collective, const char*>> cases = {
       {sched::Collective::allreduce, "bine_two_trans"},
@@ -359,7 +358,7 @@ TEST(ExecEngine, SecondRunnerHitsProcessWideScheduleCache) {
 // Pair-tiling: a delivery whose read cells only PARTIALLY overlap the cells
 // written at its sender this step must stage exactly the overlapping tile --
 // the rest reads the sender's live buffer in place -- while staying bit-exact
-// with the nested reference.
+// with the reference executor.
 TEST(ExecEngine, PairTilingStagesOnlyOverlappingTiles) {
   coll::Config cfg;
   cfg.p = 4;
@@ -377,7 +376,6 @@ TEST(ExecEngine, PairTilingStagesOnlyOverlappingTiles) {
   sch.add_exchange(0, 1, 0, sched::BlockSet::single(2), true);
   sch.add_exchange(0, 2, 3, sched::BlockSet::run(1, 2), true);
   sch.add_exchange(0, 3, 2, sched::BlockSet::single(0), true);
-  sch.normalize_steps();
 
   const runtime::ExecPlan plan = runtime::ExecPlan::lower(sch);
   ASSERT_EQ(plan.num_ops(), 4u);

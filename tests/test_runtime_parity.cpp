@@ -1,4 +1,4 @@
-// Threaded compiled execution vs the sequential nested reference executor
+// Threaded compiled execution vs the sequential reference executor
 // (the one executor oracle; test_exec_engine.cpp checks the sequential
 // compiled path against it registry-wide), and the closed-form gather buffer
 // ranges of paper Sec. 4.1/4.2.
@@ -97,7 +97,6 @@ TEST(ThreadedExecutor, DetectsDuplicateContribution) {
     sch.add_exchange(0, 3, 2, sched::BlockSet::all(4), true);
     sch.add_exchange(1, broken ? 1 : 0, broken ? 0 : 3, sched::BlockSet::all(4), true);
     sch.add_exchange(1, 2, 1, sched::BlockSet::all(4), true);
-    sch.normalize_steps();
     const runtime::ExecPlan plan = runtime::ExecPlan::lower(sch);
     ASSERT_TRUE(runtime::step_fans_out(plan, 1));
     ASSERT_EQ(plan.step_run_begin[2] - plan.step_run_begin[1], 2u);

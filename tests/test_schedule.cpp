@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "coll/registry.hpp"
 #include "sched/blocks.hpp"
+#include "sched/schedule_cache.hpp"
 
 namespace bs = bine::sched;
 using bine::i64;
@@ -219,18 +222,79 @@ TEST(Blocks, ArenaSpansAreStableAcrossGrowth) {
   EXPECT_LE(arena.chunk_count(), 16u);
 }
 
-TEST(Schedule, ValidateCatchesBlockMismatch) {
+// Every block range must lie in the block space: begin in [0, nblocks),
+// count in [0, nblocks]. validate() checks the ranges themselves, not their
+// expansion (which wraps ids mod nblocks and so once let any id through),
+// and SizeFreeSchedule::from rejects the same ranges.
+TEST(Schedule, ValidateRejectsOutOfRangeBlocks) {
+  const auto with = [](bs::BlockSet blocks) {
+    bs::Schedule s;
+    s.coll = bs::Collective::bcast;
+    s.p = 2;
+    s.nblocks = 4;
+    s.elem_count = 8;
+    s.add_exchange(0, 0, 1, blocks, false);
+    return s;
+  };
+  for (const bs::BlockSet ok : {bs::BlockSet::single(0), bs::BlockSet::single(3),
+                                bs::BlockSet::all(4), bs::BlockSet::run(3, 4),
+                                bs::BlockSet::run(2, 0)}) {
+    EXPECT_EQ(with(ok).validate(), "");
+    EXPECT_NO_THROW((void)bs::SizeFreeSchedule::from(with(ok)));
+  }
+  for (const bs::BlockSet bad : {bs::BlockSet::single(4), bs::BlockSet::single(-1),
+                                 bs::BlockSet::run(0, 5), bs::BlockSet::run(1, -1)}) {
+    const bs::BlockRange r = bad.ranges()[0];
+    SCOPED_TRACE(std::to_string(r.begin) + "+" + std::to_string(r.count));
+    EXPECT_NE(with(bad).validate().find("outside 4 blocks"), std::string::npos)
+        << with(bad).validate();
+    EXPECT_THROW((void)bs::SizeFreeSchedule::from(with(bad)), std::invalid_argument);
+  }
+}
+
+// The canonical walk yields each exchange as a send at `from` and a receive
+// at `to`, and keeps each rank's ops within a step in call order, locals
+// included; coll::sequence's append moves the donor's log past the last step.
+TEST(Schedule, CanonicalOrderKeepsEachRanksCallOrder) {
   bs::Schedule s;
-  s.coll = bs::Collective::bcast;
-  s.p = 2;
-  s.nblocks = 2;
-  s.elem_count = 8;
-  s.elem_size = 4;
-  s.steps.assign(2, {});
-  s.add_exchange(0, 0, 1, bs::BlockSet::all(2), false);
-  EXPECT_EQ(s.validate(), "");
-  s.steps[1][0].ops[0].blocks = bs::BlockSet::single(1);
-  EXPECT_NE(s.validate().find("block mismatch"), std::string::npos);
+  s.coll = bs::Collective::allreduce;
+  s.p = 3;
+  s.nblocks = 3;
+  s.add_exchange(0, 2, 0, bs::BlockSet::single(2), true);
+  s.add_local(0, 0, 3);
+  s.add_exchange(0, 0, 1, bs::BlockSet::single(0), false);
+  s.add_exchange(2, 1, 0, bs::BlockSet::all(3), false);
+  EXPECT_EQ(s.num_steps(), 3u);
+
+  std::string walk;
+  const auto record = [&walk](const bs::Schedule& sch) {
+    walk.clear();
+    bs::for_each_op_step_major(
+        sch, sch.num_steps(),
+        [&](bine::Rank r, const bs::Op& op) {
+          static const char* const kinds[] = {"send", "recv", "recv_reduce", "local"};
+          walk += std::to_string(r) + ":" + kinds[static_cast<int>(op.kind)];
+          if (op.kind != bs::OpKind::local_perm)
+            walk += "@" + std::to_string(op.peer) + "#" + std::to_string(op.exchange);
+          walk += " ";
+        },
+        [&](size_t t) { walk += "|" + std::to_string(t) + " "; });
+  };
+  record(s);
+  EXPECT_EQ(walk,
+            "0:recv_reduce@2#0 0:local 0:send@1#1 1:recv@0#1 2:send@0#0 |0 |1 "
+            "0:recv@1#2 1:send@0#2 |2 ");
+
+  bs::Schedule twice = s;
+  twice.append(s);
+  EXPECT_EQ(twice.num_steps(), 6u);
+  ASSERT_EQ(twice.exchanges().size(), 6u);
+  EXPECT_EQ(twice.exchanges()[5].step, 5u);
+  record(twice);
+  EXPECT_NE(walk.find("|2 0:recv_reduce@2#3 0:local 0:send@1#4 1:recv@0#4 2:send@0#3 |3 |4 "
+                      "0:recv@1#5 1:send@0#5 |5 "),
+            std::string::npos)
+      << walk;
 }
 
 TEST(Schedule, TotalWireBytes) {
@@ -240,10 +304,8 @@ TEST(Schedule, TotalWireBytes) {
   s.nblocks = 4;
   s.elem_count = 16;  // 4 elems per block
   s.elem_size = 4;
-  s.steps.assign(4, {});
   s.add_exchange(0, 0, 1, bs::BlockSet::all(4), false);   // 64 bytes
   s.add_exchange(1, 0, 2, bs::BlockSet::single(2), false);  // 16 bytes
-  s.normalize_steps();
   EXPECT_EQ(s.total_wire_bytes(), 64 + 16);
 }
 

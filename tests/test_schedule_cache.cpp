@@ -2,9 +2,9 @@
 // SizeFreeSchedule entries with fresh generation at every vector size (every
 // IR column, and the production simulator against the scalar oracle), each
 // exchange stored once in exactly sized columns, rejection of what the
-// 32-bit columns cannot hold or pair, one builder call per cache miss, the
-// cache's entry and resident-byte counts, cached Runner cells bit-exact
-// with the scalar oracle across all four topology families, and scoped
+// 32-bit columns or the block space cannot hold, one builder call per cache
+// miss, the cache's entry and resident-byte counts, cached Runner cells
+// bit-exact with the scalar oracle across all four topology families, and scoped
 // RouteCache equality with the eager build. Sweep determinism across
 // threads lives in test_sim_engine.cpp.
 #include <gtest/gtest.h>
@@ -131,15 +131,10 @@ TEST(SizeFreeSchedule, StoresEachExchangeOnce) {
           const sched::Schedule sch = entry.make(cfg);
           const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
 
-          size_t sends = 0, send_ranges = 0;
-          for (const auto& rank_steps : sch.steps)
-            for (const sched::RankStep& st : rank_steps)
-              for (const sched::Op& op : st.ops)
-                if (op.kind == sched::OpKind::send) {
-                  ++sends;
-                  send_ranges += op.blocks.ranges().size();
-                }
-          EXPECT_EQ(sf.num_exchanges(), sends);
+          size_t send_ranges = 0;
+          for (const sched::Exchange& x : sch.exchanges())
+            send_ranges += x.blocks.ranges().size();
+          EXPECT_EQ(sf.num_exchanges(), sch.exchanges().size());
           EXPECT_EQ(sf.ranges.size(), send_ranges);
 
           const auto exact = [](const auto& v) { return v.capacity() == v.size(); };
@@ -226,52 +221,32 @@ TEST(SizeFreeSchedule, StoresEachExchangeOnce) {
   EXPECT_LE(sf.resident_bytes(), 6535324u / 4);
 }
 
-// from() narrows into 32-bit columns and pairs receives with sends; it
-// rejects, instead of truncating or mispairing, what does not fit.
+// from() narrows into 32-bit columns; it rejects, instead of truncating,
+// what does not fit, and rejects block ranges outside the block space.
 TEST(SizeFreeSchedule, RejectsWhatItCannotStore) {
   sched::Schedule wide;
   wide.coll = sched::Collective::bcast;
   wide.p = 2;
   wide.nblocks = i64{1} << 33;
-  wide.steps.assign(2, {});
   wide.add_exchange(0, 0, 1, sched::BlockSet::run((i64{1} << 32) + 1, 1), false);
-  wide.normalize_steps();
   EXPECT_THROW((void)sched::SizeFreeSchedule::from(wide), std::length_error);
   wide.nblocks = 8;  // nblocks fits; the range field still does not
   EXPECT_THROW((void)sched::SizeFreeSchedule::from(wide), std::length_error);
 
-  const auto what_of = [](const sched::Schedule& s) -> std::string {
-    try {
-      (void)sched::SizeFreeSchedule::from(s);
-    } catch (const std::invalid_argument& e) {
-      return e.what();
-    }
-    return "no exception";
-  };
-  sched::Schedule lone;
-  lone.coll = sched::Collective::bcast;
-  lone.p = 2;
-  lone.nblocks = 2;
-  lone.steps.assign(2, {});
-  lone.steps[1].resize(1);
-  lone.steps[1][0].ops.push_back(
-      {sched::OpKind::recv, sched::kNoExchange, 0, sched::BlockSet::all(2), 1});
-  lone.normalize_steps();
-  EXPECT_NE(what_of(lone).find("step 0: recv 0->1 has no matching send"), std::string::npos)
-      << what_of(lone);
-
-  // A receive whose sender was rewritten no longer mirrors its send.
-  sched::Schedule moved;
-  moved.coll = sched::Collective::bcast;
-  moved.p = 3;
-  moved.nblocks = 3;
-  moved.steps.assign(3, {});
-  moved.add_exchange(0, 0, 1, sched::BlockSet::all(3), true);
-  moved.normalize_steps();
-  moved.steps[1][0].ops[0].peer = 2;
-  EXPECT_NE(what_of(moved).find("step 0: recv 2->1 has no matching send"),
-            std::string::npos)
-      << what_of(moved);
+  sched::Schedule outside;
+  outside.coll = sched::Collective::bcast;
+  outside.p = 3;
+  outside.nblocks = 3;
+  outside.add_exchange(0, 0, 1, sched::BlockSet::all(3), true);
+  outside.add_exchange(1, 1, 2, sched::BlockSet::single(3), false);
+  try {
+    (void)sched::SizeFreeSchedule::from(outside);
+    ADD_FAILURE() << "no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("step 1: 1->2 block range 3+1 outside 3 blocks"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // A miss runs the builder exactly once and a hit never runs it.
@@ -395,10 +370,7 @@ TEST(ScopedRouteCache, MatchesEagerOnSchedulePairs) {
 
     const net::RouteCache eager(topo, pl);
     std::vector<std::pair<Rank, Rank>> pairs;
-    for (Rank r = 0; r < sch.p; ++r)
-      for (const sched::RankStep& step : sch.steps[static_cast<size_t>(r)])
-        for (const sched::Op& op : step.ops)
-          if (op.kind == sched::OpKind::send) pairs.emplace_back(r, op.peer);
+    for (const sched::Exchange& x : sch.exchanges()) pairs.emplace_back(x.from, x.to);
     const net::RouteCache scoped(topo, pl, pairs);
 
     i64 scoped_links = 0;

@@ -1,7 +1,7 @@
 // Simulation engine tests: route-cache vs virtual route() equivalence,
 // size-free stream order invariants, scalar-oracle-vs-reference parity of
 // TrafficStats/SimResult across all four topology families, placement
-// validation in the Schedule-level conveniences, ragged-schedule safety, and
+// validation in the Schedule-level conveniences, idle-rank step counting, and
 // sweep determinism across thread counts against a direct argmin over the
 // scalar oracle.
 #include <gtest/gtest.h>
@@ -85,37 +85,39 @@ TEST(SizeFreeSchedule, LoweringPreservesOpsInStepRankOrder) {
   ASSERT_EQ(sf.exchange.size(), sf.num_ops());
 
   // Plain recvs are cost-free in the model and dropped from the simulation
-  // stream; everything else must survive.
+  // stream; everything else must survive. Each rank's costed ops per step,
+  // in call order, read straight off the log (rabenseifner logs no local
+  // op): a send at `from` and, for a reducing exchange, a recv_reduce at `to`.
+  ASSERT_TRUE(sch.locals().empty());
+  std::vector<std::vector<std::vector<sched::Op>>> costed(
+      sch.num_steps(), std::vector<std::vector<sched::Op>>(static_cast<size_t>(sch.p)));
   size_t total_costed_ops = 0;
-  for (const auto& rank_steps : sch.steps)
-    for (const auto& st : rank_steps)
-      for (const auto& op : st.ops)
-        if (op.kind != sched::OpKind::recv) ++total_costed_ops;
+  for (std::uint32_t e = 0; e < sch.exchanges().size(); ++e) {
+    const sched::Exchange& x = sch.exchanges()[e];
+    costed[x.step][static_cast<size_t>(x.from)].push_back(
+        {sched::OpKind::send, e, x.to, x.blocks, x.segments});
+    ++total_costed_ops;
+    if (!x.reduce) continue;
+    costed[x.step][static_cast<size_t>(x.to)].push_back(
+        {sched::OpKind::recv_reduce, e, x.from, x.blocks, x.segments});
+    ++total_costed_ops;
+  }
   EXPECT_EQ(sf.num_ops(), total_costed_ops);
 
   // Within each step, ops must be grouped by non-decreasing rank and mirror
   // the original per-rank op order (the engines' overhead accumulators and
   // float-parity with the reference depend on this), and each op's ranges
   // must size to exactly the bytes the Schedule derives for it.
-  auto costed_ops_of = [&](std::int32_t r, size_t t) {
-    std::vector<const sched::Op*> ops;
-    for (const sched::Op& op : sch.steps[static_cast<size_t>(r)][t].ops)
-      if (op.kind != sched::OpKind::recv) ops.push_back(&op);
-    return ops;
-  };
   for (size_t t = 0; t < sf.steps; ++t) {
     ASSERT_LE(sf.step_begin[t], sf.step_begin[t + 1]);
     std::int32_t prev_rank = -1;
-    std::vector<const sched::Op*> rank_ops;
     size_t op_in_rank = 0;
     for (std::uint32_t i = sf.step_begin[t]; i < sf.step_begin[t + 1]; ++i) {
       ASSERT_GE(sf.rank[i], prev_rank);
-      if (sf.rank[i] != prev_rank) {
-        rank_ops = costed_ops_of(sf.rank[i], t);
-        op_in_rank = 0;
-      }
+      const auto& rank_ops = costed[t][static_cast<size_t>(sf.rank[i])];
+      if (sf.rank[i] != prev_rank) op_in_rank = 0;
       ASSERT_LT(op_in_rank, rank_ops.size());
-      const sched::Op& op = *rank_ops[op_in_rank];
+      const sched::Op& op = rank_ops[op_in_rank];
       EXPECT_EQ(sf.kind[i], op.kind);
       EXPECT_EQ(sf.peer[i], op.peer);
       EXPECT_EQ(sf.extra_segments[i], std::max<i64>(0, op.segments - 1));
@@ -218,22 +220,20 @@ TEST(SimEngine, ConveniencesRejectMismatchedPlacement) {
             net::simulate_reference(sch, topo, pl, cp).traffic.messages);
 }
 
-TEST(SimEngine, RaggedScheduleIsNotUnderSimulated) {
-  // Rank 0 sends in steps 0 and 1; the schedule is left ragged on purpose
-  // (rank 2 never grows past step 0's vector)...
+TEST(SimEngine, EveryEngineWalksEveryStep) {
+  // Rank 0 sends in steps 0 and 1; rank 1 is idle in step 1 and rank 2 in
+  // step 0...
   sched::Schedule sch;
   sch.coll = sched::Collective::bcast;
-  sch.algorithm = "ragged_test";
+  sch.algorithm = "two_step_test";
   sch.p = 3;
   sch.nblocks = 3;
   sch.elem_count = 300;
-  sch.steps.assign(3, {});
   sch.add_exchange(0, 0, 1, sched::BlockSet::all(3), false);
   sch.add_exchange(1, 0, 2, sched::BlockSet::all(3), false);
-  sch.steps[2].resize(1);  // re-raggedify rank 2: one step vs two elsewhere
 
-  // ...num_steps() must still see both steps, and both engines must count
-  // both sends.
+  // ...num_steps() must see both steps, and every engine must count both
+  // sends.
   EXPECT_EQ(sch.num_steps(), 2u);
   net::Torus topo({3}, 10e9);
   const net::Placement pl = net::Placement::identity(3);
@@ -245,13 +245,13 @@ TEST(SimEngine, RaggedScheduleIsNotUnderSimulated) {
   EXPECT_EQ(fast.steps, 2u);
   EXPECT_NEAR(fast.seconds, ref.seconds, std::abs(ref.seconds) * 1e-12);
 
-  // The batched engine walks the same ragged steps.
+  // The batched engine walks the same steps.
   const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
   const i64 counts[] = {sch.elem_count};
   net::PairRouteMemo memo;
   const auto batched =
       net::simulate(sf, counts, sch.elem_size, net::RouteCache(topo, pl), cp, memo);
-  expect_bitwise_eq(batched[0], fast, "ragged");
+  expect_bitwise_eq(batched[0], fast, "two steps");
 }
 
 // Sweeps through the batched engine, each from a cold schedule cache, must be

@@ -8,13 +8,15 @@
 // {1, 4}; sweep jobs matching a local exp::run
 // byte-for-byte, with the plan-level cache turning resubmission into an
 // identical replay; table persistence across server restarts; startup
-// stale-temp hygiene; the stats document; and protocol robustness (garbage
-// frames close the connection without taking the server down).
+// stale-temp hygiene; the stats document; protocol robustness (garbage
+// frames close the connection without taking the server down); and stop()
+// racing live clients on both listeners.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <map>
 #include <optional>
@@ -496,4 +498,43 @@ TEST(Svc, TcpLoopbackServesToo) {
   const svc::SelectReply ok = client.select(
       make_request(net::lumi_profile(), Collective::allreduce, 16, 1024));
   EXPECT_FALSE(ok.algorithm.empty());
+}
+
+// stop() racing live traffic, a few dozen times: each round serves one
+// client over the Unix socket and one over TCP loopback, both selecting in a
+// loop, and stops the server while both are mid-stream. Every client ends
+// with answers or a clean connection error, and stop() returns. Under
+// ThreadSanitizer this is the check that listener and connection shutdown
+// never race the threads still reading those descriptors.
+TEST(Svc, StopDuringTrafficIsClean) {
+  const svc::SelectRequest req =
+      make_request(net::lumi_profile(), Collective::allreduce, 16, 1024);
+  for (int round = 0; round < 30; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    svc::ServerOptions opts;
+    opts.tcp_port = 0;
+    opts.tune_on_miss = false;  // misses answer the heuristic: cheap rounds
+    TestServer ts("stopstress", std::move(opts));
+    ts.server->start();
+    std::atomic<int> answered{0}, finished{0};
+    std::vector<std::thread> clients;
+    for (const bool tcp : {false, true})
+      clients.emplace_back([&, tcp] {
+        try {
+          svc::Client client = tcp ? svc::Client::connect_to_tcp(ts.server->tcp_port())
+                                   : ts.connect();
+          for (;;) {
+            (void)client.select(req);
+            answered.fetch_add(1);
+          }
+        } catch (const std::exception&) {
+          // The stop closed this connection.
+        }
+        finished.fetch_add(1);
+      });
+    while (answered.load() < 4 && finished.load() < 2) std::this_thread::yield();
+    ts.server->stop();
+    for (std::thread& t : clients) t.join();
+    EXPECT_GE(answered.load(), 4);
+  }
 }
