@@ -108,6 +108,8 @@ void Schedule::append(const Schedule& next) {
   arena_ = std::move(fresh);
   const auto step_offset = static_cast<std::uint32_t>(num_steps_);
   const auto id_offset = static_cast<std::uint32_t>(exchanges_.size());
+  exchanges_.reserve(exchanges_.size() + next.exchanges_.size());
+  locals_.reserve(locals_.size() + next.locals_.size());
   for (Exchange x : next.exchanges_) {
     x.step += step_offset;
     exchanges_.push_back(std::move(x));
