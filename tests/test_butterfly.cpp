@@ -439,7 +439,13 @@ TEST(ButterflyBlocks, AliasedRootedCompositesMatchIdOracle) {
                                                      "bine_scatter_allgather").make(cfg);
       const bs::Schedule reduce = bco::find_algorithm(bs::Collective::reduce,
                                                       "bine_rs_gather").make(cfg);
-      const auto bcast_ops = ops_by_step(bcast), reduce_ops = ops_by_step(reduce);
+      // Each schedule with its ops per step, walked once.
+      struct Walked {
+        const bs::Schedule& sch;
+        std::vector<std::vector<std::vector<bs::Op>>> ops;
+      };
+      const Walked bcast_walk{bcast, ops_by_step(bcast)};
+      const Walked reduce_walk{reduce, ops_by_step(reduce)};
       bs::ScheduleArena arena;
       const auto aliased = [&](const std::vector<i64>& logical) {
         std::vector<i64> ids;
@@ -448,10 +454,11 @@ TEST(ButterflyBlocks, AliasedRootedCompositesMatchIdOracle) {
         return bs::blockset_from_ids(ids, p, arena);
       };
       // The send from logical rank `from` to `to` at `step` carries `want`.
-      const auto expect_send = [&](const bs::Schedule& sch, size_t step, Rank from, Rank to,
+      const auto expect_send = [&](const Walked& w, size_t step, Rank from, Rank to,
                                    const bs::BlockSet& want) {
         const Rank pf = bc::to_physical(from, root, p), pt = bc::to_physical(to, root, p);
-        const auto& ops = (&sch == &bcast ? bcast_ops : reduce_ops)[step][static_cast<size_t>(pf)];
+        const bs::Schedule& sch = w.sch;
+        const auto& ops = w.ops[step][static_cast<size_t>(pf)];
         const auto it = std::find_if(ops.begin(), ops.end(), [&](const bs::Op& op) {
           return op.kind == bs::OpKind::send && op.peer == pt;
         });
@@ -475,7 +482,7 @@ TEST(ButterflyBlocks, AliasedRootedCompositesMatchIdOracle) {
             }
             const Rank q = bc::butterfly_partner(
                 reducing ? ButterflyVariant::bine_dd : ButterflyVariant::bine_dh, l, j, p);
-            expect_send(reducing ? reduce : bcast,
+            expect_send(reducing ? reduce_walk : bcast_walk,
                         static_cast<size_t>(reducing ? j : s + j), l, q, aliased(dests));
             if (HasFatalFailure()) return;
           }
@@ -490,8 +497,8 @@ TEST(ButterflyBlocks, AliasedRootedCompositesMatchIdOracle) {
           std::vector<i64> members;
           for (const Rank m : bc::dd_subtree_members(c, p)) members.push_back(m);
           const bs::BlockSet want = aliased(members);
-          expect_send(bcast, static_cast<size_t>(st), l, c, want);
-          expect_send(reduce, static_cast<size_t>(2 * s - 1 - st), c, l, want);
+          expect_send(bcast_walk, static_cast<size_t>(st), l, c, want);
+          expect_send(reduce_walk, static_cast<size_t>(2 * s - 1 - st), c, l, want);
           if (HasFatalFailure()) return;
         }
       }
