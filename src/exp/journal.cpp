@@ -13,7 +13,10 @@ namespace bine::exp {
 namespace {
 
 constexpr std::string_view kMagic = "binejournal";
-constexpr i64 kVersion = 1;
+/// Bumped whenever a record's meaning changes, so a resume never mixes
+/// records written under two definitions: 2 redefined the verified-run
+/// digest over held execution cells.
+constexpr i64 kVersion = 2;
 
 std::string hex16(u64 v) {
   char buf[24];

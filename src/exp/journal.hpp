@@ -23,7 +23,7 @@
 ///
 /// On-disk layout (plain text, newline-framed):
 ///
-///   binejournal 1 0x<16-hex plan fingerprint>\n
+///   binejournal 2 0x<16-hex plan fingerprint>\n
 ///   cell <key> <payload_bytes> 0x<16-hex FNV-1a of payload>\n
 ///   <payload bytes>\n
 ///   ... more records ...

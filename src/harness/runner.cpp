@@ -246,20 +246,25 @@ std::vector<std::vector<T>> synthetic_inputs(i64 p, i64 elems) {
   return inputs;
 }
 
-/// Digest of a verified final state: layout scalars plus the raw state
-/// arrays (dense data bit patterns, contributor words, validity bytes),
-/// folded word-wise so digesting stays a small fraction of a verified cell.
-/// Invalid slots hold value-initialized elements, so the digest is a pure
-/// function of the plan and inputs.
+/// Digest of a verified final state over the held cells in (rank, block)
+/// order: layout scalars, each rank's held block ids, then the cells'
+/// validity bytes, contributor words and element bit patterns, folded
+/// word-wise so digesting stays a small fraction of a verified cell. The
+/// held cells are fixed by the schedule's structure and never-filled cells
+/// hold value-initialized elements, so the digest is a pure function of the
+/// plan and inputs. The sentinel cell is always empty and stays out.
 template <typename T>
 u64 state_digest(const runtime::ExecPlan& plan,
                  const runtime::CompiledExecResult<T>& res) {
+  const size_t held = plan.cell_block.size();
   u64 h = core::kFnvOffset;
   core::fnv_mix_words(h, &plan.p, sizeof(plan.p));
   core::fnv_mix_words(h, &plan.nblocks, sizeof(plan.nblocks));
-  core::fnv_mix_words(h, &plan.elems_per_rank, sizeof(plan.elems_per_rank));
-  core::fnv_mix_words(h, res.valid.data(), res.valid.size());
-  core::fnv_mix_words(h, res.contrib.data(), res.contrib.size() * sizeof(u64));
+  core::fnv_mix_words(h, plan.cell_begin.data(), plan.cell_begin.size_bytes());
+  core::fnv_mix_words(h, plan.cell_block.data(), plan.cell_block.size_bytes());
+  core::fnv_mix_words(h, res.valid.data(), held);
+  core::fnv_mix_words(h, res.contrib.data(),
+                      held * static_cast<size_t>(plan.words) * sizeof(u64));
   core::fnv_mix_words(h, res.data.data(), res.data.size() * sizeof(T));
   return h;
 }

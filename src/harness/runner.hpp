@@ -56,10 +56,12 @@ struct VerifiedRun {
   /// Bytes the execution copied through stage buffers (ExecPlan::stage_bytes):
   /// 0 means every delivery landed direct, fused, or through in-place tiles.
   i64 stage_bytes = 0;
-  /// FNV-1a digest over the final execution state (validity bytes,
-  /// contributor words, element bit patterns) plus the layout scalars.
-  /// Deterministic for any thread count and identical to a run of
-  /// ExecPlan::lower over the fresh schedule; 0 until the run verified ok. Sweep outputs carry it so
+  /// FNV-1a digest over the final execution state: p and nblocks, then
+  /// every held (rank, block) cell in (rank, block) order -- its block id,
+  /// validity byte, contributor words and element bit patterns. A pure
+  /// function of the final state: deterministic for any thread count and
+  /// identical to a run of ExecPlan::lower over the fresh schedule; 0 until
+  /// the run verified ok. Sweep outputs and journals carry it so
   /// tuning/refinement stages can trust (and cross-check) verified cells.
   u64 digest = 0;
 };

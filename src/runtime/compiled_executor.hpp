@@ -14,12 +14,18 @@
 #include "runtime/reduction.hpp"
 
 /// The compiled execution engine: streams a runtime::ExecPlan (flat delivery
-/// IR, exec_plan.hpp) over dense per-rank buffers.
+/// IR, exec_plan.hpp) over flat per-cell state.
 ///
-/// State is three flat arrays instead of p * nblocks individually allocated
-/// BlockSlots: one data buffer per rank (blocks at their dense element
-/// offsets), one u64 word run per block for the contributor set, one validity
-/// byte per block. A step is two phases over the plan's delivery records:
+/// State exists only for the plan's held cells -- the (rank, block) pairs a
+/// rank can ever hold -- plus one permanently invalid sentinel cell, in three
+/// flat arrays: element data (each cell at its ExecPlan::cell_off offset),
+/// one u64 word run per cell for the contributor set, one validity byte per
+/// cell. Deliveries address cells directly (ExecPlan::read_cell,
+/// write_cell), so a pairwise-space alltoall allocates the few percent of
+/// its p * p^2 (rank, block) pairs that ever hold data. A send from a cell
+/// the sender can never hold reads the sentinel and throws the same
+/// "sends invalid block" error a never-filled cell does. A step is two
+/// phases over the plan's delivery records:
 ///
 ///   1. *stage*: copy the genuinely overlapping payload tiles (sender's
 ///      block data + contributor words of ids whose read cell is written
@@ -27,14 +33,14 @@
 ///      once from the plan's prefix sums; this realizes the pre-step
 ///      snapshot semantics without per-message allocation, and most plans
 ///      stage nothing at all (ExecPlan::stage_bytes == 0);
-///   2. *apply*: walk deliveries in receiver op order, replacing slots
+///   2. *apply*: walk deliveries in receiver op order, replacing cells
 ///      (recv) or folding them (recv_reduce) with the duplicate-contributor
 ///      check done wordwise on the flat bitsets.
 ///
 /// Results are bit-identical to execute_reference (the parity suite asserts
 /// buffers, contributor sets and message accounting). With `threads > 1`
 /// both phases fan out over harness::parallel_for -- phase 1 over deliveries
-/// (disjoint staging slices), phase 2 over receiver runs (disjoint slots) --
+/// (disjoint staging slices), phase 2 over receiver runs (disjoint cells) --
 /// so the output is byte-identical for any thread count.
 namespace bine::runtime {
 
@@ -77,28 +83,33 @@ inline void corrupt_low_bit(T& v) noexcept {
   std::memcpy(&v, &b, 1);
 }
 
+/// Final execution state, indexed by cell (cell_data, cell_words, valid).
+/// The (rank, block) accessors look the cell up in rank r's held ids
+/// (ExecPlan::cell); a block the rank never holds resolves to the sentinel,
+/// which reads as invalid, empty, with no contributors.
 template <typename T>
 struct CompiledExecResult {
   const ExecPlan* plan = nullptr;     ///< borrowed; must outlive the result
-  std::vector<T> data;                ///< p * elems_per_rank, dense block layout
-  std::vector<u64> contrib;           ///< p * nblocks * words contributor bitsets
-  std::vector<std::uint8_t> valid;    ///< p * nblocks
+  std::vector<T> data;                ///< state_elems, cells at cell_off
+  std::vector<u64> contrib;           ///< ncells * words contributor bitsets
+  std::vector<std::uint8_t> valid;    ///< ncells
   i64 messages = 0;
   i64 wire_bytes = 0;
   i64 stage_bytes = 0;  ///< payload bytes copied through stage buffers (plan property)
 
+  [[nodiscard]] std::span<const T> cell_data(std::uint32_t c) const {
+    return {data.data() + plan->cell_off[c], static_cast<size_t>(plan->cell_len(c))};
+  }
+  [[nodiscard]] std::span<const u64> cell_words(std::uint32_t c) const {
+    return {contrib.data() + static_cast<size_t>(c) * static_cast<size_t>(plan->words),
+            static_cast<size_t>(plan->words)};
+  }
   [[nodiscard]] std::span<const T> block(Rank r, i64 b) const {
-    const size_t off = static_cast<size_t>(r) * static_cast<size_t>(plan->elems_per_rank) +
-                       static_cast<size_t>(plan->block_off[static_cast<size_t>(b)]);
-    return {data.data() + off, static_cast<size_t>(plan->block_len(b))};
+    return cell_data(plan->cell(r, b));
   }
-  [[nodiscard]] bool is_valid(Rank r, i64 b) const {
-    return valid[static_cast<size_t>(r * plan->nblocks + b)] != 0;
-  }
+  [[nodiscard]] bool is_valid(Rank r, i64 b) const { return valid[plan->cell(r, b)] != 0; }
   [[nodiscard]] std::span<const u64> contributor_words(Rank r, i64 b) const {
-    const size_t off =
-        static_cast<size_t>((r * plan->nblocks + b) * plan->words);
-    return {contrib.data() + off, static_cast<size_t>(plan->words)};
+    return cell_words(plan->cell(r, b));
   }
   [[nodiscard]] RankSet contributors(Rank r, i64 b) const {
     return RankSet::from_words(plan->p, contributor_words(r, b));
@@ -120,9 +131,9 @@ class CompiledExecutor {
   ///
   /// `faults`, when non-null with exec injection enabled, is the fault
   /// layer's delivery hook: a delivery whose seeded (step, plan index) hash
-  /// samples below drop_fraction is silently discarded (the receiver's slot
+  /// samples below drop_fraction is silently discarded (the receiver's cell
   /// keeps its pre-step content -- later ops either read stale data the
-  /// verifier flags or hit an invalid slot and throw), and one below
+  /// verifier flags or hit an invalid cell and throw), and one below
   /// corrupt_fraction lands with the low bit of its first payload element
   /// flipped. Decisions are keyed by plan indices, so injection is
   /// bit-deterministic for any thread count; harness::Runner::run_verified
@@ -147,10 +158,9 @@ class CompiledExecutor {
 
     CompiledExecResult<T> res;
     res.plan = &pl;
-    res.data.assign(static_cast<size_t>(pl.p) * static_cast<size_t>(pl.elems_per_rank),
-                    T{});
-    res.contrib.assign(static_cast<size_t>(pl.p * pl.nblocks * pl.words), 0);
-    res.valid.assign(static_cast<size_t>(pl.p * pl.nblocks), 0);
+    res.data.assign(static_cast<size_t>(pl.state_elems), T{});
+    res.contrib.assign(static_cast<size_t>(pl.ncells * pl.words), 0);
+    res.valid.assign(static_cast<size_t>(pl.ncells), 0);
     init_state(pl, inputs, res);
 
     std::vector<T> stage(static_cast<size_t>(pl.max_step_elems));
@@ -180,27 +190,23 @@ class CompiledExecutor {
       for_range(oe - ob, [&](i64 jj) {
         const std::uint32_t j = ob + static_cast<std::uint32_t>(jj);
         if (pl.direct[j] || pl.fused[j]) return;
-        const i64 sender = pl.from[j];
-        const T* sdata = res.data.data() +
-                         static_cast<size_t>(sender) * static_cast<size_t>(pl.elems_per_rank);
         i64 elem_off = pl.stage_elem_off[j];
-        i64 block_off = pl.stage_block_off[j];
+        i64 stage_block = pl.stage_block_off[j];
         for (std::uint32_t k = pl.block_begin[j]; k < pl.block_begin[j + 1]; ++k) {
           if (!pl.staged_id[k]) continue;  // in-place tile: validated in phase 2
-          const i64 id = pl.ids[k];
-          if (!res.valid[static_cast<size_t>(sender * pl.nblocks + id)])
+          const std::uint32_t sc = pl.read_cell[k];
+          if (!res.valid[sc])
             throw std::runtime_error("step " + std::to_string(t) + ": rank " +
-                                     std::to_string(sender) + " sends invalid block " +
-                                     std::to_string(id));
-          const i64 len = pl.block_len(id);
-          std::copy_n(sdata + pl.block_off[static_cast<size_t>(id)], len,
-                      stage.data() + elem_off);
+                                     std::to_string(pl.from[j]) + " sends invalid block " +
+                                     std::to_string(pl.block_id(k)));
+          const i64 len = pl.cell_len(sc);
+          std::copy_n(res.data.data() + pl.cell_off[sc], len, stage.data() + elem_off);
           std::copy_n(
-              res.contrib.data() + static_cast<size_t>((sender * pl.nblocks + id) * pl.words),
+              res.contrib.data() + static_cast<size_t>(sc) * static_cast<size_t>(pl.words),
               static_cast<size_t>(pl.words),
-              stage_contrib.data() + static_cast<size_t>(block_off) * static_cast<size_t>(pl.words));
+              stage_contrib.data() + static_cast<size_t>(stage_block) * static_cast<size_t>(pl.words));
           elem_off += len;
-          ++block_off;
+          ++stage_block;
         }
       });
 
@@ -214,37 +220,31 @@ class CompiledExecutor {
           if (inject && inject->drop_delivery(t, j)) continue;  // lost on the wire
           bool corrupt_pending = inject && inject->corrupt_delivery(t, j);
           const i64 r = pl.to[j];
-          const i64 sender = pl.from[j];
           const bool is_direct = pl.direct[j] != 0;
-          T* rdata = res.data.data() +
-                     static_cast<size_t>(r) * static_cast<size_t>(pl.elems_per_rank);
-          const T* sdata = res.data.data() +
-                           static_cast<size_t>(sender) * static_cast<size_t>(pl.elems_per_rank);
           i64 elem_off = pl.stage_elem_off[j];
-          i64 block_off = pl.stage_block_off[j];
+          i64 stage_block = pl.stage_block_off[j];
           for (std::uint32_t k = pl.block_begin[j]; k < pl.block_begin[j + 1]; ++k) {
-            const i64 id = pl.ids[k];
-            const i64 len = pl.block_len(id);
-            const size_t slot = static_cast<size_t>(r * pl.nblocks + id);
-            const size_t sslot = static_cast<size_t>(sender * pl.nblocks + id);
-            // In-place sources: the whole delivery (direct) or this id's
+            const size_t slot = pl.write_cell[k];
+            const size_t sslot = pl.read_cell[k];
+            const i64 len = pl.cell_len(pl.write_cell[k]);
+            // In-place sources: the whole delivery (direct) or this block's
             // pair tile (non-direct, unmarked) -- either way the sender's
-            // cell is untouched this step, so its live buffer IS the
+            // cell is untouched this step, so its live state IS the
             // pre-step snapshot and nothing was staged for it.
             const bool in_place = is_direct || !pl.staged_id[k];
             if (in_place && !res.valid[sslot])
               throw std::runtime_error("step " + std::to_string(t) + ": rank " +
-                                       std::to_string(sender) + " sends invalid block " +
-                                       std::to_string(id));
-            T* dst = rdata + pl.block_off[static_cast<size_t>(id)];
-            const T* src = in_place ? sdata + pl.block_off[static_cast<size_t>(id)]
+                                       std::to_string(pl.from[j]) + " sends invalid block " +
+                                       std::to_string(pl.block_id(k)));
+            T* dst = res.data.data() + pl.cell_off[slot];
+            const T* src = in_place ? res.data.data() + pl.cell_off[sslot]
                                     : stage.data() + elem_off;
             u64* dst_c = res.contrib.data() + slot * static_cast<size_t>(pl.words);
             const u64* src_c =
                 in_place
                     ? res.contrib.data() + sslot * static_cast<size_t>(pl.words)
                     : stage_contrib.data() +
-                          static_cast<size_t>(block_off) * static_cast<size_t>(pl.words);
+                          static_cast<size_t>(stage_block) * static_cast<size_t>(pl.words);
             if (!pl.reduce[j]) {
               std::copy_n(src, len, dst);
               std::copy_n(src_c, static_cast<size_t>(pl.words), dst_c);
@@ -253,13 +253,13 @@ class CompiledExecutor {
               if (!res.valid[slot])
                 throw std::runtime_error("step " + std::to_string(t) + ": rank " +
                                          std::to_string(r) + " reduce into invalid block " +
-                                         std::to_string(id));
+                                         std::to_string(pl.block_id(k)));
               for (i64 w = 0; w < pl.words; ++w)
                 if (dst_c[w] & src_c[w])
                   throw std::runtime_error("step " + std::to_string(t) + ": rank " +
                                            std::to_string(r) +
                                            " would fold duplicate contributions into block " +
-                                           std::to_string(id));
+                                           std::to_string(pl.block_id(k)));
               reduce_into<T>(op, {dst, static_cast<size_t>(len)},
                              {src, static_cast<size_t>(len)});
               for (i64 w = 0; w < pl.words; ++w) dst_c[w] |= src_c[w];
@@ -270,7 +270,7 @@ class CompiledExecutor {
             }
             if (!in_place) {  // stage slices hold staged tiles only
               elem_off += len;
-              ++block_off;
+              ++stage_block;
             }
           }
         }
@@ -292,15 +292,13 @@ class CompiledExecutor {
         bool corrupt_pending = inject && inject->corrupt_delivery(t, j1);
         const i64 r = pl.to[j1];
         const i64 s = pl.to[j2];
-        T* rdata = res.data.data() +
-                   static_cast<size_t>(r) * static_cast<size_t>(pl.elems_per_rank);
-        T* sdata = res.data.data() +
-                   static_cast<size_t>(s) * static_cast<size_t>(pl.elems_per_rank);
         for (std::uint32_t k = pl.block_begin[j1]; k < pl.block_begin[j1 + 1]; ++k) {
-          const i64 id = pl.ids[k];
-          const i64 len = pl.block_len(id);
-          const size_t rslot = static_cast<size_t>(r * pl.nblocks + id);
-          const size_t sslot = static_cast<size_t>(s * pl.nblocks + id);
+          const i64 id = pl.block_id(k);
+          // j1 writes (r, id) and reads (s, id): both cells are held, since
+          // j2 writes the latter.
+          const size_t rslot = pl.write_cell[k];
+          const size_t sslot = pl.read_cell[k];
+          const i64 len = pl.cell_len(pl.write_cell[k]);
           for (const size_t slot : {rslot, sslot})
             if (!res.valid[slot])
               throw std::runtime_error(
@@ -316,11 +314,12 @@ class CompiledExecutor {
                                        std::to_string(r) +
                                        " would fold duplicate contributions into block " +
                                        std::to_string(id));
-          const size_t off = static_cast<size_t>(pl.block_off[static_cast<size_t>(id)]);
-          reduce_symmetric<T>(op, {rdata + off, static_cast<size_t>(len)},
-                              {sdata + off, static_cast<size_t>(len)});
+          T* rdata = res.data.data() + pl.cell_off[rslot];
+          T* sdata = res.data.data() + pl.cell_off[sslot];
+          reduce_symmetric<T>(op, {rdata, static_cast<size_t>(len)},
+                              {sdata, static_cast<size_t>(len)});
           if (corrupt_pending && len > 0) {
-            corrupt_low_bit(rdata[off]);
+            corrupt_low_bit(rdata[0]);
             corrupt_pending = false;
           }
           for (i64 w = 0; w < pl.words; ++w) {
@@ -344,53 +343,25 @@ class CompiledExecutor {
   template <typename T>
   static void init_state(const ExecPlan& pl, std::span<const std::vector<T>> inputs,
                          CompiledExecResult<T>& res) {
-    using sched::Collective;
-    const auto mark = [&](Rank holder, i64 id, Rank contributor) {
-      const size_t slot = static_cast<size_t>(holder * pl.nblocks + id);
-      res.valid[slot] = 1;
-      res.contrib[slot * static_cast<size_t>(pl.words) +
-                  static_cast<size_t>(contributor) / 64] |=
-          u64{1} << (static_cast<size_t>(contributor) % 64);
-    };
-    const auto rank_data = [&](Rank r) {
-      return res.data.data() +
-             static_cast<size_t>(r) * static_cast<size_t>(pl.elems_per_rank);
-    };
-    // For per_vector space the dense layout IS the vector layout, so a
-    // rank's initial holdings are one contiguous copy of (a slice of) its
-    // input; for pairwise space rank r's p send blocks land contiguously at
-    // block_off[r*p].
-    switch (pl.coll) {
-      case Collective::bcast:
-      case Collective::scatter:
-        std::copy_n(inputs[static_cast<size_t>(pl.root)].data(), pl.elem_count,
-                    rank_data(pl.root));
-        for (i64 b = 0; b < pl.nblocks; ++b) mark(pl.root, b, pl.root);
-        break;
-      case Collective::reduce:
-      case Collective::allreduce:
-      case Collective::reduce_scatter:
-        for (Rank r = 0; r < pl.p; ++r) {
-          std::copy_n(inputs[static_cast<size_t>(r)].data(), pl.elem_count, rank_data(r));
-          for (i64 b = 0; b < pl.nblocks; ++b) mark(r, b, r);
-        }
-        break;
-      case Collective::gather:
-      case Collective::allgather:
-        for (Rank r = 0; r < pl.p; ++r) {
-          const i64 off = pl.block_off[static_cast<size_t>(r)];
-          std::copy_n(inputs[static_cast<size_t>(r)].data() + off, pl.block_len(r),
-                      rank_data(r) + off);
-          mark(r, r, r);
-        }
-        break;
-      case Collective::alltoall:
-        for (Rank r = 0; r < pl.p; ++r) {
-          std::copy_n(inputs[static_cast<size_t>(r)].data(), pl.elem_count,
-                      rank_data(r) + pl.block_off[static_cast<size_t>(r * pl.p)]);
-          for (i64 d = 0; d < pl.p; ++d) mark(r, r * pl.p + d, r);
-        }
-        break;
+    // A rank's held ids ascend, so its initial run of consecutive block ids
+    // is a run of consecutive cells with contiguous data: one copy of the
+    // matching slice of its input. For per_vector space the run sits at its
+    // vector offset; alltoall's rank r holds its whole send buffer.
+    for (Rank r = 0; r < pl.p; ++r) {
+      const sched::BlockRange init = initial_blocks(pl.coll, pl.root, pl.p, pl.nblocks, r);
+      if (init.count == 0) continue;
+      const i64 in_off = pl.space == sched::BlockSpace::per_vector
+                             ? sched::block_offset(init.begin, pl.elem_count, pl.nblocks)
+                             : 0;
+      const std::uint32_t c0 = pl.cell(r, init.begin);
+      const auto c1 = c0 + static_cast<std::uint32_t>(init.count);
+      std::copy_n(inputs[static_cast<size_t>(r)].data() + in_off,
+                  pl.cell_off[c1] - pl.cell_off[c0], res.data.data() + pl.cell_off[c0]);
+      for (std::uint32_t c = c0; c < c1; ++c) {
+        res.valid[c] = 1;
+        res.contrib[static_cast<size_t>(c) * static_cast<size_t>(pl.words) +
+                    static_cast<size_t>(r) / 64] |= u64{1} << (static_cast<size_t>(r) % 64);
+      }
     }
   }
 

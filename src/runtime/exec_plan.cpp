@@ -5,27 +5,72 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace bine::runtime {
 
 namespace {
 
-/// The per-step dataflow analysis over one entry's delivery stream: receiver
-/// runs, zero-copy direct marks, fused symmetric pairs, and per-step staging
-/// block offsets. Pure structure -- nothing here touches element counts --
-/// which is what makes the result cacheable per schedule entry.
-ExecSkeleton analyze_structure(const sched::SizeFreeSchedule& sf) {
+/// Held cells of every rank (initial holdings plus delivered ids, ascending
+/// per rank) and each delivered block's read and write cell. `ids[k]` is
+/// delivered block k, received by `to` and sent by `from` of its delivery.
+void build_cells(const sched::SizeFreeSchedule& sf, const std::vector<std::uint32_t>& ids,
+                 ExecSkeleton& sk) {
+  const i64 p = sf.p;
+  const size_t nops = sk.to.size();
+  // Every (rank, block) a rank ever holds, as rank-major sortable keys.
+  std::vector<u64> held;
+  const auto hold = [&](i64 r, i64 b) {
+    held.push_back(static_cast<u64>(r) << 32 | static_cast<u64>(b));
+  };
+  for (Rank r = 0; r < p; ++r) {
+    const sched::BlockRange init = initial_blocks(sk.coll, sk.root, p, sf.nblocks, r);
+    for (i64 b = init.begin; b < init.begin + init.count; ++b) hold(r, b);
+  }
+  for (size_t j = 0; j < nops; ++j)
+    for (std::uint32_t k = sk.block_begin[j]; k < sk.block_begin[j + 1]; ++k)
+      hold(sk.to[j], ids[k]);
+  std::sort(held.begin(), held.end());
+  held.erase(std::unique(held.begin(), held.end()), held.end());
+  // The sentinel takes the index past the last held cell.
+  if (held.size() >= std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("execution plan: more than 2^32-2 held cells");
+  sk.cell_begin.assign(static_cast<size_t>(p) + 1, 0);
+  sk.cell_block.reserve(held.size());
+  for (const u64 key : held) {
+    ++sk.cell_begin[static_cast<size_t>(key >> 32) + 1];
+    sk.cell_block.push_back(static_cast<std::uint32_t>(key));
+  }
+  for (size_t r = 0; r < static_cast<size_t>(p); ++r) sk.cell_begin[r + 1] += sk.cell_begin[r];
+  sk.read_cell.resize(ids.size());
+  sk.write_cell.resize(ids.size());
+  for (size_t j = 0; j < nops; ++j)
+    for (std::uint32_t k = sk.block_begin[j]; k < sk.block_begin[j + 1]; ++k) {
+      sk.read_cell[k] = find_cell(sk.cell_begin, sk.cell_block, sk.from[j], ids[k]);
+      sk.write_cell[k] = find_cell(sk.cell_begin, sk.cell_block, sk.to[j], ids[k]);
+    }
+}
+
+/// The per-step dataflow analysis over one entry's delivery stream: held
+/// cells, receiver runs, zero-copy direct marks, fused symmetric pairs, and
+/// per-step staging block offsets. Pure structure -- nothing here touches
+/// element counts -- which is what makes the result cacheable per schedule
+/// entry.
+ExecSkeleton analyze_structure(const sched::SizeFreeSchedule& sf, sched::Collective coll,
+                               Rank root) {
   const size_t steps = sf.steps;
   const std::span<const std::uint32_t> step_begin = sf.delivery_step_begin;
   const std::span<const std::uint8_t> reduce = sf.delivery_reduce;
-  const i64 p = sf.p;
   const i64 nblocks = sf.nblocks;
   const size_t nops = sf.num_deliveries();
 
   ExecSkeleton sk;
+  sk.coll = coll;
+  sk.root = root;
   // Resolve each delivery through its send once -- receiver, sender and
-  // expanded payload ids -- so every later hit reuses them.
+  // payload cells -- so every later hit reuses them.
+  std::vector<std::uint32_t> ids;
   sk.to.reserve(nops);
   sk.from.reserve(nops);
   sk.block_begin.reserve(nops + 1);
@@ -35,11 +80,17 @@ ExecSkeleton analyze_structure(const sched::SizeFreeSchedule& sf) {
     sk.to.push_back(sf.peer[send]);
     sk.from.push_back(sf.rank[send]);
     for (const sched::BlockRange32& br : sf.exchange_ranges(sf.exchange[send]))
-      for (i64 k = 0; k < br.count; ++k) sk.ids.push_back(pmod(br.begin + k, nblocks));
-    sk.block_begin.push_back(static_cast<std::uint32_t>(sk.ids.size()));
+      for (i64 k = 0; k < br.count; ++k)
+        ids.push_back(static_cast<std::uint32_t>(pmod(br.begin + k, nblocks)));
+    sk.block_begin.push_back(static_cast<std::uint32_t>(ids.size()));
   }
+  build_cells(sf, ids, sk);
   const std::span<const std::int32_t> to = sk.to;
   const std::span<const std::int32_t> from = sk.from;
+  const std::span<const std::uint32_t> rcell = sk.read_cell;
+  const std::span<const std::uint32_t> wcell = sk.write_cell;
+  // Every cell, the sentinel included.
+  const size_t ncells = sk.cell_block.size() + 1;
 
   sk.run_begin.clear();
   sk.step_run_begin.reserve(steps + 1);
@@ -48,15 +99,16 @@ ExecSkeleton analyze_structure(const sched::SizeFreeSchedule& sf) {
   sk.fused.assign(nops, 0);
   sk.step_fused_begin.reserve(steps + 1);
   sk.step_fused_begin.push_back(0);
-  sk.staged_id.assign(sk.ids.size(), 0);
+  sk.staged_id.assign(ids.size(), 0);
   sk.stage_block_off.assign(nops, 0);
   // Per-cell stamps for the zero-copy analyses below, epoch-keyed by step so
   // they are never cleared: `written` marks cells some delivery writes this
   // step, `touched`/`touch_count` count read+write touches per cell.
   const auto npos = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> written(static_cast<size_t>(p * nblocks), npos);
-  std::vector<std::uint32_t> touched(static_cast<size_t>(p * nblocks), npos);
-  std::vector<std::uint32_t> touch_count(static_cast<size_t>(p * nblocks), 0);
+  // The sentinel is never written, so a read of it is never staged.
+  std::vector<std::uint32_t> written(ncells, npos);
+  std::vector<std::uint32_t> touched(ncells, npos);
+  std::vector<std::uint32_t> touch_count(ncells, 0);
   std::map<std::pair<std::int32_t, std::int32_t>, std::vector<std::uint32_t>> by_flow;
   for (size_t t = 0; t < steps; ++t) {
     const std::uint32_t ob = step_begin[t], oe = step_begin[t + 1];
@@ -65,10 +117,8 @@ ExecSkeleton analyze_structure(const sched::SizeFreeSchedule& sf) {
       if (j == ob || to[j] != to[j - 1]) sk.run_begin.push_back(j);
       if (reduce[j]) by_flow[{to[j], from[j]}].push_back(j);
       for (std::uint32_t k = sk.block_begin[j]; k < sk.block_begin[j + 1]; ++k) {
-        const size_t wcell = static_cast<size_t>(to[j] * nblocks + sk.ids[k]);
-        const size_t rcell = static_cast<size_t>(from[j] * nblocks + sk.ids[k]);
-        written[wcell] = static_cast<std::uint32_t>(t);
-        for (const size_t cell : {wcell, rcell}) {
+        written[wcell[k]] = static_cast<std::uint32_t>(t);
+        for (const std::uint32_t cell : {wcell[k], rcell[k]}) {
           if (touched[cell] != static_cast<std::uint32_t>(t)) {
             touched[cell] = static_cast<std::uint32_t>(t);
             touch_count[cell] = 0;
@@ -84,8 +134,7 @@ ExecSkeleton analyze_structure(const sched::SizeFreeSchedule& sf) {
       bool is_direct = true;
       for (std::uint32_t k = sk.block_begin[j]; is_direct && k < sk.block_begin[j + 1];
            ++k)
-        is_direct = written[static_cast<size_t>(from[j] * nblocks + sk.ids[k])] !=
-                    static_cast<std::uint32_t>(t);
+        is_direct = written[rcell[k]] != static_cast<std::uint32_t>(t);
       sk.direct[j] = is_direct ? 1 : 0;
     }
     // Symmetric-exchange fusion (see header): mutual recv_reduce pairs over
@@ -102,16 +151,15 @@ ExecSkeleton analyze_structure(const sched::SizeFreeSchedule& sf) {
       if (sk.direct[j2] || sk.fused[j2]) continue;
       const std::uint32_t len = sk.block_begin[j + 1] - sk.block_begin[j];
       if (sk.block_begin[j2 + 1] - sk.block_begin[j2] != len) continue;
-      if (!std::equal(sk.ids.begin() + sk.block_begin[j],
-                      sk.ids.begin() + sk.block_begin[j + 1],
-                      sk.ids.begin() + sk.block_begin[j2]))
+      // Identical id lists: j reads exactly the cells j2 writes, in order
+      // (cells are unique per (rank, block)).
+      if (!std::equal(rcell.begin() + sk.block_begin[j], rcell.begin() + sk.block_begin[j + 1],
+                      wcell.begin() + sk.block_begin[j2]))
         continue;
       bool exclusive = true;
       for (std::uint32_t k = sk.block_begin[j]; exclusive && k < sk.block_begin[j + 1];
            ++k)
-        exclusive =
-            touch_count[static_cast<size_t>(to[j] * nblocks + sk.ids[k])] == 2 &&
-            touch_count[static_cast<size_t>(from[j] * nblocks + sk.ids[k])] == 2;
+        exclusive = touch_count[wcell[k]] == 2 && touch_count[rcell[k]] == 2;
       if (!exclusive) continue;
       sk.fused[j] = sk.fused[j2] = 1;
       sk.fused_pair.push_back(j);
@@ -129,8 +177,7 @@ ExecSkeleton analyze_structure(const sched::SizeFreeSchedule& sf) {
       sk.stage_block_off[j] = staged_blocks;
       if (sk.direct[j] || sk.fused[j]) continue;
       for (std::uint32_t k = sk.block_begin[j]; k < sk.block_begin[j + 1]; ++k)
-        if (written[static_cast<size_t>(from[j] * nblocks + sk.ids[k])] ==
-            static_cast<std::uint32_t>(t)) {
+        if (written[rcell[k]] == static_cast<std::uint32_t>(t)) {
           sk.staged_id[k] = 1;
           ++staged_blocks;
         }
@@ -144,19 +191,50 @@ ExecSkeleton analyze_structure(const sched::SizeFreeSchedule& sf) {
 
 }  // namespace
 
-std::shared_ptr<const ExecSkeleton> ExecSkeleton::of(const sched::SizeFreeSchedule& sf) {
+sched::BlockRange initial_blocks(sched::Collective coll, Rank root, i64 p, i64 nblocks,
+                                 Rank r) noexcept {
+  using sched::Collective;
+  switch (coll) {
+    case Collective::bcast:
+    case Collective::scatter:
+      return {0, r == root ? nblocks : 0};
+    case Collective::reduce:
+    case Collective::allreduce:
+    case Collective::reduce_scatter:
+      return {0, nblocks};
+    case Collective::gather:
+    case Collective::allgather:
+      return {r, 1};
+    case Collective::alltoall:
+      return {r * p, p};
+  }
+  return {};
+}
+
+std::shared_ptr<const ExecSkeleton> ExecSkeleton::of(const sched::SizeFreeSchedule& sf,
+                                                     sched::Collective coll, Rank root) {
   sched::SizeFreeSchedule::DerivedSlot& slot = *sf.derived;
   const std::scoped_lock lock(slot.mutex);
-  if (!slot.value) slot.value = std::make_shared<const ExecSkeleton>(analyze_structure(sf));
-  return std::static_pointer_cast<const ExecSkeleton>(slot.value);
+  if (!slot.value)
+    slot.value = std::make_shared<const ExecSkeleton>(analyze_structure(sf, coll, root));
+  auto sk = std::static_pointer_cast<const ExecSkeleton>(slot.value);
+  if (sk->coll != coll || sk->root != root)
+    throw std::invalid_argument("execution plan: schedule entry was lowered for " +
+                                std::string(to_string(sk->coll)) + " root " +
+                                std::to_string(sk->root) + ", not " + std::string(to_string(coll)) +
+                                " root " + std::to_string(root));
+  return sk;
 }
 
 void ExecPlan::finalize_sizes() {
   // Point structural spans at the (built or cached) skeleton.
+  cell_begin = skeleton->cell_begin;
+  cell_block = skeleton->cell_block;
   to = skeleton->to;
   from = skeleton->from;
   block_begin = skeleton->block_begin;
-  ids = skeleton->ids;
+  read_cell = skeleton->read_cell;
+  write_cell = skeleton->write_cell;
   run_begin = skeleton->run_begin;
   step_run_begin = skeleton->step_run_begin;
   direct = skeleton->direct;
@@ -167,25 +245,34 @@ void ExecPlan::finalize_sizes() {
   stage_block_off = skeleton->stage_block_off;
   max_step_blocks = skeleton->max_step_blocks;
 
-  // Dense element layout: block id b occupies [block_off[b], block_off[b+1])
-  // of every rank's flat buffer. For per_vector space this is exactly the
-  // vector's own layout; for pairwise space ids are s-major so rank s's send
-  // buffer lands contiguously at offset s*elem_count.
-  block_off.resize(static_cast<size_t>(nblocks) + 1);
-  block_off[0] = 0;
-  for (i64 b = 0; b < nblocks; ++b) {
-    const i64 len = space == sched::BlockSpace::per_vector
-                        ? sched::block_elems(b, elem_count, nblocks)
-                        : sched::block_elems(b % p, elem_count, p);
-    block_off[static_cast<size_t>(b) + 1] = block_off[static_cast<size_t>(b)] + len;
+  // Cell element layout: cell c occupies [cell_off[c], cell_off[c+1]) of the
+  // flat state buffer, ranks in order, each rank's blocks ascending. A
+  // per_vector block b has the vector's block b length; a pairwise block
+  // s*p + d has the length of block d of rank s's send buffer. The sentinel
+  // cell is empty.
+  const bool pairwise = space == sched::BlockSpace::pairwise;
+  const i64 lens_n = pairwise ? p : nblocks;
+  std::vector<i64> lens(static_cast<size_t>(lens_n));
+  for (i64 b = 0; b < lens_n; ++b)
+    lens[static_cast<size_t>(b)] = sched::block_elems(b, elem_count, lens_n);
+  ncells = static_cast<i64>(cell_block.size()) + 1;
+  cell_off.resize(static_cast<size_t>(ncells) + 1);
+  cell_off[0] = 0;
+  for (size_t c = 0; c < cell_block.size(); ++c) {
+    const std::uint32_t b = cell_block[c];
+    cell_off[c + 1] =
+        cell_off[c] + lens[pairwise ? b % static_cast<std::uint32_t>(p) : b];
   }
-  elems_per_rank = block_off[static_cast<size_t>(nblocks)];
+  cell_off[cell_block.size() + 1] = cell_off[cell_block.size()];
+  state_elems = cell_off.back();
   words = (p + 63) / 64;
 
-  elem_prefix.resize(ids.size() + 1);
+  // A delivered block's length is its write cell's (the read cell may be
+  // the empty sentinel).
+  elem_prefix.resize(write_cell.size() + 1);
   elem_prefix[0] = 0;
-  for (size_t k = 0; k < ids.size(); ++k)
-    elem_prefix[k + 1] = elem_prefix[k] + block_len(ids[k]);
+  for (size_t k = 0; k < write_cell.size(); ++k)
+    elem_prefix[k + 1] = elem_prefix[k] + cell_len(write_cell[k]);
 
   total_wire_bytes = 0;
   for (const i64 b : op_bytes) total_wire_bytes += b;
@@ -231,7 +318,7 @@ ExecPlan ExecPlan::from_size_free(std::shared_ptr<const sched::SizeFreeSchedule>
   // element arithmetic below are computed per plan.
   plan.step_begin = sf->delivery_step_begin;
   plan.reduce = sf->delivery_reduce;
-  plan.skeleton = ExecSkeleton::of(*sf);
+  plan.skeleton = ExecSkeleton::of(*sf, coll, root);
 
   const i64 n = sf->space == sched::BlockSpace::pairwise ? elem_count * sf->p : elem_count;
   const size_t ops = sf->num_deliveries();

@@ -29,8 +29,9 @@
 /// DESIGN.md):
 ///
 ///   * the *compiled* engine (runtime/compiled_executor.hpp) streams the flat
-///     runtime::ExecPlan IR over dense per-rank buffers and flat contributor
-///     bitset words -- the default, and the one harness::Runner drives;
+///     runtime::ExecPlan IR over flat state for the (rank, block) cells each
+///     rank can hold, with flat contributor bitset words -- the default, and
+///     the one harness::Runner drives;
 ///   * `execute_reference` in this header, which walks the Schedule's
 ///     canonical op order (sched::for_each_op_step_major), is retained as
 ///     the sequential oracle the parity suites compare the compiled engine

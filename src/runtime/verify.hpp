@@ -201,10 +201,10 @@ std::string verify(const ExecPlan& plan, ReduceOp op,
       plan.coll, layout, plan.root, op, inputs,
       [&](Rank holder, i64 id, const std::vector<T>& expected_data,
           const RankSet& expected_contrib) {
-        return detail::slot_diagnostic<T>(holder, id, res.is_valid(holder, id),
-                                          res.block(holder, id),
-                                          res.contributor_words(holder, id),
-                                          expected_data, expected_contrib);
+        const std::uint32_t c = plan.cell(holder, id);
+        return detail::slot_diagnostic<T>(holder, id, res.valid[c] != 0, res.cell_data(c),
+                                          res.cell_words(c), expected_data,
+                                          expected_contrib);
       });
 }
 

@@ -195,6 +195,35 @@ TEST(Journal, ForeignFingerprintIsQuarantinedWhole) {
   remove_journal(path);
 }
 
+// A record's meaning can change between format versions (version 2
+// redefined the verified-run digest), so a journal of another version is
+// quarantined whole even when its fingerprint matches: nothing replays.
+TEST(Journal, OtherVersionIsQuarantinedWhole) {
+  const std::string path = "durable_version.journal";
+  remove_journal(path);
+  {
+    auto j = exp::Journal::open(path, 0x4u);
+    ASSERT_NE(j, nullptr);
+    ASSERT_TRUE(j->append("a", "digest under the old definition"));
+  }
+  std::string bytes = read_file(path);
+  ASSERT_EQ(bytes.rfind("binejournal 2 ", 0), 0u);
+  bytes[std::string("binejournal ").size()] = '1';
+  write_file(path, bytes);
+
+  exp::Journal::OpenReport rep;
+  auto j = exp::Journal::open(path, 0x4u, &rep);
+  ASSERT_NE(j, nullptr);
+  EXPECT_EQ(rep.replayable, 0);
+  EXPECT_TRUE(rep.quarantined);
+  EXPECT_TRUE(file_exists(path + ".corrupt"));
+  ASSERT_FALSE(rep.notes.empty());
+  EXPECT_NE(rep.notes.front().find("unrecognized journal header"), std::string::npos);
+  EXPECT_EQ(j->lookup("a"), nullptr);
+  EXPECT_TRUE(j->append("a", "fresh"));
+  remove_journal(path);
+}
+
 TEST(Journal, GarbageFileIsQuarantinedAndAdopted) {
   const std::string path = "durable_garbage.journal";
   remove_journal(path);

@@ -3,12 +3,16 @@
 // cached-plan/direct-lowering equivalence, duplicate-contribution detection
 // parity, threaded-executor determinism, Runner's verified-execution path on
 // all four topology-family profiles against the simulator and the fresh
-// schedule, and shared-process-cache hits across Runner instances.
+// schedule, shared-process-cache hits across Runner instances, and the
+// held-cell state layout (alltoall holds only reachable cells; sends of
+// never-held blocks fail like the reference).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -140,8 +144,11 @@ TEST(ExecEngine, PlanFromSizeFreeMatchesDirectLowering) {
         EXPECT_TRUE(eq(cached.reduce, direct.reduce));
         EXPECT_EQ(cached.op_bytes, direct.op_bytes);
         EXPECT_TRUE(eq(cached.block_begin, direct.block_begin));
-        EXPECT_TRUE(eq(cached.ids, direct.ids));
-        EXPECT_EQ(cached.block_off, direct.block_off);
+        EXPECT_TRUE(eq(cached.cell_begin, direct.cell_begin));
+        EXPECT_TRUE(eq(cached.cell_block, direct.cell_block));
+        EXPECT_TRUE(eq(cached.read_cell, direct.read_cell));
+        EXPECT_TRUE(eq(cached.write_cell, direct.write_cell));
+        EXPECT_EQ(cached.cell_off, direct.cell_off);
         EXPECT_TRUE(eq(cached.run_begin, direct.run_begin));
         EXPECT_TRUE(eq(cached.direct, direct.direct));
         EXPECT_TRUE(eq(cached.fused, direct.fused));
@@ -153,6 +160,11 @@ TEST(ExecEngine, PlanFromSizeFreeMatchesDirectLowering) {
         ASSERT_TRUE(cached.skeleton);
         if (!skeleton) skeleton = cached.skeleton.get();
         EXPECT_EQ(cached.skeleton.get(), skeleton);
+        // The held cells depend on the root, which the entry's cache key
+        // fixes: re-materializing it for another root is a caller error.
+        EXPECT_THROW((void)runtime::ExecPlan::from_size_free(sf, c.coll, cfg.root + 1,
+                                                             cfg.elem_count, cfg.elem_size),
+                     std::invalid_argument);
 
         const auto inputs = make_inputs(p, elem_count);
         const auto a = runtime::execute<u64>(direct, runtime::ReduceOp::sum, inputs);
@@ -209,6 +221,108 @@ TEST(ExecEngine, LoweringRejectsInvalidSchedules) {
   const auto in = make_inputs(cfg.p, cfg.elem_count);
   EXPECT_THROW(runtime::execute_reference<u64>(sch, runtime::ReduceOp::sum, in),
                std::runtime_error);
+}
+
+// Alltoall runs in pairwise space (p^2 blocks), but a rank only ever holds
+// its own send blocks plus the blocks delivered to it. The executor's state
+// must hold exactly those cells -- checked against an independent walk of
+// the exchange log -- and nothing else: at 128 ranks that is at most 5% of
+// the p * nblocks (rank, block) pairs a dense layout would allocate.
+TEST(ExecEngine, AlltoallStateHoldsOnlyReachableCells) {
+  for (const auto& entry : coll::algorithms_for(sched::Collective::alltoall)) {
+    for (const i64 p : {5, 12, 33, 64, 128}) {
+      if (entry.pow2_only && !is_pow2(p)) continue;
+      SCOPED_TRACE(entry.name + " p=" + std::to_string(p));
+      coll::Config cfg;
+      cfg.p = p;
+      cfg.elem_count = 2 * p + 3;  // non-divisible block sizes included
+      cfg.elem_size = 8;
+      const sched::Schedule sch = entry.make(cfg);
+      const runtime::ExecPlan plan = runtime::ExecPlan::lower(sch);
+
+      std::vector<std::set<i64>> held(static_cast<size_t>(p));
+      for (Rank r = 0; r < p; ++r)
+        for (i64 d = 0; d < p; ++d) held[static_cast<size_t>(r)].insert(r * p + d);
+      for (const sched::Exchange& ex : sch.exchanges())
+        for (const i64 id : ex.blocks.expand(sch.nblocks))
+          held[static_cast<size_t>(ex.to)].insert(id);
+
+      i64 cells = 0;
+      i64 elems = 0;
+      for (Rank r = 0; r < p; ++r) {
+        const auto& want = held[static_cast<size_t>(r)];
+        const std::vector<i64> got(plan.cell_block.begin() + plan.cell_begin[static_cast<size_t>(r)],
+                                   plan.cell_block.begin() +
+                                       plan.cell_begin[static_cast<size_t>(r) + 1]);
+        ASSERT_EQ(got, std::vector<i64>(want.begin(), want.end())) << "rank " << r;
+        cells += static_cast<i64>(want.size());
+        for (const i64 id : want) elems += sched::block_elems(id % p, cfg.elem_count, p);
+      }
+      // Held cells plus the one sentinel.
+      ASSERT_EQ(plan.ncells, cells + 1);
+      EXPECT_EQ(plan.state_elems, elems);
+      if (p == 128) {
+        EXPECT_LE(cells * 20, p * sch.nblocks);
+      }
+
+      const auto inputs = make_inputs(p, cfg.elem_count);
+      const auto got = runtime::execute<u64>(plan, runtime::ReduceOp::sum, inputs);
+      EXPECT_EQ(static_cast<i64>(got.data.size()), elems);
+      EXPECT_EQ(static_cast<i64>(got.valid.size()), cells + 1);
+      EXPECT_EQ(static_cast<i64>(got.contrib.size()), (cells + 1) * plan.words);
+      EXPECT_EQ(runtime::verify<u64>(plan, runtime::ReduceOp::sum, inputs, got), "");
+      if (p <= 33)
+        expect_matches_reference(
+            runtime::execute_reference<u64>(sch, runtime::ReduceOp::sum, inputs), got, p,
+            sch.nblocks, entry.name);
+    }
+  }
+}
+
+// A rank that forwards a block before holding it throws "rank S sends
+// invalid block B" at that step -- whether the block reaches it later (a
+// held cell, still invalid) or never does (the read resolves to the
+// sentinel cell) -- with the reference executor's message, sequential and
+// threaded.
+TEST(ExecEngine, ForwardingAnUnheldBlockThrowsAtItsStep) {
+  for (const bool delivered_later : {false, true}) {
+    SCOPED_TRACE(delivered_later ? "delivered later" : "never held");
+    coll::Config cfg;
+    cfg.p = 4;
+    cfg.elem_count = 8;
+    sched::Schedule sch = coll::make_base(sched::Collective::alltoall, cfg, "forwards_unheld",
+                                          sched::BlockSpace::pairwise);
+    // Block 1 is (0 -> 1): rank 0 starts with it and hands it to rank 1.
+    sch.add_exchange(0, 0, 1, sched::BlockSet::single(1), false);
+    // Rank 2 forwards block 1 at step 1 without holding it.
+    sch.add_exchange(1, 2, 3, sched::BlockSet::single(1), false);
+    if (delivered_later) sch.add_exchange(2, 1, 2, sched::BlockSet::single(1), false);
+    const runtime::ExecPlan plan = runtime::ExecPlan::lower(sch);
+    const std::uint32_t rank2_cell = plan.cell(2, 1);
+    EXPECT_EQ(rank2_cell == plan.sentinel_cell(), !delivered_later);
+    EXPECT_EQ(plan.read_cell[plan.block_begin[1]], rank2_cell);
+
+    const std::string want = "step 1: rank 2 sends invalid block 1";
+    const auto in = make_inputs(cfg.p, cfg.elem_count);
+    const auto message = [](auto&& run) -> std::string {
+      try {
+        run();
+      } catch (const std::runtime_error& e) {
+        return e.what();
+      }
+      return "no error";
+    };
+    EXPECT_EQ(message([&] {
+                (void)runtime::execute_reference<u64>(sch, runtime::ReduceOp::sum, in);
+              }),
+              want);
+    for (const i64 threads : {i64{1}, i64{4}})
+      EXPECT_EQ(message([&] {
+                  (void)runtime::execute<u64>(plan, runtime::ReduceOp::sum, in, threads);
+                }),
+                want)
+          << "threads=" << threads;
+  }
 }
 
 // Threaded phase fan-out must be bit-identical to the sequential reference
@@ -296,9 +410,7 @@ TEST(ExecEngine, FusedSymmetricExchangeIsBitExactForFloatMinMax) {
 // exactly the bytes of the freshly generated schedule
 // (Schedule::total_wire_bytes). RunResult::total_bytes is not comparable: it
 // weights bytes by hop count. On a healthy machine execution depends on the
-// cell alone, so each cell executes once, on the profiles in turn. 64 ranks
-// x 1 MiB is simulated but not executed: those cells cost ~20 s of
-// execution, 13 s of it alltoall.
+// cell alone, so each cell executes once, on the profiles in turn.
 TEST(ExecEngine, RunnerVerifiedExecutionMatchesIndependentEnginesAcrossProfiles) {
   std::vector<std::unique_ptr<harness::Runner>> runners;
   for (net::SystemProfile profile :
@@ -318,7 +430,6 @@ TEST(ExecEngine, RunnerVerifiedExecutionMatchesIndependentEnginesAcrossProfiles)
         sims.push_back(runner->run_candidates(coll, algos, p, sizes));
       for (size_t k = 0; k < algos.size(); ++k)
         for (size_t s = 0; s < sizes.size(); ++s) {
-          if (p == 64 && sizes[s] == (1 << 20)) continue;
           harness::Runner& runner = *runners[cell++ % runners.size()];
           SCOPED_TRACE(runner.profile().name + "/" + to_string(coll) + "/" +
                        algos[k]->name + " p=" + std::to_string(p) + " " +
