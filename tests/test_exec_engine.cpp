@@ -4,8 +4,9 @@
 // parity, threaded-executor determinism, Runner's verified-execution path on
 // all four topology-family profiles against the simulator and the fresh
 // schedule, shared-process-cache hits across Runner instances, and the
-// held-cell state layout (alltoall holds only reachable cells; sends of
-// never-held blocks fail like the reference).
+// held-cell state layout (every rank holds exactly the cells an independent
+// walk of the exchange log reaches; sends of never-held blocks fail like the
+// reference), and the postcondition checker's first-failure diagnostics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,8 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "coll/registry.hpp"
@@ -59,6 +62,93 @@ void expect_matches_reference(const runtime::ExecResult<u64>& ref,
       EXPECT_TRUE(got.contributors(r, b) == slot.contributors)
           << what << " rank " << r << " block " << b;
     }
+}
+
+/// Roots a rooted collective's tests cover: 0 and an interior rank.
+std::vector<Rank> roots_for(sched::Collective coll, i64 p) {
+  using sched::Collective;
+  const bool rooted = coll == Collective::bcast || coll == Collective::reduce ||
+                      coll == Collective::gather || coll == Collective::scatter;
+  if (rooted && p / 3 != 0) return {0, p / 3};
+  return {0};
+}
+
+/// Element length of block `id` in `sch`'s block space.
+i64 block_len(const sched::Schedule& sch, i64 id) {
+  return sch.space == sched::BlockSpace::pairwise
+             ? sched::block_elems(id % sch.p, sch.elem_count, sch.p)
+             : sched::block_elems(id, sch.elem_count, sch.nblocks);
+}
+
+/// Checks `plan`'s held cells against an independent walk of `sch`: each
+/// rank's initial holdings (spelled out here, not taken from the library)
+/// plus every block id `Schedule::exchanges()` delivers to it. Also checks
+/// that the plan's deliveries are the log's exchanges and that every
+/// delivered block reads from its sender's cell and lands in its receiver's.
+/// Returns the number of held cells.
+i64 expect_held_cells_match_walk(const sched::Schedule& sch, const runtime::ExecPlan& plan) {
+  using sched::Collective;
+  const i64 p = sch.p;
+  std::vector<std::set<i64>> held(static_cast<size_t>(p));
+  const auto hold_all = [&](Rank r) {
+    for (i64 b = 0; b < sch.nblocks; ++b) held[static_cast<size_t>(r)].insert(b);
+  };
+  for (Rank r = 0; r < p; ++r) switch (sch.coll) {
+      case Collective::bcast:
+      case Collective::scatter:
+        if (r == sch.root) hold_all(r);
+        break;
+      case Collective::reduce:
+      case Collective::allreduce:
+      case Collective::reduce_scatter:
+        hold_all(r);
+        break;
+      case Collective::gather:
+      case Collective::allgather:
+        held[static_cast<size_t>(r)].insert(r);
+        break;
+      case Collective::alltoall:
+        for (i64 d = 0; d < p; ++d) held[static_cast<size_t>(r)].insert(r * p + d);
+        break;
+    }
+  using Delivery = std::tuple<Rank, Rank, std::vector<i64>>;
+  std::vector<Delivery> want_deliveries;
+  for (const sched::Exchange& ex : sch.exchanges()) {
+    std::vector<i64> ids = ex.blocks.expand(sch.nblocks);
+    for (const i64 id : ids) held[static_cast<size_t>(ex.to)].insert(id);
+    want_deliveries.emplace_back(ex.to, ex.from, std::move(ids));
+  }
+
+  i64 cells = 0;
+  i64 elems = 0;
+  for (Rank r = 0; r < p; ++r) {
+    const auto& want = held[static_cast<size_t>(r)];
+    const std::vector<i64> got(plan.cell_block.begin() + plan.cell_begin[static_cast<size_t>(r)],
+                               plan.cell_block.begin() +
+                                   plan.cell_begin[static_cast<size_t>(r) + 1]);
+    EXPECT_EQ(got, std::vector<i64>(want.begin(), want.end())) << "rank " << r;
+    cells += static_cast<i64>(want.size());
+    for (const i64 id : want) elems += block_len(sch, id);
+  }
+  // Held cells plus the one sentinel.
+  EXPECT_EQ(plan.ncells, cells + 1);
+  EXPECT_EQ(plan.state_elems, elems);
+
+  std::vector<Delivery> got_deliveries;
+  for (size_t j = 0; j < plan.num_ops(); ++j) {
+    std::vector<i64> ids;
+    for (std::uint32_t k = plan.block_begin[j]; k < plan.block_begin[j + 1]; ++k) {
+      const i64 id = plan.block_id(k);
+      ids.push_back(id);
+      EXPECT_EQ(plan.write_cell[k], plan.cell(plan.to[j], id)) << "delivered block " << k;
+      EXPECT_EQ(plan.read_cell[k], plan.cell(plan.from[j], id)) << "delivered block " << k;
+    }
+    got_deliveries.emplace_back(plan.to[j], plan.from[j], std::move(ids));
+  }
+  std::sort(want_deliveries.begin(), want_deliveries.end());
+  std::sort(got_deliveries.begin(), got_deliveries.end());
+  EXPECT_TRUE(got_deliveries == want_deliveries);
+  return cells;
 }
 
 }  // namespace
@@ -239,35 +329,14 @@ TEST(ExecEngine, AlltoallStateHoldsOnlyReachableCells) {
       cfg.elem_size = 8;
       const sched::Schedule sch = entry.make(cfg);
       const runtime::ExecPlan plan = runtime::ExecPlan::lower(sch);
-
-      std::vector<std::set<i64>> held(static_cast<size_t>(p));
-      for (Rank r = 0; r < p; ++r)
-        for (i64 d = 0; d < p; ++d) held[static_cast<size_t>(r)].insert(r * p + d);
-      for (const sched::Exchange& ex : sch.exchanges())
-        for (const i64 id : ex.blocks.expand(sch.nblocks))
-          held[static_cast<size_t>(ex.to)].insert(id);
-
-      i64 cells = 0;
-      i64 elems = 0;
-      for (Rank r = 0; r < p; ++r) {
-        const auto& want = held[static_cast<size_t>(r)];
-        const std::vector<i64> got(plan.cell_block.begin() + plan.cell_begin[static_cast<size_t>(r)],
-                                   plan.cell_block.begin() +
-                                       plan.cell_begin[static_cast<size_t>(r) + 1]);
-        ASSERT_EQ(got, std::vector<i64>(want.begin(), want.end())) << "rank " << r;
-        cells += static_cast<i64>(want.size());
-        for (const i64 id : want) elems += sched::block_elems(id % p, cfg.elem_count, p);
-      }
-      // Held cells plus the one sentinel.
-      ASSERT_EQ(plan.ncells, cells + 1);
-      EXPECT_EQ(plan.state_elems, elems);
+      const i64 cells = expect_held_cells_match_walk(sch, plan);
       if (p == 128) {
         EXPECT_LE(cells * 20, p * sch.nblocks);
       }
 
       const auto inputs = make_inputs(p, cfg.elem_count);
       const auto got = runtime::execute<u64>(plan, runtime::ReduceOp::sum, inputs);
-      EXPECT_EQ(static_cast<i64>(got.data.size()), elems);
+      EXPECT_EQ(static_cast<i64>(got.data.size()), plan.state_elems);
       EXPECT_EQ(static_cast<i64>(got.valid.size()), cells + 1);
       EXPECT_EQ(static_cast<i64>(got.contrib.size()), (cells + 1) * plan.words);
       EXPECT_EQ(runtime::verify<u64>(plan, runtime::ReduceOp::sum, inputs, got), "");
@@ -275,6 +344,140 @@ TEST(ExecEngine, AlltoallStateHoldsOnlyReachableCells) {
         expect_matches_reference(
             runtime::execute_reference<u64>(sch, runtime::ReduceOp::sum, inputs), got, p,
             sch.nblocks, entry.name);
+    }
+  }
+}
+
+// Every collective's held cells, not only alltoall's: for each generic
+// registry algorithm, each rank's held ids are its initial holdings plus the
+// ids the exchange log delivers to it, and every delivered block resolves to
+// its sender's and receiver's cells.
+TEST(ExecEngine, HeldCellsMatchIndependentWalk) {
+  for (const sched::Collective coll : coll::all_collectives()) {
+    for (const auto& entry : coll::algorithms_for(coll)) {
+      if (entry.specialized) continue;
+      for (const i64 p : {5, 12, 33, 64}) {
+        if (entry.pow2_only && !is_pow2(p)) continue;
+        for (const Rank root : roots_for(coll, p)) {
+          SCOPED_TRACE(std::string(to_string(coll)) + "/" + entry.name +
+                       " p=" + std::to_string(p) + " root=" + std::to_string(root));
+          coll::Config cfg;
+          cfg.p = p;
+          cfg.elem_count = 2 * p + 3;  // non-divisible block sizes included
+          cfg.elem_size = 8;
+          cfg.root = root;
+          const sched::Schedule sch = entry.make(cfg);
+          (void)expect_held_cells_match_walk(sch, runtime::ExecPlan::lower(sch));
+        }
+      }
+    }
+  }
+}
+
+namespace {
+
+/// The (holder, block) slots each collective's postcondition pins, in the
+/// order verify checks them.
+std::vector<std::pair<Rank, i64>> verify_order(const sched::Schedule& sch) {
+  using sched::Collective;
+  std::vector<std::pair<Rank, i64>> order;
+  const i64 p = sch.p;
+  switch (sch.coll) {
+    case Collective::bcast:
+    case Collective::allgather:
+    case Collective::allreduce:
+      for (Rank r = 0; r < p; ++r)
+        for (i64 b = 0; b < sch.nblocks; ++b) order.emplace_back(r, b);
+      break;
+    case Collective::reduce:
+    case Collective::gather:
+      for (i64 b = 0; b < sch.nblocks; ++b) order.emplace_back(sch.root, b);
+      break;
+    case Collective::scatter:
+    case Collective::reduce_scatter:
+      for (Rank r = 0; r < p; ++r) order.emplace_back(r, r);
+      break;
+    case Collective::alltoall:
+      for (Rank r = 0; r < p; ++r)
+        for (Rank src = 0; src < p; ++src) order.emplace_back(r, src * p + r);
+      break;
+  }
+  return order;
+}
+
+enum class Damage { data, validity, contributor };
+
+}  // namespace
+
+// The postcondition check reports the FIRST failing slot in a fixed order,
+// with a fixed wording. Damage two pinned slots -- one mid-order, the last
+// one -- of a correct run, one kind of damage at a time, identically in the
+// compiled and the reference result: both verify overloads must name the
+// mid-order slot with the exact message.
+TEST(Verify, FirstFailingSlotIsReportedUnchanged) {
+  const auto op = runtime::ReduceOp::sum;
+  for (const sched::Collective coll : coll::all_collectives()) {
+    const auto& entries = coll::algorithms_for(coll);
+    const auto entry = std::find_if(entries.begin(), entries.end(), [](const auto& e) {
+      return !e.specialized && !e.pow2_only;
+    });
+    ASSERT_NE(entry, entries.end()) << to_string(coll);
+    for (const i64 p : {5, 16}) {
+      for (const Rank root : roots_for(coll, p)) {
+        SCOPED_TRACE(std::string(to_string(coll)) + "/" + entry->name +
+                     " p=" + std::to_string(p) + " root=" + std::to_string(root));
+        coll::Config cfg;
+        cfg.p = p;
+        cfg.elem_count = 3 * p + 5;  // every block non-empty
+        cfg.elem_size = 8;
+        cfg.root = root;
+        const sched::Schedule sch = entry->make(cfg);
+        const auto inputs = make_inputs(p, cfg.elem_count);
+        const runtime::ExecPlan plan = runtime::ExecPlan::lower(sch);
+        const auto good = runtime::execute<u64>(plan, op, inputs);
+        const auto good_ref = runtime::execute_reference<u64>(sch, op, inputs);
+        ASSERT_EQ(runtime::verify<u64>(plan, op, inputs, good), "");
+        ASSERT_EQ(runtime::verify<u64>(sch, op, inputs, good_ref), "");
+
+        const auto order = verify_order(sch);
+        const auto [mid_rank, mid_block] = order[order.size() / 2];
+        for (const Damage damage : {Damage::data, Damage::validity, Damage::contributor}) {
+          auto got = good;
+          auto ref = good_ref;
+          for (const auto& [r, b] : {order[order.size() / 2], order.back()}) {
+            const std::uint32_t c = plan.cell(r, b);
+            auto& slot = ref.ranks[static_cast<size_t>(r)].slots[static_cast<size_t>(b)];
+            switch (damage) {
+              case Damage::data:
+                got.data[static_cast<size_t>(plan.cell_off[c])] ^= 1;
+                slot.data[0] ^= 1;
+                break;
+              case Damage::validity:
+                got.valid[c] = 0;
+                slot.valid = false;
+                break;
+              case Damage::contributor: {
+                // The first rank bit the correct set lacks: a bit past p-1
+                // when every rank contributes.
+                const std::span<const u64> words = good.cell_words(c);
+                Rank bit = 0;
+                while (words[static_cast<size_t>(bit) / 64] >> (bit % 64) & 1) ++bit;
+                got.contrib[static_cast<size_t>(c) * static_cast<size_t>(plan.words) +
+                            static_cast<size_t>(bit) / 64] |= u64{1} << (bit % 64);
+                slot.contributors.add(bit);
+                break;
+              }
+            }
+          }
+          const char* what = damage == Damage::data       ? "has wrong data"
+                             : damage == Damage::validity ? "missing"
+                                                          : "has wrong contributor set";
+          const std::string want = "rank " + std::to_string(mid_rank) + " block " +
+                                   std::to_string(mid_block) + " " + what;
+          EXPECT_EQ(runtime::verify<u64>(plan, op, inputs, got), want);
+          EXPECT_EQ(runtime::verify<u64>(sch, op, inputs, ref), want);
+        }
+      }
     }
   }
 }

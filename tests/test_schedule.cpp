@@ -278,7 +278,11 @@ TEST(Schedule, CanonicalOrderKeepsEachRanksCallOrder) {
             walk += "@" + std::to_string(op.peer) + "#" + std::to_string(op.exchange);
           walk += " ";
         },
-        [&](size_t t) { walk += "|" + std::to_string(t) + " "; });
+        [&](size_t t) {
+          walk += "|";
+          walk += std::to_string(t);
+          walk += " ";
+        });
   };
   record(s);
   EXPECT_EQ(walk,
