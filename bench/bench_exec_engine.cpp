@@ -1,8 +1,10 @@
 // Before/after benchmark of the compiled execution engine on a verify-heavy
 // allreduce sweep: the reference executor (per-op schedule walk,
 // per-message BlockSlot copies, one heap-allocated vector per block slot)
-// vs the compiled path (flat ExecPlan pulled from the schedule cache, dense
-// per-rank buffers, flat contributor bitsets -- runtime/compiled_executor.hpp).
+// vs the compiled path (flat ExecPlan pulled from the schedule cache, flat
+// per-cell state and contributor bitsets -- runtime/compiled_executor.hpp).
+// Each sweep is timed as the median of 15 rounds of process CPU time, with
+// its quartiles printed and recorded.
 //
 // Plan: the compiled sweep is a Backend::execute_verified SweepPlan (one
 // single-algorithm series per applicable allreduce algorithm); the
@@ -14,6 +16,9 @@
 // system's plan resolving the same cells without a single new generation)
 // and the sweep's summed stage-copy bytes (0 = the direct/fused/pair-tiling
 // analysis left every delivery zero-copy).
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -38,6 +43,33 @@ namespace {
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// CPU seconds (user + system) this process has used so far. The sweeps run
+/// on one thread, so a round's CPU time is its own work: unlike wall time it
+/// does not grow while other processes hold the cores.
+double process_cpu_seconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         1e-6 * static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+}
+
+/// First quartile, median and third quartile of a sample (linear
+/// interpolation between order statistics).
+struct Quartiles {
+  double q1 = 0, median = 0, q3 = 0;
+};
+
+Quartiles quartiles(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
 }
 
 struct Cell {
@@ -209,25 +241,26 @@ int main() {
     return 1;
   }
 
-  // Best of three rounds per mode: noise on a shared machine only ever adds
-  // time, so the min is the most faithful sweep cost.
+  // Median of kTimingRounds rounds per mode, each timed as process CPU time;
+  // the quartiles around it say how far one round can be trusted.
+  constexpr int kTimingRounds = 15;
   auto time_mode = [&](auto&& sweep) {
-    double best = std::numeric_limits<double>::infinity();
-    for (int round = 0; round < 3; ++round) {
-      const auto t0 = Clock::now();
+    std::vector<double> rounds;
+    for (int round = 0; round < kTimingRounds; ++round) {
+      const double t0 = process_cpu_seconds();
       if (!sweep()) std::abort();  // a failed verification voids the timing
-      best = std::min(best, seconds_since(t0));
+      rounds.push_back(1e3 * (process_cpu_seconds() - t0));
     }
-    return best;
+    return quartiles(std::move(rounds));
   };
-  const double reference_time = time_mode([&] { return run_sweep_reference(cells); });
+  const Quartiles reference_ms = time_mode([&] { return run_sweep_reference(cells); });
   // Stage-copy accounting rides along: with direct + fused + pair-tiling
   // analysis, every registry plan executes fully zero-copy, so the sweep's
   // summed ExecPlan::stage_bytes must come back 0.
   i64 sweep_stage_bytes = -1;
-  const double compiled_time =
+  const Quartiles compiled_ms =
       time_mode([&] { return run_sweep_compiled(&sweep_stage_bytes); });
-  const double speedup = reference_time / compiled_time;
+  const double speedup = reference_ms.median / compiled_ms.median;
 
   // Shared-cache demonstration: a second system's plan in this process
   // resolves the same cells purely from hits (zero new generations).
@@ -255,10 +288,11 @@ int main() {
         break;
       }
 
-  std::printf("reference: %8.2f ms per sweep (schedule walk + per-slot copies)\n",
-              1e3 * reference_time);
-  std::printf("compiled:  %8.2f ms per sweep (cached ExecPlan + flat state)\n",
-              1e3 * compiled_time);
+  std::printf("CPU ms per sweep, median [quartiles] of %d rounds:\n", kTimingRounds);
+  std::printf("reference: %8.2f [%.2f-%.2f] (schedule walk + per-slot copies)\n",
+              reference_ms.median, reference_ms.q1, reference_ms.q3);
+  std::printf("compiled:  %8.2f [%.2f-%.2f] (cached ExecPlan + flat state)\n",
+              compiled_ms.median, compiled_ms.q1, compiled_ms.q3);
   std::printf("speedup:   %8.2fx   (parity: bit-exact)\n", speedup);
   std::printf("stage copies: %lld bytes across the sweep (zero-copy: direct + fused "
               "+ pair tiling)\n",
@@ -296,8 +330,11 @@ int main() {
                  "  \"bench\": \"exec_engine\",\n"
                  "  \"workload\": \"allreduce_verify_sweep_64_ranks\",\n"
                  "  \"num_cells\": %zu,\n"
+                 "  \"sweep_timing\": \"median of %d rounds, process CPU time\",\n"
                  "  \"reference_sweep_ms\": %.3f,\n"
+                 "  \"reference_sweep_ms_quartiles\": [%.3f, %.3f],\n"
                  "  \"compiled_sweep_ms\": %.3f,\n"
+                 "  \"compiled_sweep_ms_quartiles\": [%.3f, %.3f],\n"
                  "  \"speedup\": %.2f,\n"
                  "  \"parity_bit_exact\": %s,\n"
                  "  \"stage_bytes\": %lld,\n"
@@ -309,7 +346,8 @@ int main() {
                  "  \"threads_auto_gate_bytes\": %lld,\n"
                  "  \"hardware_threads\": %u\n"
                  "}\n",
-                 cells.size(), 1e3 * reference_time, 1e3 * compiled_time, speedup,
+                 cells.size(), kTimingRounds, reference_ms.median, reference_ms.q1,
+                 reference_ms.q3, compiled_ms.median, compiled_ms.q1, compiled_ms.q3, speedup,
                  parity ? "true" : "false",
                  static_cast<long long>(sweep_stage_bytes),
                  static_cast<unsigned long long>(second_hits),

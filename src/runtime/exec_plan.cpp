@@ -1,55 +1,109 @@
 #include "runtime/exec_plan.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
-#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 namespace bine::runtime {
 
 namespace {
 
+/// Deliveries bucketed by one endpoint (counting sort): rank r's are
+/// order[begin[r] .. begin[r+1]), in delivery order.
+struct RankBuckets {
+  std::vector<std::uint32_t> begin;
+  std::vector<std::uint32_t> order;
+};
+
+RankBuckets bucket_by_rank(std::span<const std::int32_t> rank_of, i64 p) {
+  RankBuckets out;
+  out.begin.assign(static_cast<size_t>(p) + 1, 0);
+  for (const std::int32_t r : rank_of) ++out.begin[static_cast<size_t>(r) + 1];
+  for (size_t r = 0; r < static_cast<size_t>(p); ++r) out.begin[r + 1] += out.begin[r];
+  out.order.resize(rank_of.size());
+  std::vector<std::uint32_t> next(out.begin.begin(), out.begin.end() - 1);
+  for (size_t j = 0; j < rank_of.size(); ++j)
+    out.order[next[static_cast<size_t>(rank_of[j])]++] = static_cast<std::uint32_t>(j);
+  return out;
+}
+
 /// Held cells of every rank (initial holdings plus delivered ids, ascending
 /// per rank) and each delivered block's read and write cell. `ids[k]` is
 /// delivered block k, received by `to` and sent by `from` of its delivery.
+///
+/// Linear in the delivered blocks: deliveries are bucketed by receiver and
+/// by sender, then the ranks are walked in order with one nblocks-sized
+/// stamp table (stamp[b] == r: rank r holds b) and one cell table (cell_of[b]:
+/// rank r's cell for b), both reused across ranks and never cleared. A
+/// rank's unique ids ascend by sorting them or by scanning the stamps,
+/// whichever is cheaper; its deliveries then resolve by table lookup.
 void build_cells(const sched::SizeFreeSchedule& sf, const std::vector<std::uint32_t>& ids,
                  ExecSkeleton& sk) {
   const i64 p = sf.p;
-  const size_t nops = sk.to.size();
-  // Every (rank, block) a rank ever holds, as rank-major sortable keys.
-  std::vector<u64> held;
-  const auto hold = [&](i64 r, i64 b) {
-    held.push_back(static_cast<u64>(r) << 32 | static_cast<u64>(b));
-  };
-  for (Rank r = 0; r < p; ++r) {
-    const sched::BlockRange init = initial_blocks(sk.coll, sk.root, p, sf.nblocks, r);
-    for (i64 b = init.begin; b < init.begin + init.count; ++b) hold(r, b);
-  }
-  for (size_t j = 0; j < nops; ++j)
-    for (std::uint32_t k = sk.block_begin[j]; k < sk.block_begin[j + 1]; ++k)
-      hold(sk.to[j], ids[k]);
-  std::sort(held.begin(), held.end());
-  held.erase(std::unique(held.begin(), held.end()), held.end());
-  // The sentinel takes the index past the last held cell.
-  if (held.size() >= std::numeric_limits<std::uint32_t>::max())
-    throw std::length_error("execution plan: more than 2^32-2 held cells");
+  const auto nblocks = static_cast<size_t>(sf.nblocks);
+  const RankBuckets received = bucket_by_rank(sk.to, p);
+  const RankBuckets sent = bucket_by_rank(sk.from, p);
+  const auto npos = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> stamp(nblocks, npos);
+  std::vector<std::uint32_t> cell_of(nblocks);
+  std::vector<std::uint32_t> uniq;
   sk.cell_begin.assign(static_cast<size_t>(p) + 1, 0);
-  sk.cell_block.reserve(held.size());
-  for (const u64 key : held) {
-    ++sk.cell_begin[static_cast<size_t>(key >> 32) + 1];
-    sk.cell_block.push_back(static_cast<std::uint32_t>(key));
-  }
-  for (size_t r = 0; r < static_cast<size_t>(p); ++r) sk.cell_begin[r + 1] += sk.cell_begin[r];
   sk.read_cell.resize(ids.size());
   sk.write_cell.resize(ids.size());
-  for (size_t j = 0; j < nops; ++j)
-    for (std::uint32_t k = sk.block_begin[j]; k < sk.block_begin[j + 1]; ++k) {
-      sk.read_cell[k] = find_cell(sk.cell_begin, sk.cell_block, sk.from[j], ids[k]);
-      sk.write_cell[k] = find_cell(sk.cell_begin, sk.cell_block, sk.to[j], ids[k]);
+  for (Rank r = 0; r < p; ++r) {
+    const auto epoch = static_cast<std::uint32_t>(r);
+    uniq.clear();
+    const auto hold = [&](std::uint32_t b) {
+      if (stamp[b] == epoch) return;
+      stamp[b] = epoch;
+      uniq.push_back(b);
+    };
+    const sched::BlockRange init = initial_blocks(sk.coll, sk.root, p, sf.nblocks, r);
+    for (i64 b = init.begin; b < init.begin + init.count; ++b)
+      hold(static_cast<std::uint32_t>(b));
+    const auto rb = static_cast<size_t>(r);
+    for (std::uint32_t i = received.begin[rb]; i < received.begin[rb + 1]; ++i) {
+      const std::uint32_t j = received.order[i];
+      for (std::uint32_t k = sk.block_begin[j]; k < sk.block_begin[j + 1]; ++k) hold(ids[k]);
     }
+    if (uniq.size() * static_cast<size_t>(std::bit_width(uniq.size())) < nblocks) {
+      std::sort(uniq.begin(), uniq.end());
+    } else {
+      uniq.clear();
+      for (std::uint32_t b = 0; b < nblocks; ++b)
+        if (stamp[b] == epoch) uniq.push_back(b);
+    }
+    // The sentinel takes the index past the last held cell.
+    if (sk.cell_block.size() + uniq.size() >= npos)
+      throw std::length_error("execution plan: more than 2^32-2 held cells");
+    for (const std::uint32_t b : uniq) {
+      cell_of[b] = static_cast<std::uint32_t>(sk.cell_block.size());
+      sk.cell_block.push_back(b);
+    }
+    sk.cell_begin[rb + 1] = static_cast<std::uint32_t>(sk.cell_block.size());
+    for (std::uint32_t i = received.begin[rb]; i < received.begin[rb + 1]; ++i) {
+      const std::uint32_t j = received.order[i];
+      for (std::uint32_t k = sk.block_begin[j]; k < sk.block_begin[j + 1]; ++k)
+        sk.write_cell[k] = cell_of[ids[k]];
+    }
+    // A block the sender never holds reads the sentinel, whose index is
+    // known once every rank's cells are: mark it and patch below.
+    for (std::uint32_t i = sent.begin[rb]; i < sent.begin[rb + 1]; ++i) {
+      const std::uint32_t j = sent.order[i];
+      for (std::uint32_t k = sk.block_begin[j]; k < sk.block_begin[j + 1]; ++k)
+        sk.read_cell[k] = stamp[ids[k]] == epoch ? cell_of[ids[k]] : npos;
+    }
+  }
+  // The skeleton lives as long as its cache entry: drop the growth slack.
+  sk.cell_block.shrink_to_fit();
+  const auto sentinel = static_cast<std::uint32_t>(sk.cell_block.size());
+  for (std::uint32_t& c : sk.read_cell)
+    if (c == npos) c = sentinel;
 }
 
 /// The per-step dataflow analysis over one entry's delivery stream: held
@@ -109,13 +163,29 @@ ExecSkeleton analyze_structure(const sched::SizeFreeSchedule& sf, sched::Collect
   std::vector<std::uint32_t> written(ncells, npos);
   std::vector<std::uint32_t> touched(ncells, npos);
   std::vector<std::uint32_t> touch_count(ncells, 0);
-  std::map<std::pair<std::int32_t, std::int32_t>, std::vector<std::uint32_t>> by_flow;
+  // This step's recv_reduce deliveries by (receiver, sender), sorted: the
+  // fusion pass below looks flows up in both directions.
+  struct Flow {
+    std::int32_t to, from;
+    std::uint32_t j;
+  };
+  const auto by_pair = [](const Flow& a, const Flow& b) {
+    return std::tie(a.to, a.from) < std::tie(b.to, b.from);
+  };
+  std::vector<Flow> flows;
+  // The step's only recv_reduce delivery dst <- src, or npos when it has
+  // none or several.
+  const auto sole_flow = [&](std::int32_t dst, std::int32_t src) {
+    const auto [lo, hi] =
+        std::equal_range(flows.begin(), flows.end(), Flow{dst, src, 0}, by_pair);
+    return hi - lo == 1 ? lo->j : npos;
+  };
   for (size_t t = 0; t < steps; ++t) {
     const std::uint32_t ob = step_begin[t], oe = step_begin[t + 1];
-    by_flow.clear();
+    flows.clear();
     for (std::uint32_t j = ob; j < oe; ++j) {
       if (j == ob || to[j] != to[j - 1]) sk.run_begin.push_back(j);
-      if (reduce[j]) by_flow[{to[j], from[j]}].push_back(j);
+      if (reduce[j]) flows.push_back({to[j], from[j], j});
       for (std::uint32_t k = sk.block_begin[j]; k < sk.block_begin[j + 1]; ++k) {
         written[wcell[k]] = static_cast<std::uint32_t>(t);
         for (const std::uint32_t cell : {wcell[k], rcell[k]}) {
@@ -141,14 +211,12 @@ ExecSkeleton analyze_structure(const sched::SizeFreeSchedule& sf, sched::Collect
     // the identical id list whose cells only the pair touches. touch_count
     // == 2 on every cell certifies exclusivity (the pair itself contributes
     // one write- and one read-touch per cell).
+    std::sort(flows.begin(), flows.end(), by_pair);
     for (std::uint32_t j = ob; j < oe; ++j) {
       if (!reduce[j] || sk.direct[j] || sk.fused[j] || to[j] > from[j]) continue;
-      const auto fwd = by_flow.find({to[j], from[j]});
-      const auto rev = by_flow.find({from[j], to[j]});
-      if (fwd == by_flow.end() || rev == by_flow.end()) continue;
-      if (fwd->second.size() != 1 || rev->second.size() != 1) continue;
-      const std::uint32_t j2 = rev->second.front();
-      if (sk.direct[j2] || sk.fused[j2]) continue;
+      if (sole_flow(to[j], from[j]) != j) continue;
+      const std::uint32_t j2 = sole_flow(from[j], to[j]);
+      if (j2 == npos || sk.direct[j2] || sk.fused[j2]) continue;
       const std::uint32_t len = sk.block_begin[j + 1] - sk.block_begin[j];
       if (sk.block_begin[j2 + 1] - sk.block_begin[j2] != len) continue;
       // Identical id lists: j reads exactly the cells j2 writes, in order

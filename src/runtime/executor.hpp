@@ -109,7 +109,7 @@ struct ExecResult {
 };
 
 /// The block-id-to-elements mapping of one schedule: everything
-/// `initial_block`/`verify` need, shared between the Schedule path and
+/// `input_block`/`verify` need, shared between the Schedule path and
 /// the compiled ExecPlan path (which has no Schedule to point at).
 struct BlockLayout {
   sched::BlockSpace space = sched::BlockSpace::per_vector;
@@ -131,31 +131,20 @@ struct BlockLayout {
 
 namespace detail {
 
-/// Element span of logical block `id` inside rank `holder`'s input vector.
-/// For per_vector space the block maps into the shared vector; for pairwise
-/// space id = s*p + d maps into sender s's send buffer.
+/// Logical block `id` as it sits in the inputs, before any step: a view of
+/// rank `holder`'s input vector for per_vector space; for pairwise space
+/// id = s*p + d views block d of sender s's send buffer.
 template <typename T>
-std::vector<T> initial_block(const BlockLayout& l, std::span<const std::vector<T>> inputs,
-                             Rank holder, i64 id) {
+std::span<const T> input_block(const BlockLayout& l, std::span<const std::vector<T>> inputs,
+                               Rank holder, i64 id) {
   using sched::block_elems;
   using sched::block_offset;
-  if (l.space == sched::BlockSpace::per_vector) {
-    const i64 off = block_offset(id, l.elem_count, l.nblocks);
-    const i64 len = block_elems(id, l.elem_count, l.nblocks);
-    const auto& in = inputs[static_cast<size_t>(holder)];
-    return {in.begin() + off, in.begin() + off + len};
-  }
-  const i64 src = id / l.p;
-  const i64 off = block_offset(id % l.p, l.elem_count, l.p);
-  const i64 len = block_elems(id % l.p, l.elem_count, l.p);
-  const auto& in = inputs[static_cast<size_t>(src)];
-  return {in.begin() + off, in.begin() + off + len};
-}
-
-template <typename T>
-std::vector<T> initial_block(const sched::Schedule& s, std::span<const std::vector<T>> inputs,
-                             Rank holder, i64 id) {
-  return initial_block(BlockLayout::of(s), inputs, holder, id);
+  const bool per_vector = l.space == sched::BlockSpace::per_vector;
+  const i64 b = per_vector ? id : id % l.p;
+  const i64 nb = per_vector ? l.nblocks : l.p;
+  const auto& in = inputs[static_cast<size_t>(per_vector ? holder : id / l.p)];
+  return {in.data() + block_offset(b, l.elem_count, nb),
+          static_cast<size_t>(block_elems(b, l.elem_count, nb))};
 }
 
 }  // namespace detail
@@ -170,9 +159,11 @@ std::vector<RankState<T>> initial_state(const sched::Schedule& s,
   std::vector<RankState<T>> ranks(static_cast<size_t>(s.p));
   for (auto& rs : ranks) rs.slots.resize(static_cast<size_t>(s.nblocks));
 
+  const BlockLayout layout = BlockLayout::of(s);
   auto fill = [&](Rank holder, i64 id, Rank contributor) {
     BlockSlot<T>& slot = ranks[static_cast<size_t>(holder)].slots[static_cast<size_t>(id)];
-    slot.data = detail::initial_block(s, inputs, contributor, id);
+    const std::span<const T> in = detail::input_block(layout, inputs, contributor, id);
+    slot.data.assign(in.begin(), in.end());
     slot.contributors = RankSet::single(s.p, contributor);
     slot.valid = true;
   };

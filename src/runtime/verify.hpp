@@ -20,57 +20,35 @@ namespace bine::runtime {
 
 namespace detail {
 
-/// Reference reduction of logical block `id` across all ranks' inputs.
-template <typename T>
-std::vector<T> reduced_block(const BlockLayout& l, ReduceOp op,
-                             std::span<const std::vector<T>> inputs, i64 id) {
-  std::vector<T> acc = initial_block(l, inputs, 0, id);
-  for (Rank r = 1; r < l.p; ++r) {
-    const std::vector<T> next = initial_block(l, inputs, r, id);
-    reduce_into<T>(op, acc, next);
-  }
-  return acc;
-}
-
 /// `check(holder, id, expected_data, expected_contrib)` for every slot the
 /// collective's postcondition pins down; first non-empty diagnostic wins.
-/// Fully-reduced expected blocks are memoized per id: allreduce checks p
-/// ranks against the same p-way reduction, and recomputing it per rank made
-/// verification O(p^2 n) -- the old dominant cost of a verify-heavy sweep.
+/// Expected data is never copied per slot: an initial block is a view of
+/// the inputs (input_block), and a fully reduced block is a slice of ONE
+/// p-way fold of the whole vector, computed on first use in rank order
+/// 0..p-1 -- each element sees the same operation order a per-block fold
+/// would, so the expected bits are identical.
 template <typename T, class CheckFn>
 std::string verify_slots(sched::Collective coll, const BlockLayout& l, Rank root,
                          ReduceOp op, std::span<const std::vector<T>> inputs,
                          CheckFn&& check) {
   using sched::Collective;
   const RankSet all = RankSet::full(l.p);
-  std::vector<std::vector<T>> reduced_cache;
-  const auto reduced = [&](i64 id) -> const std::vector<T>& {
-    if (reduced_cache.empty()) reduced_cache.resize(static_cast<size_t>(l.nblocks));
-    std::vector<T>& slot = reduced_cache[static_cast<size_t>(id)];
-    if (slot.empty()) slot = reduced_block(l, op, inputs, id);
-    return slot;
-  };
-  // Initial blocks are likewise memoized by id: every postcondition below
-  // pins one holder per id, and bcast/allgather check the same expected
-  // block at p ranks. The recorded holder guards that invariant -- a future
-  // case mixing holders for one id must fail loudly, not silently compare
-  // against the first holder's data.
-  std::vector<std::vector<T>> initial_cache;
-  std::vector<Rank> initial_holder;
-  const auto initial = [&](Rank holder, i64 id) -> const std::vector<T>& {
-    if (initial_cache.empty()) {
-      initial_cache.resize(static_cast<size_t>(l.nblocks));
-      initial_holder.assign(static_cast<size_t>(l.nblocks), -1);
+  // Only the reducing collectives fold, and they all run in per_vector space.
+  std::vector<T> folded;
+  bool have_fold = false;
+  const auto reduced = [&](i64 id) -> std::span<const T> {
+    if (!have_fold) {
+      const auto n = static_cast<size_t>(l.elem_count);
+      folded.assign(inputs[0].begin(), inputs[0].begin() + static_cast<std::ptrdiff_t>(n));
+      for (Rank r = 1; r < l.p; ++r)
+        reduce_into<T>(op, folded, std::span<const T>(inputs[static_cast<size_t>(r)]).first(n));
+      have_fold = true;
     }
-    std::vector<T>& slot = initial_cache[static_cast<size_t>(id)];
-    if (slot.empty()) {
-      slot = initial_block(l, inputs, holder, id);
-      initial_holder[static_cast<size_t>(id)] = holder;
-    }
-    assert(initial_holder[static_cast<size_t>(id)] == holder &&
-           "one holder per id is the memoization contract");
-    return slot;
+    return std::span<const T>(folded).subspan(
+        static_cast<size_t>(sched::block_offset(id, l.elem_count, l.nblocks)),
+        static_cast<size_t>(sched::block_elems(id, l.elem_count, l.nblocks)));
   };
+  const auto initial = [&](Rank holder, i64 id) { return input_block(l, inputs, holder, id); };
   const RankSet root_single = RankSet::single(l.p, root);
   std::string err;
   switch (coll) {
@@ -161,7 +139,7 @@ inline std::string slot_failure(Rank holder, i64 id, const char* what) {
 template <typename T>
 std::string slot_diagnostic(Rank holder, i64 id, bool valid, std::span<const T> data,
                             std::span<const u64> contrib_words,
-                            const std::vector<T>& expected_data,
+                            std::span<const T> expected_data,
                             const RankSet& expected_contrib) {
   if (!valid) return slot_failure(holder, id, "missing");
   if (!std::equal(data.begin(), data.end(), expected_data.begin(), expected_data.end()))
@@ -181,7 +159,7 @@ std::string verify(const sched::Schedule& s, ReduceOp op,
                    std::span<const std::vector<T>> inputs, const ExecResult<T>& res) {
   return detail::verify_slots<T>(
       s.coll, BlockLayout::of(s), s.root, op, inputs,
-      [&](Rank holder, i64 id, const std::vector<T>& expected_data,
+      [&](Rank holder, i64 id, std::span<const T> expected_data,
           const RankSet& expected_contrib) {
         const BlockSlot<T>& slot =
             res.ranks[static_cast<size_t>(holder)].slots[static_cast<size_t>(id)];
@@ -199,7 +177,7 @@ std::string verify(const ExecPlan& plan, ReduceOp op,
   const BlockLayout layout{plan.space, plan.p, plan.nblocks, plan.elem_count};
   return detail::verify_slots<T>(
       plan.coll, layout, plan.root, op, inputs,
-      [&](Rank holder, i64 id, const std::vector<T>& expected_data,
+      [&](Rank holder, i64 id, std::span<const T> expected_data,
           const RankSet& expected_contrib) {
         const std::uint32_t c = plan.cell(holder, id);
         return detail::slot_diagnostic<T>(holder, id, res.valid[c] != 0, res.cell_data(c),
