@@ -686,7 +686,7 @@ ExecOutcome execute_cells(
   }
 
   // Warm the per-node machine instances serially so workers only compete for
-  // cells, not for building the same topology/route table under a lock --
+  // cells, not for building the same topology/route cache under a lock --
   // and only for cells that will actually run: replayed cells must not pay
   // the topology build. A cell whose instance cannot build fails again
   // inside its guarded work item, where the plan's failure discipline

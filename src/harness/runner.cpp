@@ -90,6 +90,7 @@ Runner::Sized& Runner::sized_for(i64 nodes) {
 
   Sized sized;
   sized.topo = profile_.build(nodes);
+  net::Placement placement;
   if (spread_placement_ && sized.topo->num_nodes() > nodes) {
     // Fragmented machine: the job lands on whichever nodes are free, spanning
     // several groups, with ranks sorted by hostname (paper Sec. 2.2/5).
@@ -100,25 +101,25 @@ Runner::Sized& Runner::sized_for(i64 nodes) {
     alloc::Machine machine{sized.topo->group_of(total - 1) + 1, per_group};
     alloc::SyntheticScheduler sched_gen(machine, /*busy_fraction=*/0.85,
                                         seed_ + static_cast<u64>(nodes));
-    sized.placement.node_of_rank = sched_gen.sample_job(nodes).node_of_rank;
+    placement.node_of_rank = sched_gen.sample_job(nodes).node_of_rank;
   } else {
-    sized.placement = net::Placement::identity(nodes);
+    placement = net::Placement::identity(nodes);
   }
   if (fault_ && fault_->has_failed_ranks()) {
     // Graceful degradation: failed ranks leave the job. Survivors keep their
     // nodes and renumber densely (the rank remap the shrunk communicator
     // runs on), so the machine instance has effective_ranks(nodes) ranks.
     std::vector<i64> surviving;
-    surviving.reserve(sized.placement.node_of_rank.size());
+    surviving.reserve(placement.node_of_rank.size());
     for (Rank r = 0; r < nodes; ++r)
       if (!fault_->rank_failed(r))
-        surviving.push_back(sized.placement.node_of_rank[static_cast<size_t>(r)]);
+        surviving.push_back(placement.node_of_rank[static_cast<size_t>(r)]);
     if (static_cast<i64>(surviving.size()) < 2)
       throw std::runtime_error("fault spec leaves fewer than 2 surviving ranks of " +
                                std::to_string(nodes));
-    sized.placement.node_of_rank = std::move(surviving);
+    placement.node_of_rank = std::move(surviving);
   }
-  sized.routes = std::make_unique<net::RouteCache>(*sized.topo, sized.placement);
+  sized.routes = std::make_unique<net::RouteCache>(*sized.topo, std::move(placement));
   if (fault_ && fault_->degrades_links()) sized.routes->degrade(*fault_);
   return cache_.emplace(nodes, std::move(sized)).first->second;
 }
@@ -293,14 +294,15 @@ VerifiedRun Runner::run_verified_impl(Collective coll, const coll::AlgorithmEntr
                                       VerifyMemo* memo) {
   VerifiedRun out;
   std::optional<VerifyMemo::Key> key;
-  if (std::is_floating_point_v<T> && op == runtime::ReduceOp::prod) {
-    // Floating-point products are order-dependent (no input domain keeps
-    // them exact), so schedule-order vs reference-order reductions would
-    // diverge bit-wise and fail every correct algorithm. Reject up front
-    // with an actionable error instead of a spurious data mismatch.
-    out.error = "verified execution does not support ReduceOp::prod over "
-                "floating-point elements (order-dependent rounding); use an "
-                "integral element type";
+  if (std::is_floating_point_v<T> && !runtime::verifiable_over_floats(op)) {
+    // Floating-point products round order-dependently and bitwise ops are
+    // undefined on floats, so schedule-order vs reference-order reductions
+    // would diverge bit-wise and fail every correct algorithm. Reject up
+    // front with an actionable error instead of a spurious data mismatch.
+    out.error = "verified execution does not support ReduceOp::";
+    out.error += runtime::to_string(op);
+    out.error += " over floating-point elements (order-dependent or undefined); "
+                 "use an integral element type";
   } else {
     try {
       const coll::Config cfg = cell_config(nodes, size_bytes, static_cast<i64>(sizeof(T)));

@@ -21,7 +21,7 @@
 
 /// Evaluation driver (the stand-in for the paper's PICO framework): runs a
 /// (system, collective, algorithm, nodes, vector size) combination through
-/// the simulator, caching topologies, placements, compiled route tables AND
+/// the simulator, caching topologies, placements, per-link columns AND
 /// size-free compiled schedules across a sweep. Each cell is a pure function
 /// of its inputs and a Runner is thread-safe, so the sweep engine (exp::run)
 /// fans independent cells out over a thread pool with deterministic,
@@ -202,7 +202,7 @@ class Runner {
   std::vector<i64> torus_dims;
 
   /// Build (or touch) the machine instance for `nodes` now. The sweep engine
-  /// warms every cell's topology/route table serially before fanning work
+  /// warms every cell's topology and route cache serially before fanning work
   /// out, so workers only compete for cells, never for the build lock.
   void prewarm(i64 nodes) { (void)sized_for(nodes); }
 
@@ -222,8 +222,7 @@ class Runner {
  private:
   struct Sized {
     std::unique_ptr<net::Topology> topo;
-    net::Placement placement;
-    std::unique_ptr<net::RouteCache> routes;  ///< compiled per (topo, placement)
+    std::unique_ptr<net::RouteCache> routes;  ///< over *topo and the placement
   };
   /// Thread-safe: builds (or returns) the machine instance for `nodes`. The
   /// returned reference is stable (map nodes never move).

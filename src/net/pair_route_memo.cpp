@@ -69,21 +69,22 @@ void PairRouteMemo::resolve(const RouteCache& rc, std::span<const size_t> pair_k
       if (scope.row_of_pair[key] == kNone) ++missing;
   }
 
-  // Pass 2 (exclusive, only when needed): walk and append the unknown pairs.
-  // Re-check under the writer lock -- another resolver may have inserted
-  // them between passes.
+  // Pass 2 (exclusive, only when needed): route and append the unknown
+  // pairs. Re-check under the writer lock -- another resolver may have
+  // inserted them between passes.
   if (missing > 0) {
     u64 inserted = 0, added_bytes = 0;
+    std::vector<i64> scratch;
     std::unique_lock lock(scope.mutex);
     for (const size_t key : pair_keys) {
       if (scope.row_of_pair[key] != kNone) continue;
       const Rank src = static_cast<Rank>(key / np);
       const Rank dst = static_cast<Rank>(key % np);
       scope.row_of_pair[key] = static_cast<std::uint32_t>(scope.row_off.size());
-      const std::span<const i64> path = rc.path(src, dst);
+      const RouteCache::Route route = rc.route(src, dst, scratch);
       scope.row_off.push_back(static_cast<std::uint32_t>(scope.row_slots.size()));
-      scope.row_len.push_back(static_cast<std::uint32_t>(path.size()));
-      for (const i64 link : path) {
+      scope.row_len.push_back(static_cast<std::uint32_t>(route.links.size()));
+      for (const i64 link : route.links) {
         std::uint32_t& slot = scope.slot_of_link[static_cast<size_t>(link)];
         if (slot == kNone) {
           slot = static_cast<std::uint32_t>(scope.slot_link.size());
@@ -92,11 +93,10 @@ void PairRouteMemo::resolve(const RouteCache& rc, std::span<const size_t> pair_k
         }
         scope.row_slots.push_back(slot);
       }
-      const RouteCache::ClassHops& h = rc.hops(src, dst);
-      scope.row_hops.push_back(h);
-      scope.row_global.push_back(h.global > 0 ? 1 : 0);
+      scope.row_hops.push_back(route.hops);
+      scope.row_global.push_back(route.hops.global > 0 ? 1 : 0);
       ++inserted;
-      added_bytes += path.size() * sizeof(std::uint32_t) + 2 * sizeof(std::uint32_t) +
+      added_bytes += route.links.size() * sizeof(std::uint32_t) + 2 * sizeof(std::uint32_t) +
                      sizeof(RouteCache::ClassHops) + 1;
     }
     misses_.fetch_add(inserted, std::memory_order_relaxed);

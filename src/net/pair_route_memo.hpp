@@ -12,37 +12,41 @@
 #include "net/route_cache.hpp"
 
 /// Profile-scoped memoization of compiled per-(rank, peer) route rows: the
-/// size-batched simulator's cross-schedule structure cache.
+/// one place routes are stored, and the size-batched simulator's
+/// cross-schedule structure cache.
 ///
 /// The simulator resolves each schedule's own send pairs through the memo,
-/// so a pair is walked (`RouteCache::path`, compact link-slot assignment)
+/// so a pair is routed (`RouteCache::route`, compact link-slot assignment)
 /// once per scope, not once per schedule or cell. The candidates of one
 /// collective overwhelmingly reuse the same pairs (every butterfly shares
 /// the ring's neighbor pairs and the trees' ancestor pairs), so the memo
-/// lifts the pair walk to process scope the way
-/// `sched::process_schedule_cache()` lifts schedule generation.
+/// lifts routing to process scope the way `sched::process_schedule_cache()`
+/// lifts schedule generation. No route table is built up front: a scope
+/// holds only the pairs some schedule sent on.
 ///
 /// Scoping: rows are only valid for the (Topology, Placement, fault_epoch)
-/// they were walked under, so the memo partitions its table by
-/// `RouteCache::signature()` -- a content fingerprint over the compiled
-/// route/bandwidth columns, which is exactly that triple (degradation
-/// included; see route_cache.hpp). A Runner whose fault spec degrades links
-/// gets a different scope than a healthy Runner on the same profile, and two
-/// Runners built on identical machine state (the table benches build one per
-/// profile, the tuner one per build round) share one scope: the second
-/// starts hot.
+/// they were routed under, so the memo partitions its table by
+/// `RouteCache::signature()` -- a fingerprint of the topology's name and
+/// shape, the per-link class and bandwidth columns (degradation included)
+/// and the placement, which is exactly that triple (see route_cache.hpp). A
+/// Runner whose fault spec degrades links gets a different scope than a
+/// healthy Runner on the same profile, and two Runners built on identical
+/// machine state (the table benches build one per profile, the tuner one per
+/// build round) share one scope: the second starts hot.
 ///
 /// Each scope owns a stable compact link-slot table (link id -> scope slot,
-/// first-touch order, append-only) and per-pair rows: the pair's path as
+/// first-touch order, append-only), per-pair rows (the pair's path as
 /// scope-slot ids (CSR), its per-class hop counts, and whether it crosses a
-/// global link. Callers copy rows out under a shared lock into call-local
-/// scratch (`Rows`) and remap scope slots to their own dense per-schedule tables;
-/// nothing retains pointers into the scope, so scopes never dangle and rows
-/// survive the RouteCache that seeded them. Slot *numbering* depends on
-/// insertion order and is therefore thread-schedule-dependent -- harmless,
-/// because the simulator's per-step link reduction is a max over
-/// non-negative finite terms (order-independent bitwise) and byte
-/// accumulation is exact i64: results never observe slot order.
+/// global link), and a dense pair -> row index of p^2 `u32`s. Unknown pairs
+/// are routed under the scope's writer lock. Callers copy rows out under a
+/// shared lock into call-local scratch (`Rows`) and remap scope slots to
+/// their own dense per-schedule tables; nothing retains pointers into the
+/// scope, so scopes never dangle and rows survive the RouteCache that seeded
+/// them. Slot *numbering* depends on insertion order and is therefore
+/// thread-schedule-dependent -- harmless, because the simulator's per-step
+/// link reduction is a max over non-negative finite terms (order-independent
+/// bitwise) and byte accumulation is exact i64: results never observe slot
+/// order.
 namespace bine::net {
 
 class PairRouteMemo {
@@ -62,7 +66,7 @@ class PairRouteMemo {
 
   /// Resolve rows for `pair_keys` (ordered-pair keys `src * p + dst`,
   /// deduplicated by the caller) against the scope of `rc`, copying them into
-  /// `out` in key order. Unknown pairs are walked via `rc.path` under the
+  /// `out` in key order. Unknown pairs are routed via `rc.route` under the
   /// scope's writer lock and memoized; known pairs are copied under a shared
   /// lock. Thread-safe; concurrent resolvers of one scope contend only when
   /// one of them is inserting.
@@ -70,7 +74,7 @@ class PairRouteMemo {
 
   struct Stats {
     u64 hits = 0;    ///< pairs served from a scope
-    u64 misses = 0;  ///< pairs walked and inserted
+    u64 misses = 0;  ///< pairs routed and inserted
     u64 scopes = 0;  ///< distinct (Topology, Placement, fault_epoch) seen
     u64 bytes = 0;   ///< approximate resident bytes of memoized rows
   };

@@ -1,80 +1,38 @@
 #include "net/route_cache.hpp"
 
+#include <cassert>
+#include <utility>
+
 #include "core/fnv.hpp"
 #include "fault/fault.hpp"
 
 namespace bine::net {
 
-namespace {
-
-void compile_links(const Topology& topo, std::vector<double>& inv_bandwidth,
-                   std::vector<LinkClass>& link_class) {
+RouteCache::RouteCache(const Topology& topo, Placement pl)
+    : topo_(topo), placement_(std::move(pl)) {
   const auto& links = topo.links();
-  inv_bandwidth.reserve(links.size());
-  link_class.reserve(links.size());
+  inv_bandwidth_.reserve(links.size());
+  link_class_.reserve(links.size());
   for (const Link& l : links) {
-    inv_bandwidth.push_back(1.0 / l.bandwidth);
-    link_class.push_back(l.cls);
+    inv_bandwidth_.push_back(1.0 / l.bandwidth);
+    link_class_.push_back(l.cls);
   }
 }
 
-}  // namespace
-
-void RouteCache::route_one(const Topology& topo, const Placement& pl, Rank s, Rank d,
-                           std::vector<i64>& path_scratch) {
-  path_scratch.clear();
-  topo.route(pl.node_of_rank[static_cast<size_t>(s)],
-             pl.node_of_rank[static_cast<size_t>(d)], path_scratch);
-  ClassHops h;
-  for (const i64 link : path_scratch) {
+RouteCache::Route RouteCache::route(Rank src, Rank dst, std::vector<i64>& scratch) const {
+  assert(src >= 0 && src < num_ranks() && dst >= 0 && dst < num_ranks());
+  scratch.clear();
+  topo_.route(placement_.node_of_rank[static_cast<size_t>(src)],
+              placement_.node_of_rank[static_cast<size_t>(dst)], scratch);
+  Route r{scratch, {}};
+  for (const i64 link : scratch) {
     switch (link_class_[static_cast<size_t>(link)]) {
-      case LinkClass::local: ++h.local; break;
-      case LinkClass::global: ++h.global; break;
-      case LinkClass::intra_node: ++h.intra_node; break;
+      case LinkClass::local: ++r.hops.local; break;
+      case LinkClass::global: ++r.hops.global; break;
+      case LinkClass::intra_node: ++r.hops.intra_node; break;
     }
   }
-  links_.insert(links_.end(), path_scratch.begin(), path_scratch.end());
-  offsets_.push_back(links_.size());
-  hops_.push_back(h);
-}
-
-RouteCache::RouteCache(const Topology& topo, const Placement& pl)
-    : p_(static_cast<i64>(pl.node_of_rank.size())) {
-  compile_links(topo, inv_bandwidth_, link_class_);
-
-  const size_t pairs = static_cast<size_t>(p_) * static_cast<size_t>(p_);
-  offsets_.reserve(pairs + 1);
-  offsets_.push_back(0);
-  hops_.reserve(pairs);
-
-  // Single pass over the virtual router, appending each pair's path into the
-  // CSR arrays. The scratch vector is reused so route() never reallocates
-  // after warm-up.
-  std::vector<i64> path;
-  for (Rank s = 0; s < p_; ++s)
-    for (Rank d = 0; d < p_; ++d) route_one(topo, pl, s, d, path);
-}
-
-RouteCache::RouteCache(const Topology& topo, const Placement& pl,
-                       std::span<const std::pair<Rank, Rank>> pairs)
-    : p_(static_cast<i64>(pl.node_of_rank.size())), scoped_(true) {
-  compile_links(topo, inv_bandwidth_, link_class_);
-
-  // Slots follow the sorted distinct pair table; everything -- routing time,
-  // CSR storage, hop table -- is O(#pairs), never O(p^2).
-  scoped_keys_.assign(pairs.begin(), pairs.end());
-  std::sort(scoped_keys_.begin(), scoped_keys_.end());
-  scoped_keys_.erase(std::unique(scoped_keys_.begin(), scoped_keys_.end()),
-                     scoped_keys_.end());
-
-  offsets_.reserve(scoped_keys_.size() + 1);
-  offsets_.push_back(0);
-  hops_.reserve(scoped_keys_.size());
-  std::vector<i64> path;
-  for (const auto& [s, d] : scoped_keys_) {
-    assert(s >= 0 && s < p_ && d >= 0 && d < p_);
-    route_one(topo, pl, s, d, path);
-  }
+  return r;
 }
 
 void RouteCache::degrade(const fault::FaultSpec& spec) {
@@ -98,25 +56,22 @@ void RouteCache::degrade(const fault::FaultSpec& spec) {
 u64 RouteCache::signature() const noexcept {
   if (const u64 cached = signature_.load(std::memory_order_relaxed); cached != 0)
     return cached;
-  // Fold every compiled column: the memoized route rows are a pure function
-  // of exactly this content, so agreement here is agreement on what the memo
-  // would store. Word-wise FNV keeps the one-time cost a fraction of the
-  // eager build that produced the arrays.
+  // Routes are a pure function of the topology family, its shape and the
+  // placement; link times add the bandwidth column. Link counts alone do not
+  // tell shapes apart (a 4x4x2 and a 2x4x4 torus agree on both columns), so
+  // the shape is part of the key.
   u64 h = core::kFnvOffset;
-  core::fnv_mix_string(h, "bine.route_cache.v1");
+  core::fnv_mix_string(h, "bine.route_cache.v2");
+  core::fnv_mix_string(h, topo_.name());
   const auto mix = [&h](const auto& v) {
     const u64 n = v.size();
     core::fnv_mix_words(h, &n, sizeof(n));
     core::fnv_mix_words(h, v.data(), v.size() * sizeof(v[0]));
   };
-  const u64 head[2] = {static_cast<u64>(p_), scoped_ ? u64{1} : u64{0}};
-  core::fnv_mix_words(h, head, sizeof(head));
-  mix(offsets_);
-  mix(links_);
-  mix(hops_);
+  mix(topo_.shape());
   mix(inv_bandwidth_);
   mix(link_class_);
-  mix(scoped_keys_);
+  mix(placement_.node_of_rank);
   if (h == 0) h = 1;  // 0 is the not-yet-computed sentinel
   // Concurrent first calls compute the same value; whichever store lands
   // last is identical.

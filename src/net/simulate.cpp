@@ -120,6 +120,7 @@ SimResult simulate(const sched::Schedule& sch, const RouteCache& rc, const CostP
   // so the visiting order never changes a bit of the result.
   std::vector<i64> link_bytes(static_cast<size_t>(rc.num_links()), 0);
   std::vector<i64> touched;
+  std::vector<i64> path;  // route() scratch
   const std::span<const double> inv_bw = rc.inv_bandwidth();
   const double inv_reduce_bw = 1.0 / cp.reduce_bandwidth;
   const double inv_mem_bw = 1.0 / cp.mem_bandwidth;
@@ -141,13 +142,13 @@ SimResult simulate(const sched::Schedule& sch, const RouteCache& rc, const CostP
             static_cast<double>(sched::lowered_extra_segments(op.segments));
         switch (op.kind) {
           case sched::OpKind::send: {
-            const RouteCache::ClassHops& h = rc.hops(r, op.peer);
-            accumulate_send(result.traffic, h, b);
-            for (const i64 link : rc.path(r, op.peer)) {
+            const RouteCache::Route route = rc.route(r, op.peer, path);
+            accumulate_send(result.traffic, route.hops, b);
+            for (const i64 link : route.links) {
               if (link_bytes[static_cast<size_t>(link)] == 0) touched.push_back(link);
               link_bytes[static_cast<size_t>(link)] += b;
             }
-            overhead += (h.global > 0 ? cp.alpha_global : cp.alpha_local) +
+            overhead += (route.hops.global > 0 ? cp.alpha_global : cp.alpha_local) +
                         extra_segs * cp.seg_overhead;
             break;
           }
@@ -743,17 +744,6 @@ void check_placement(const sched::Schedule& sch, const Topology& topo,
   }
 }
 
-/// Ordered rank pairs the cost model will query for `sch`: the (rank, peer)
-/// of every send. A schedule touches O(p log p) of the p^2 pairs, so scoping
-/// the route build to this list is what makes the one-off conveniences cheap
-/// on large rank counts (sweeps keep the eager build; see harness::Runner).
-std::vector<std::pair<Rank, Rank>> send_pairs(const sched::Schedule& sch) {
-  std::vector<std::pair<Rank, Rank>> pairs;
-  pairs.reserve(sch.exchanges().size());
-  for (const sched::Exchange& x : sch.exchanges()) pairs.emplace_back(x.from, x.to);
-  return pairs;  // RouteCache's scoped constructor sorts and dedups
-}
-
 }  // namespace
 
 TrafficStats measure_traffic(const sched::Schedule& sch, const Topology& topo,
@@ -764,7 +754,7 @@ TrafficStats measure_traffic(const sched::Schedule& sch, const Topology& topo,
 SimResult simulate(const sched::Schedule& sch, const Topology& topo, const Placement& pl,
                    const CostParams& cp) {
   check_placement(sch, topo, pl);
-  return simulate(sch, RouteCache(topo, pl, send_pairs(sch)), cp);
+  return simulate(sch, RouteCache(topo, pl), cp);
 }
 
 i64 inter_group_bytes(const sched::Schedule& sch, std::span<const i64> group_of_rank) {

@@ -22,9 +22,10 @@
 ///     through it every sweep, tuner and service job) runs: one schedule
 ///     across the whole size axis in one pass over cached size-free IR.
 ///   * The scalar `simulate` over a `sched::Schedule` plus a `RouteCache`
-///     -- the *bitwise* oracle of the size-free engine, and (via the
-///     topology/placement overloads, which build a scoped route table per
-///     call) the one-off convenience the examples use.
+///     -- the *bitwise* oracle of the size-free engine, which routes each
+///     send through `RouteCache::route` as it goes, and (via the
+///     topology/placement overloads) the one-off convenience the examples
+///     use.
 ///   * The *reference* engine (`*_reference`): per-op virtual routing and a
 ///     per-step hash map -- the *semantic* oracle the scalar engine is
 ///     checked against within 1e-12; don't use it in sweeps.
@@ -72,12 +73,12 @@ struct SimResult {
 /// + max over ranks  (sum of message alphas + segment overheads
 ///                    + reduce bytes / reduce bw + permute bytes / mem bw).
 /// Total time is the sum over steps. Traffic stats fall out of the same pass.
-/// Routes only the schedule's send pairs; throws std::invalid_argument when
+/// Routes each send as it is simulated; throws std::invalid_argument when
 /// `pl` places fewer than `sch.p` ranks or puts a rank off `topo`.
 [[nodiscard]] SimResult simulate(const sched::Schedule& sch, const Topology& topo,
                                  const Placement& pl, const CostParams& cp);
 
-/// The scalar oracle over pre-built routes: walks `sch` in
+/// The scalar oracle over one machine instance's routes: walks `sch` in
 /// sched::for_each_op_step_major order with bytes from `Schedule::op_bytes`.
 /// `sch.p` must match `rc`.
 [[nodiscard]] SimResult simulate(const sched::Schedule& sch, const RouteCache& rc,
@@ -85,7 +86,7 @@ struct SimResult {
 
 /// Size-batched compiled engine -- the one production simulator: one
 /// structural pass per schedule across the whole size axis. The schedule's
-/// send pairs resolve through `memo`, so pair walks amortize across
+/// send pairs resolve through `memo`, so routing amortizes across
 /// schedules, cells, Runners, and tuner rounds (tests pass a private memo
 /// for isolation). The schedule's cached compiled form (compact ops +
 /// distinct byte rows, memoized on the entry) then streams through W-wide

@@ -7,7 +7,7 @@ namespace bine::net {
 // --- FatTree -------------------------------------------------------------------
 
 FatTree::FatTree(i64 num_leaves, i64 nodes_per_leaf, i64 oversub, double link_bw)
-    : Topology(num_leaves * nodes_per_leaf),
+    : Topology(num_leaves * nodes_per_leaf, {num_leaves, nodes_per_leaf, oversub}),
       nodes_per_leaf_(nodes_per_leaf),
       uplinks_per_leaf_(std::max<i64>(1, nodes_per_leaf / oversub)) {
   access_up_.resize(static_cast<size_t>(num_nodes()));
@@ -42,7 +42,7 @@ void FatTree::route(i64 src, i64 dst, std::vector<i64>& out) const {
 
 Dragonfly::Dragonfly(i64 num_groups, i64 nodes_per_group, i64 links_per_pair,
                      double local_bw, double global_bw, std::string flavour)
-    : Topology(num_groups * nodes_per_group),
+    : Topology(num_groups * nodes_per_group, {num_groups, nodes_per_group, links_per_pair}),
       num_groups_(num_groups),
       nodes_per_group_(nodes_per_group),
       links_per_pair_(links_per_pair),
@@ -81,29 +81,30 @@ void Dragonfly::route(i64 src, i64 dst, std::vector<i64>& out) const {
 // --- Torus ---------------------------------------------------------------------
 
 Torus::Torus(std::vector<i64> dims, double link_bw)
-    : Topology([&dims] {
-        i64 n = 1;
-        for (const i64 d : dims) n *= d;
-        return n;
-      }()),
-      dims_(std::move(dims)),
-      links_per_node_(static_cast<i64>(2 * dims_.size())) {
+    : Topology(
+          [&dims] {
+            i64 n = 1;
+            for (const i64 d : dims) n *= d;
+            return n;
+          }(),
+          dims),
+      links_per_node_(static_cast<i64>(2 * dims.size())) {
   for (i64 n = 0; n < num_nodes(); ++n)
     for (i64 l = 0; l < links_per_node_; ++l) add_link(LinkClass::local, link_bw);
 }
 
 std::vector<i64> Torus::coords_of(i64 node) const {
-  std::vector<i64> c(dims_.size());
-  for (size_t d = 0; d < dims_.size(); ++d) {
-    c[d] = node % dims_[d];
-    node /= dims_[d];
+  std::vector<i64> c(dims().size());
+  for (size_t d = 0; d < dims().size(); ++d) {
+    c[d] = node % dims()[d];
+    node /= dims()[d];
   }
   return c;
 }
 
 i64 Torus::node_at(const std::vector<i64>& coords) const {
   i64 node = 0;
-  for (size_t d = dims_.size(); d-- > 0;) node = node * dims_[d] + coords[d];
+  for (size_t d = dims().size(); d-- > 0;) node = node * dims()[d] + coords[d];
   return node;
 }
 
@@ -115,8 +116,8 @@ void Torus::route(i64 src, i64 dst, std::vector<i64>& out) const {
   // Dimension-ordered minimal routing with wrap-around.
   std::vector<i64> cur = coords_of(src);
   const std::vector<i64> goal = coords_of(dst);
-  for (size_t d = 0; d < dims_.size(); ++d) {
-    const i64 size = dims_[d];
+  for (size_t d = 0; d < dims().size(); ++d) {
+    const i64 size = dims()[d];
     i64 fwd = pmod(goal[d] - cur[d], size);
     const i64 bwd = size - fwd;
     const int dir = (fwd != 0 && fwd <= bwd) ? +1 : -1;
@@ -132,7 +133,8 @@ void Torus::route(i64 src, i64 dst, std::vector<i64>& out) const {
 // --- MultiGpu ------------------------------------------------------------------
 
 MultiGpu::MultiGpu(i64 nodes, i64 gpus_per_node, double nvlink_bw, double nic_bw)
-    : Topology(nodes * gpus_per_node), gpus_per_node_(gpus_per_node) {
+    : Topology(nodes * gpus_per_node, {nodes, gpus_per_node}),
+      gpus_per_node_(gpus_per_node) {
   for (i64 g = 0; g < num_nodes(); ++g) {
     nvlink_out_.push_back(add_link(LinkClass::intra_node, nvlink_bw));
     nic_up_.push_back(add_link(LinkClass::global, nic_bw));

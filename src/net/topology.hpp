@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -35,6 +36,10 @@ class Topology {
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] i64 num_nodes() const { return num_nodes_; }
   [[nodiscard]] const std::vector<Link>& links() const { return links_; }
+  /// The constructor's shape parameters (see each family). With name() and
+  /// the link columns they determine every route, so two topologies that
+  /// agree on all three route every node pair identically.
+  [[nodiscard]] const std::vector<i64>& shape() const { return shape_; }
 
   /// Append the link ids of the minimal route from node `src` to node `dst`
   /// (empty when src == dst).
@@ -45,7 +50,8 @@ class Topology {
   [[nodiscard]] virtual i64 group_of(i64 node) const = 0;
 
  protected:
-  explicit Topology(i64 nodes) : num_nodes_(nodes) {}
+  Topology(i64 nodes, std::vector<i64> shape)
+      : num_nodes_(nodes), shape_(std::move(shape)) {}
   i64 add_link(LinkClass cls, double bandwidth) {
     links_.push_back(Link{cls, bandwidth});
     return static_cast<i64>(links_.size()) - 1;
@@ -53,12 +59,14 @@ class Topology {
 
  private:
   i64 num_nodes_ = 0;
+  std::vector<i64> shape_;
   std::vector<Link> links_;
 };
 
 /// Two-level fat tree with `nodes_per_leaf` nodes under each leaf switch and
 /// an `oversub`:1 taper: each leaf has nodes_per_leaf/oversub uplinks into a
 /// non-blocking core (MareNostrum 5 style, Fig. 1's 2:1 example).
+/// Shape: {num_leaves, nodes_per_leaf, oversub}.
 class FatTree final : public Topology {
  public:
   FatTree(i64 num_leaves, i64 nodes_per_leaf, i64 oversub, double link_bw);
@@ -77,6 +85,7 @@ class FatTree final : public Topology {
 /// Dragonfly+ (Leonardo) uses the same inter-group structure with a fat-tree
 /// group fabric; we model the group fabric as non-blocking in both cases and
 /// differentiate via parameters (see DESIGN.md substitutions).
+/// Shape: {num_groups, nodes_per_group, links_per_pair}.
 class Dragonfly final : public Topology {
  public:
   Dragonfly(i64 num_groups, i64 nodes_per_group, i64 links_per_pair, double local_bw,
@@ -95,7 +104,7 @@ class Dragonfly final : public Topology {
 
 /// N-dimensional torus with one directed link per node per direction
 /// (Fugaku style; each direction maps to its own NIC, Appendix D.4).
-/// Dimension-ordered minimal routing.
+/// Dimension-ordered minimal routing. Shape: the dims.
 class Torus final : public Topology {
  public:
   Torus(std::vector<i64> dims, double link_bw);
@@ -105,19 +114,19 @@ class Torus final : public Topology {
   /// (the paper: "on a torus, all links can be considered oversubscribed").
   [[nodiscard]] i64 group_of(i64 node) const override { return node; }
 
-  [[nodiscard]] const std::vector<i64>& dims() const { return dims_; }
+  [[nodiscard]] const std::vector<i64>& dims() const { return shape(); }
   [[nodiscard]] std::vector<i64> coords_of(i64 node) const;
   [[nodiscard]] i64 node_at(const std::vector<i64>& coords) const;
 
  private:
   [[nodiscard]] i64 link_id(i64 node, size_t dim, int dir) const;
-  std::vector<i64> dims_;
   i64 links_per_node_ = 0;
 };
 
 /// Multi-GPU fabric: `gpus_per_node` all-to-all connected GPUs per node
 /// (NVLink-like), nodes joined through per-GPU NICs into a non-blocking
 /// inter-node network with per-pair shared capacity (Sec. 6.2).
+/// Shape: {num_nodes, gpus_per_node}.
 class MultiGpu final : public Topology {
  public:
   MultiGpu(i64 num_nodes, i64 gpus_per_node, double nvlink_bw, double nic_bw);

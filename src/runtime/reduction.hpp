@@ -52,6 +52,15 @@ enum class ElemType { u32, u64, f32, f64 };
   return "?";
 }
 
+/// Whether verified execution can check `op` over floating-point elements.
+/// sum/min/max give identical bits in every reduction order over the
+/// verifier's inputs; prod rounds order-dependently, and the bitwise ops are
+/// undefined on floats (apply_one keeps its left operand, so the result
+/// depends on fold order). Either would fail every correct algorithm.
+[[nodiscard]] constexpr bool verifiable_over_floats(ReduceOp op) noexcept {
+  return op == ReduceOp::sum || op == ReduceOp::min || op == ReduceOp::max;
+}
+
 namespace detail {
 template <typename T>
 [[nodiscard]] constexpr T apply_one(ReduceOp op, T a, T b) noexcept {

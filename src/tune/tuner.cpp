@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "core/fnv.hpp"
 #include "exp/sweep.hpp"
@@ -24,10 +25,13 @@ Tuner::Tuner(TunerOptions options) : options_(std::move(options)) {
   const bool float_elem = options_.refine_elem == runtime::ElemType::f32 ||
                           options_.refine_elem == runtime::ElemType::f64;
   if (options_.refine_top_k > 0 && float_elem &&
-      options_.refine_op == runtime::ReduceOp::prod)
-    throw std::invalid_argument(
-        "tuner: refinement cannot verify ReduceOp::prod over floating-point "
-        "elements (order-dependent rounding); pick an integral refine_elem");
+      !runtime::verifiable_over_floats(options_.refine_op)) {
+    std::string what = "tuner: refinement cannot verify ReduceOp::";
+    what += runtime::to_string(options_.refine_op);
+    what += " over floating-point elements (order-dependent or undefined); "
+            "pick an integral refine_elem";
+    throw std::invalid_argument(what);
+  }
 }
 
 std::vector<const coll::AlgorithmEntry*> Tuner::candidates(Collective coll, i64 p) {

@@ -4,9 +4,8 @@
 // exchange stored once in exactly sized columns, rejection of what the
 // 32-bit columns or the block space cannot hold, one builder call per cache
 // miss, the cache's entry and resident-byte counts, cached Runner cells
-// bit-exact with the scalar oracle across all four topology families, and scoped
-// RouteCache equality with the eager build. Sweep determinism across
-// threads lives in test_sim_engine.cpp.
+// bit-exact with the scalar oracle across all four topology families. Sweep
+// determinism across threads lives in test_sim_engine.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -352,47 +351,3 @@ TEST(ScheduleCache, CachedRunsMatchScalarOracleAcrossTopologyFamilies) {
   }
 }
 
-// The scoped route build used by the Schedule-level conveniences must agree
-// with an eager cache on every pair the schedule touches, and skip the bulk
-// of the route work (the point of the ROADMAP's laziness item).
-TEST(ScopedRouteCache, MatchesEagerOnSchedulePairs) {
-  const net::Torus topo({4, 4, 4}, 6.8e9);
-  const net::Placement pl = net::Placement::identity(topo.num_nodes());
-  const net::CostParams cp;
-
-  coll::Config cfg;
-  cfg.p = topo.num_nodes();
-  cfg.elem_count = 3 * cfg.p;
-  for (const char* name : {"recursive_doubling", "bine_two_trans", "ring"}) {
-    SCOPED_TRACE(name);
-    const sched::Schedule sch =
-        coll::find_algorithm(sched::Collective::allreduce, name).make(cfg);
-
-    const net::RouteCache eager(topo, pl);
-    std::vector<std::pair<Rank, Rank>> pairs;
-    for (const sched::Exchange& x : sch.exchanges()) pairs.emplace_back(x.from, x.to);
-    const net::RouteCache scoped(topo, pl, pairs);
-
-    i64 scoped_links = 0;
-    for (const auto& [s, d] : pairs) {
-      ASSERT_TRUE(scoped.routed(s, d));
-      const auto a = eager.path(s, d);
-      const auto b = scoped.path(s, d);
-      ASSERT_EQ(std::vector<i64>(b.begin(), b.end()), std::vector<i64>(a.begin(), a.end()));
-      EXPECT_EQ(scoped.hops(s, d).local, eager.hops(s, d).local);
-      EXPECT_EQ(scoped.hops(s, d).global, eager.hops(s, d).global);
-      EXPECT_EQ(scoped.hops(s, d).intra_node, eager.hops(s, d).intra_node);
-      scoped_links += static_cast<i64>(b.size());
-    }
-
-    // Full simulation parity: the convenience overload (which routes scoped)
-    // against the scalar oracle on the eager cache.
-    const net::SimResult conv = net::simulate(sch, topo, pl, cp);
-    const net::SimResult fast = net::simulate(sch, eager, cp);
-    EXPECT_EQ(conv.seconds, fast.seconds);
-    EXPECT_EQ(conv.traffic.local_bytes, fast.traffic.local_bytes);
-    EXPECT_EQ(conv.traffic.global_bytes, fast.traffic.global_bytes);
-    EXPECT_EQ(conv.traffic.intra_node_bytes, fast.traffic.intra_node_bytes);
-    EXPECT_EQ(conv.traffic.messages, fast.traffic.messages);
-  }
-}

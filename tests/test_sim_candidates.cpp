@@ -5,7 +5,8 @@
 // one -- across the full algorithm registry, all four topology families,
 // ragged/non-pow2 rank counts and fault epochs. Concurrent Runners sharing
 // the process-wide route memo must stay bit-identical, fault-epoch memo
-// scoping must never leak degraded rows into healthy runs, and an outsized
+// scoping must never leak degraded rows into healthy runs, topologies that
+// differ only in shape must get separate memo scopes, and an outsized
 // schedule's scratch must be released.
 // "Bit-identical" is literal: seconds compare by bit pattern, not tolerance.
 #include <gtest/gtest.h>
@@ -34,7 +35,7 @@ using namespace bine::test_util;
 // Full registry x 4 topology families x {ragged non-pow2, pow2} rank counts
 // x {healthy, degraded} fault epochs on a ragged size axis: each schedule of
 // the pool simulated across the whole axis in one call -- three ways (a
-// fresh private memo, so every pair is walked from the RouteCache; the
+// fresh private memo, so every pair is routed through the RouteCache; the
 // shared memo cold; and warm) -- vs the per-size scalar oracle on the
 // schedule freshly generated at each size, all bit-identical.
 TEST(SimCandidates, BitIdenticalToPerSizeScalarOracle) {
@@ -217,6 +218,56 @@ TEST(SimCandidates, FaultEpochScopingNeverContaminatesHealthyRuns) {
   }
 }
 
+// Scope keys must tell apart topologies whose link columns agree. Torus
+// {4,4,2} and {2,4,4} have 32 nodes and 192 equal local links each;
+// Dragonfly (2,6,3) and (3,4,1) have 12 nodes, 24 local and 6 global links
+// each, in the same order and at the same bandwidths. Only their shapes
+// differ, and so do their routes. On one shared memo each must get its own
+// scope and match the scalar oracle bitwise: a shared scope would serve one
+// twin the other's routes.
+TEST(SimCandidates, ScopeKeySeparatesShapesWithEqualLinkColumns) {
+  const net::CostParams cp;
+  const std::vector<i64> elem_counts = {8, 4096, 262144};
+  std::vector<std::unique_ptr<net::Topology>> twins;
+  twins.push_back(std::make_unique<net::Torus>(std::vector<i64>{4, 4, 2}, 6.8e9));
+  twins.push_back(std::make_unique<net::Torus>(std::vector<i64>{2, 4, 4}, 6.8e9));
+  twins.push_back(std::make_unique<net::Dragonfly>(2, 6, 3, 25e9, 25e9));
+  twins.push_back(std::make_unique<net::Dragonfly>(3, 4, 1, 25e9, 25e9));
+  net::PairRouteMemo memo;
+  for (size_t t = 0; t < twins.size(); ++t) {
+    const net::Topology& topo = *twins[t];
+    if (t % 2 == 1) {  // the premise: equal node counts and link columns
+      const net::Topology& first = *twins[t - 1];
+      ASSERT_EQ(topo.num_nodes(), first.num_nodes());
+      ASSERT_EQ(topo.links().size(), first.links().size());
+      for (size_t l = 0; l < topo.links().size(); ++l) {
+        ASSERT_EQ(topo.links()[l].cls, first.links()[l].cls) << "link " << l;
+        ASSERT_EQ(topo.links()[l].bandwidth, first.links()[l].bandwidth) << "link " << l;
+      }
+    }
+    const i64 p = topo.num_nodes();
+    const net::RouteCache rc(topo, net::Placement::identity(p));
+    for (const sched::Collective coll : coll::all_collectives()) {
+      const Pool pool = registry_pool(coll, p);
+      for (size_t k = 0; k < pool.own.size(); ++k) {
+        const auto got = net::simulate(*pool.own[k], elem_counts, 4, rc, cp, memo);
+        ASSERT_EQ(got.size(), elem_counts.size());
+        for (size_t s = 0; s < elem_counts.size(); ++s) {
+          coll::Config cfg;
+          cfg.p = p;
+          cfg.elem_size = 4;
+          cfg.elem_count = elem_counts[s];
+          expect_bitwise_eq(got[s], net::simulate(pool.algos[k]->make(cfg), rc, cp),
+                            topo.name() + " twin " + std::to_string(t) + " " +
+                                to_string(coll) + "/" + pool.algos[k]->name +
+                                " n=" + std::to_string(elem_counts[s]));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(memo.stats().scopes, twins.size());
+}
+
 // Capacity-cap trim: one outsized schedule (alltoall/pairwise at p=768,
 // where every rank pair sends, so its route CSR alone exceeds the 8 MiB
 // arena cap) may pin its scratch while hot, but the next small schedule on
@@ -242,11 +293,13 @@ TEST(SimCandidates, ScratchTrimReleasesOutsizedCell) {
   // of every distinct send pair's path) overflows the cap. If the cap ever
   // grows, pick a bigger p.
   std::vector<std::uint8_t> seen(static_cast<size_t>(p * p), 0);
+  std::vector<i64> scratch;
   size_t csr_slots = 0;
   for (size_t i = 0; i < big_sf->num_ops(); ++i) {
     if (big_sf->kind[i] != sched::OpKind::send) continue;
     std::uint8_t& s = seen[static_cast<size_t>(big_sf->rank[i] * p + big_sf->peer[i])];
-    if (s == 0) csr_slots += big_rc.path(big_sf->rank[i], big_sf->peer[i]).size();
+    if (s == 0)
+      csr_slots += big_rc.route(big_sf->rank[i], big_sf->peer[i], scratch).links.size();
     s = 1;
   }
   ASSERT_GT(csr_slots * sizeof(std::uint32_t), kCapBytes);

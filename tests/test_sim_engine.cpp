@@ -30,6 +30,8 @@
 using namespace bine;
 using namespace bine::test_util;
 
+// route() answers each rank pair straight from Topology::route between the
+// nodes the placement assigns, with per-class hop counts over that path.
 TEST(RouteCache, MatchesVirtualRouteForAllPairs) {
   for (const auto& topo : four_families()) {
     for (const bool scramble : {false, true}) {
@@ -39,29 +41,26 @@ TEST(RouteCache, MatchesVirtualRouteForAllPairs) {
       const net::RouteCache rc(*topo, pl);
       ASSERT_EQ(rc.num_ranks(), topo->num_nodes());
       ASSERT_EQ(rc.num_links(), static_cast<i64>(topo->links().size()));
-      std::vector<i64> path;
+      std::vector<i64> path, scratch;
       for (Rank s = 0; s < rc.num_ranks(); ++s)
         for (Rank d = 0; d < rc.num_ranks(); ++d) {
           path.clear();
           topo->route(pl.node_of_rank[static_cast<size_t>(s)],
                       pl.node_of_rank[static_cast<size_t>(d)], path);
-          const auto cached = rc.path(s, d);
-          ASSERT_EQ(std::vector<i64>(cached.begin(), cached.end()), path)
+          const net::RouteCache::Route route = rc.route(s, d, scratch);
+          ASSERT_EQ(std::vector<i64>(route.links.begin(), route.links.end()), path)
               << topo->name() << " pair " << s << "->" << d;
           net::RouteCache::ClassHops expect;
-          bool crosses = false;
           for (const i64 link : path) {
             switch (topo->links()[static_cast<size_t>(link)].cls) {
               case net::LinkClass::local: ++expect.local; break;
-              case net::LinkClass::global: ++expect.global; crosses = true; break;
+              case net::LinkClass::global: ++expect.global; break;
               case net::LinkClass::intra_node: ++expect.intra_node; break;
             }
           }
-          const auto& h = rc.hops(s, d);
-          EXPECT_EQ(h.local, expect.local);
-          EXPECT_EQ(h.global, expect.global);
-          EXPECT_EQ(h.intra_node, expect.intra_node);
-          EXPECT_EQ(rc.crosses_global(s, d), crosses);
+          EXPECT_EQ(route.hops.local, expect.local);
+          EXPECT_EQ(route.hops.global, expect.global);
+          EXPECT_EQ(route.hops.intra_node, expect.intra_node);
         }
       for (size_t l = 0; l < topo->links().size(); ++l)
         EXPECT_DOUBLE_EQ(rc.inv_bandwidth()[l], 1.0 / topo->links()[l].bandwidth);

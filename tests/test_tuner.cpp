@@ -261,30 +261,50 @@ TEST(Tuner, RefinementPreservesWinnersWhenAllCandidatesVerify) {
   }
 }
 
-// Float x prod has no order-independent input domain: the verified path must
-// reject it with an actionable error, never fail a correct algorithm with a
-// spurious data mismatch -- and a refinement configured that way must be
-// rejected at Tuner construction, before it disqualifies every candidate.
+// Float x prod has no order-independent input domain, and bitwise ops are
+// undefined on floats: the verified path must reject both with an actionable
+// error naming the op, never fail a correct algorithm with a spurious data
+// mismatch -- and a refinement configured that way must be rejected at Tuner
+// construction, before it disqualifies every candidate.
 TEST(Runner, FloatProductVerificationIsRejectedUpFront) {
   harness::Runner runner(net::lumi_profile());
   const auto& entry = coll::find_algorithm(Collective::allreduce, "recursive_doubling");
-  for (const runtime::ElemType elem : {runtime::ElemType::f32, runtime::ElemType::f64}) {
-    const harness::VerifiedRun v = runner.run_verified(
-        Collective::allreduce, entry, 16, 4096, 1, elem, runtime::ReduceOp::prod);
-    EXPECT_FALSE(v.ok);
-    EXPECT_NE(v.error.find("prod"), std::string::npos) << v.error;
-  }
-  // Integral prod stays supported (wrapping arithmetic is exact).
-  const harness::VerifiedRun ok = runner.run_verified(
-      Collective::allreduce, entry, 16, 4096, 1, runtime::ElemType::u64,
-      runtime::ReduceOp::prod);
-  EXPECT_TRUE(ok.ok) << ok.error;
+  for (const runtime::ReduceOp op : {runtime::ReduceOp::prod, runtime::ReduceOp::band,
+                                     runtime::ReduceOp::bor, runtime::ReduceOp::bxor}) {
+    const std::string name = runtime::to_string(op);
+    for (const runtime::ElemType elem : {runtime::ElemType::f32, runtime::ElemType::f64}) {
+      const harness::VerifiedRun v =
+          runner.run_verified(Collective::allreduce, entry, 16, 4096, 1, elem, op);
+      EXPECT_FALSE(v.ok) << name;
+      EXPECT_NE(v.error.find("ReduceOp::" + name + " over floating-point"),
+                std::string::npos)
+          << v.error;
+    }
+    // Integral elements stay supported (wrapping and bitwise arithmetic
+    // are exact).
+    const harness::VerifiedRun ok = runner.run_verified(
+        Collective::allreduce, entry, 16, 4096, 1, runtime::ElemType::u64, op);
+    EXPECT_TRUE(ok.ok) << name << ": " << ok.error;
 
-  tune::TunerOptions bad = small_options();
-  bad.refine_top_k = 2;
-  bad.refine_elem = runtime::ElemType::f32;
-  bad.refine_op = runtime::ReduceOp::prod;
-  EXPECT_THROW(tune::Tuner{bad}, std::invalid_argument);
+    tune::TunerOptions bad = small_options();
+    bad.refine_top_k = 2;
+    bad.refine_elem = runtime::ElemType::f32;
+    bad.refine_op = op;
+    try {
+      (void)tune::Tuner{bad};
+      ADD_FAILURE() << "Tuner accepted refinement with " << name << " over f32";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("ReduceOp::" + name), std::string::npos)
+          << e.what();
+    }
+  }
+  // Order-independent ops over floats stay verifiable.
+  for (const runtime::ReduceOp op :
+       {runtime::ReduceOp::sum, runtime::ReduceOp::min, runtime::ReduceOp::max}) {
+    const harness::VerifiedRun v = runner.run_verified(
+        Collective::allreduce, entry, 16, 4096, 1, runtime::ElemType::f64, op);
+    EXPECT_TRUE(v.ok) << runtime::to_string(op) << ": " << v.error;
+  }
 }
 
 // A cell naming a profile absent from the fingerprint map could never be
