@@ -7,9 +7,10 @@
 // isolates the sharding axis, exactly as BENCH_tune.json does.
 //
 // Determinism gate: the sharded rows must be byte-identical to the serial
-// rows for every plan. Emits BENCH_sweep.json (hardware_threads recorded --
-// the >= 2x sharded speedup shows on multi-core CI runners, not the 1-core
-// dev container).
+// rows for every plan. Emits BENCH_sweep.json with hardware_threads
+// recorded. The shard unit is a whole cell and one cell is each plan's
+// critical path, so even 4 hardware threads give these plans 0.79-1.09x,
+// not a multiple.
 #include <chrono>
 #include <cstdio>
 #include <limits>

@@ -6,7 +6,53 @@
 namespace bine::net {
 
 namespace {
+
 constexpr std::uint32_t kNone = 0xffffffffu;
+
+/// Sparse pair -> row index: each row's key, plus an open-addressing table
+/// of row ids grown by doubling at half load, so a scope costs O(pairs
+/// routed) whatever p is. Rows are numbered in insertion order.
+class PairIndex {
+ public:
+  /// Row of `key`, or kNone.
+  [[nodiscard]] std::uint32_t find(u64 key) const noexcept {
+    for (size_t i = slot(key);; i = (i + 1) & mask()) {
+      if (table_[i] == 0) return kNone;
+      if (key_[table_[i] - 1] == key) return table_[i] - 1;
+    }
+  }
+
+  /// Give absent `key` the next row id; returns the bytes the index grew by.
+  size_t insert(u64 key) {
+    const size_t before = bytes();
+    key_.push_back(key);
+    if (2 * key_.size() > table_.size()) {
+      table_.assign(2 * table_.size(), 0);
+      for (std::uint32_t r = 0; r + 1 < key_.size(); ++r) place(r);
+    }
+    place(static_cast<std::uint32_t>(key_.size() - 1));
+    return bytes() - before;
+  }
+
+  [[nodiscard]] size_t bytes() const noexcept {
+    return key_.capacity() * sizeof(u64) + table_.size() * sizeof(std::uint32_t);
+  }
+
+ private:
+  [[nodiscard]] size_t mask() const noexcept { return table_.size() - 1; }
+  [[nodiscard]] size_t slot(u64 key) const noexcept {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >> 32) & mask();
+  }
+  void place(std::uint32_t row) {
+    size_t i = slot(key_[row]);
+    while (table_[i] != 0) i = (i + 1) & mask();
+    table_[i] = row + 1;
+  }
+
+  std::vector<u64> key_;                                         ///< row -> key
+  std::vector<std::uint32_t> table_ = std::vector<std::uint32_t>(64, 0);  ///< row + 1
+};
+
 }  // namespace
 
 /// One (Topology, Placement, fault_epoch) partition: append-only row and
@@ -16,7 +62,7 @@ constexpr std::uint32_t kNone = 0xffffffffu;
 struct PairRouteMemo::Scope {
   std::shared_mutex mutex;
   i64 p = 0;
-  std::vector<std::uint32_t> row_of_pair;  ///< src * p + dst -> row id
+  PairIndex row_of_pair;  ///< src * p + dst -> row id
   std::vector<std::uint32_t> row_off, row_len;  ///< per row, CSR into row_slots
   std::vector<std::uint32_t> row_slots;
   std::vector<RouteCache::ClassHops> row_hops;
@@ -37,21 +83,19 @@ std::shared_ptr<PairRouteMemo::Scope> PairRouteMemo::scope_for(const RouteCache&
     it->second = std::make_shared<Scope>();
     Scope& s = *it->second;
     s.p = rc.num_ranks();
-    const size_t np = static_cast<size_t>(s.p);
-    s.row_of_pair.assign(np * np, kNone);
     s.slot_of_link.assign(static_cast<size_t>(rc.num_links()), kNone);
-    bytes_.fetch_add((np * np + s.slot_of_link.size()) * sizeof(std::uint32_t),
+    bytes_.fetch_add(s.row_of_pair.bytes() + s.slot_of_link.size() * sizeof(std::uint32_t),
                      std::memory_order_relaxed);
   }
   return it->second;
 }
 
-void PairRouteMemo::resolve(const RouteCache& rc, std::span<const size_t> pair_keys,
+void PairRouteMemo::resolve(const RouteCache& rc, std::span<const u64> pair_keys,
                             Rows& out) {
   const std::shared_ptr<Scope> scope_ptr = scope_for(rc);
   Scope& scope = *scope_ptr;
   assert(scope.p == rc.num_ranks());
-  const size_t np = static_cast<size_t>(scope.p);
+  const auto np = static_cast<u64>(scope.p);
 
   const size_t n = pair_keys.size();
   out.route_off.resize(n);
@@ -60,13 +104,17 @@ void PairRouteMemo::resolve(const RouteCache& rc, std::span<const size_t> pair_k
   out.crosses_global.resize(n);
   out.route_slots.clear();
 
-  // Pass 1 (shared): note which pairs the scope lacks. The common steady
-  // state -- every pair known -- ends here with zero writer contention.
+  // Pass 1 (shared): look every pair's row up once, parking it in
+  // route_off, and note which pairs the scope lacks. The common steady
+  // state -- every pair known -- inserts nothing, with zero writer
+  // contention. Rows never move or change, so a row found here stays valid.
   size_t missing = 0;
   {
     std::shared_lock lock(scope.mutex);
-    for (const size_t key : pair_keys)
-      if (scope.row_of_pair[key] == kNone) ++missing;
+    for (size_t i = 0; i < n; ++i) {
+      out.route_off[i] = scope.row_of_pair.find(pair_keys[i]);
+      if (out.route_off[i] == kNone) ++missing;
+    }
   }
 
   // Pass 2 (exclusive, only when needed): route and append the unknown
@@ -76,12 +124,16 @@ void PairRouteMemo::resolve(const RouteCache& rc, std::span<const size_t> pair_k
     u64 inserted = 0, added_bytes = 0;
     std::vector<i64> scratch;
     std::unique_lock lock(scope.mutex);
-    for (const size_t key : pair_keys) {
-      if (scope.row_of_pair[key] != kNone) continue;
+    for (size_t i = 0; i < n; ++i) {
+      if (out.route_off[i] != kNone) continue;
+      const u64 key = pair_keys[i];
+      out.route_off[i] = scope.row_of_pair.find(key);
+      if (out.route_off[i] != kNone) continue;
+      out.route_off[i] = static_cast<std::uint32_t>(scope.row_off.size());
       const Rank src = static_cast<Rank>(key / np);
       const Rank dst = static_cast<Rank>(key % np);
-      scope.row_of_pair[key] = static_cast<std::uint32_t>(scope.row_off.size());
       const RouteCache::Route route = rc.route(src, dst, scratch);
+      added_bytes += scope.row_of_pair.insert(key);  // row id: row_off.size()
       scope.row_off.push_back(static_cast<std::uint32_t>(scope.row_slots.size()));
       scope.row_len.push_back(static_cast<std::uint32_t>(route.links.size()));
       for (const i64 link : route.links) {
@@ -112,7 +164,7 @@ void PairRouteMemo::resolve(const RouteCache& rc, std::span<const size_t> pair_k
   {
     std::shared_lock lock(scope.mutex);
     for (size_t i = 0; i < n; ++i) {
-      const std::uint32_t row = scope.row_of_pair[pair_keys[i]];
+      const std::uint32_t row = out.route_off[i];
       const std::uint32_t off = scope.row_off[row];
       const std::uint32_t len = scope.row_len[row];
       out.route_off[i] = static_cast<std::uint32_t>(out.route_slots.size());

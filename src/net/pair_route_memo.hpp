@@ -37,8 +37,9 @@
 /// Each scope owns a stable compact link-slot table (link id -> scope slot,
 /// first-touch order, append-only), per-pair rows (the pair's path as
 /// scope-slot ids (CSR), its per-class hop counts, and whether it crosses a
-/// global link), and a dense pair -> row index of p^2 `u32`s. Unknown pairs
-/// are routed under the scope's writer lock. Callers copy rows out under a
+/// global link), and a sparse pair -> row index (open addressing, grown by
+/// doubling) sized to the pairs routed, never to p^2. Unknown pairs are
+/// routed under the scope's writer lock. Callers copy rows out under a
 /// shared lock into call-local scratch (`Rows`) and remap scope slots to
 /// their own dense per-schedule tables; nothing retains pointers into the
 /// scope, so scopes never dangle and rows survive the RouteCache that seeded
@@ -70,13 +71,13 @@ class PairRouteMemo {
   /// scope's writer lock and memoized; known pairs are copied under a shared
   /// lock. Thread-safe; concurrent resolvers of one scope contend only when
   /// one of them is inserting.
-  void resolve(const RouteCache& rc, std::span<const size_t> pair_keys, Rows& out);
+  void resolve(const RouteCache& rc, std::span<const u64> pair_keys, Rows& out);
 
   struct Stats {
     u64 hits = 0;    ///< pairs served from a scope
     u64 misses = 0;  ///< pairs routed and inserted
     u64 scopes = 0;  ///< distinct (Topology, Placement, fault_epoch) seen
-    u64 bytes = 0;   ///< approximate resident bytes of memoized rows
+    u64 bytes = 0;   ///< approximate resident bytes of rows and pair indexes
   };
   [[nodiscard]] Stats stats() const;
   void clear();

@@ -180,38 +180,12 @@ SimResult simulate(const sched::Schedule& sch, const RouteCache& rc, const CostP
   return result;
 }
 
-// --- size-batched compiled engine ----------------------------------------------
+// --- size-batched engine --------------------------------------------------------
 
 namespace {
 
-/// One pre-decoded op of the fused candidate stream, emitted once per
-/// schedule by compiled_for. recv ops are dropped at emission (they carry
-/// no cost -- a rank group of only recvs folds a harmless max(max_ov, 0)),
-/// the rank-group boundary is a precomputed flag, and
-/// kind/full-vector/range-span/extra live in one sequential array, so the
-/// stream loads one struct instead of six scattered per-op columns and never
-/// branches on recvs.
-struct COp {
-  std::uint32_t flags;         // kind (2 bits) | boundary
-  std::uint32_t aux;           // send: candidate-local pair id
-  std::uint32_t row;           // candidate-local byte-row id
-  std::int32_t extra;          // extra_segments[i]
-};
-constexpr std::uint32_t kCOpKind = 3u;      // send=0, recv_reduce=1, local_perm=2
-constexpr std::uint32_t kCOpBoundary = 4u;  // first op of a rank group
-
-/// One distinct byte row of a candidate: the content class of an op's block
-/// ranges. Schedules are SPMD-symmetric -- across ranks and steps the same
-/// few block shapes recur (a ring's p^2-ish sends carry only ~p distinct
-/// single-block shapes) -- so resolving bytes per distinct row instead of
-/// per op collapses the dominant per-op work of the stream.
-struct RowSpec {
-  std::uint32_t kind;          // kRowFull / kRowSingle / kRowSpan
-  std::uint32_t rbegin, rend;  // single: {begin, count}; span: range span
-};
-constexpr std::uint32_t kRowFull = 0;    // full-vector row
-constexpr std::uint32_t kRowSingle = 1;  // one range, inlined
-constexpr std::uint32_t kRowSpan = 2;    // walk sf.ranges[rbegin, rend)
+using StreamOp = sched::SizeFreeSchedule::StreamOp;
+using Entry = sched::SizeFreeSchedule;
 
 /// Per-thread scratch arena for the size-batched engine. Sweeps call it
 /// once per schedule from long-lived pool threads, so reusing the vectors
@@ -256,18 +230,14 @@ struct SimScratch {
   }
 };
 
-/// Inputs of the fused schedule stream: pair-level route/latency tables
-/// plus the per-size byte geometry. There is no op-major bytes array and no
-/// per-op route table -- ops reach the pair rows through their pair id and
-/// read their wire bytes from the schedule's distinct byte rows as they
-/// stream.
-struct CandStreamCtx {
-  const sched::SizeFreeSchedule* sf;
-  const COp* cops;                     ///< this candidate's compacted ops
-  const std::uint32_t* cstep;          ///< steps+1 offsets into cops
-  const RowSpec* rowspec;              ///< this candidate's distinct byte rows
-  std::uint32_t nrows = 0;
-  i64* rows;                           ///< evaluated rows, nrows tiles of W
+/// Inputs of the fused schedule stream: the entry's op stream and byte
+/// rows, pair-level route/latency tables, and the per-size byte geometry.
+/// There is no op-major bytes array and no per-op route table -- ops reach
+/// the pair rows through their pair id and read their wire bytes from the
+/// entry's distinct byte rows as they stream.
+struct StreamCtx {
+  const Entry* sf;
+  i64* rows;                           ///< evaluated rows, num_rows tiles of W
   const std::uint32_t* pair_route_off; ///< per local pair, into route_slots
   const std::uint32_t* pair_route_len;
   const std::uint32_t* route_slots;    ///< pair CSR over schedule slots
@@ -289,7 +259,7 @@ struct CandStreamCtx {
   i64* intra_b;
 };
 
-/// Fused per-candidate pass for the W size lanes at window offset `off`:
+/// Fused per-schedule pass for the W size lanes at window offset `off`:
 /// one walk over the op stream does byte resolution, latency constants, link
 /// accumulation and the per-step reductions together, with every per-lane
 /// accumulator in a fixed-size stack tile the autovectorizer turns into
@@ -302,9 +272,10 @@ struct CandStreamCtx {
 /// is the oracle's (ops outer, flushed at rank boundaries) -- lanes never
 /// mix -- so results are bitwise identical to it.
 template <size_t W>
-void stream_candidate(const CandStreamCtx& cx, size_t off) {
-  const sched::SizeFreeSchedule& sf = *cx.sf;
+void stream_schedule(const StreamCtx& cx, size_t off) {
+  const Entry& sf = *cx.sf;
   const sched::BlockRange32* ranges = sf.ranges.data();
+  const std::uint32_t* row_begin = sf.row_begin.data();
   const i64 B = sf.nblocks;
   const i64* full_bytes = cx.full_bytes + off;
   const i64* base = cx.base + off;
@@ -313,8 +284,8 @@ void stream_candidate(const CandStreamCtx& cx, size_t off) {
   // Hoist every context field into a local: accumulator stores through acc
   // would otherwise force the compiler to re-load same-typed context members
   // (they could alias an i64 behind the struct) on every op.
-  const COp* const cops = cx.cops;
-  const std::uint32_t* const cstep = cx.cstep;
+  const StreamOp* const ops = sf.ops.data();
+  const std::uint32_t* const step_begin = sf.step_begin.data();
   const std::uint32_t* const pair_route_off = cx.pair_route_off;
   const std::uint32_t* const pair_route_len = cx.pair_route_len;
   const std::uint32_t* const route_slots = cx.route_slots;
@@ -326,34 +297,22 @@ void stream_candidate(const CandStreamCtx& cx, size_t off) {
   const double inv_reduce_bw = cx.inv_reduce_bw;
   const double inv_mem_bw = cx.inv_mem_bw;
   i64* const acc = cx.acc;
-  // Wire bytes of a compacted op for this window. ranges_elem_count(rs, n, B)
-  // decomposes exactly as C*(n/B) + R(n%B): C is the total covered block
-  // count and R(rem) sums, over the *unwrapped* sub-runs [lo, hi) each range
-  // splits into, the ids below rem: max(0, min(hi, rem) - lo). All-i64, so
-  // each row holds precisely what Schedule::op_bytes gives at that size; pad
-  // lanes (base = rem = 0) come out 0.
-  const auto eval_row = [&](const RowSpec& o, i64* b) {
-    if (o.kind == kRowFull) {
-      for (size_t s = 0; s < W; ++s) b[s] = full_bytes[s];
-      return;
-    }
-    if (o.kind == kRowSingle) {  // range inlined in the spec: no arena loads
-      const i64 lo = o.rbegin, cnt = o.rend;
-      const i64 head = std::min(cnt, B - lo);
-      const i64 hi = lo + head;
-      const i64 tail = cnt - head;  // wrapped part, restarting at block 0
-      for (size_t s = 0; s < W; ++s)
-        b[s] = cnt * base[s] + std::max<i64>(0, std::min(hi, rem[s]) - lo);
-      if (tail > 0)
-        for (size_t s = 0; s < W; ++s) b[s] += std::min(tail, rem[s]);
-      for (size_t s = 0; s < W; ++s) b[s] *= elem_size;
-      return;
-    }
-    // Range span: one walk accumulates the count total and the clamp terms
-    // together (i64 addition reassociates exactly).
+
+  // Evaluate the entry's distinct byte rows for this window: the only place
+  // the block ranges are touched. Everything after streams row loads.
+  // ranges_elem_count(rs, n, B) decomposes exactly as C*(n/B) + R(n%B): C is
+  // the total covered block count and R(rem) sums, over the *unwrapped*
+  // sub-runs [lo, hi) each range splits into, the ids below rem:
+  // max(0, min(hi, rem) - lo). All-i64, so each row holds precisely what
+  // Schedule::op_bytes gives at that size; pad lanes (base = rem = 0) come
+  // out 0. One walk per row accumulates the count total and the clamp terms
+  // together (i64 addition reassociates exactly).
+  i64* const rows = cx.rows;
+  const size_t num_rows = sf.num_rows();
+  for (size_t row = 0; row < num_rows; ++row) {
     i64 c = 0;
     i64 cl[W] = {};
-    for (std::uint32_t r = o.rbegin; r < o.rend; ++r) {
+    for (std::uint32_t r = row_begin[row]; r < row_begin[row + 1]; ++r) {
       const i64 lo = ranges[r].begin, cnt = ranges[r].count;
       c += cnt;
       const i64 head = std::min(cnt, B - lo);
@@ -364,29 +323,24 @@ void stream_candidate(const CandStreamCtx& cx, size_t off) {
       if (tail > 0)
         for (size_t s = 0; s < W; ++s) cl[s] += std::min(tail, rem[s]);
     }
+    i64* b = rows + row * W;
     for (size_t s = 0; s < W; ++s) b[s] = (c * base[s] + cl[s]) * elem_size;
-  };
-
-  // Evaluate the candidate's distinct byte rows for this window: the only
-  // place the block ranges are touched. Everything after streams row loads.
-  i64* const rows = cx.rows;
-  for (std::uint32_t r = 0; r < cx.nrows; ++r)
-    eval_row(cx.rowspec[r], rows + static_cast<size_t>(r) * W);
+  }
 
   double sec[W] = {};
   i64 lb[W] = {}, gb[W] = {}, ib2[W] = {};
   for (size_t t = 0; t < sf.steps; ++t) {
     double ov[W] = {}, max_ov[W] = {}, max_link[W] = {};
-    for (std::uint32_t j = cstep[t]; j < cstep[t + 1]; ++j) {
-      const COp& o = cops[j];
-      if (o.flags & kCOpBoundary) {  // first op of a rank group: flush
+    for (std::uint32_t j = step_begin[t]; j < step_begin[t + 1]; ++j) {
+      const StreamOp& o = ops[j];
+      if (o.flags & StreamOp::kBoundary) {  // first op of a rank group: flush
         for (size_t s = 0; s < W; ++s) max_ov[s] = std::max(max_ov[s], ov[s]);
         for (size_t s = 0; s < W; ++s) ov[s] = 0.0;
       }
-      const i64* b = rows + static_cast<size_t>(o.row) * W;
-      switch (o.flags & kCOpKind) {
-        case 0: {  // send
-          const std::uint32_t pid = o.aux;
+      switch (o.kind()) {
+        case sched::OpKind::send: {
+          const i64* b = rows + static_cast<size_t>(o.row) * W;
+          const std::uint32_t pid = o.pair;
           const RouteCache::ClassHops& h = pair_hops[pid];
           // Skipping a zero-hop class skips i64 adds of zero: exact.
           if (h.local) {
@@ -412,22 +366,24 @@ void stream_candidate(const CandStreamCtx& cx, size_t off) {
           for (size_t s = 0; s < W; ++s) ov[s] += c;
           break;
         }
-        case 1:  // recv_reduce
+        case sched::OpKind::recv_reduce: {
+          const i64* b = rows + static_cast<size_t>(o.row) * W;
           for (size_t s = 0; s < W; ++s)
             ov[s] += static_cast<double>(b[s]) * inv_reduce_bw;
           break;
-        default: {  // local_perm
+        }
+        default: {  // local_perm (never a plain recv): the whole vector
           const double c = static_cast<double>(o.extra) * seg_overhead;
           for (size_t s = 0; s < W; ++s)
-            ov[s] += static_cast<double>(b[s]) * inv_mem_bw + c;
+            ov[s] += static_cast<double>(full_bytes[s]) * inv_mem_bw + c;
           break;
         }
       }
     }
     for (size_t s = 0; s < W; ++s) max_ov[s] = std::max(max_ov[s], ov[s]);
 
-    // Dense max-reduce over the candidate's slot table: every slot this
-    // candidate ever sends through is scanned each step, sequentially and
+    // Dense max-reduce over the schedule's slot table: every slot this
+    // schedule ever sends through is scanned each step, sequentially and
     // branch-free. That removes the per-visit touch bookkeeping from the
     // send loop above and the gather through a touched list here. A slot
     // idle this step holds 0, contributing +0.0 to a max over non-negative
@@ -453,147 +409,6 @@ SimScratch& thread_sim_scratch() {
   return sc;
 }
 
-/// Size- and profile-independent compile of one schedule for the candidate
-/// stream: the compact op arena, the interned distinct byte rows, and a
-/// dense schedule-local pair numbering (pair_keys maps local pid back to
-/// rank*p + peer for route resolution through the memo). Everything here
-/// is a pure function of the schedule structure -- no topology, placement,
-/// size or cost parameter enters -- so it is built once per cached schedule
-/// and memoized on the entry's derived slot (the simulator analogue of
-/// runtime::ExecSkeleton::of). Without this, the per-op walk with content
-/// hashing re-runs on every simulate call and dominates schedules whose
-/// size axis fits one window.
-struct CandCompiled {
-  std::vector<COp> cops;
-  std::vector<std::uint32_t> cstep;  ///< steps+1 op offsets
-  std::vector<RowSpec> rowspec;      ///< distinct byte rows, dedup'd by content
-  std::vector<size_t> pair_keys;     ///< local pid -> rank*p + peer, first touch
-  i64 messages = 0;
-};
-
-std::shared_ptr<const CandCompiled> compiled_for(const sched::SizeFreeSchedule& sf) {
-  sched::SizeFreeSchedule::DerivedSlot& slot = *sf.sim_derived;
-  const std::scoped_lock lock(slot.mutex);
-  if (slot.value) return std::static_pointer_cast<const CandCompiled>(slot.value);
-
-  constexpr std::uint32_t kNoPair = 0xffffffffu;
-  auto cc = std::make_shared<CandCompiled>();
-  const size_t np = static_cast<size_t>(sf.p);
-  std::vector<std::uint32_t> pair_of(np * np, kNoPair);
-  // Byte-row dedup: an open-addressing table over content hashes. Schedules
-  // are SPMD-symmetric -- across ranks and steps the same few block shapes
-  // recur -- so the distinct-row count is orders of magnitude below the op
-  // count, and the stream resolves bytes once per row instead of per op.
-  std::vector<std::uint64_t> row_hash;
-  std::vector<std::uint32_t> row_map(2048, 0);
-  size_t row_cap = row_map.size();
-  const auto reseed = [&]() {
-    std::fill(row_map.begin(), row_map.end(), 0u);
-    const size_t mask = row_cap - 1;
-    for (size_t r = 0; r < row_hash.size(); ++r) {
-      size_t idx = static_cast<size_t>(row_hash[r]) & mask;
-      while (row_map[idx] != 0) idx = (idx + 1) & mask;
-      row_map[idx] = static_cast<std::uint32_t>(r) + 1;
-    }
-  };
-  const auto intern_row = [&](const RowSpec& spec, std::uint64_t h) {
-    const size_t mask = row_cap - 1;
-    size_t idx = static_cast<size_t>(h) & mask;
-    while (row_map[idx] != 0) {
-      const size_t r = row_map[idx] - 1;
-      if (row_hash[r] == h) {
-        const RowSpec& have = cc->rowspec[r];
-        const bool eq =
-            have.kind == spec.kind &&
-            (spec.kind == kRowFull ||
-             (spec.kind == kRowSingle
-                  ? have.rbegin == spec.rbegin && have.rend == spec.rend
-                  : have.rend - have.rbegin == spec.rend - spec.rbegin &&
-                        std::equal(sf.ranges.data() + have.rbegin,
-                                   sf.ranges.data() + have.rend,
-                                   sf.ranges.data() + spec.rbegin)));
-        if (eq) return static_cast<std::uint32_t>(r);
-      }
-      idx = (idx + 1) & mask;
-    }
-    row_map[idx] = static_cast<std::uint32_t>(cc->rowspec.size()) + 1;
-    cc->rowspec.push_back(spec);
-    row_hash.push_back(h);
-    const std::uint32_t rid = static_cast<std::uint32_t>(cc->rowspec.size() - 1);
-    if (cc->rowspec.size() * 2 > row_cap) {
-      row_cap *= 4;
-      row_map.assign(row_cap, 0);
-      reseed();
-    }
-    return rid;
-  };
-
-  cc->cops.reserve(sf.num_ops());
-  for (size_t t = 0; t < sf.steps; ++t) {
-    cc->cstep.push_back(static_cast<std::uint32_t>(cc->cops.size()));
-    std::int32_t last_rank = -1;  // ranks are non-negative
-    for (std::uint32_t i = sf.step_begin[t]; i < sf.step_begin[t + 1]; ++i) {
-      if (sf.kind[i] == sched::OpKind::recv) continue;
-      COp o;
-      o.flags = sf.rank[i] != last_rank ? kCOpBoundary : 0u;
-      last_rank = sf.rank[i];
-      o.aux = 0;
-      switch (sf.kind[i]) {
-        case sched::OpKind::send: {
-          ++cc->messages;
-          const size_t key = static_cast<size_t>(sf.rank[i]) * np +
-                             static_cast<size_t>(sf.peer[i]);
-          std::uint32_t& pid = pair_of[key];
-          if (pid == kNoPair) {
-            pid = static_cast<std::uint32_t>(cc->pair_keys.size());
-            cc->pair_keys.push_back(key);
-          }
-          o.aux = pid;
-          break;
-        }
-        case sched::OpKind::recv_reduce:
-          o.flags |= 1u;
-          break;
-        case sched::OpKind::local_perm:
-          o.flags |= 2u;
-          break;
-        default:
-          break;
-      }
-      // Intern this op's byte-row content. A mixing hash over the range
-      // content (or a tag for full-vector rows) keys the table; single
-      // ranges are inlined in the spec so their rows evaluate without
-      // touching the ranges arena.
-      RowSpec spec;
-      std::uint64_t h;
-      if (sf.kind[i] == sched::OpKind::local_perm) {
-        spec = {kRowFull, 0, 0};
-        h = 0x9e3779b97f4a7c15ull;
-      } else if (const std::uint32_t e = sf.exchange[i],
-                 r0 = sf.range_begin[e], r1 = sf.range_begin[e + 1];
-                 r1 == r0 + 1) {
-        spec = {kRowSingle, sf.ranges[r0].begin, sf.ranges[r0].count};
-        h = (static_cast<std::uint64_t>(spec.rbegin) << 32) | spec.rend;
-        h *= 0xff51afd7ed558ccdull;
-        h ^= h >> 33;
-      } else {
-        spec = {kRowSpan, r0, r1};
-        h = 14695981039346656037ull;
-        for (std::uint32_t r = r0; r < r1; ++r) {
-          h = (h ^ sf.ranges[r].begin) * 1099511628211ull;
-          h = (h ^ sf.ranges[r].count) * 1099511628211ull;
-        }
-      }
-      o.row = intern_row(spec, h);
-      o.extra = sf.extra_segments[i];
-      cc->cops.push_back(o);
-    }
-  }
-  cc->cstep.push_back(static_cast<std::uint32_t>(cc->cops.size()));
-  slot.value = cc;
-  return cc;
-}
-
 }  // namespace
 
 std::vector<SimResult> simulate(const sched::SizeFreeSchedule& sf,
@@ -606,7 +421,6 @@ std::vector<SimResult> simulate(const sched::SizeFreeSchedule& sf,
 
   constexpr std::uint32_t kNoSlot = 0xffffffffu;
   SimScratch& sc = thread_sim_scratch();
-  const std::shared_ptr<const CandCompiled> comp = compiled_for(sf);
 
   // Window width: one register-tiled window covers the whole size axis for
   // every practical grid (tuner grids and sweep plans are <= 32 sizes), so
@@ -615,9 +429,9 @@ std::vector<SimResult> simulate(const sched::SizeFreeSchedule& sf,
   const size_t W = S <= 2 ? 2 : S <= 4 ? 4 : S <= 8 ? 8 : S <= 16 ? 16 : 32;
   const size_t P = (S + W - 1) / W * W;
 
-  // Route rows for the schedule's own pairs, in its local pair order (the
-  // memo copies rows out in key order), so pair ids index them directly.
-  memo.resolve(rc, comp->pair_keys, sc.rows);
+  // Route rows for the schedule's own pairs, in its pair order (the memo
+  // copies rows out in key order), so pair ids index them directly.
+  memo.resolve(rc, sf.pair_keys, sc.rows);
 
   // Remap the route CSR in place from scope slots to dense schedule slots in
   // first-touch order. Slot order is free: the per-step link reduction is a
@@ -643,7 +457,7 @@ std::vector<SimResult> simulate(const sched::SizeFreeSchedule& sf,
     v = cslot;
   }
   for (const std::uint32_t v : sc.cslot_ids) sc.cslot_of[v] = kNoSlot;
-  const size_t npairs = comp->pair_keys.size();
+  const size_t npairs = sf.pair_keys.size();
   sc.pair_alpha.resize(npairs);
   for (size_t k = 0; k < npairs; ++k)
     sc.pair_alpha[k] = sc.rows.crosses_global[k] ? cp.alpha_global : cp.alpha_local;
@@ -668,13 +482,9 @@ std::vector<SimResult> simulate(const sched::SizeFreeSchedule& sf,
   sc.local_b.resize(P);
   sc.global_b.resize(P);
   sc.intra_b.resize(P);
-  sc.rowvals.resize(comp->rowspec.size() * W);
-  CandStreamCtx cx;
+  sc.rowvals.resize(sf.num_rows() * W);
+  StreamCtx cx;
   cx.sf = &sf;
-  cx.cops = comp->cops.data();
-  cx.cstep = comp->cstep.data();
-  cx.rowspec = comp->rowspec.data();
-  cx.nrows = static_cast<std::uint32_t>(comp->rowspec.size());
   cx.rows = sc.rowvals.data();
   cx.pair_route_off = sc.rows.route_off.data();
   cx.pair_route_len = sc.rows.route_len.data();
@@ -697,7 +507,7 @@ std::vector<SimResult> simulate(const sched::SizeFreeSchedule& sf,
   cx.intra_b = sc.intra_b.data();
   const auto run_windows = [&](auto width) {
     constexpr size_t kW = decltype(width)::value;
-    for (size_t off = 0; off < P; off += kW) stream_candidate<kW>(cx, off);
+    for (size_t off = 0; off < P; off += kW) stream_schedule<kW>(cx, off);
   };
   switch (W) {
     case 2: run_windows(std::integral_constant<size_t, 2>{}); break;
@@ -707,11 +517,13 @@ std::vector<SimResult> simulate(const sched::SizeFreeSchedule& sf,
     default: run_windows(std::integral_constant<size_t, 32>{}); break;
   }
 
+  // Every exchange sends once and delivers once.
+  const auto messages = static_cast<i64>(sf.num_deliveries());
   std::vector<SimResult> results(S);
   for (size_t s = 0; s < S; ++s) {
     results[s].seconds = sc.seconds[s];
     results[s].steps = sf.steps;
-    results[s].traffic = {sc.local_b[s], sc.global_b[s], sc.intra_b[s], comp->messages};
+    results[s].traffic = {sc.local_b[s], sc.global_b[s], sc.intra_b[s], messages};
   }
   sc.trim();
   return results;

@@ -84,12 +84,12 @@ struct SimResult {
 [[nodiscard]] SimResult simulate(const sched::Schedule& sch, const RouteCache& rc,
                                  const CostParams& cp);
 
-/// Size-batched compiled engine -- the one production simulator: one
-/// structural pass per schedule across the whole size axis. The schedule's
-/// send pairs resolve through `memo`, so routing amortizes across
-/// schedules, cells, Runners, and tuner rounds (tests pass a private memo
-/// for isolation). The schedule's cached compiled form (compact ops +
-/// distinct byte rows, memoized on the entry) then streams through W-wide
+/// Size-batched engine -- the one production simulator: one structural
+/// pass per schedule across the whole size axis. The schedule's send pairs
+/// resolve through `memo`, so routing amortizes across schedules, cells,
+/// Runners, and tuner rounds (tests pass a private memo for isolation). The
+/// entry's op stream and distinct byte rows (`SizeFreeSchedule::from`
+/// emits them; nothing is compiled here) then stream through W-wide
 /// size-lane tiles.
 ///
 /// result[s] is bit-identical to the scalar oracle over the Schedule `sf`

@@ -130,10 +130,10 @@ ExecSkeleton analyze_structure(const sched::SizeFreeSchedule& sf, sched::Collect
   sk.block_begin.reserve(nops + 1);
   sk.block_begin.push_back(0);
   for (size_t i = 0; i < nops; ++i) {
-    const std::uint32_t send = sf.delivery_send[i];
-    sk.to.push_back(sf.peer[send]);
-    sk.from.push_back(sf.rank[send]);
-    for (const sched::BlockRange32& br : sf.exchange_ranges(sf.exchange[send]))
+    const sched::SizeFreeSchedule::StreamOp& send = sf.ops[sf.delivery_send[i]];
+    sk.to.push_back(static_cast<std::int32_t>(sf.pair_to(send.pair)));
+    sk.from.push_back(static_cast<std::int32_t>(sf.pair_from(send.pair)));
+    for (const sched::BlockRange32& br : sf.row_ranges(send.row))
       for (i64 k = 0; k < br.count; ++k)
         ids.push_back(static_cast<std::uint32_t>(pmod(br.begin + k, nblocks)));
     sk.block_begin.push_back(static_cast<std::uint32_t>(ids.size()));
@@ -394,9 +394,9 @@ ExecPlan ExecPlan::from_size_free(std::shared_ptr<const sched::SizeFreeSchedule>
   for (size_t i = 0; i < ops; ++i) {
     // The same arithmetic Schedule::op_bytes runs, so the plan's bytes are
     // the schedule's at this size.
-    const std::uint32_t e = sf->exchange[sf->delivery_send[i]];
-    plan.op_bytes[i] = sched::ranges_elem_count(sf->exchange_ranges(e), n, sf->nblocks) *
-                       elem_size;
+    const std::uint32_t row = sf->ops[sf->delivery_send[i]].row;
+    plan.op_bytes[i] =
+        sched::ranges_elem_count(sf->row_ranges(row), n, sf->nblocks) * elem_size;
   }
   plan.keepalive = std::move(sf);
   plan.finalize_sizes();

@@ -1,6 +1,7 @@
 #include "sched/schedule.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -157,40 +158,52 @@ Schedule::OpOrder Schedule::op_order() const {
                             " ops do not fit 32-bit indices");
   const auto first_local = static_cast<std::uint32_t>(2 * exchanges_.size());
 
-  // Every half in call order: a local sits before the exchange logged after
-  // it. Both halves of one exchange belong to different ranks, so their
-  // relative order never matters.
-  std::vector<std::uint32_t> calls(num_halves);
-  size_t k = 0, l = 0;
-  for (std::uint32_t e = 0;; ++e) {
-    for (; l < locals_.size() && locals_[l].before == e; ++l)
-      calls[k++] = first_local + static_cast<std::uint32_t>(l);
-    if (e == exchanges_.size()) break;
-    calls[k++] = 2 * e;
-    calls[k++] = 2 * e + 1;
+  // Bucket every half by step, in call order, next to its rank: a local
+  // sits before the exchange logged after it. Both halves of one exchange
+  // belong to different ranks, so their relative order never matters.
+  OpOrder order;
+  order.step_begin.assign(num_steps_ + 1, 0);
+  for (const Exchange& x : exchanges_) order.step_begin[x.step + 1] += 2;
+  for (const LocalOp& l : locals_) ++order.step_begin[l.step + 1];
+  for (size_t t = 0; t < num_steps_; ++t) order.step_begin[t + 1] += order.step_begin[t];
+  const auto ranked = [](Rank r, std::uint32_t h) { return static_cast<u64>(r) << 32 | h; };
+  std::vector<u64> by_step(num_halves);  ///< rank << 32 | half
+  {
+    std::vector<std::uint32_t> at(order.step_begin.begin(), order.step_begin.end() - 1);
+    size_t l = 0;
+    for (std::uint32_t e = 0;; ++e) {
+      for (; l < locals_.size() && locals_[l].before == e; ++l)
+        by_step[at[locals_[l].step]++] =
+            ranked(locals_[l].rank, first_local + static_cast<std::uint32_t>(l));
+      if (e == exchanges_.size()) break;
+      const Exchange& x = exchanges_[e];
+      std::uint32_t& a = at[x.step];
+      by_step[a++] = ranked(x.from, 2 * e);
+      by_step[a++] = ranked(x.to, 2 * e + 1);
+    }
   }
 
-  // Stable counting sorts, least significant key first: by rank, then by
-  // step. Ties keep call order.
-  const auto counting_sort = [&](std::vector<std::uint32_t>& out,
-                                 const std::vector<std::uint32_t>& in, size_t buckets,
-                                 auto&& key) {
-    std::vector<std::uint32_t> begin(buckets + 1, 0);
-    for (const std::uint32_t h : in) ++begin[key(h) + 1];
-    for (size_t b = 0; b < buckets; ++b) begin[b + 1] += begin[b];
-    out.resize(in.size());
-    std::vector<std::uint32_t> at(begin.begin(), begin.end() - 1);
-    for (const std::uint32_t h : in) out[at[key(h)]++] = h;
-    return begin;
-  };
-  OpOrder order;
-  std::vector<std::uint32_t> by_rank;
-  (void)counting_sort(by_rank, calls, static_cast<size_t>(p),
-                      [this](std::uint32_t h) { return static_cast<size_t>(half_rank(h)); });
-  order.step_begin = counting_sort(order.halves, by_rank, num_steps_, [&](std::uint32_t h) {
-    return static_cast<size_t>(h < first_local ? exchanges_[h / 2].step
-                                               : locals_[h - first_local].step);
-  });
+  // Then a stable sort by rank within each step: a counting sort through one
+  // p-sized table when the step is large, else a comparison sort. Either way
+  // the step's halves stay cache-resident.
+  order.halves.resize(num_halves);
+  std::vector<std::uint32_t> rank_at(static_cast<size_t>(p) + 1);
+  for (size_t t = 0; t < num_steps_; ++t) {
+    const std::uint32_t b = order.step_begin[t];
+    const std::uint32_t n = order.step_begin[t + 1] - b;
+    u64* in = by_step.data() + b;
+    std::uint32_t* out = order.halves.data() + b;
+    if (u64{n} * static_cast<u64>(std::bit_width(n)) < static_cast<u64>(p)) {
+      std::stable_sort(in, in + n, [](u64 x, u64 y) { return x >> 32 < y >> 32; });
+      for (std::uint32_t i = 0; i < n; ++i) out[i] = static_cast<std::uint32_t>(in[i]);
+      continue;
+    }
+    std::fill(rank_at.begin(), rank_at.end(), 0u);
+    for (std::uint32_t i = 0; i < n; ++i) ++rank_at[(in[i] >> 32) + 1];
+    for (size_t r = 0; r < static_cast<size_t>(p); ++r) rank_at[r + 1] += rank_at[r];
+    for (std::uint32_t i = 0; i < n; ++i)
+      out[rank_at[in[i] >> 32]++] = static_cast<std::uint32_t>(in[i]);
+  }
   return order;
 }
 

@@ -24,23 +24,25 @@
 /// BlockSet-heavy schedule from scratch, and with the simulator compiled
 /// generation dominates sweep wall time.
 ///
-/// `SizeFreeSchedule` is the memoized artifact: a flat structure-of-arrays
-/// op stream in the canonical order (`for_each_op_step_major`, schedule.hpp;
-/// cost-free plain recvs dropped) with no byte column at all -- each op names the *exchange*
-/// whose block ranges it covers instead (a local_perm covers the whole
-/// vector), and the size-free net::simulate derives bytes for any
-/// (elem_count, elem_size) from them. One cached entry therefore serves an
-/// entire message-size sweep.
+/// `SizeFreeSchedule` is the memoized artifact, and it is the size-free
+/// net::simulate's input as it stands: the 16-byte op stream in the
+/// canonical order (`for_each_op_step_major`, schedule.hpp; cost-free plain
+/// recvs dropped) with no byte column at all. Each op names the *byte row*
+/// holding its exchange's block ranges (a local_perm covers the whole
+/// vector), and the simulator derives bytes for any (elem_count, elem_size)
+/// from the rows. One cached entry therefore serves an entire message-size
+/// sweep, and `from` is the only compile a schedule gets.
 ///
 /// Each exchange of the Schedule's log -- a send plus its implied receive --
-/// stores its block ranges exactly once, as 8-byte
-/// BlockRange32s in one CSR: the send and a matched recv_reduce in the
-/// simulation stream reference the same span. Beyond the simulation
-/// columns, the entry carries an *execution overlay* of index columns: one
-/// record per delivery (every receive-type op, plain recvs included -- the
-/// simulation stream drops them) holding the stream index of its send and a
-/// reduce flag, in the canonical step-major/receiver order. The receiver,
-/// the sender and the payload all come from that send.
+/// is interned once: its ranges are checked, hashed and stored as 8-byte
+/// BlockRange32s in one CSR of content-distinct rows, and its send and a
+/// matched recv_reduce both name that row and the exchange's schedule-local
+/// pair id (`pair_keys` maps it back to from * p + to). Beyond the stream,
+/// the entry carries an *execution overlay* of index columns: one record per
+/// delivery (every receive-type op, plain recvs included -- the stream drops
+/// them) holding the stream index of its send and a reduce flag, in the
+/// canonical step-major/receiver order. The receiver and the sender come
+/// from that send's pair key, the payload from its row.
 /// runtime::ExecPlan::from_size_free consumes it, which is how the runtime
 /// executor and the verification harness run off the same cached artifact as
 /// the simulator (DESIGN.md has the full pipeline).
@@ -62,71 +64,82 @@ struct SizeFreeSchedule {
   /// Every entry is size-independent by construction (ops carry no bytes).
   static constexpr bool size_independent = true;
 
-  /// CSR over the op arrays: ops of step t are [step_begin[t], step_begin[t+1]).
+  /// One costed op of the simulation stream: a send, a recv_reduce or a
+  /// local_perm. `flags` holds its OpKind in the kKind bits, plus kBoundary
+  /// on the first op of a rank group (its rank differs from the previous
+  /// op's in the same step).
+  struct StreamOp {
+    static constexpr std::uint32_t kKind = 3u;
+    static constexpr std::uint32_t kBoundary = 4u;
+    std::uint32_t flags = 0;
+    std::uint32_t pair = 0;  ///< send, recv_reduce: the exchange's pair id
+    std::uint32_t row = 0;   ///< send, recv_reduce: the exchange's byte row
+    std::int32_t extra = 0;  ///< lowered_extra_segments(op.segments)
+    [[nodiscard]] OpKind kind() const noexcept { return static_cast<OpKind>(flags & kKind); }
+    friend bool operator==(const StreamOp&, const StreamOp&) = default;
+  };
+
+  /// CSR over `ops`: ops of step t are [step_begin[t], step_begin[t+1]).
   std::vector<std::uint32_t> step_begin;
+  /// Canonical order with plain recvs dropped.
+  std::vector<StreamOp> ops;
 
-  // One entry per op, in canonical order with plain recvs dropped.
-  std::vector<OpKind> kind;
-  std::vector<std::int32_t> rank;
-  std::vector<std::int32_t> peer;
-  std::vector<std::int32_t> extra_segments;  ///< lowered_extra_segments(op)
-  /// The op's exchange: sends and recv_reduces cover its ranges. A
-  /// local_perm holds kNoExchange and covers the whole vector.
-  std::vector<std::uint32_t> exchange;
-
-  /// Exchange e covers ranges [range_begin[e], range_begin[e+1]) -- an owned
-  /// copy, so entries outlive generator arenas. Exchanges are numbered in
-  /// the stream order of their sends.
-  std::vector<std::uint32_t> range_begin;
+  /// Byte row r covers ranges [row_begin[r], row_begin[r+1]) -- an owned
+  /// copy, so entries outlive generator arenas. No two rows are equal.
+  std::vector<std::uint32_t> row_begin;
   std::vector<BlockRange32> ranges;
+  /// Pair id -> from * p + to, pairs numbered in first-touch stream order.
+  std::vector<u64> pair_keys;
 
   // --- execution overlay ---------------------------------------------------
   // One record per delivery (receive-type op: recv AND recv_reduce), in
   // canonical step-major / receiver-grouped order with the receiver's op
   // order preserved -- the ordering the reference executor's delivery
   // semantics depend on. A delivery stores only the stream index of its
-  // send: the receiver is that send's peer, the sender its rank, and the
-  // payload its exchange's ranges.
+  // send: the receiver and sender are that send's pair, the payload its row.
   std::vector<std::uint32_t> delivery_step_begin;  ///< CSR per step
   std::vector<std::uint32_t> delivery_send;        ///< stream index of the send
   std::vector<std::uint8_t> delivery_reduce;       ///< 1 = recv_reduce
 
-  /// Type-erased slot for derived artifacts a higher layer caches on the
-  /// entry (runtime::ExecPlan's finalized skeleton). Built once under the
-  /// slot mutex on first use, then shared by every later hit; the sched
-  /// layer stays runtime-agnostic. Held by unique_ptr so the entry remains
-  /// movable; mutable because entries are only ever reached as
+  /// Type-erased slot for the one derived artifact a higher layer caches on
+  /// the entry: runtime::ExecPlan's finalized `ExecSkeleton`. Built once
+  /// under the slot mutex on first use, then shared by every later hit; the
+  /// sched layer stays runtime-agnostic. Held by unique_ptr so the entry
+  /// remains movable; mutable because entries are only ever reached as
   /// shared_ptr<const>.
   struct DerivedSlot {
     std::mutex mutex;
     std::shared_ptr<const void> value;
   };
   mutable std::unique_ptr<DerivedSlot> derived = std::make_unique<DerivedSlot>();
-  /// Second derived slot, used by the simulator's size-batched engine for
-  /// its compiled op/byte-row form (the size-free net::simulate). Separate
-  /// from `derived` so the runtime skeleton and the simulation compile can
-  /// both live on one entry without evicting each other.
-  mutable std::unique_ptr<DerivedSlot> sim_derived = std::make_unique<DerivedSlot>();
 
-  [[nodiscard]] size_t num_ops() const noexcept { return kind.size(); }
-  [[nodiscard]] size_t num_exchanges() const noexcept { return range_begin.size() - 1; }
+  [[nodiscard]] size_t num_ops() const noexcept { return ops.size(); }
+  [[nodiscard]] size_t num_rows() const noexcept { return row_begin.size() - 1; }
+  /// Every exchange delivers exactly once, so this also counts the sends.
   [[nodiscard]] size_t num_deliveries() const noexcept { return delivery_send.size(); }
 
-  /// Block ranges of exchange `e`.
-  [[nodiscard]] std::span<const BlockRange32> exchange_ranges(std::uint32_t e) const {
-    return {ranges.data() + range_begin[e], ranges.data() + range_begin[e + 1]};
+  /// Block ranges of byte row `r`.
+  [[nodiscard]] std::span<const BlockRange32> row_ranges(std::uint32_t r) const {
+    return {ranges.data() + row_begin[r], ranges.data() + row_begin[r + 1]};
+  }
+  /// Sender and receiver of pair `id`.
+  [[nodiscard]] Rank pair_from(std::uint32_t id) const noexcept {
+    return static_cast<Rank>(pair_keys[id] / static_cast<u64>(p));
+  }
+  [[nodiscard]] Rank pair_to(std::uint32_t id) const noexcept {
+    return static_cast<Rank>(pair_keys[id] % static_cast<u64>(p));
   }
 
-  /// Capacity in bytes of every column above (derived slots excluded):
+  /// Capacity in bytes of every column above (the derived slot excluded):
   /// what the entry keeps resident.
   [[nodiscard]] size_t resident_bytes() const noexcept;
 
   /// Compile `s` into size-free form (its vector config is not read): one
-  /// counting sort of its log into the canonical order, then the column
-  /// fill. Throws std::length_error when p, nblocks, a block range or a
-  /// column offset does not fit the 32-bit columns, and
-  /// std::invalid_argument for a block range outside the block space
-  /// (sched::range_in_space).
+  /// pass over the exchange log interns rows and numbers pairs, one walk of
+  /// `s.op_order()` emits the stream and the overlay. Throws
+  /// std::length_error when p, nblocks, a block range or a column offset
+  /// does not fit the 32-bit columns, and std::invalid_argument for a block
+  /// range outside the block space (sched::range_in_space).
   [[nodiscard]] static SizeFreeSchedule from(const Schedule& s);
 };
 

@@ -1,19 +1,24 @@
 // Schedule-generation fast path tests: registry-wide parity of cached
 // SizeFreeSchedule entries with fresh generation at every vector size (every
-// IR column, and the production simulator against the scalar oracle), each
-// exchange stored once in exactly sized columns, rejection of what the
+// IR column, and the production simulator against the scalar oracle), the
+// op stream against the canonical walk, each exchange interned once into
+// content-distinct rows and exactly sized columns, rejection of what the
 // 32-bit columns or the block space cannot hold, one builder call per cache
 // miss, the cache's entry and resident-byte counts, cached Runner cells
 // bit-exact with the scalar oracle across all four topology families. Sweep
 // determinism across threads lives in test_sim_engine.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <set>
+#include <span>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coll/registry.hpp"
@@ -38,18 +43,47 @@ void expect_same_entry(const sched::SizeFreeSchedule& a, const sched::SizeFreeSc
   EXPECT_EQ(a.steps, b.steps) << what;
   // Simulation stream.
   EXPECT_EQ(a.step_begin, b.step_begin) << what;
-  EXPECT_EQ(a.kind, b.kind) << what;
-  EXPECT_EQ(a.rank, b.rank) << what;
-  EXPECT_EQ(a.peer, b.peer) << what;
-  EXPECT_EQ(a.extra_segments, b.extra_segments) << what;
-  EXPECT_EQ(a.exchange, b.exchange) << what;
-  // Exchange ranges.
-  EXPECT_EQ(a.range_begin, b.range_begin) << what;
+  EXPECT_EQ(a.ops, b.ops) << what;
+  // Byte rows and pair keys.
+  EXPECT_EQ(a.row_begin, b.row_begin) << what;
   EXPECT_EQ(a.ranges, b.ranges) << what;
+  EXPECT_EQ(a.pair_keys, b.pair_keys) << what;
   // Execution overlay.
   EXPECT_EQ(a.delivery_step_begin, b.delivery_step_begin) << what;
   EXPECT_EQ(a.delivery_send, b.delivery_send) << what;
   EXPECT_EQ(a.delivery_reduce, b.delivery_reduce) << what;
+}
+
+/// Every registry algorithm at p in {2, 3, 5, 8, 12, 33, 64, 256} and roots
+/// {0, p/3}, pow2-only ones at powers of two: `fn(what, schedule)`.
+template <class Fn>
+void for_each_registry_schedule(Fn&& fn) {
+  for (const sched::Collective c : coll::all_collectives()) {
+    for (const auto& entry : coll::algorithms_for(c)) {
+      for (const i64 p : {2, 3, 5, 8, 12, 33, 64, 256}) {
+        if (entry.pow2_only && !is_pow2(p)) continue;
+        for (const Rank root : {Rank{0}, Rank{p / 3}}) {
+          if (root != 0 && p / 3 == 0) continue;
+          const std::string what = std::string(sched::to_string(c)) + "/" + entry.name +
+                                   " p=" + std::to_string(p) + " root=" + std::to_string(root);
+          SCOPED_TRACE(what);
+          coll::Config cfg;
+          cfg.p = p;
+          cfg.root = root;
+          cfg.elem_count = p;
+          fn(what, entry.make(cfg));
+        }
+      }
+    }
+  }
+}
+
+bool same_ranges(std::span<const sched::BlockRange32> a,
+                 std::span<const sched::BlockRange> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const sched::BlockRange32& x, const sched::BlockRange& y) {
+                      return x.begin == y.begin && x.count == y.count;
+                    });
 }
 
 }  // namespace
@@ -108,116 +142,145 @@ TEST(SizeFreeSchedule, MatchesFreshGenerationAtEverySize) {
   }
 }
 
-// Each exchange's block ranges are stored once, in exactly sized columns,
-// and every reader reaches them through the exchange index: a recv_reduce in
-// the stream and every delivery of the overlay name the exchange of the
-// send they pair with, which sits in the same step with the mirrored
-// (from, to) and carries the receive's own block ranges.
-TEST(SizeFreeSchedule, StoresEachExchangeOnce) {
-  for (const sched::Collective c : coll::all_collectives()) {
-    for (const auto& entry : coll::algorithms_for(c)) {
-      if (entry.specialized) continue;
-      for (const i64 p : {2, 3, 5, 8, 12, 33, 64, 256}) {
-        if (entry.pow2_only && !is_pow2(p)) continue;
-        for (const Rank root : {Rank{0}, Rank{p / 3}}) {
-          if (root != 0 && p / 3 == 0) continue;
-          SCOPED_TRACE(std::string(sched::to_string(c)) + "/" + entry.name +
-                       " p=" + std::to_string(p) + " root=" + std::to_string(root));
-          coll::Config cfg;
-          cfg.p = p;
-          cfg.root = root;
-          cfg.elem_count = p;
-          const sched::Schedule sch = entry.make(cfg);
-          const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
+// The stream is the canonical walk with plain recvs dropped: for every
+// costed op, in order, its kind, its rank-group boundary flag (the op's rank
+// differs from the previous costed op's in the step), its exchange's pair
+// key (sender * p + receiver; a local_perm names none), its extra segments,
+// and a byte row holding exactly its exchange's ranges. Rows are interned:
+// no two hold equal content, and every pair key is distinct.
+TEST(SizeFreeSchedule, StreamMatchesCanonicalWalk) {
+  using Entry = sched::SizeFreeSchedule;
+  for_each_registry_schedule([](const std::string& what, const sched::Schedule& sch) {
+    const Entry sf = Entry::from(sch);
+    const auto np = static_cast<u64>(sch.p);
+    std::uint32_t i = 0;
+    Rank prev = -1;
+    size_t mismatches = 0;
+    sched::for_each_op_step_major(
+        sch, sf.steps,
+        [&](Rank r, const sched::Op& op) {
+          if (op.kind == sched::OpKind::recv) return;
+          if (i >= sf.num_ops()) {
+            ++mismatches;
+            return;
+          }
+          const Entry::StreamOp& o = sf.ops[i++];
+          bool ok = ((o.flags & Entry::StreamOp::kBoundary) != 0) == (r != prev) &&
+                    o.extra == sched::lowered_extra_segments(op.segments);
+          prev = r;
+          if (op.kind == sched::OpKind::local_perm) {
+            ok = ok && o.kind() == sched::OpKind::local_perm;
+          } else {
+            const bool send = op.kind == sched::OpKind::send;
+            const u64 key = send ? static_cast<u64>(r) * np + static_cast<u64>(op.peer)
+                                 : static_cast<u64>(op.peer) * np + static_cast<u64>(r);
+            ok = ok && o.kind() == op.kind && o.pair < sf.pair_keys.size() &&
+                 sf.pair_keys[o.pair] == key && o.row < sf.num_rows() &&
+                 same_ranges(sf.row_ranges(o.row), op.blocks.ranges());
+          }
+          if (!ok) ++mismatches;
+        },
+        [&](size_t t) {
+          EXPECT_EQ(i, sf.step_begin[t + 1]) << what;
+          prev = -1;
+        });
+    EXPECT_EQ(mismatches, 0u) << what;
+    EXPECT_EQ(i, sf.num_ops()) << what;
 
-          size_t send_ranges = 0;
-          for (const sched::Exchange& x : sch.exchanges())
-            send_ranges += x.blocks.ranges().size();
-          EXPECT_EQ(sf.num_exchanges(), sch.exchanges().size());
-          EXPECT_EQ(sf.ranges.size(), send_ranges);
-
-          const auto exact = [](const auto& v) { return v.capacity() == v.size(); };
-          EXPECT_TRUE(exact(sf.step_begin));
-          EXPECT_TRUE(exact(sf.kind));
-          EXPECT_TRUE(exact(sf.rank));
-          EXPECT_TRUE(exact(sf.peer));
-          EXPECT_TRUE(exact(sf.extra_segments));
-          EXPECT_TRUE(exact(sf.exchange));
-          EXPECT_TRUE(exact(sf.range_begin));
-          EXPECT_TRUE(exact(sf.ranges));
-          EXPECT_TRUE(exact(sf.delivery_step_begin));
-          EXPECT_TRUE(exact(sf.delivery_send));
-          EXPECT_TRUE(exact(sf.delivery_reduce));
-
-          // Sends number the exchanges in stream order; remember each one's
-          // stream index and step.
-          std::vector<std::uint32_t> send_of(sf.num_exchanges());
-          std::vector<size_t> step_of(sf.num_ops());
-          std::uint32_t next = 0;
-          for (size_t t = 0; t < sf.steps; ++t)
-            for (std::uint32_t i = sf.step_begin[t]; i < sf.step_begin[t + 1]; ++i) {
-              step_of[i] = t;
-              if (sf.kind[i] == sched::OpKind::send) {
-                ASSERT_EQ(sf.exchange[i], next);
-                send_of[next++] = i;
-              } else if (sf.kind[i] == sched::OpKind::local_perm) {
-                EXPECT_EQ(sf.exchange[i], sched::kNoExchange);
-              }
-            }
-
-          // Walk the receive-type ops in canonical order next to the stream
-          // and the overlay.
-          std::uint32_t op = 0, delivery = 0;
-          size_t step = 0, mismatches = 0;
-          sched::for_each_op_step_major(
-              sch, sf.steps,
-              [&](Rank r, const sched::Op& o) {
-                if (o.kind == sched::OpKind::send || o.kind == sched::OpKind::local_perm) {
-                  ++op;
-                  return;
-                }
-                const std::uint32_t send = sf.delivery_send[delivery];
-                const bool reduce = o.kind == sched::OpKind::recv_reduce;
-                bool ok = sf.delivery_reduce[delivery] == (reduce ? 1 : 0) &&
-                          sf.kind[send] == sched::OpKind::send &&
-                          send_of[sf.exchange[send]] == send && step_of[send] == step &&
-                          sf.rank[send] == o.peer && sf.peer[send] == r;
-                const auto rs = sf.exchange_ranges(sf.exchange[send]);
-                const auto want = o.blocks.ranges();
-                ok = ok && rs.size() == want.size();
-                for (size_t k = 0; ok && k < rs.size(); ++k)
-                  ok = rs[k].begin == want[k].begin && rs[k].count == want[k].count;
-                if (reduce) {
-                  ok = ok && sf.kind[op] == sched::OpKind::recv_reduce &&
-                       sf.rank[op] == r && sf.exchange[op] == sf.exchange[send] &&
-                       step_of[op] == step;
-                  ++op;
-                }
-                if (!ok) ++mismatches;
-                ++delivery;
-              },
-              [&](size_t t) {
-                EXPECT_EQ(op, sf.step_begin[t + 1]);
-                EXPECT_EQ(delivery, sf.delivery_step_begin[t + 1]);
-                step = t + 1;
-              });
-          EXPECT_EQ(mismatches, 0u);
-          EXPECT_EQ(delivery, sf.num_deliveries());
-        }
-      }
+    std::set<std::vector<std::pair<std::uint32_t, std::uint32_t>>> rows;
+    for (std::uint32_t r = 0; r < sf.num_rows(); ++r) {
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> content;
+      for (const sched::BlockRange32& br : sf.row_ranges(r))
+        content.emplace_back(br.begin, br.count);
+      EXPECT_TRUE(rows.insert(std::move(content)).second) << what << " row " << r;
     }
-  }
+    EXPECT_EQ(std::set<u64>(sf.pair_keys.begin(), sf.pair_keys.end()).size(),
+              sf.pair_keys.size())
+        << what;
+  });
+}
+
+// Every column is exactly sized, and every reader reaches an exchange
+// through its send: each delivery of the overlay names a send in the same
+// step whose pair mirrors the receive's (from, to) and whose row carries
+// the receive's own block ranges, each send is delivered exactly once, and a
+// recv_reduce in the stream names its send's pair and row.
+TEST(SizeFreeSchedule, StoresEachExchangeOnce) {
+  using Entry = sched::SizeFreeSchedule;
+  for_each_registry_schedule([](const std::string& what, const sched::Schedule& sch) {
+    const Entry sf = Entry::from(sch);
+    size_t send_ranges = 0;
+    for (const sched::Exchange& x : sch.exchanges()) send_ranges += x.blocks.ranges().size();
+    EXPECT_EQ(sf.num_deliveries(), sch.exchanges().size()) << what;
+    EXPECT_LE(sf.ranges.size(), send_ranges) << what;
+    EXPECT_EQ(sf.row_begin.back(), sf.ranges.size()) << what;
+
+    const auto exact = [](const auto& v) { return v.capacity() == v.size(); };
+    EXPECT_TRUE(exact(sf.step_begin));
+    EXPECT_TRUE(exact(sf.ops));
+    EXPECT_TRUE(exact(sf.row_begin));
+    EXPECT_TRUE(exact(sf.ranges));
+    EXPECT_TRUE(exact(sf.pair_keys));
+    EXPECT_TRUE(exact(sf.delivery_step_begin));
+    EXPECT_TRUE(exact(sf.delivery_send));
+    EXPECT_TRUE(exact(sf.delivery_reduce));
+
+    std::vector<size_t> step_of(sf.num_ops());
+    for (size_t t = 0; t < sf.steps; ++t)
+      for (std::uint32_t i = sf.step_begin[t]; i < sf.step_begin[t + 1]; ++i) step_of[i] = t;
+    std::vector<std::uint32_t> deliveries_of(sf.num_ops(), 0);
+
+    // Walk the receive-type ops in canonical order next to the stream and
+    // the overlay.
+    std::uint32_t op = 0, delivery = 0;
+    size_t step = 0, mismatches = 0;
+    sched::for_each_op_step_major(
+        sch, sf.steps,
+        [&](Rank r, const sched::Op& o) {
+          if (o.kind == sched::OpKind::send || o.kind == sched::OpKind::local_perm) {
+            ++op;
+            return;
+          }
+          const std::uint32_t send = sf.delivery_send[delivery];
+          const Entry::StreamOp& s = sf.ops[send];
+          const bool reduce = o.kind == sched::OpKind::recv_reduce;
+          ++deliveries_of[send];
+          bool ok = sf.delivery_reduce[delivery] == (reduce ? 1 : 0) &&
+                    s.kind() == sched::OpKind::send && step_of[send] == step &&
+                    sf.pair_from(s.pair) == o.peer && sf.pair_to(s.pair) == r &&
+                    same_ranges(sf.row_ranges(s.row), o.blocks.ranges());
+          if (reduce) {
+            ok = ok && sf.ops[op].kind() == sched::OpKind::recv_reduce &&
+                 sf.ops[op].pair == s.pair && sf.ops[op].row == s.row && step_of[op] == step;
+            ++op;
+          }
+          if (!ok) ++mismatches;
+          ++delivery;
+        },
+        [&](size_t t) {
+          EXPECT_EQ(op, sf.step_begin[t + 1]) << what;
+          EXPECT_EQ(delivery, sf.delivery_step_begin[t + 1]) << what;
+          step = t + 1;
+        });
+    EXPECT_EQ(mismatches, 0u) << what;
+    EXPECT_EQ(delivery, sf.num_deliveries()) << what;
+    for (std::uint32_t i = 0; i < sf.num_ops(); ++i) {
+      const bool send = sf.ops[i].kind() == sched::OpKind::send;
+      EXPECT_EQ(deliveries_of[i], send ? 1u : 0u) << what << " op " << i;
+    }
+  });
 
   // The layout's footprint on a range-heavy schedule. Allreduce bine_permute
   // at p=256 took 6535324 resident bytes when each exchange's ranges were
-  // stored up to three times at 16 bytes per range with growth slack; it
-  // takes 932508 with every exchange stored once in 8-byte ranges.
+  // stored up to three times at 16 bytes per range with growth slack, 932508
+  // with every exchange stored once in 8-byte ranges, and 160916 as the
+  // simulator's stream with content-distinct rows.
   coll::Config cfg;
   cfg.p = 256;
   cfg.elem_count = cfg.p;
   const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(
       coll::find_algorithm(sched::Collective::allreduce, "bine_permute").make(cfg));
-  EXPECT_LE(sf.resident_bytes(), 6535324u / 4);
+  EXPECT_LE(sf.resident_bytes(), 160916u);
 }
 
 // from() narrows into 32-bit columns; it rejects, instead of truncating,

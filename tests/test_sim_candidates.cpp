@@ -6,8 +6,9 @@
 // ragged/non-pow2 rank counts and fault epochs. Concurrent Runners sharing
 // the process-wide route memo must stay bit-identical, fault-epoch memo
 // scoping must never leak degraded rows into healthy runs, topologies that
-// differ only in shape must get separate memo scopes, and an outsized
-// schedule's scratch must be released.
+// differ only in shape must get separate memo scopes, a scope's pair index
+// must be sized to the pairs it routed, and an outsized schedule's scratch
+// must be released.
 // "Bit-identical" is literal: seconds compare by bit pattern, not tolerance.
 #include <gtest/gtest.h>
 
@@ -268,6 +269,42 @@ TEST(SimCandidates, ScopeKeySeparatesShapesWithEqualLinkColumns) {
   EXPECT_EQ(memo.stats().scopes, twins.size());
 }
 
+// A scope's pair index is sized to the pairs routed, not to p^2: a fresh
+// memo at p = 2048 that resolves a few hundred pairs stays under 1 MiB (a
+// dense u32 index alone would take 16 MiB), resolving the same pairs again
+// hits on every one, and each resolved row is the pair's route.
+TEST(SimCandidates, MemoIndexScalesWithPairsRouted) {
+  const net::Torus topo(std::vector<i64>{16, 16, 8}, 6.8e9);
+  const i64 p = topo.num_nodes();
+  ASSERT_EQ(p, 2048);
+  const net::RouteCache rc(topo, net::Placement::identity(p));
+  std::vector<u64> keys;
+  for (i64 r = 0; r < 300; ++r)
+    keys.push_back(static_cast<u64>(r * 7 % p) * static_cast<u64>(p) +
+                   static_cast<u64>((r * 131 + 1) % p));
+  net::PairRouteMemo memo;
+  net::PairRouteMemo::Rows rows;
+  memo.resolve(rc, keys, rows);
+  const auto cold = memo.stats();
+  EXPECT_EQ(cold.misses, keys.size());
+  EXPECT_EQ(cold.hits, 0u);
+  EXPECT_LT(cold.bytes, u64{1} << 20);
+  memo.resolve(rc, keys, rows);
+  const auto warm = memo.stats();
+  EXPECT_EQ(warm.misses, keys.size());
+  EXPECT_EQ(warm.hits, keys.size());
+  EXPECT_EQ(warm.bytes, cold.bytes);
+  std::vector<i64> scratch;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const auto route = rc.route(static_cast<Rank>(keys[i] / static_cast<u64>(p)),
+                                static_cast<Rank>(keys[i] % static_cast<u64>(p)), scratch);
+    ASSERT_EQ(rows.route_len[i], route.links.size()) << i;
+    for (std::uint32_t k = 0; k < rows.route_len[i]; ++k)
+      EXPECT_EQ(rows.slot_link[rows.route_slots[rows.route_off[i] + k]], route.links[k]);
+    EXPECT_EQ(rows.hops[i].global, route.hops.global);
+  }
+}
+
 // Capacity-cap trim: one outsized schedule (alltoall/pairwise at p=768,
 // where every rank pair sends, so its route CSR alone exceeds the 8 MiB
 // arena cap) may pin its scratch while hot, but the next small schedule on
@@ -292,16 +329,11 @@ TEST(SimCandidates, ScratchTrimReleasesOutsizedCell) {
   // The spike premise: the schedule's route CSR (one 4 B slot id per link
   // of every distinct send pair's path) overflows the cap. If the cap ever
   // grows, pick a bigger p.
-  std::vector<std::uint8_t> seen(static_cast<size_t>(p * p), 0);
   std::vector<i64> scratch;
   size_t csr_slots = 0;
-  for (size_t i = 0; i < big_sf->num_ops(); ++i) {
-    if (big_sf->kind[i] != sched::OpKind::send) continue;
-    std::uint8_t& s = seen[static_cast<size_t>(big_sf->rank[i] * p + big_sf->peer[i])];
-    if (s == 0)
-      csr_slots += big_rc.route(big_sf->rank[i], big_sf->peer[i], scratch).links.size();
-    s = 1;
-  }
+  for (std::uint32_t pair = 0; pair < big_sf->pair_keys.size(); ++pair)
+    csr_slots +=
+        big_rc.route(big_sf->pair_from(pair), big_sf->pair_to(pair), scratch).links.size();
   ASSERT_GT(csr_slots * sizeof(std::uint32_t), kCapBytes);
   const auto big_res = net::simulate(*big_sf, elem_counts, 4, big_rc, cp, memo);
   ASSERT_EQ(big_res.size(), elem_counts.size());

@@ -76,12 +76,12 @@ TEST(SizeFreeSchedule, LoweringPreservesOpsInStepRankOrder) {
       coll::find_algorithm(sched::Collective::allreduce, "rabenseifner").make(cfg);
   const sched::SizeFreeSchedule sf = sched::SizeFreeSchedule::from(sch);
 
+  using Entry = sched::SizeFreeSchedule;
   EXPECT_EQ(sf.p, sch.p);
   EXPECT_EQ(sf.steps, sch.num_steps());
   ASSERT_EQ(sf.step_begin.size(), sf.steps + 1);
   EXPECT_EQ(sf.step_begin.front(), 0u);
   EXPECT_EQ(sf.step_begin.back(), sf.num_ops());
-  ASSERT_EQ(sf.exchange.size(), sf.num_ops());
 
   // Plain recvs are cost-free in the model and dropped from the simulation
   // stream; everything else must survive. Each rank's costed ops per step,
@@ -103,30 +103,39 @@ TEST(SizeFreeSchedule, LoweringPreservesOpsInStepRankOrder) {
   }
   EXPECT_EQ(sf.num_ops(), total_costed_ops);
 
-  // Within each step, ops must be grouped by non-decreasing rank and mirror
-  // the original per-rank op order (the engines' overhead accumulators and
-  // float-parity with the reference depend on this), and each op's ranges
-  // must size to exactly the bytes the Schedule derives for it.
+  // Within each step, ops must be grouped by non-decreasing rank, flag each
+  // rank group's first op, and mirror the original per-rank op order (the
+  // engines' overhead accumulators and float-parity with the reference
+  // depend on this). An op's rank and peer come from its exchange's pair:
+  // a send is sent by it, a recv_reduce received. Each op's byte row must
+  // size to exactly the bytes the Schedule derives for it.
   for (size_t t = 0; t < sf.steps; ++t) {
     ASSERT_LE(sf.step_begin[t], sf.step_begin[t + 1]);
-    std::int32_t prev_rank = -1;
+    Rank prev_rank = -1;
     size_t op_in_rank = 0;
     for (std::uint32_t i = sf.step_begin[t]; i < sf.step_begin[t + 1]; ++i) {
-      ASSERT_GE(sf.rank[i], prev_rank);
-      const auto& rank_ops = costed[t][static_cast<size_t>(sf.rank[i])];
-      if (sf.rank[i] != prev_rank) op_in_rank = 0;
+      const Entry::StreamOp& o = sf.ops[i];
+      const sched::OpKind kind = o.kind();
+      ASSERT_TRUE(kind == sched::OpKind::send || kind == sched::OpKind::recv_reduce);
+      ASSERT_LT(o.pair, sf.pair_keys.size());
+      const bool send = kind == sched::OpKind::send;
+      const Rank rank = send ? sf.pair_from(o.pair) : sf.pair_to(o.pair);
+      const Rank peer = send ? sf.pair_to(o.pair) : sf.pair_from(o.pair);
+      ASSERT_GE(rank, prev_rank);
+      EXPECT_EQ((o.flags & Entry::StreamOp::kBoundary) != 0, rank != prev_rank);
+      const auto& rank_ops = costed[t][static_cast<size_t>(rank)];
+      if (rank != prev_rank) op_in_rank = 0;
       ASSERT_LT(op_in_rank, rank_ops.size());
       const sched::Op& op = rank_ops[op_in_rank];
-      EXPECT_EQ(sf.kind[i], op.kind);
-      EXPECT_EQ(sf.peer[i], op.peer);
-      EXPECT_EQ(sf.extra_segments[i], std::max<i64>(0, op.segments - 1));
-      const i64 bytes = op.kind == sched::OpKind::local_perm
-                            ? sch.total_elems() * sch.elem_size
-                            : sched::ranges_elem_count(sf.exchange_ranges(sf.exchange[i]),
-                                                       sch.total_elems(), sf.nblocks) *
-                                  sch.elem_size;
+      EXPECT_EQ(kind, op.kind);
+      EXPECT_EQ(peer, op.peer);
+      EXPECT_EQ(o.extra, std::max<i64>(0, op.segments - 1));
+      ASSERT_LT(o.row, sf.num_rows());
+      const i64 bytes =
+          sched::ranges_elem_count(sf.row_ranges(o.row), sch.total_elems(), sf.nblocks) *
+          sch.elem_size;
       EXPECT_EQ(bytes, sch.op_bytes(op));
-      prev_rank = sf.rank[i];
+      prev_rank = rank;
       ++op_in_rank;
     }
   }
