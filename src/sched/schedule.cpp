@@ -1,7 +1,6 @@
 #include "sched/schedule.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -158,52 +157,41 @@ Schedule::OpOrder Schedule::op_order() const {
                             " ops do not fit 32-bit indices");
   const auto first_local = static_cast<std::uint32_t>(2 * exchanges_.size());
 
-  // Bucket every half by step, in call order, next to its rank: a local
-  // sits before the exchange logged after it. Both halves of one exchange
-  // belong to different ranks, so their relative order never matters.
+  // Stable counting sorts, least significant key first: by rank, then by
+  // step. Ties keep call order. The rank sort reads the log directly, in
+  // call order: a local sits before the exchange logged after it. Both
+  // halves of one exchange belong to different ranks, so their relative
+  // order never matters. Each entry carries its step, so the step sort never
+  // reads the log again.
+  std::vector<std::uint32_t> rank_at(static_cast<size_t>(p) + 1, 0);
+  for (const Exchange& x : exchanges_) {
+    ++rank_at[static_cast<size_t>(x.from) + 1];
+    ++rank_at[static_cast<size_t>(x.to) + 1];
+  }
+  for (const LocalOp& l : locals_) ++rank_at[static_cast<size_t>(l.rank) + 1];
+  for (size_t r = 0; r < static_cast<size_t>(p); ++r) rank_at[r + 1] += rank_at[r];
+
   OpOrder order;
   order.step_begin.assign(num_steps_ + 1, 0);
-  for (const Exchange& x : exchanges_) order.step_begin[x.step + 1] += 2;
-  for (const LocalOp& l : locals_) ++order.step_begin[l.step + 1];
-  for (size_t t = 0; t < num_steps_; ++t) order.step_begin[t + 1] += order.step_begin[t];
-  const auto ranked = [](Rank r, std::uint32_t h) { return static_cast<u64>(r) << 32 | h; };
-  std::vector<u64> by_step(num_halves);  ///< rank << 32 | half
-  {
-    std::vector<std::uint32_t> at(order.step_begin.begin(), order.step_begin.end() - 1);
-    size_t l = 0;
-    for (std::uint32_t e = 0;; ++e) {
-      for (; l < locals_.size() && locals_[l].before == e; ++l)
-        by_step[at[locals_[l].step]++] =
-            ranked(locals_[l].rank, first_local + static_cast<std::uint32_t>(l));
-      if (e == exchanges_.size()) break;
-      const Exchange& x = exchanges_[e];
-      std::uint32_t& a = at[x.step];
-      by_step[a++] = ranked(x.from, 2 * e);
-      by_step[a++] = ranked(x.to, 2 * e + 1);
-    }
+  std::vector<u64> by_rank(num_halves);  ///< step << 32 | half
+  const auto put = [&](Rank r, std::uint32_t step, std::uint32_t h) {
+    by_rank[rank_at[static_cast<size_t>(r)]++] = u64{step} << 32 | h;
+    ++order.step_begin[step + 1];
+  };
+  size_t l = 0;
+  for (std::uint32_t e = 0;; ++e) {
+    for (; l < locals_.size() && locals_[l].before == e; ++l)
+      put(locals_[l].rank, locals_[l].step, first_local + static_cast<std::uint32_t>(l));
+    if (e == exchanges_.size()) break;
+    const Exchange& x = exchanges_[e];
+    put(x.from, x.step, 2 * e);
+    put(x.to, x.step, 2 * e + 1);
   }
 
-  // Then a stable sort by rank within each step: a counting sort through one
-  // p-sized table when the step is large, else a comparison sort. Either way
-  // the step's halves stay cache-resident.
+  for (size_t t = 0; t < num_steps_; ++t) order.step_begin[t + 1] += order.step_begin[t];
+  std::vector<std::uint32_t> step_at(order.step_begin.begin(), order.step_begin.end() - 1);
   order.halves.resize(num_halves);
-  std::vector<std::uint32_t> rank_at(static_cast<size_t>(p) + 1);
-  for (size_t t = 0; t < num_steps_; ++t) {
-    const std::uint32_t b = order.step_begin[t];
-    const std::uint32_t n = order.step_begin[t + 1] - b;
-    u64* in = by_step.data() + b;
-    std::uint32_t* out = order.halves.data() + b;
-    if (u64{n} * static_cast<u64>(std::bit_width(n)) < static_cast<u64>(p)) {
-      std::stable_sort(in, in + n, [](u64 x, u64 y) { return x >> 32 < y >> 32; });
-      for (std::uint32_t i = 0; i < n; ++i) out[i] = static_cast<std::uint32_t>(in[i]);
-      continue;
-    }
-    std::fill(rank_at.begin(), rank_at.end(), 0u);
-    for (std::uint32_t i = 0; i < n; ++i) ++rank_at[(in[i] >> 32) + 1];
-    for (size_t r = 0; r < static_cast<size_t>(p); ++r) rank_at[r + 1] += rank_at[r];
-    for (std::uint32_t i = 0; i < n; ++i)
-      out[rank_at[in[i] >> 32]++] = static_cast<std::uint32_t>(in[i]);
-  }
+  for (const u64 v : by_rank) order.halves[step_at[v >> 32]++] = static_cast<std::uint32_t>(v);
   return order;
 }
 
