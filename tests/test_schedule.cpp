@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "coll/registry.hpp"
+#include "core/butterfly.hpp"
+#include "core/nu.hpp"
 #include "sched/blocks.hpp"
 #include "sched/schedule_cache.hpp"
 
@@ -361,4 +363,188 @@ TEST(Schedule, RegistryOpStreamIsPinned) {
   }
   EXPECT_GT(schedules, 0u);
   EXPECT_EQ(h, 0xc3cddc01d6fbbf19ull) << std::hex << h;
+}
+
+// --- Alltoall generators vs the id-walking oracle ------------------------------
+//
+// The oracle routes every pairwise block (s, d), id s * p + d, one hop at a
+// time and canonicalises each exchange's ids with blockset_from_ids. Every
+// exchange of the generators must match it: step, peers, block ranges and
+// segment count (one per block: both store and forward per block).
+
+namespace {
+
+struct OracleExchange {
+  size_t step = 0;
+  bine::Rank from = 0, to = 0;
+  std::vector<i64> ids;
+};
+
+/// Bruck: block (s, d) starts at rank s and hops +2^k at phase k for every
+/// set bit k of its offset (d - s) mod p.
+std::vector<OracleExchange> bruck_oracle(i64 p) {
+  // held[r][j]: ids at rank r whose destination lies j ranks ahead of r.
+  std::vector<std::vector<std::vector<i64>>> held(
+      static_cast<size_t>(p), std::vector<std::vector<i64>>(static_cast<size_t>(p)));
+  for (bine::Rank r = 0; r < p; ++r)
+    for (i64 d = 0; d < p; ++d)
+      held[static_cast<size_t>(r)][static_cast<size_t>(bine::pmod(d - r, p))].push_back(r * p +
+                                                                                         d);
+  std::vector<OracleExchange> out;
+  size_t step = 0;
+  for (i64 dist = 1; dist < p; dist <<= 1, ++step) {
+    std::vector<std::vector<i64>> moving(static_cast<size_t>(p));
+    for (bine::Rank r = 0; r < p; ++r)
+      for (i64 j = 0; j < p; ++j) {
+        if ((j & dist) == 0) continue;
+        auto& cell = held[static_cast<size_t>(r)][static_cast<size_t>(j)];
+        moving[static_cast<size_t>(r)].insert(moving[static_cast<size_t>(r)].end(),
+                                              cell.begin(), cell.end());
+        cell.clear();
+      }
+    for (bine::Rank r = 0; r < p; ++r) {
+      if (moving[static_cast<size_t>(r)].empty()) continue;
+      const bine::Rank q = bine::pmod(r + dist, p);
+      for (const i64 id : moving[static_cast<size_t>(r)])
+        held[static_cast<size_t>(q)][static_cast<size_t>(bine::pmod(id % p - q, p))].push_back(
+            id);
+      out.push_back({step, r, q, std::move(moving[static_cast<size_t>(r)])});
+    }
+  }
+  return out;
+}
+
+/// Bine: block (s, d) with relative destination l (d - s for even s, s - d
+/// for odd s) hops over the bine_dd butterfly at exactly the phases named by
+/// the set bits of nu(l) (Appendix A); every block must end at its
+/// destination.
+std::vector<OracleExchange> bine_alltoall_oracle(i64 p) {
+  struct Parcel {
+    i64 id;
+    u64 route;  // phases still to hop
+  };
+  std::vector<std::vector<Parcel>> held(static_cast<size_t>(p));
+  for (bine::Rank r = 0; r < p; ++r)
+    for (i64 d = 0; d < p; ++d)
+      held[static_cast<size_t>(r)].push_back(
+          {r * p + d, bine::core::nu(bine::pmod(r % 2 == 0 ? d - r : r - d, p), p)});
+  std::vector<OracleExchange> out;
+  for (int k = 0; k < bine::log2_exact(p); ++k) {
+    std::vector<std::vector<Parcel>> moving(static_cast<size_t>(p));
+    for (bine::Rank r = 0; r < p; ++r) {
+      std::vector<Parcel> stay;
+      for (const Parcel& par : held[static_cast<size_t>(r)]) {
+        if ((par.route >> k) & 1)
+          moving[static_cast<size_t>(r)].push_back({par.id, par.route & ~(u64{1} << k)});
+        else
+          stay.push_back(par);
+      }
+      held[static_cast<size_t>(r)] = std::move(stay);
+    }
+    for (bine::Rank r = 0; r < p; ++r) {
+      if (moving[static_cast<size_t>(r)].empty()) continue;
+      const bine::Rank q =
+          bine::core::butterfly_partner(bine::core::ButterflyVariant::bine_dd, r, k, p);
+      OracleExchange x{static_cast<size_t>(k), r, q, {}};
+      for (const Parcel& par : moving[static_cast<size_t>(r)]) {
+        x.ids.push_back(par.id);
+        held[static_cast<size_t>(q)].push_back(par);
+      }
+      out.push_back(std::move(x));
+    }
+  }
+  for (bine::Rank r = 0; r < p; ++r)
+    for (const Parcel& par : held[static_cast<size_t>(r)]) {
+      EXPECT_EQ(par.route, 0u) << "p=" << p;
+      EXPECT_EQ(par.id % p, r) << "p=" << p;
+    }
+  return out;
+}
+
+void expect_matches_oracle(const bs::Schedule& sch, const std::vector<OracleExchange>& want) {
+  const std::string what = sch.algorithm + " p=" + std::to_string(sch.p);
+  const std::vector<bs::Exchange>& log = sch.exchanges();
+  ASSERT_EQ(log.size(), want.size()) << what;
+  EXPECT_TRUE(sch.locals().empty()) << what;
+  bs::ScheduleArena arena;
+  for (size_t e = 0; e < log.size(); ++e) {
+    const bs::Exchange& x = log[e];
+    const OracleExchange& o = want[e];
+    const bs::BlockSet blocks = bs::blockset_from_ids(o.ids, sch.nblocks, arena);
+    ASSERT_EQ(x.step, o.step) << what << " exchange " << e;
+    ASSERT_EQ(x.from, o.from) << what << " exchange " << e;
+    ASSERT_EQ(x.to, o.to) << what << " exchange " << e;
+    ASSERT_FALSE(x.reduce) << what << " exchange " << e;
+    ASSERT_TRUE(std::ranges::equal(x.blocks.ranges(), blocks.ranges()))
+        << what << " exchange " << e;
+    ASSERT_EQ(x.segments, blocks.block_count()) << what << " exchange " << e;
+  }
+}
+
+}  // namespace
+
+TEST(AlltoallBlocks, RangeNativeMatchesIdOracle) {
+  for (const i64 p : {2, 3, 5, 8, 12, 33, 64, 256}) {
+    bine::coll::Config cfg;
+    cfg.p = p;
+    cfg.elem_count = p;
+    expect_matches_oracle(
+        bine::coll::find_algorithm(bs::Collective::alltoall, "bruck").make(cfg),
+        bruck_oracle(p));
+    if (HasFatalFailure()) return;
+    if (!bine::is_pow2(p)) continue;
+    expect_matches_oracle(bine::coll::find_algorithm(bs::Collective::alltoall, "bine").make(cfg),
+                          bine_alltoall_oracle(p));
+    if (HasFatalFailure()) return;
+  }
+}
+
+// RegistryOpStreamIsPinned stops at p = 64. This digest pins the compiled
+// entry -- every column of SizeFreeSchedule::from: the stream, the byte rows,
+// the pair keys and the delivery overlay -- of every butterfly and alltoall
+// registry algorithm at the rank counts where per-rank set sharing and row
+// interning matter.
+TEST(Schedule, LargeRegistryEntryIsPinned) {
+  u64 h = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
+  const auto mix = [&h](u64 v) {
+    h ^= v;
+    h *= 0x100000001b3ull;
+  };
+  const auto mix_column = [&mix](const auto& column) {
+    mix(column.size());
+    for (const auto& v : column) mix(static_cast<u64>(v));
+  };
+  size_t entries = 0;
+  for (const bs::Collective c : {bs::Collective::allgather, bs::Collective::reduce_scatter,
+                                 bs::Collective::allreduce, bs::Collective::alltoall}) {
+    for (const auto& entry : bine::coll::algorithms_for(c)) {
+      if (entry.specialized || entry.name == "ring") continue;
+      for (const i64 p : {128, 256, 1024}) {
+        bine::coll::Config cfg;
+        cfg.p = p;
+        cfg.elem_count = p;
+        const bs::SizeFreeSchedule sf = bs::SizeFreeSchedule::from(entry.make(cfg));
+        ++entries;
+        mix(static_cast<u64>(p));
+        mix(sf.steps);
+        mix_column(sf.step_begin);
+        mix(sf.ops.size());
+        for (const bs::SizeFreeSchedule::StreamOp& op : sf.ops) {
+          mix(op.flags);
+          mix(op.pair);
+          mix(op.row);
+          mix(static_cast<u64>(op.extra));
+        }
+        mix_column(sf.row_begin);
+        mix(sf.ranges.size());
+        for (const bs::BlockRange32& br : sf.ranges) mix(u64{br.begin} << 32 | br.count);
+        mix_column(sf.pair_keys);
+        mix_column(sf.delivery_step_begin);
+        mix_column(sf.delivery_send);
+        mix_column(sf.delivery_reduce);
+      }
+    }
+  }
+  EXPECT_GT(entries, 0u);
+  EXPECT_EQ(h, 0x00883386aa52ca00ull) << std::hex << h;
 }
