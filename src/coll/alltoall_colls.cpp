@@ -1,6 +1,11 @@
 #include "coll/alltoall_colls.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/butterfly.hpp"
 #include "core/nu.hpp"
@@ -11,42 +16,76 @@ using sched::BlockSet;
 using sched::Collective;
 using sched::Schedule;
 
+namespace {
+
+using sched::BlockRange;
+
+/// The pairwise blocks one alltoall phase moves, relative to the sender: rank
+/// r sends block s * p + d, s = (r + a) mod p and d = (r + c) mod p, for
+/// every pattern pair (a, c). Pairs are grouped by source offset: `a` ascending and distinct,
+/// group g's destination offsets `c[c_begin[g] .. c_begin[g + 1])` ascending.
+struct RelPattern {
+  std::vector<i64> a;
+  std::vector<std::uint32_t> c_begin{0};
+  std::vector<i64> c;
+};
+
+/// The pattern of `pairs`, each (a, c) in [0, p)^2 and distinct.
+RelPattern pattern_of(std::vector<std::pair<i64, i64>> pairs) {
+  std::sort(pairs.begin(), pairs.end());
+  RelPattern pat;
+  for (const auto& [a, c] : pairs) {
+    if (pat.a.empty() || pat.a.back() != a) {
+      pat.a.push_back(a);
+      pat.c_begin.push_back(pat.c_begin.back());
+    }
+    pat.c.push_back(c);
+    ++pat.c_begin.back();
+  }
+  return pat;
+}
+
+/// Rank r's sorted pairwise ranges of `pat`, written to `out`: a rotation by
+/// r of the sources, and within each source of the destinations, so the
+/// offsets pushed past p come first. Linear in the output.
+void translated_blocks(const RelPattern& pat, Rank r, i64 p, std::vector<BlockRange>& out) {
+  out.clear();
+  const auto emit_group = [&](size_t g) {
+    const i64 src_base = pmod(pat.a[g] + r, p) * p;
+    const i64* first = pat.c.data() + pat.c_begin[g];
+    const i64* last = pat.c.data() + pat.c_begin[g + 1];
+    const i64* wrapped = std::lower_bound(first, last, p - r);
+    for (const i64* c = wrapped; c < last; ++c) out.push_back({src_base + *c + r - p, 1});
+    for (const i64* c = first; c < wrapped; ++c) out.push_back({src_base + *c + r, 1});
+  };
+  const auto g0 =
+      static_cast<size_t>(std::lower_bound(pat.a.begin(), pat.a.end(), p - r) - pat.a.begin());
+  for (size_t g = g0; g < pat.a.size(); ++g) emit_group(g);
+  for (size_t g = 0; g < g0; ++g) emit_group(g);
+}
+
+}  // namespace
+
 Schedule alltoall_bruck(const Config& cfg) {
   Schedule sch =
       make_base(Collective::alltoall, cfg, "alltoall_bruck", sched::BlockSpace::pairwise);
   const i64 p = cfg.p;
-  // held[r] = pairwise block ids currently stored at rank r, indexed by the
-  // block's *relative destination offset* j = (dest - r0) of its origin
-  // rotation: block (s, d) starts at rank s with offset (d - s) mod p and
-  // advances +2^k at phase k for every set bit k of the offset.
-  std::vector<std::vector<std::vector<i64>>> held(
-      static_cast<size_t>(p), std::vector<std::vector<i64>>(static_cast<size_t>(p)));
-  for (Rank r = 0; r < p; ++r)
-    for (i64 d = 0; d < p; ++d)
-      held[static_cast<size_t>(r)][static_cast<size_t>(pmod(d - r, p))].push_back(r * p + d);
-
+  // Block (s, d) starts at rank s at offset (d - s) mod p and hops +2^k at
+  // phase k for every set bit k of that offset. Before phase k it sits t =
+  // offset mod 2^k ranks past s, so rank r moves the blocks (r - t, r + j)
+  // for t < 2^k and j an odd multiple of 2^k with t + j < p.
+  std::vector<BlockRange> pieces;
   size_t step = 0;
   for (i64 dist = 1; dist < p; dist <<= 1, ++step) {
-    std::vector<std::vector<i64>> moving(static_cast<size_t>(p));
+    std::vector<std::pair<i64, i64>> pairs;
+    for (i64 t = 0; t < dist; ++t)
+      for (i64 j = dist; t + j < p; j += 2 * dist) pairs.push_back({pmod(-t, p), j});
+    const RelPattern pat = pattern_of(std::move(pairs));
     for (Rank r = 0; r < p; ++r) {
-      std::vector<i64> ids;
-      for (i64 j = 0; j < p; ++j) {
-        if ((j & dist) == 0) continue;
-        auto& cell = held[static_cast<size_t>(r)][static_cast<size_t>(j)];
-        ids.insert(ids.end(), cell.begin(), cell.end());
-        cell.clear();
-      }
-      moving[static_cast<size_t>(r)] = std::move(ids);
-    }
-    for (Rank r = 0; r < p; ++r) {
-      if (moving[static_cast<size_t>(r)].empty()) continue;
-      const Rank q = pmod(r + dist, p);
-      BlockSet blocks =
-          sched::blockset_from_ids(moving[static_cast<size_t>(r)], sch.nblocks, sch.arena());
+      translated_blocks(pat, r, p, pieces);
+      BlockSet blocks = sched::blockset_from_ranges(pieces, sch.nblocks, sch.arena());
       const i64 segs = blocks.block_count();  // store-and-forward packs per block
-      sch.add_exchange(step, r, q, std::move(blocks), false, segs);
-      for (const i64 id : moving[static_cast<size_t>(r)])
-        held[static_cast<size_t>(q)][static_cast<size_t>(pmod(id % p - q, p))].push_back(id);
+      sch.add_exchange(step, r, pmod(r + dist, p), std::move(blocks), false, segs);
     }
   }
   return sch;
@@ -61,53 +100,54 @@ Schedule alltoall_bine(const Config& cfg) {
   const int s = log2_exact(p);
 
   // Route plan: a block with relative destination l (l = dest - src for even
-  // src, src - dest for odd src) hops at exactly the phases named by the set
-  // bits of nu(l); Appendix A's identity makes the alternating-sign partial
-  // sums land on the destination. Track (block id, remaining phase mask) per
-  // rank.
-  struct Parcel {
-    i64 id;
-    u64 route;  // remaining phases (bitmask over steps)
-  };
-  std::vector<std::vector<Parcel>> held(static_cast<size_t>(p));
-  for (Rank r = 0; r < p; ++r)
-    for (i64 d = 0; d < p; ++d) {
-      const i64 l = pmod(r % 2 == 0 ? d - r : r - d, p);
-      held[static_cast<size_t>(r)].push_back(Parcel{r * p + d, core::nu(l, p)});
-    }
-
-  for (int k = 0; k < s; ++k) {
-    std::vector<std::vector<Parcel>> moving(static_cast<size_t>(p));
-    for (Rank r = 0; r < p; ++r) {
-      auto& mine = held[static_cast<size_t>(r)];
-      std::vector<Parcel> stay;
-      stay.reserve(mine.size());
-      for (const Parcel& par : mine) {
-        if ((par.route >> k) & 1)
-          moving[static_cast<size_t>(r)].push_back(Parcel{par.id, par.route & ~(u64{1} << k)});
-        else
-          stay.push_back(par);
+  // src, src - dest for odd src) hops over the bine_dd butterfly at exactly
+  // the phases named by the set bits of nu(l). Each hop flips the holder's
+  // parity and so the sign of the next step's distance: after the hops named
+  // by the bits b of nu(l) below k, the block sits A(b) = dist_0 - dist_1 +
+  // ... (the alternating sum of those steps' distances) past its source,
+  // mirrored for odd sources. Appendix A's identity makes the full sum land
+  // on the destination.
+  const auto alternating = [](u64 bits) {
+    i64 sum = 0, sign = 1;
+    for (int i = 0; bits != 0; ++i, bits >>= 1)
+      if (bits & 1) {
+        sum += sign * core::negabinary_ones_value(i + 1);
+        sign = -sign;
       }
-      mine = std::move(stay);
+    return sum;
+  };
+  assert([&] {
+    for (i64 l = 0; l < p; ++l)
+      if (pmod(alternating(core::nu(l, p)) - l, p) != 0) return false;
+    return true;
+  }() && "bine alltoall routing failed");
+
+  std::vector<BlockRange> pieces;
+  for (int k = 0; k < s; ++k) {
+    // An even rank moves, for every l with bit k of nu(l) set, the block of
+    // the source A(b) behind it when an even number of hops brought it
+    // (an even source), else of the odd source A(b) ahead; odd ranks mirror.
+    std::vector<std::pair<i64, i64>> even, odd;
+    for (i64 l = 0; l < p; ++l) {
+      const u64 v = core::nu(l, p);
+      if (((v >> k) & 1) == 0) continue;
+      const u64 before = v & low_bits(k);
+      const i64 A = alternating(before);
+      const i64 a = std::popcount(before) % 2 == 0 ? -A : A;
+      const i64 c = std::popcount(before) % 2 == 0 ? l - A : A - l;
+      even.push_back({pmod(a, p), pmod(c, p)});
+      odd.push_back({pmod(-a, p), pmod(-c, p)});
     }
+    const RelPattern pats[2] = {pattern_of(std::move(even)), pattern_of(std::move(odd))};
     for (Rank r = 0; r < p; ++r) {
-      if (moving[static_cast<size_t>(r)].empty()) continue;
-      const Rank q = core::butterfly_partner(core::ButterflyVariant::bine_dd, r, k, p);
-      std::vector<i64> ids;
-      ids.reserve(moving[static_cast<size_t>(r)].size());
-      for (const Parcel& par : moving[static_cast<size_t>(r)]) ids.push_back(par.id);
-      BlockSet blocks = sched::blockset_from_ids(std::move(ids), sch.nblocks, sch.arena());
+      translated_blocks(pats[r % 2], r, p, pieces);
+      BlockSet blocks = sched::blockset_from_ranges(pieces, sch.nblocks, sch.arena());
       const i64 segs = blocks.block_count();
-      sch.add_exchange(static_cast<size_t>(k), r, q, std::move(blocks), false, segs);
-      auto& dest = held[static_cast<size_t>(q)];
-      dest.insert(dest.end(), moving[static_cast<size_t>(r)].begin(),
-                  moving[static_cast<size_t>(r)].end());
+      sch.add_exchange(static_cast<size_t>(k), r,
+                       core::butterfly_partner(core::ButterflyVariant::bine_dd, r, k, p),
+                       std::move(blocks), false, segs);
     }
   }
-  // Every parcel must have exhausted its route at its destination.
-  for (Rank r = 0; r < p; ++r)
-    for ([[maybe_unused]] const Parcel& par : held[static_cast<size_t>(r)])
-      assert(par.route == 0 && par.id % p == r && "bine alltoall routing failed");
   return sch;
 }
 

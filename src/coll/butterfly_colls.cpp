@@ -144,12 +144,47 @@ void rotate_runs(const std::vector<BlockRange>& runs, i64 shift, i64 P,
     out.push_back({runs[k].begin + shift, P - runs[k].begin - shift});
 }
 
+/// How rank r's Permute/block_by_block set repeats in r. The set is r's
+/// parity image of the relative set S (S for even r, -S for odd r) rotated by
+/// r, so ranks r and r + period share it, where period is the smallest even
+/// rotation mapping S onto itself. When -S is S rotated by an odd
+/// `odd_shift`, odd rank r also shares even rank r + odd_shift's set. Both
+/// come from membership scans.
+struct Repeat {
+  i64 period = 2;
+  i64 odd_shift = 0;  ///< 0: the odd ranks share no even rank's set
+
+  [[nodiscard]] size_t class_of(Rank r) const {
+    return static_cast<size_t>((r % 2 == 1 ? r + odd_shift : r) % period);
+  }
+};
+
+Repeat repeat_of(const std::vector<i64>& rel, i64 P) {
+  std::vector<bool> in_even(static_cast<size_t>(P), false), in_odd(in_even);
+  for (const i64 l : rel) {
+    in_even[static_cast<size_t>(l)] = true;
+    in_odd[static_cast<size_t>(pmod(-l, P))] = true;
+  }
+  const auto maps_onto = [&](const std::vector<bool>& image, i64 shift) {
+    return std::all_of(rel.begin(), rel.end(), [&](i64 l) {
+      return image[static_cast<size_t>((l + shift) % P)];
+    });
+  };
+  Repeat rep;
+  while (rep.period < P && !maps_onto(in_even, rep.period)) rep.period *= 2;
+  for (i64 c = 1; c < rep.period && rep.odd_shift == 0; c += 2)
+    if (maps_onto(in_odd, c)) rep.odd_shift = c;
+  return rep;
+}
+
 /// Emit the reduce-scatter (`reduce`) or allgather (its time reversal)
 /// butterfly steps into `sch` starting at step `step0`; returns the next free
 /// step index. Every set is built from ranges: the Two Transmissions sets are
 /// one circular interval, the Send strategy's reverse(nu) aliasing maps each
 /// set onto one aligned run, and Permute/block_by_block rotate the step's
-/// presorted relative runs by r.
+/// presorted relative runs by r. Those rotations repeat in r (Repeat), so the
+/// first rank of each class builds its set and the others reuse the BlockSet
+/// value: one arena span per distinct set.
 size_t emit_butterfly_steps(Schedule& sch, const Config& cfg, const Layout& lo,
                             NoncontigStrategy st, size_t step0, bool reduce) {
   const bool two_trans = st == NoncontigStrategy::two_transmission;
@@ -175,6 +210,11 @@ size_t emit_butterfly_steps(Schedule& sch, const Config& cfg, const Layout& lo,
   const auto rel_by_step = reduce ? dd_sent_rel(lo.P) : dh_held_rel(lo.P);
   const auto perm = st == NoncontigStrategy::send ? core::contiguity_permutation(lo.P)
                                                   : std::vector<i64>{};
+  struct SharedSet {
+    BlockSet blocks;
+    i64 segments = 0;  ///< 0 until the class's first rank builds the set
+  };
+  std::vector<SharedSet> shared;  ///< per Repeat class
   for (int j = 0; j < lo.s; ++j) {
     const size_t step = step0 + static_cast<size_t>(j);
     const std::vector<i64>& rel = rel_by_step[static_cast<size_t>(j)];
@@ -201,13 +241,18 @@ size_t emit_butterfly_steps(Schedule& sch, const Config& cfg, const Layout& lo,
       continue;
     }
     const RelRuns runs = rel_runs(rel, lo.P);
+    const Repeat rep = repeat_of(rel, lo.P);
+    shared.assign(static_cast<size_t>(rep.period), {});
     for (Rank r = 0; r < lo.P; ++r) {
-      rotate_runs(r % 2 == 0 ? runs.even : runs.odd, r, lo.P, pieces);
-      BlockSet blocks = fold_blocks(pieces, lo, cfg.p, sch.arena());
-      const i64 segs =
-          st == NoncontigStrategy::block_by_block ? blocks.block_count() : 1;
-      sch.add_exchange(step, r, butterfly_partner(variant, r, j, lo.P), blocks, reduce,
-                       segs);
+      SharedSet& set = shared[rep.class_of(r)];
+      if (set.segments == 0) {
+        rotate_runs(r % 2 == 0 ? runs.even : runs.odd, r, lo.P, pieces);
+        set.blocks = fold_blocks(pieces, lo, cfg.p, sch.arena());
+        set.segments =
+            st == NoncontigStrategy::block_by_block ? set.blocks.block_count() : 1;
+      }
+      sch.add_exchange(step, r, butterfly_partner(variant, r, j, lo.P), set.blocks, reduce,
+                       set.segments);
     }
   }
   return step0 + static_cast<size_t>(lo.s);

@@ -1,5 +1,6 @@
 #include "coll/tree_colls.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "core/modular.hpp"
@@ -18,20 +19,26 @@ std::string algo_name(const char* coll, TreeVariant v) {
   return std::string(coll) + "_" + to_string(v) + "_tree";
 }
 
-/// Physical block ids held by the subtree of logical rank `l` (p'-space),
+/// Physical blocks held by the subtree of logical rank `l` (p'-space),
 /// including the blocks of the extra ranks folded onto subtree members during
-/// the non-power-of-two pre-step.
+/// the non-power-of-two pre-step: the subtree's circular interval as at most
+/// two logical runs, each run's part below `extra` again at +p', all rotated
+/// by the root.
 BlockSet subtree_blocks(TreeVariant v, Rank l, i64 p_prime, i64 extra, Rank root, i64 p,
                         sched::ScheduleArena& arena) {
   const core::CircularInterval iv = core::subtree_interval(v, l, p_prime);
-  std::vector<i64> ids;
-  ids.reserve(static_cast<size_t>(2 * iv.length));
-  for (i64 k = 0; k < iv.length; ++k) {
-    const i64 x = pmod(iv.start + k, p_prime);
-    ids.push_back(to_physical(x, root, p));
-    if (x < extra) ids.push_back(to_physical(p_prime + x, root, p));
-  }
-  return sched::blockset_from_ids(std::move(ids), p, arena);
+  sched::BlockRange pieces[4];
+  size_t n = 0;
+  const i64 start = pmod(iv.start, p_prime);
+  const i64 head = std::min(iv.length, p_prime - start);
+  pieces[n++] = {start, head};
+  if (head < iv.length) pieces[n++] = {0, iv.length - head};
+  for (size_t k = 0, runs = n; k < runs; ++k)
+    if (pieces[k].begin < extra)
+      pieces[n++] = {p_prime + pieces[k].begin,
+                     std::min(pieces[k].begin + pieces[k].count, extra) - pieces[k].begin};
+  for (size_t k = 0; k < n; ++k) pieces[k].begin = to_physical(pieces[k].begin, root, p);
+  return sched::blockset_from_ranges({pieces, n}, p, arena);
 }
 
 /// Single physical block of logical rank `l`.

@@ -167,6 +167,10 @@ class BlockSet {
     return {ext_ ? ext_ : inline_, static_cast<size_t>(size_)};
   }
 
+  /// True when the ranges live in an arena span, which every copy of this
+  /// value shares: equal addresses then mean equal contents.
+  [[nodiscard]] bool in_arena() const noexcept { return ext_ != nullptr; }
+
   [[nodiscard]] i64 block_count() const noexcept {
     i64 total = 0;
     for (const BlockRange& r : ranges()) total += r.count;

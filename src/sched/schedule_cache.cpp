@@ -6,6 +6,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "core/fnv.hpp"
@@ -180,10 +181,24 @@ SizeFreeSchedule SizeFreeSchedule::from(const Schedule& s) {
   out.pair_keys.reserve(keys.size());
   RowInterner rows(out.row_begin, out.ranges);
   std::vector<std::uint32_t> pair_at(keys.size(), kNoExchange);
-  const auto first_touch = [&](const Exchange& x, ExchangeIds& xi) {
+  // Rows of the arena spans already interned, by address. An arena span is
+  // immutable and every copy of its BlockSet shares it, so a span seen
+  // before names its row with no check, hash or compare. Generators hand
+  // one set to many exchanges (the butterflies share each distinct set,
+  // coll/butterfly_colls.cpp). The first exchange to carry a span checks
+  // it, so an error names the same exchange whether or not others share it.
+  std::unordered_map<const BlockRange*, std::uint32_t> span_rows;
+  const auto row_of = [&](const Exchange& x) {
     const std::span<const BlockRange> rs = x.blocks.ranges();
+    if (x.blocks.in_arena())
+      if (const auto it = span_rows.find(rs.data()); it != span_rows.end()) return it->second;
     for (const BlockRange& br : rs) check_range(br, s.nblocks, x.step, x.from, x.to);
-    xi.row = rows.intern(rs, ranges_hash(rs));
+    const std::uint32_t row = rows.intern(rs, ranges_hash(rs));
+    if (x.blocks.in_arena()) span_rows.emplace(rs.data(), row);
+    return row;
+  };
+  const auto first_touch = [&](const Exchange& x, ExchangeIds& xi) {
+    xi.row = row_of(x);
     std::uint32_t& at = pair_at[xi.pair];
     if (at == kNoExchange) {
       at = static_cast<std::uint32_t>(out.pair_keys.size());
