@@ -22,8 +22,9 @@ using sched::BlockRange;
 
 /// The pairwise blocks one alltoall phase moves, relative to the sender: rank
 /// r sends block s * p + d, s = (r + a) mod p and d = (r + c) mod p, for
-/// every pattern pair (a, c). Pairs are grouped by source offset: `a` ascending and distinct,
-/// group g's destination offsets `c[c_begin[g] .. c_begin[g + 1])` ascending.
+/// every pattern pair (a, c). Pairs are grouped by source offset: `a`
+/// ascending and distinct, group g's destination offsets
+/// `c[c_begin[g] .. c_begin[g + 1])` ascending.
 struct RelPattern {
   std::vector<i64> a;
   std::vector<std::uint32_t> c_begin{0};
@@ -133,8 +134,9 @@ Schedule alltoall_bine(const Config& cfg) {
       if (((v >> k) & 1) == 0) continue;
       const u64 before = v & low_bits(k);
       const i64 A = alternating(before);
-      const i64 a = std::popcount(before) % 2 == 0 ? -A : A;
-      const i64 c = std::popcount(before) % 2 == 0 ? l - A : A - l;
+      const bool even_source = std::popcount(before) % 2 == 0;
+      const i64 a = even_source ? -A : A;
+      const i64 c = even_source ? l - A : A - l;
       even.push_back({pmod(a, p), pmod(c, p)});
       odd.push_back({pmod(-a, p), pmod(-c, p)});
     }
